@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .nonsmooth import Regularizer, prox
+from .nonsmooth import prox
 from .problems import CompositeProblem, FiniteSumProblem, GroundTruth
 
 __all__ = [
@@ -180,7 +180,6 @@ class RunConfig:
     trials: int = 1
     batch_size: Optional[int] = None
     projection_B: Optional[float] = None
-    regularizer: Optional[Regularizer] = None
     composite: Optional[CompositeProblem] = None
     x0: Optional[np.ndarray] = None
     momentum_form: str = "buffer"
@@ -505,7 +504,5 @@ def write_traces_csv(traces, path) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write("trial,t,gamma_t,f_gap,dist_sq\n")
         for tr in traces:
-            for t in range(tr.iterations + 1):
-                fh.write(
-                    f"{tr.trial},{t},{tr.gamma[t]:.17g},{tr.f_gap[t]:.17g},{tr.dist_sq[t]:.17g}\n"
-                )
+            for t, (g, f, d) in enumerate(zip(tr.gamma, tr.f_gap, tr.dist_sq)):
+                fh.write(f"{tr.trial},{t},{g:.17g},{f:.17g},{d:.17g}\n")

@@ -22,7 +22,7 @@ import os
 import platform
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -117,38 +117,22 @@ def load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig.from_dict(raw)
 
 
-def _build_fixture(cfg: ExperimentConfig) -> problems.Fixture:
+def _build_fixture(cfg: ExperimentConfig, setting=None) -> problems.Fixture:
+    """The config's problem, with the composite its method needs: the method
+    of ``setting`` (a theory.Setting) when verifying, else the config's."""
     spec = cfg.problem
-    if "fixture" in spec:
-        try:
+    try:
+        if "fixture" in spec:
             fx = problems.fixture(spec["fixture"])
-        except KeyError as exc:
-            raise ConfigError("problem.fixture", str(exc)) from exc
-    else:
-        kind = spec.get("kind")
-        try:
-            if kind == "least_squares":
-                p, gt, c = problems.build_least_squares(spec["features"], spec["targets"])
-            elif kind == "abs_loss":
-                p, gt, c = problems.build_abs_loss(
-                    spec["rows"], spec["targets"],
-                    strong_mu=spec.get("strong_mu", 0.0),
-                    ball_B=spec.get("ball_B", 1.0),
-                )
-            elif kind == "scalar_pl":
-                p, gt, c = problems.build_scalar_pl()
-            else:
-                raise ConfigError("problem.kind", f"unknown problem kind {kind!r}")
-        except (KeyError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError("problem", str(exc)) from exc
-        fx = problems.Fixture("inline", p, gt, c)
+        else:
+            fx = problems.Fixture("inline", *problems.build_problem(spec))
+    except (KeyError, ValueError) as exc:
+        raise ConfigError("problem.fixture" if "fixture" in spec else "problem",
+                          str(exc)) from exc
 
     reg = Regularizer.from_config(cfg.regularizer) if cfg.regularizer else fx.regularizer
-    needs_composite = cfg.algorithm in ("prox_gd", "prox_sgd") or (
-        cfg.verify or {}).get("setting", "").startswith(("pgd", "spgd"))
     comp = fx.composite
+    needs_composite = setting.composite if setting else cfg.algorithm in ("prox_gd", "prox_sgd")
     if needs_composite:
         if reg is None:
             raise ConfigError("regularizer", "proximal runs need a regularizer")
@@ -183,7 +167,6 @@ def _run_config(cfg: ExperimentConfig, fx: problems.Fixture, seed: int) -> RunCo
             trials=cfg.trials,
             batch_size=cfg.batch_size,
             projection_B=projection_B,
-            regularizer=fx.regularizer,
             composite=fx.composite if cfg.algorithm.startswith("prox") else None,
             x0=x0,
             momentum_form=cfg.momentum_form,
@@ -199,11 +182,13 @@ def _trial_chunk(args):
     cfg = ExperimentConfig.from_dict(raw)
     fx = _build_fixture(cfg)
     rc = _run_config(cfg, fx, seed)
-    out = []
-    for m in range(lo, hi):
-        tr = run_algorithm(rc, cfg.algorithm, trial=m)
-        out.append((m, tr.gamma, tr.f_gap, tr.dist_sq))
-    return out
+    return _run_trials(rc, cfg.algorithm, range(lo, hi))
+
+
+def _run_trials(rc: RunConfig, algorithm: str, trials) -> list:
+    """Traces of the given trials without their (T+1, d) iterates, which the
+    CSV does not need and workers should not ship back."""
+    return [replace(run_algorithm(rc, algorithm, trial=m), iterates=None) for m in trials]
 
 
 def cmd_run(config_path: str, out_dir: str = ".", jobs: int = 1,
@@ -234,28 +219,20 @@ def cmd_run(config_path: str, out_dir: str = ".", jobs: int = 1,
         fh.write("\n")
 
     try:
-        results = []
         if jobs > 1 and cfg.trials > 1:
             chunks = np.array_split(np.arange(cfg.trials), min(jobs, cfg.trials))
             args = [(cfg.to_dict(), seed, int(ch[0]), int(ch[-1]) + 1)
                     for ch in chunks if len(ch)]
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for part in pool.map(_trial_chunk, args):
-                    results.extend(part)
-            results.sort(key=lambda r: r[0])
+                # map keeps the chunks, and so the trials, in order
+                traces = [tr for part in pool.map(_trial_chunk, args) for tr in part]
         else:
-            for m in range(cfg.trials):
-                tr = run_algorithm(rc, cfg.algorithm, trial=m)
-                results.append((m, tr.gamma, tr.f_gap, tr.dist_sq))
+            traces = _run_trials(rc, cfg.algorithm, range(cfg.trials))
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return 3
 
-    with open(trace_path, "w", newline="\n") as fh:
-        fh.write("trial,t,gamma_t,f_gap,dist_sq\n")
-        for m, gamma, f_gap, dist_sq in results:
-            for t in range(len(gamma)):
-                fh.write(f"{m},{t},{gamma[t]:.17g},{f_gap[t]:.17g},{dist_sq[t]:.17g}\n")
+    write_traces_csv(traces, trace_path)
     print(f"wrote {manifest_path} and {trace_path}")
     return 0
 
@@ -265,10 +242,10 @@ def cmd_verify(config_path: str, seed_override: Optional[int] = None) -> int:
         cfg = load_config(config_path)
         if not cfg.verify or "setting" not in cfg.verify:
             raise ConfigError("verify.setting", "verify needs a theorem setting")
-        setting = cfg.verify["setting"]
-        if setting not in harness.SETTING_RUNS:
-            raise ConfigError("verify.setting", f"unknown setting {setting!r}")
-        fx = _build_fixture(cfg)
+        row = theory.SETTINGS.get(cfg.verify["setting"])
+        if row is None:
+            raise ConfigError("verify.setting", f"unknown setting {cfg.verify['setting']!r}")
+        fx = _build_fixture(cfg, row)
         seed = cfg.seed if seed_override is None else seed_override
         schedule = StepSchedule.from_config(cfg.schedule)
         x0 = np.asarray(cfg.x0, dtype=float) if cfg.x0 is not None else None
@@ -278,7 +255,7 @@ def cmd_verify(config_path: str, seed_override: Optional[int] = None) -> int:
 
     try:
         _, _, verdict = harness.run_verification(
-            setting, fx, schedule, cfg.iterations,
+            row.name, fx, schedule, cfg.iterations,
             checkpoints=cfg.checkpoints,
             trials=cfg.trials,
             seed=seed,

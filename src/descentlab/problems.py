@@ -35,6 +35,7 @@ __all__ = [
     "build_scalar_pl",
     "build_abs_loss",
     "build_custom",
+    "build_problem",
     "minibatch_constants",
     "make_composite",
     "composite_noise",
@@ -369,6 +370,25 @@ def build_custom(n, d, value_i, grad_i, x0=None):
     )
 
 
+def build_problem(spec: dict):
+    """(problem, ground truth, constants) for an inline problem description
+    (README schema); ValueError names an unknown kind or a missing field."""
+    kind = spec.get("kind")
+    try:
+        if kind == "least_squares":
+            return build_least_squares(spec["features"], spec["targets"])
+        if kind == "abs_loss":
+            return build_abs_loss(
+                spec["rows"], spec["targets"],
+                strong_mu=spec.get("strong_mu", 0.0), ball_B=spec.get("ball_B", 1.0),
+            )
+        if kind == "scalar_pl":
+            return build_scalar_pl()
+    except KeyError as exc:
+        raise ValueError(f"{kind} problem needs field {exc}") from exc
+    raise ValueError(f"unknown problem kind {kind!r}")
+
+
 def minibatch_constants(constants: ProblemConstants, b: int):
     """Expected-smoothness and gradient-noise constants for batch size b.
 
@@ -495,18 +515,7 @@ def _fixture_from_file(path: str) -> Fixture:
     with open(path) as fh:
         spec = json.load(fh)
     name = os.path.splitext(os.path.basename(path))[0]
-    kind = spec.get("kind")
-    if kind == "least_squares":
-        p, gt, c = build_least_squares(spec["features"], spec["targets"])
-    elif kind == "abs_loss":
-        p, gt, c = build_abs_loss(
-            spec["rows"], spec["targets"],
-            strong_mu=spec.get("strong_mu", 0.0), ball_B=spec.get("ball_B", 1.0),
-        )
-    elif kind == "scalar_pl":
-        p, gt, c = build_scalar_pl()
-    else:
-        raise ValueError(f"unsupported fixture kind {kind!r} in {path}")
+    p, gt, c = build_problem(spec)
     reg = comp = None
     if "regularizer" in spec:
         reg = Regularizer.from_config(spec["regularizer"])

@@ -30,6 +30,7 @@ from .problems import ProblemConstants, minibatch_constants
 
 __all__ = [
     "SETTINGS",
+    "Setting",
     "InitState",
     "BoundCurve",
     "ComplexityAnswer",
@@ -42,20 +43,6 @@ __all__ = [
     "linear_plus_constant",
     "answer_schedule",
 ]
-
-SETTINGS = (
-    "gd_convex", "gd_strongly_convex", "gd_pl",
-    "sgd_convex_general", "sgd_convex_const", "sgd_convex_invsqrt",
-    "sgd_strongly_convex", "sgd_pl",
-    "mini_convex_general", "mini_convex_const", "mini_strongly_convex",
-    "momentum_convex",
-    "ssd_convex_general", "ssd_convex_invsqrt", "pssd_convex", "ssd_strongly_convex",
-    "pgd_convex", "pgd_strongly_convex",
-    "spgd_convex_general", "spgd_convex_const", "spgd_convex_invsqrt",
-    "spgd_strongly_convex",
-)
-
-_DETERMINISTIC = ("gd_convex", "gd_strongly_convex", "gd_pl", "pgd_convex", "pgd_strongly_convex")
 
 
 @dataclass(frozen=True)
@@ -84,7 +71,7 @@ class BoundCurve:
 
     @property
     def deterministic(self) -> bool:
-        return self.setting in _DETERMINISTIC
+        return SETTINGS[self.setting].deterministic
 
     def eval(self, t: int) -> float:
         if t < self.min_t:
@@ -92,6 +79,37 @@ class BoundCurve:
                 f"{self.setting} bound is valid for t >= {self.min_t}, got t={t}"
             )
         return self.eval_fn(int(t))
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One convergence guarantee: the method the harness runs, what it
+    measures, and the formula families of its bound and its complexity, each
+    shared by every setting with the same formula.  ``ref`` picks the
+    (L_ref, sigma) pair the formulas use (see ``ref_constants``)."""
+
+    name: str
+    algorithm: str
+    metric: str  # f_gap | dist_sq | avg_f_gap | avg_F_gap
+    weighting: Optional[str]  # uniform | gamma_weighted | p_tk (bound to L_ref)
+    ref: Optional[str]  # single | minibatch | composite
+    composite: bool
+    deterministic: bool
+    curve: Callable = field(repr=False)
+    complexity: Optional[Callable] = field(default=None, repr=False)
+    answer: str = "constant"  # constant | horizon_constant | momentum_pair
+
+    def ref_constants(self, c: ProblemConstants, b=None, sigma_star_F=None):
+        """(L_ref, sigma): (L_max, sigma*_f) for ``single``, (L_max, sigma*_F) for
+        ``composite``, the expected-smoothness pair (L_b, sigma_b) for ``minibatch``."""
+        if self.ref == "composite":
+            return c.L_max, _need(sigma_star_F, "sigma_star_F")
+        if self.ref != "minibatch":
+            return c.L_max, _need(c.sigma_star_f, "sigma_star_f")
+        if b is None:
+            raise ValueError("minibatch settings need the batch size b")
+        L_b, sigma_b = minibatch_constants(c, b)
+        return L_b, _need(sigma_b, "sigma_star_f")
 
 
 def _hyp(condition: bool, constraint: str):
@@ -105,190 +123,174 @@ def _need(value: float, name: str) -> float:
     return float(value)
 
 
-def _gamma_sums(schedule: StepSchedule, t: int, L_ref: float):
+def _gamma_sums(schedule: StepSchedule, t: int, L_ref: float = 0.0):
+    """Sums over k < t of the weights gamma_k (1 - 2 gamma_k L_ref) and of
+    gamma_k^2; with L_ref = 0 the weights are the stepsizes themselves."""
     g = np.array([schedule.gamma_at(k) for k in range(t)])
     w = g * (1.0 - 2.0 * g * L_ref)
     return float(w.sum()), float((g * g).sum())
 
 
-def bound_curve(
-    setting: str,
-    constants: ProblemConstants,
-    schedule: StepSchedule,
-    init: InitState,
-    b: Optional[int] = None,
-    sigma_star_F: Optional[float] = None,
-) -> BoundCurve:
-    """Build the exact bound curve for a setting, validating its hypotheses.
+def _full_step(c, s):
+    _hyp(s.is_constant, "constant stepsize required")
+    _hyp(np.isfinite(c.L) and 0 < s.gamma <= 1.0 / c.L, "gamma <= 1/L")
+    return s.gamma
 
-    Minibatch settings need the batch size ``b``; composite stochastic settings
-    need ``sigma_star_F``.  Hypothesis violations raise ValueError naming the
-    violated constraint.
-    """
-    if setting not in SETTINGS:
-        raise ValueError(f"unknown setting {setting!r}")
-    c = constants
-    D2, f0, F0 = init.D2, init.f0_gap, init.F0_gap
-    min_t = 0
 
-    if setting in ("gd_convex", "gd_strongly_convex", "gd_pl", "pgd_convex", "pgd_strongly_convex"):
-        _hyp(schedule.is_constant, "constant stepsize required")
-        g = schedule.gamma
-        _hyp(np.isfinite(c.L) and 0 < g <= 1.0 / c.L, "gamma <= 1/L")
-        if setting == "gd_convex":
-            D2 = _need(D2, "D2")
-            min_t, fn = 1, lambda t: D2 / (2.0 * g * t)
-        elif setting == "gd_strongly_convex":
-            _hyp(c.mu > 0, "mu > 0")
-            D2 = _need(D2, "D2")
-            fn = lambda t: (1.0 - g * c.mu) ** t * D2
-        elif setting == "gd_pl":
-            _hyp(c.mu_pl > 0, "mu_pl > 0")
-            f0 = _need(f0, "f0_gap")
-            fn = lambda t: (1.0 - g * c.mu_pl) ** t * f0
-        elif setting == "pgd_convex":
-            D2 = _need(D2, "D2")
-            min_t, fn = 1, lambda t: D2 / (2.0 * g * t)
-        else:  # pgd_strongly_convex
-            _hyp(c.mu > 0, "mu > 0")
-            D2 = _need(D2, "D2")
-            fn = lambda t: (1.0 - g * c.mu) ** t * D2
+# curve families: (row, constants, schedule, init, b, sigma_star_F) -> (min_t, t -> bound)
+def _gd_sublinear_curve(row, c, s, init, b, sF):
+    g = _full_step(c, s)
+    D2 = _need(init.D2, "D2")
+    return 1, lambda t: D2 / (2.0 * g * t)
 
-    elif setting.startswith("sgd_convex") or setting.startswith("mini_convex"):
-        if setting.startswith("mini"):
-            if b is None:
-                raise ValueError("minibatch settings need the batch size b")
-            L_ref, sigma = minibatch_constants(c, b)
-        else:
-            L_ref, sigma = c.L_max, c.sigma_star_f
-        _need(sigma, "sigma_star_f")
-        D2 = _need(D2, "D2")
-        half = 1.0 / (2.0 * L_ref)
-        if setting.endswith("general"):
-            # constant and inv_sqrt schedules both peak at t = 0
-            _hyp(schedule.gamma_at(0) < half, "gamma_t < 1/(2 L_ref) for all t")
-            min_t = 1
 
-            def fn(t, _s=schedule, _L=L_ref, _D2=D2, _sig=sigma):
-                wsum, g2sum = _gamma_sums(_s, t, _L)
-                return _D2 / (2.0 * wsum) + _sig * g2sum / wsum
-        elif setting.endswith("const"):
-            _hyp(schedule.is_constant, "constant stepsize required")
-            g = schedule.gamma
-            _hyp(g < half, "gamma < 1/(2 L_ref)")
-            denom = 1.0 - 2.0 * g * L_ref
-            min_t = 1
-            fn = lambda t: D2 / (2.0 * g * denom * t) + g * sigma / denom
-        else:  # invsqrt
-            _hyp(schedule.kind == "inv_sqrt", "inv_sqrt stepsize required")
-            g0 = schedule.gamma0
-            _hyp(g0 < half, "gamma0 < 1/(2 L_ref)")
-            min_t = 49
-            fn = lambda t: D2 / (2.0 * g0 * math.sqrt(t)) + g0 * math.log(t) * sigma / math.sqrt(t)
+def _gd_contraction_curve(row, c, s, init, b, sF):
+    g = _full_step(c, s)
+    _hyp(c.mu > 0, "mu > 0")
+    D2 = _need(init.D2, "D2")
+    return 0, lambda t: (1.0 - g * c.mu) ** t * D2
 
-    elif setting in ("sgd_strongly_convex", "mini_strongly_convex"):
-        _hyp(schedule.is_constant, "constant stepsize required")
-        _hyp(c.mu > 0, "mu > 0")
-        if setting.startswith("mini"):
-            if b is None:
-                raise ValueError("minibatch settings need the batch size b")
-            L_ref, sigma = minibatch_constants(c, b)
-        else:
-            L_ref, sigma = c.L_max, c.sigma_star_f
-        g = schedule.gamma
-        _hyp(g <= 1.0 / (2.0 * L_ref), "gamma <= 1/(2 L_ref)")
-        D2 = _need(D2, "D2")
-        fn = lambda t: (1.0 - g * c.mu) ** t * D2 + 2.0 * g * sigma / c.mu
 
-    elif setting == "sgd_pl":
-        _hyp(schedule.is_constant, "constant stepsize required")
-        _hyp(c.mu_pl > 0, "mu_pl > 0")
-        _hyp(np.isfinite(c.L), "finite L")
-        g = schedule.gamma
-        _hyp(g <= c.mu_pl / (c.L * c.L_max), "gamma <= mu_pl/(L_f L_max)")
-        f0 = _need(f0, "f0_gap")
-        delta = _need(c.delta_star_f, "delta_star_f")
-        fn = lambda t: (1.0 - g * c.mu_pl) ** t * f0 + g * c.L * c.L_max * delta / c.mu_pl
+def _gd_pl_curve(row, c, s, init, b, sF):
+    g = _full_step(c, s)
+    _hyp(c.mu_pl > 0, "mu_pl > 0")
+    f0 = _need(init.f0_gap, "f0_gap")
+    return 0, lambda t: (1.0 - g * c.mu_pl) ** t * f0
 
-    elif setting == "momentum_convex":
-        _hyp(schedule.kind == "momentum_pair", "momentum_pair schedule required")
-        eta = schedule.eta
-        _hyp(eta <= 1.0 / (4.0 * c.L_max), "eta <= 1/(4 L_max)")
-        D2 = _need(D2, "D2")
-        sigma = _need(c.sigma_star_f, "sigma_star_f")
-        fn = lambda t: D2 / (eta * (t + 1.0)) + 2.0 * eta * sigma
 
-    elif setting in ("ssd_convex_general", "ssd_convex_invsqrt", "pssd_convex", "ssd_strongly_convex"):
-        G = c.G
-        _hyp(G > 0, "G > 0")
-        D2 = _need(D2, "D2")
-        if setting == "ssd_convex_general":
-            min_t = 1
+def _avg_general_curve(row, c, s, init, b, sF):
+    L_ref, sigma = row.ref_constants(c, b, sF)
+    D2 = _need(init.D2, "D2")
+    # constant and inv_sqrt schedules both peak at t = 0
+    _hyp(s.gamma_at(0) < 1.0 / (2.0 * L_ref), "gamma_t < 1/(2 L_ref) for all t")
 
-            def fn(t, _s=schedule, _D2=D2, _G=G):
-                g = np.array([_s.gamma_at(k) for k in range(t)])
-                ssum = float(g.sum())
-                return _D2 / (2.0 * ssum) + _G * _G * float((g * g).sum()) / (2.0 * ssum)
-        elif setting == "ssd_convex_invsqrt":
-            _hyp(schedule.kind == "inv_sqrt", "inv_sqrt stepsize required")
-            g0 = schedule.gamma0
-            min_t = 2
-            fn = lambda t: (D2 / (4.0 * g0) + g0 * G * G * math.log(t) / 4.0) / (math.sqrt(t) - 1.0)
-        elif setting == "pssd_convex":
-            _hyp(schedule.kind == "inv_sqrt", "inv_sqrt stepsize required")
-            _hyp(c.B > 0, "B > 0")
-            g0 = schedule.gamma0
-            min_t = 2
-            fn = lambda t: (3.0 * c.B * c.B / g0 + g0 * G * G) / math.sqrt(t)
-        else:  # ssd_strongly_convex
-            _hyp(schedule.is_constant, "constant stepsize required")
-            _hyp(c.mu > 0, "mu > 0")
-            g = schedule.gamma
-            _hyp(0 < g <= 1.0 / c.mu, "gamma <= 1/mu")
-            fn = lambda t: (1.0 - g * c.mu) ** t * D2 + g * G * G / c.mu
+    def fn(t):
+        wsum, g2sum = _gamma_sums(s, t, L_ref)
+        return D2 / (2.0 * wsum) + sigma * g2sum / wsum
+    return 1, fn
 
-    elif setting.startswith("spgd"):
-        sF = _need(sigma_star_F, "sigma_star_F")
-        D2 = _need(D2, "D2")
-        Lm = c.L_max
-        if setting == "spgd_strongly_convex":
-            _hyp(schedule.is_constant, "constant stepsize required")
-            _hyp(c.mu > 0, "mu > 0")
-            g = schedule.gamma
-            _hyp(g <= 1.0 / (2.0 * Lm), "gamma <= 1/(2 L_max)")
-            fn = lambda t: (1.0 - g * c.mu) ** t * D2 + 2.0 * g * sF / c.mu
-        else:
-            F0 = _need(F0, "F0_gap")
-            g0 = schedule.gamma_at(0)
-            _hyp(g0 < 1.0 / (4.0 * Lm), "gamma0 < 1/(4 L_max)")
-            slack = 1.0 - 4.0 * g0 * Lm
-            if setting == "spgd_convex_const":
-                _hyp(schedule.is_constant, "constant stepsize required")
-                min_t = 1
-                fn = lambda t: ((D2 + 2.0 * g0 * F0) / (2.0 * slack * g0 * t)
-                                + 2.0 * sF * g0 / slack)
-            elif setting == "spgd_convex_invsqrt":
-                _hyp(schedule.kind == "inv_sqrt", "inv_sqrt stepsize required")
-                min_t = 3
 
-                def fn(t, _g0=g0, _slack=slack, _D2=D2, _F0=F0, _sF=sF):
-                    denom = 2.0 * _g0 * (math.sqrt(t) - math.sqrt(2.0))
-                    return ((_D2 + 2.0 * _g0 * _F0) / (2.0 * _slack * denom)
-                            + 2.0 * _sF * _g0 * _g0 * math.log(t) / (_slack * denom))
-            else:  # spgd_convex_general
-                min_t = 1
+def _avg_const_curve(row, c, s, init, b, sF):
+    L_ref, sigma = row.ref_constants(c, b, sF)
+    D2 = _need(init.D2, "D2")
+    _hyp(s.is_constant, "constant stepsize required")
+    g = s.gamma
+    _hyp(g < 1.0 / (2.0 * L_ref), "gamma < 1/(2 L_ref)")
+    denom = 1.0 - 2.0 * g * L_ref
+    return 1, lambda t: D2 / (2.0 * g * denom * t) + g * sigma / denom
 
-                def fn(t, _s=schedule, _g0=g0, _slack=slack, _D2=D2, _F0=F0, _sF=sF):
-                    g = np.array([_s.gamma_at(k) for k in range(t)])
-                    ssum = float(g.sum())
-                    return ((_D2 + 2.0 * _g0 * _F0) / (2.0 * _slack * ssum)
-                            + 2.0 * _sF * float((g * g).sum()) / (_slack * ssum))
 
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled setting {setting!r}")
+def _avg_invsqrt_curve(row, c, s, init, b, sF):
+    L_ref, sigma = row.ref_constants(c, b, sF)
+    D2 = _need(init.D2, "D2")
+    _hyp(s.kind == "inv_sqrt", "inv_sqrt stepsize required")
+    g0 = s.gamma0
+    _hyp(g0 < 1.0 / (2.0 * L_ref), "gamma0 < 1/(2 L_ref)")
+    return 49, lambda t: D2 / (2.0 * g0 * math.sqrt(t)) + g0 * math.log(t) * sigma / math.sqrt(t)
 
-    return BoundCurve(setting=setting, constants=c, schedule=schedule, init=init,
-                      min_t=min_t, eval_fn=fn)
+
+def _noisy_contraction_curve(row, c, s, init, b, sF):
+    """(1 - g mu)^t D2 + 2 g sigma / mu for g <= 1/(2 L_ref)."""
+    _hyp(s.is_constant, "constant stepsize required")
+    _hyp(c.mu > 0, "mu > 0")
+    L_ref, sigma = row.ref_constants(c, b, sF)
+    g = s.gamma
+    _hyp(g <= 1.0 / (2.0 * L_ref), "gamma <= 1/(2 L_max)" if row.composite
+         else "gamma <= 1/(2 L_ref)")
+    D2 = _need(init.D2, "D2")
+    return 0, lambda t: (1.0 - g * c.mu) ** t * D2 + 2.0 * g * sigma / c.mu
+
+
+def _sgd_pl_curve(row, c, s, init, b, sF):
+    _hyp(s.is_constant, "constant stepsize required")
+    _hyp(c.mu_pl > 0, "mu_pl > 0")
+    _hyp(np.isfinite(c.L), "finite L")
+    g = s.gamma
+    _hyp(g <= c.mu_pl / (c.L * c.L_max), "gamma <= mu_pl/(L_f L_max)")
+    f0 = _need(init.f0_gap, "f0_gap")
+    delta = _need(c.delta_star_f, "delta_star_f")
+    return 0, lambda t: (1.0 - g * c.mu_pl) ** t * f0 + g * c.L * c.L_max * delta / c.mu_pl
+
+
+def _momentum_curve(row, c, s, init, b, sF):
+    _hyp(s.kind == "momentum_pair", "momentum_pair schedule required")
+    eta = s.eta
+    _hyp(eta <= 1.0 / (4.0 * c.L_max), "eta <= 1/(4 L_max)")
+    D2 = _need(init.D2, "D2")
+    sigma = _need(c.sigma_star_f, "sigma_star_f")
+    return 0, lambda t: D2 / (eta * (t + 1.0)) + 2.0 * eta * sigma
+
+
+def _subgradient_start(c, init):
+    _hyp(c.G > 0, "G > 0")
+    return c.G, _need(init.D2, "D2")
+
+
+def _ssd_general_curve(row, c, s, init, b, sF):
+    G, D2 = _subgradient_start(c, init)
+
+    def fn(t):
+        ssum, g2sum = _gamma_sums(s, t)
+        return D2 / (2.0 * ssum) + G * G * g2sum / (2.0 * ssum)
+    return 1, fn
+
+
+def _ssd_invsqrt_curve(row, c, s, init, b, sF):
+    G, D2 = _subgradient_start(c, init)
+    _hyp(s.kind == "inv_sqrt", "inv_sqrt stepsize required")
+    g0 = s.gamma0
+    return 2, lambda t: (D2 / (4.0 * g0) + g0 * G * G * math.log(t) / 4.0) / (math.sqrt(t) - 1.0)
+
+
+def _pssd_curve(row, c, s, init, b, sF):
+    G, _ = _subgradient_start(c, init)
+    _hyp(s.kind == "inv_sqrt", "inv_sqrt stepsize required")
+    _hyp(c.B > 0, "B > 0")
+    g0 = s.gamma0
+    return 2, lambda t: (3.0 * c.B * c.B / g0 + g0 * G * G) / math.sqrt(t)
+
+
+def _ssd_strongly_convex_curve(row, c, s, init, b, sF):
+    G, D2 = _subgradient_start(c, init)
+    _hyp(s.is_constant, "constant stepsize required")
+    _hyp(c.mu > 0, "mu > 0")
+    g = s.gamma
+    _hyp(0 < g <= 1.0 / c.mu, "gamma <= 1/mu")
+    return 0, lambda t: (1.0 - g * c.mu) ** t * D2 + g * G * G / c.mu
+
+
+def _prox_sgd_start(row, c, s, init, b, sF):
+    Lm, sF = row.ref_constants(c, b, sF)
+    D2 = _need(init.D2, "D2")
+    F0 = _need(init.F0_gap, "F0_gap")
+    g0 = s.gamma_at(0)
+    _hyp(g0 < 1.0 / (4.0 * Lm), "gamma0 < 1/(4 L_max)")
+    return sF, D2 + 2.0 * g0 * F0, g0, 1.0 - 4.0 * g0 * Lm
+
+
+def _prox_sgd_const_curve(row, c, s, init, b, sF):
+    sF, E0, g0, slack = _prox_sgd_start(row, c, s, init, b, sF)
+    _hyp(s.is_constant, "constant stepsize required")
+    return 1, lambda t: E0 / (2.0 * slack * g0 * t) + 2.0 * sF * g0 / slack
+
+
+def _prox_sgd_invsqrt_curve(row, c, s, init, b, sF):
+    sF, E0, g0, slack = _prox_sgd_start(row, c, s, init, b, sF)
+    _hyp(s.kind == "inv_sqrt", "inv_sqrt stepsize required")
+
+    def fn(t):
+        denom = 2.0 * g0 * (math.sqrt(t) - math.sqrt(2.0))
+        return E0 / (2.0 * slack * denom) + 2.0 * sF * g0 * g0 * math.log(t) / (slack * denom)
+    return 3, fn
+
+
+def _prox_sgd_general_curve(row, c, s, init, b, sF):
+    sF, E0, g0, slack = _prox_sgd_start(row, c, s, init, b, sF)
+
+    def fn(t):
+        ssum, g2sum = _gamma_sums(s, t)
+        return E0 / (2.0 * slack * ssum) + 2.0 * sF * g2sum / (slack * ssum)
+    return 1, fn
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +330,164 @@ def linear_plus_constant(mu: float, A: float, C: float, alpha0: float, epsilon: 
     return gamma, max(0, _ceil(factor * log_term))
 
 
+# complexity families: (row, constants, eps, init, b, sigma_star_F)
+# -> (gamma, t, formula, relative)
+def _gd_sublinear_steps(row, c, e, init, b, sF):
+    D2 = _need(init.D2, "D2")
+    _hyp(np.isfinite(c.L) and c.L > 0, "finite L > 0")
+    return 1.0 / c.L, max(1, _ceil(c.L * D2 / (2.0 * e))), "L*D2/(2*eps)", False
+
+
+def _gd_contraction_steps(row, c, e, init, b, sF):
+    _hyp(c.mu > 0, "mu > 0")
+    _hyp(0 < e < 1, "epsilon in (0,1) for a relative contraction target")
+    return 1.0 / c.L, contraction_iterations(1.0 - c.mu / c.L, e), "(L/mu)*log(1/eps)", True
+
+
+def _gd_pl_steps(row, c, e, init, b, sF):
+    _hyp(c.mu_pl > 0, "mu_pl > 0")
+    _hyp(0 < e < 1, "epsilon in (0,1) for a relative contraction target")
+    t = contraction_iterations(1.0 - c.mu_pl / c.L, e)
+    return 1.0 / c.L, t, "(L/mu_pl)*log(1/eps)", True
+
+
+def _avg_const_steps(row, c, e, init, b, sF):
+    L_ref, sigma = row.ref_constants(c, b, sF)
+    D2 = _need(init.D2, "D2")
+    t = max(4, _ceil((2.0 * L_ref * D2 + sigma / L_ref) ** 2 / e**2))
+    return 1.0 / (2.0 * L_ref * math.sqrt(t)), t, "((2*L_ref*D2 + sigma/L_ref)/eps)^2", False
+
+
+def _noisy_contraction_steps(row, c, e, init, b, sF):
+    _hyp(c.mu > 0, "mu > 0")
+    L_ref, sigma = row.ref_constants(c, b, sF)
+    D2 = _need(init.D2, "D2")
+    gamma, t = linear_plus_constant(c.mu, 2.0 * sigma / c.mu, 2.0 * L_ref, D2, e)
+    names = ("sigma_F", "L_max") if row.composite else ("sigma", "L_ref")
+    return gamma, t, "max(4*%s/(eps*mu^2), 2*%s/mu)*log(2*D2/eps)" % names, False
+
+
+def _sgd_pl_steps(row, c, e, init, b, sF):
+    _hyp(c.mu_pl > 0, "mu_pl > 0")
+    _hyp(np.isfinite(c.L), "finite L")
+    f0 = _need(init.f0_gap, "f0_gap")
+    delta = _need(c.delta_star_f, "delta_star_f")
+    base = c.mu_pl / (c.L * c.L_max)
+    gamma = base if delta == 0.0 else base * min(e / (2.0 * delta), 1.0)
+    factor = (c.L * c.L_max / c.mu_pl**2) * max(2.0 * delta / e, 1.0)
+    log_term = math.log(2.0 * f0 / e) if 2.0 * f0 > e else 0.0
+    return (gamma, max(0, _ceil(factor * log_term)),
+            "(L*L_max/mu_pl^2)*max(2*Delta/eps,1)*log(2*f0/eps)", False)
+
+
+def _momentum_steps(row, c, e, init, b, sF):
+    D2 = _need(init.D2, "D2")
+    sigma = _need(c.sigma_star_f, "sigma_star_f")
+    Lm = c.L_max
+    t = max(0, _ceil((8.0 * Lm * Lm * D2 + sigma) ** 2 / (4.0 * Lm * Lm * e * e) - 1.0))
+    return (1.0 / (4.0 * Lm * math.sqrt(t + 1.0)), t,
+            "((8*L_max^2*D2 + sigma)/(2*L_max*eps))^2 - 1", False)
+
+
+def _ssd_general_steps(row, c, e, init, b, sF):
+    D2 = _need(init.D2, "D2")
+    _hyp(c.G > 0, "G > 0")
+    t = max(1, _ceil(D2 * c.G * c.G / (e * e)))
+    return math.sqrt(D2) / (c.G * math.sqrt(t)), t, "D2*G^2/eps^2", False
+
+
+def _ssd_strongly_convex_steps(row, c, e, init, b, sF):
+    _hyp(c.mu > 0, "mu > 0")
+    _hyp(c.G > 0, "G > 0")
+    _hyp(c.B > 0, "B > 0")
+    gamma, t = linear_plus_constant(c.mu, c.G**2 / c.mu, c.mu, 4.0 * c.B**2, e)
+    return gamma, t, "max(2*G^2/(eps*mu^2), 1)*log(8*B^2/eps)", False
+
+
+def _prox_sgd_const_steps(row, c, e, init, b, sF):
+    Lm, sF = row.ref_constants(c, b, sF)
+    D2 = _need(init.D2, "D2")
+    F0 = _need(init.F0_gap, "F0_gap")
+    _hyp(sF > 0 and e <= sF / Lm, "eps <= sigma_star_F / L_max")
+    t = max(1, _ceil(16.0 * (D2 + F0 / (4.0 * Lm)) * sF / (e * e)))
+    return e / (8.0 * sF), t, "16*(D2 + F0/(4*L_max))*sigma_F/eps^2", False
+
+
+# ---------------------------------------------------------------------------
+# The setting table
+# ---------------------------------------------------------------------------
+
+
+SETTINGS = {row.name: row for row in (
+    # name, method, metric, averaging, L_ref/sigma, composite, deterministic,
+    #   curve family, complexity family, recommended schedule
+    Setting("gd_convex", "gd", "f_gap", None, None, False, True,
+            _gd_sublinear_curve, _gd_sublinear_steps),
+    Setting("gd_strongly_convex", "gd", "dist_sq", None, None, False, True,
+            _gd_contraction_curve, _gd_contraction_steps),
+    Setting("gd_pl", "gd", "f_gap", None, None, False, True, _gd_pl_curve, _gd_pl_steps),
+    Setting("sgd_convex_general", "sgd", "avg_f_gap", "p_tk", "single", False, False,
+            _avg_general_curve),
+    Setting("sgd_convex_const", "sgd", "avg_f_gap", "uniform", "single", False, False,
+            _avg_const_curve, _avg_const_steps, "horizon_constant"),
+    Setting("sgd_convex_invsqrt", "sgd", "avg_f_gap", "p_tk", "single", False, False,
+            _avg_invsqrt_curve),
+    Setting("sgd_strongly_convex", "sgd", "dist_sq", None, "single", False, False,
+            _noisy_contraction_curve, _noisy_contraction_steps),
+    Setting("sgd_pl", "sgd", "f_gap", None, None, False, False, _sgd_pl_curve, _sgd_pl_steps),
+    Setting("mini_convex_general", "minibatch_sgd", "avg_f_gap", "p_tk", "minibatch",
+            False, False, _avg_general_curve),
+    Setting("mini_convex_const", "minibatch_sgd", "avg_f_gap", "uniform", "minibatch",
+            False, False, _avg_const_curve, _avg_const_steps, "horizon_constant"),
+    Setting("mini_strongly_convex", "minibatch_sgd", "dist_sq", None, "minibatch",
+            False, False, _noisy_contraction_curve, _noisy_contraction_steps),
+    Setting("momentum_convex", "momentum", "f_gap", None, "single", False, False,
+            _momentum_curve, _momentum_steps, "momentum_pair"),
+    Setting("ssd_convex_general", "ssd", "avg_f_gap", "gamma_weighted", None, False, False,
+            _ssd_general_curve, _ssd_general_steps, "horizon_constant"),
+    Setting("ssd_convex_invsqrt", "ssd", "avg_f_gap", "gamma_weighted", None, False, False,
+            _ssd_invsqrt_curve),
+    Setting("pssd_convex", "pssd", "avg_f_gap", "uniform", None, False, False, _pssd_curve),
+    Setting("ssd_strongly_convex", "pssd", "dist_sq", None, None, False, False,
+            _ssd_strongly_convex_curve, _ssd_strongly_convex_steps),
+    # the trace gap of a prox run is the F-gap, so pgd measures f_gap
+    Setting("pgd_convex", "prox_gd", "f_gap", None, None, True, True,
+            _gd_sublinear_curve, _gd_sublinear_steps),
+    Setting("pgd_strongly_convex", "prox_gd", "dist_sq", None, None, True, True,
+            _gd_contraction_curve, _gd_contraction_steps),
+    Setting("spgd_convex_general", "prox_sgd", "avg_F_gap", "gamma_weighted", "composite",
+            True, False, _prox_sgd_general_curve),
+    Setting("spgd_convex_const", "prox_sgd", "avg_F_gap", "uniform", "composite",
+            True, False, _prox_sgd_const_curve, _prox_sgd_const_steps),
+    Setting("spgd_convex_invsqrt", "prox_sgd", "avg_F_gap", "gamma_weighted", "composite",
+            True, False, _prox_sgd_invsqrt_curve),
+    Setting("spgd_strongly_convex", "prox_sgd", "dist_sq", None, "composite", True, False,
+            _noisy_contraction_curve, _noisy_contraction_steps),
+)}
+
+
+def bound_curve(
+    setting: str,
+    constants: ProblemConstants,
+    schedule: StepSchedule,
+    init: InitState,
+    b: Optional[int] = None,
+    sigma_star_F: Optional[float] = None,
+) -> BoundCurve:
+    """Build the exact bound curve for a setting, validating its hypotheses.
+
+    Minibatch settings need the batch size ``b``; composite stochastic settings
+    need ``sigma_star_F``.  Hypothesis violations raise ValueError naming the
+    violated constraint.
+    """
+    row = SETTINGS.get(setting)
+    if row is None:
+        raise ValueError(f"unknown setting {setting!r}")
+    min_t, fn = row.curve(row, constants, schedule, init, b, sigma_star_F)
+    return BoundCurve(setting=setting, constants=constants, schedule=schedule, init=init,
+                      min_t=min_t, eval_fn=fn)
+
+
 @dataclass(frozen=True)
 class ComplexityAnswer:
     """Sufficient iteration count (and stepsize, when prescribed) for accuracy eps."""
@@ -351,120 +511,19 @@ def complexity_iterations(
     """Evaluate the sufficient iteration count for a setting's accuracy target."""
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
-    c = constants
+    row = SETTINGS.get(setting)
+    if row is None or row.complexity is None:
+        raise ValueError(f"no iteration-complexity recommendation for setting {setting!r}")
     e = float(epsilon)
-
-    if setting in ("gd_convex", "pgd_convex"):
-        D2 = _need(init.D2, "D2")
-        _hyp(np.isfinite(c.L) and c.L > 0, "finite L > 0")
-        t = max(1, _ceil(c.L * D2 / (2.0 * e)))
-        return ComplexityAnswer(setting, e, 1.0 / c.L, t, "L*D2/(2*eps)", relative=False)
-
-    if setting in ("gd_strongly_convex", "pgd_strongly_convex"):
-        _hyp(c.mu > 0, "mu > 0")
-        _hyp(0 < e < 1, "epsilon in (0,1) for a relative contraction target")
-        t = contraction_iterations(1.0 - c.mu / c.L, e)
-        return ComplexityAnswer(setting, e, 1.0 / c.L, t, "(L/mu)*log(1/eps)", relative=True)
-
-    if setting == "gd_pl":
-        _hyp(c.mu_pl > 0, "mu_pl > 0")
-        _hyp(0 < e < 1, "epsilon in (0,1) for a relative contraction target")
-        t = contraction_iterations(1.0 - c.mu_pl / c.L, e)
-        return ComplexityAnswer(setting, e, 1.0 / c.L, t, "(L/mu_pl)*log(1/eps)", relative=True)
-
-    if setting in ("sgd_convex_const", "mini_convex_const"):
-        if setting.startswith("mini"):
-            if b is None:
-                raise ValueError("minibatch settings need the batch size b")
-            L_ref, sigma = minibatch_constants(c, b)
-        else:
-            L_ref, sigma = c.L_max, _need(c.sigma_star_f, "sigma_star_f")
-        D2 = _need(init.D2, "D2")
-        t = max(4, _ceil((2.0 * L_ref * D2 + sigma / L_ref) ** 2 / e**2))
-        gamma = 1.0 / (2.0 * L_ref * math.sqrt(t))
-        return ComplexityAnswer(setting, e, gamma, t,
-                                "((2*L_ref*D2 + sigma/L_ref)/eps)^2", relative=False)
-
-    if setting in ("sgd_strongly_convex", "mini_strongly_convex"):
-        _hyp(c.mu > 0, "mu > 0")
-        if setting.startswith("mini"):
-            if b is None:
-                raise ValueError("minibatch settings need the batch size b")
-            L_ref, sigma = minibatch_constants(c, b)
-        else:
-            L_ref, sigma = c.L_max, _need(c.sigma_star_f, "sigma_star_f")
-        D2 = _need(init.D2, "D2")
-        gamma, t = linear_plus_constant(c.mu, 2.0 * sigma / c.mu, 2.0 * L_ref, D2, e)
-        return ComplexityAnswer(setting, e, gamma, t,
-                                "max(4*sigma/(eps*mu^2), 2*L_ref/mu)*log(2*D2/eps)",
-                                relative=False)
-
-    if setting == "sgd_pl":
-        _hyp(c.mu_pl > 0, "mu_pl > 0")
-        _hyp(np.isfinite(c.L), "finite L")
-        f0 = _need(init.f0_gap, "f0_gap")
-        delta = _need(c.delta_star_f, "delta_star_f")
-        base = c.mu_pl / (c.L * c.L_max)
-        gamma = base if delta == 0.0 else base * min(e / (2.0 * delta), 1.0)
-        factor = (c.L * c.L_max / c.mu_pl**2) * max(2.0 * delta / e, 1.0)
-        log_term = math.log(2.0 * f0 / e) if 2.0 * f0 > e else 0.0
-        t = max(0, _ceil(factor * log_term))
-        return ComplexityAnswer(setting, e, gamma, t,
-                                "(L*L_max/mu_pl^2)*max(2*Delta/eps,1)*log(2*f0/eps)",
-                                relative=False)
-
-    if setting == "momentum_convex":
-        D2 = _need(init.D2, "D2")
-        sigma = _need(c.sigma_star_f, "sigma_star_f")
-        Lm = c.L_max
-        t = max(0, _ceil((8.0 * Lm * Lm * D2 + sigma) ** 2 / (4.0 * Lm * Lm * e * e) - 1.0))
-        eta = 1.0 / (4.0 * Lm * math.sqrt(t + 1.0))
-        return ComplexityAnswer(setting, e, eta, t,
-                                "((8*L_max^2*D2 + sigma)/(2*L_max*eps))^2 - 1", relative=False)
-
-    if setting == "ssd_convex_general":
-        D2 = _need(init.D2, "D2")
-        _hyp(c.G > 0, "G > 0")
-        t = max(1, _ceil(D2 * c.G * c.G / (e * e)))
-        gamma = math.sqrt(D2) / (c.G * math.sqrt(t))
-        return ComplexityAnswer(setting, e, gamma, t, "D2*G^2/eps^2", relative=False)
-
-    if setting == "ssd_strongly_convex":
-        _hyp(c.mu > 0, "mu > 0")
-        _hyp(c.G > 0, "G > 0")
-        _hyp(c.B > 0, "B > 0")
-        gamma, t = linear_plus_constant(c.mu, c.G**2 / c.mu, c.mu, 4.0 * c.B**2, e)
-        return ComplexityAnswer(setting, e, gamma, t,
-                                "max(2*G^2/(eps*mu^2), 1)*log(8*B^2/eps)", relative=False)
-
-    if setting == "spgd_convex_const":
-        sF = _need(sigma_star_F, "sigma_star_F")
-        D2 = _need(init.D2, "D2")
-        F0 = _need(init.F0_gap, "F0_gap")
-        _hyp(sF > 0 and e <= sF / c.L_max, "eps <= sigma_star_F / L_max")
-        gamma = e / (8.0 * sF)
-        C0 = 16.0 * (D2 + F0 / (4.0 * c.L_max))
-        t = max(1, _ceil(C0 * sF / (e * e)))
-        return ComplexityAnswer(setting, e, gamma, t, "16*(D2 + F0/(4*L_max))*sigma_F/eps^2",
-                                relative=False)
-
-    if setting == "spgd_strongly_convex":
-        _hyp(c.mu > 0, "mu > 0")
-        sF = _need(sigma_star_F, "sigma_star_F")
-        D2 = _need(init.D2, "D2")
-        gamma, t = linear_plus_constant(c.mu, 2.0 * sF / c.mu, 2.0 * c.L_max, D2, e)
-        return ComplexityAnswer(setting, e, gamma, t,
-                                "max(4*sigma_F/(eps*mu^2), 2*L_max/mu)*log(2*D2/eps)",
-                                relative=False)
-
-    raise ValueError(f"no iteration-complexity recommendation for setting {setting!r}")
+    return ComplexityAnswer(setting, e, *row.complexity(row, constants, e, init, b, sigma_star_F))
 
 
 def answer_schedule(answer: ComplexityAnswer) -> StepSchedule:
     """Schedule that realizes a complexity answer's recommended stepsize."""
-    if answer.setting == "momentum_convex":
+    kind = SETTINGS[answer.setting].answer
+    if kind == "momentum_pair":
         return StepSchedule.momentum_pair(answer.recommended_gamma)
-    if answer.setting in ("sgd_convex_const", "mini_convex_const", "ssd_convex_general"):
+    if kind == "horizon_constant":
         return StepSchedule.horizon_constant(answer.recommended_gamma, answer.t_min)
     return StepSchedule.constant(answer.recommended_gamma)
 

@@ -32,7 +32,7 @@ from descentlab import (
     run_verification,
 )
 from descentlab.cli import cmd_run
-from descentlab.harness import SETTING_RUNS, init_state_for
+from descentlab.harness import init_state_for
 from descentlab.problems import Fixture
 
 

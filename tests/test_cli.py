@@ -256,6 +256,36 @@ def test_external_fixture_directory(tmp_path, monkeypatch):
     assert fx.ground_truth.x_star[0] == pytest.approx(3 / 5)
 
 
+def test_run_malformed_external_fixture_exits_2(tmp_path, monkeypatch, capsys):
+    ext = tmp_path / "fixtures"
+    ext.mkdir()
+    (ext / "huber_bad.json").write_text(json.dumps({
+        "kind": "huber", "features": [[1.0]], "targets": [1.0]}))
+    (ext / "ls_no_targets.json").write_text(json.dumps({
+        "kind": "least_squares", "features": [[1.0]]}))
+    monkeypatch.setenv("DESCENTLAB_FIXTURES", str(ext))
+    for name, detail in (("huber_bad", "huber"), ("ls_no_targets", "targets")):
+        path = _write(tmp_path, "cfg.json", _gd_config(problem={"fixture": name}))
+        assert cmd_run(path, out_dir=str(tmp_path / name)) == 2
+        err = capsys.readouterr().err
+        assert "problem.fixture" in err and detail in err
+
+
+def test_verify_divergence_exits_3_naming_trials(tmp_path, capsys):
+    payload = {
+        "problem": {"fixture": "abs_2x1"},
+        "algorithm": "ssd",
+        "schedule": {"kind": "inv_sqrt", "gamma0": 1e15},
+        "iterations": 50,
+        "trials": 20,
+        "verify": {"setting": "ssd_convex_general"},
+    }
+    assert cmd_verify(_write(tmp_path, "cfg.json", payload)) == 3
+    err = capsys.readouterr().err
+    assert "20 trial(s) diverged" in err
+    assert "trial 0 (t=1)" in err
+
+
 def test_run_divergence_exits_3_parallel(tmp_path):
     # gamma * L_i > 2 for every term, so each sampled step expands
     path = _write(tmp_path, "cfg.json",

@@ -20,6 +20,7 @@ from descentlab import (
 )
 from descentlab.harness import default_checkpoints
 from descentlab.problems import gradient_variance
+from descentlab.theory import SETTINGS
 
 RNG = np.random.default_rng(3)
 
@@ -308,8 +309,7 @@ def _small_case(setting):
     return table[setting]
 
 
-@pytest.mark.parametrize("setting", sorted(
-    __import__("descentlab.harness", fromlist=["SETTING_RUNS"]).SETTING_RUNS))
+@pytest.mark.parametrize("setting", sorted(SETTINGS))
 def test_every_setting_verifies(setting):
     fx, sched, T, cps, b, x0 = _small_case(setting)
     _, curve, verdict = run_verification(

@@ -407,3 +407,21 @@ def test_sgd_invsqrt_curve_upper_bounds_general_form():
     general = bound_curve("sgd_convex_general", c, sched, init)
     for t in (49, 100, 1000):
         assert closed.eval(t) >= general.eval(t)
+
+
+def test_setting_table_rows_are_consistent():
+    # a typo in a row (method, metric, averaging or deterministic flag) fails here
+    from descentlab.algorithms import ALGORITHMS, is_deterministic
+    ls = fixture("ls_4x2")
+    for name, row in SETTINGS.items():
+        assert row.name == name
+        assert row.algorithm in ALGORITHMS, name
+        if row.metric in ("f_gap", "dist_sq"):
+            assert row.weighting is None, name
+        else:
+            assert row.metric in ("avg_f_gap", "avg_F_gap"), name
+            assert row.weighting in ("uniform", "gamma_weighted", "p_tk"), name
+        assert row.composite == (row.algorithm in ("prox_gd", "prox_sgd")), name
+        assert row.metric != "avg_F_gap" or row.composite, name
+        b = 2 if row.ref == "minibatch" else None
+        assert row.deterministic == is_deterministic(ls.problem, row.algorithm, b), name
