@@ -1,11 +1,11 @@
 """Iterative first-order methods with uniform traces.
 
-All runners share the same conventions: a run is a strictly sequential recurrence
-seeded by ``cfg.seed + trial``; index sampling draws one double per index (and b
-doubles per size-b batch) from the trial's own generator, so a batch size of 1
-replays the single-sample stream exactly.  Traces record t = 0..T inclusive with
-the objective gap, squared distance to the reference minimizer, and the stepsize
-at each index.
+One stepping core, ``run_lockstep``, runs M trials of any method side by side.
+Trial m is a strictly sequential recurrence seeded by ``cfg.seed + m``; index
+sampling draws one double per index (and b doubles per size-b batch) from the
+trial's own generator, so a batch size of 1 replays the single-sample stream
+exactly.  Traces record t = 0..T inclusive with the objective gap, squared
+distance to the reference minimizer, and the stepsize at each index.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .nonsmooth import prox
+from .nonsmooth import Regularizer, prox
 from .problems import CompositeProblem, FiniteSumProblem, GroundTruth
 
 __all__ = [
@@ -201,52 +201,6 @@ class RunConfig:
         return (self.problem.default_x0 if self.x0 is None else self.x0).astype(float).copy()
 
 
-def _gap_reference(cfg: RunConfig, composite: bool):
-    """(objective, inf, x_ref) for gap bookkeeping."""
-    if composite:
-        comp = cfg.composite
-        if comp is None:
-            raise ValueError("proximal runs need cfg.composite")
-        return comp.value, comp.inf_F, comp.x_star_F
-    return cfg.problem.value, cfg.ground_truth.inf_f, cfg.ground_truth.x_star
-
-
-class _Recorder:
-    """Fills trace arrays and enforces the divergence guard."""
-
-    def __init__(self, cfg: RunConfig, algorithm: str, trial: int, objective, inf_val, x_ref):
-        T = cfg.iterations
-        self.objective = objective
-        self.inf_val = inf_val
-        self.x_ref = x_ref
-        self.gamma = np.array([cfg.schedule.gamma_at(t) for t in range(T + 1)])
-        self.f_gap = np.empty(T + 1)
-        self.dist_sq = np.empty(T + 1)
-        self.iterates = np.empty((T + 1, cfg.problem.d))
-        self.algorithm = algorithm
-        self.trial = trial
-        self.seed = cfg.seed + trial
-        self.limit = None
-
-    def record(self, t: int, x: np.ndarray):
-        gap = self.objective(x) - self.inf_val
-        d = x - self.x_ref
-        self.iterates[t] = x
-        self.f_gap[t] = gap
-        self.dist_sq[t] = float(d @ d)
-        if t == 0:
-            self.limit = _DIVERGENCE_FACTOR * (1.0 + abs(gap))
-        if not np.isfinite(gap) or gap > self.limit:
-            raise DivergenceError(t, f"divergence detected at t={t}: objective gap {gap!r}")
-
-    def finish(self, T: int) -> Trace:
-        return Trace(
-            algorithm=self.algorithm, trial=self.trial, rng_seed=self.seed,
-            t=np.arange(T + 1), gamma=self.gamma, f_gap=self.f_gap,
-            dist_sq=self.dist_sq, iterates=self.iterates,
-        )
-
-
 def _draw_indices(rng: np.random.Generator, T: int, n: int) -> np.ndarray:
     """T uniform indices, one double consumed per index."""
     u = rng.random(T)
@@ -254,207 +208,246 @@ def _draw_indices(rng: np.random.Generator, T: int, n: int) -> np.ndarray:
 
 
 def _draw_batches(rng: np.random.Generator, T: int, n: int, b: int) -> np.ndarray:
-    """T uniform size-b subsets via partial Fisher-Yates (b doubles per step)."""
+    """T uniform size-b subsets via partial Fisher-Yates (b doubles per step);
+    swap j is done for all T steps at once, in O(T n) memory."""
     u = rng.random((T, b))
-    batches = np.empty((T, b), dtype=np.int64)
-    base = np.arange(n, dtype=np.int64)
-    for t in range(T):
-        perm = base.copy()
-        row = u[t]
-        for j in range(b):
-            k = j + int(row[j] * (n - j))
-            if k >= n:
-                k = n - 1
-            perm[j], perm[k] = perm[k], perm[j]
-        batches[t] = perm[:b]
-    return batches
+    perm = np.tile(np.arange(n, dtype=np.int64), (T, 1))
+    steps = np.arange(T)
+    for j in range(b):
+        k = np.minimum(j + (u[:, j] * (n - j)).astype(np.int64), n - 1)
+        at_j = perm[:, j].copy()
+        perm[:, j] = perm[steps, k]
+        perm[steps, k] = at_j
+    return perm[:, :b].copy()
+
+
+ALGORITHMS = ("gd", "sgd", "minibatch_sgd", "momentum", "ssd", "pssd", "prox_gd", "prox_sgd")
+
+
+def _method(cfg: RunConfig, algorithm: str, form: Optional[str], gamma, X0: np.ndarray):
+    """Check that ``cfg`` suits the method.  Returns (trace name, batch size or
+    None, (row-wise objective, inf, x_ref) of the gap, step), where
+    ``step(t, X, idx)`` maps every row of X to its next iterate, given the
+    (b, M) sample indices ``idx`` of step t (None for full-gradient methods)."""
+    sched = cfg.schedule
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {sorted(ALGORITHMS)}")
+    if algorithm in ("gd", "prox_gd") and not sched.is_constant:
+        raise ValueError(f"{algorithm} requires a constant stepsize schedule")
+    if algorithm in ("sgd", "prox_sgd") and not (sched.is_constant or sched.kind == "inv_sqrt"):
+        raise ValueError(f"{algorithm} supports constant or inv_sqrt schedules")
+    problem, reg, batch, name = cfg.problem, None, None, algorithm
+    gap = (problem.value_rows, cfg.ground_truth.inf_f, cfg.ground_truth.x_star)
+    if algorithm in ("prox_gd", "prox_sgd"):
+        comp = cfg.composite
+        if comp is None:
+            raise ValueError(f"{algorithm} needs cfg.composite")
+        problem, reg, gap = comp.smooth, comp.reg, (comp.value_rows, comp.inf_F, comp.x_star_F)
+    elif algorithm == "minibatch_sgd":
+        batch = cfg.batch_size
+        if batch is None:
+            raise ValueError("minibatch_sgd needs batch_size b")
+    elif algorithm == "pssd":
+        B = cfg.projection_B
+        if B is None:
+            raise ValueError("projected subgradient run needs projection_B")
+        if float(np.linalg.norm(X0[0])) > B * (1.0 + 1e-12):
+            raise ValueError("x0 must lie inside the projection ball")
+        reg = Regularizer.ball_indicator(B)  # its prox is the projection
+    elif algorithm == "momentum":
+        form = cfg.momentum_form if form is None else form
+        if form not in ("buffer", "heavy_ball", "ima"):
+            raise ValueError(f"unknown momentum form {form!r}")
+        if not sched.has_beta:
+            raise ValueError("momentum needs a schedule providing beta_t (momentum_pair or explicit)")
+        if form == "ima" and sched.kind != "momentum_pair":
+            raise ValueError("the ima form is only coupled to the momentum_pair schedule")
+        name = f"momentum_{form}"
+
+    def oracle(X, idx):
+        """Full gradient, or the sum of the b sampled gradients, of every row."""
+        if idx is None:
+            return np.array([problem.grad(x) for x in X])
+        G = problem.grad_rows(idx[0], X)
+        for j in idx[1:]:
+            G = G + problem.grad_rows(j, X)
+        return G
+
+    scale = float(batch or 1)
+    m, prev, z = np.zeros_like(X0), X0, X0  # momentum state: m_{t-1}, x_{t-1}, z_{t-1}
+    if algorithm != "momentum":
+        # x_{t+1} = prox_{gamma_t g}(x_t - (gamma_t / b) * sum of b gradients)
+        def step(t, X, idx):
+            X = X - (gamma[t] / scale) * oracle(X, idx)
+            return X if reg is None else prox(reg, gamma[t], X)
+    elif form == "buffer":
+        # m_t = beta_t m_{t-1} + grad f_i(x_t);  x_{t+1} = x_t - gamma_t m_t
+        def step(t, X, idx):
+            nonlocal m
+            m = sched.beta_at(t) * m + oracle(X, idx)
+            return X - gamma[t] * m
+    elif form == "heavy_ball":
+        # x_{t+1} = x_t - gamma_t grad f_i(x_t) + bhat_t (x_t - x_{t-1}),
+        # bhat_t = gamma_t beta_t / gamma_{t-1}, x_{-1} = x_0, bhat_0 = 0
+        def step(t, X, idx):
+            nonlocal prev
+            bhat = 0.0 if t == 0 else gamma[t] * sched.beta_at(t) / gamma[t - 1]
+            prev, X = X, X - gamma[t] * oracle(X, idx) + bhat * (X - prev)
+            return X
+    else:
+        # z_t = z_{t-1} - eta_t grad f_i(x_t);  x_{t+1} a moving average of x_t
+        # and z_t, with lambda_t = t/2, eta_t = (1 + lambda_{t+1}) gamma_t, z_{-1} = x_0
+        def step(t, X, idx):
+            nonlocal z
+            lam_next = (t + 1) / 2.0
+            z = z - (1.0 + lam_next) * gamma[t] * oracle(X, idx)
+            return (lam_next * X + z) / (lam_next + 1.0)
+    return name, batch, gap, step
+
+
+@dataclass
+class Lockstep:
+    """Trials of one method run side by side: their metrics at the steps ``t``."""
+
+    algorithm: str
+    trials: np.ndarray  # (M,) trial numbers
+    seed: int
+    t: np.ndarray  # recorded steps, ascending
+    gamma: np.ndarray  # (T+1,) stepsizes
+    f_gap: np.ndarray  # (M, len(t))
+    dist_sq: np.ndarray  # (M, len(t))
+    averaged: Optional[np.ndarray] = None  # (M, len(t)) gap at the averaged iterate
+    iterates: Optional[np.ndarray] = None  # (M, T+1, d)
+
+    def traces(self) -> list:  # of a run that recorded every step
+        return [
+            Trace(algorithm=self.algorithm, trial=int(m), rng_seed=self.seed + int(m),
+                  t=self.t, gamma=self.gamma, f_gap=self.f_gap[j], dist_sq=self.dist_sq[j],
+                  iterates=None if self.iterates is None else self.iterates[j])
+            for j, m in enumerate(self.trials)
+        ]
+
+
+_BLOCK = 512  # steps whose sample indices are drawn, and gaps guarded, at once
+
+
+def run_lockstep(cfg: RunConfig, algorithm: str, trials, form: Optional[str] = None,
+                 at=None, averaging=None, keep_iterates: bool = False) -> Lockstep:
+    """Run the given trials in lockstep on one (M, d) iterate array.
+
+    Row m is trial ``trials[m]`` exactly as if run alone: its samples come from
+    its own ``default_rng(cfg.seed + trial)`` (drawn in blocks of steps, which
+    concatenate to the same stream) and the oracles act on rows independently.
+
+    Gaps and squared distances are kept at the steps ``at`` (every step when
+    None), iterates on request.  ``averaging = (weighting, objective_rows,
+    inf)`` adds ``objective(xbar_t) - inf`` at each recorded t >= 1, xbar_t the
+    weighted average of x_0 .. x_{t-1} (see ``averaged_iterate``).  A trial
+    diverges at the first t where its gap is non-finite or above
+    1e12 (1 + |gap_0|); one DivergenceError names every diverged trial.
+    """
+    T, d = cfg.iterations, cfg.problem.d
+    trials = np.array(list(trials), dtype=np.int64)
+    M = len(trials)
+    gamma = [cfg.schedule.gamma_at(t) for t in range(T + 1)]
+    X = np.tile(cfg.start_point(), (M, 1))
+    name, batch, (objective, inf_val, x_ref), step = _method(cfg, algorithm, form, gamma, X)
+    recorded = np.arange(T + 1) if at is None else np.unique(np.asarray(at, dtype=np.int64))
+    column = dict(zip(recorded.tolist(), range(len(recorded))))
+    f_gap, dist_sq = np.empty((2, M, len(recorded)))
+    averaged = None
+    iterates = np.empty((M, T + 1, d)) if keep_iterates else None
+    if averaging is not None:
+        weighting, avg_objective, avg_inf = averaging
+        weights = _weights(gamma, weighting, int(recorded[-1]))
+        averaged = np.full((M, len(recorded)), np.nan)
+        total = np.zeros((M, d))
+    sampled = algorithm not in ("gd", "prox_gd")
+    rngs = [np.random.default_rng(cfg.seed + int(m)) for m in trials] if sampled else []
+    gaps = np.empty((_BLOCK, M))
+    first = np.full(M, -1)  # first diverged step of each trial
+    with np.errstate(all="ignore"):  # diverging rows run on as inf/nan
+        limit = _DIVERGENCE_FACTOR * (1.0 + np.abs(objective(X) - inf_val))
+        for t0 in range(0, T + 1, _BLOCK):
+            t1 = min(t0 + _BLOCK, T + 1)
+            if sampled and t0 < T:
+                k, n = min(t1, T) - t0, cfg.problem.n
+                idx = np.stack([_draw_indices(r, k, n)[:, None] if batch is None
+                                else _draw_batches(r, k, n, batch) for r in rngs], axis=2)
+            for t in range(t0, t1):
+                gap = objective(X) - inf_val
+                gaps[t - t0] = gap
+                c = column.get(t)
+                if c is not None:
+                    f_gap[:, c] = gap
+                    diff = X - x_ref
+                    dist_sq[:, c] = np.vecdot(diff, diff)
+                    if averaging is not None and t > 0:
+                        averaged[:, c] = avg_objective(total / weights[:t].sum()) - avg_inf
+                if keep_iterates:
+                    iterates[:, t] = X
+                if t == T:
+                    break
+                if averaging is not None and t < len(weights):
+                    total = total + weights[t] * X
+                X = step(t, X, idx[t - t0] if sampled else None)
+            block = gaps[: t1 - t0]
+            bad = ~np.isfinite(block) | (block > limit)
+            newly = bad.any(axis=0) & (first < 0)
+            first[newly] = t0 + bad[:, newly].argmax(axis=0)
+            if (first >= 0).all():
+                break
+    failed = np.nonzero(first >= 0)[0]
+    if failed.size:
+        names = ", ".join(f"trial {trials[j]} (t={first[j]})" for j in failed)
+        raise DivergenceError(int(first[failed].min()),
+                              f"{failed.size} trial(s) diverged: {names}")
+    return Lockstep(algorithm=name, trials=trials, seed=cfg.seed, t=recorded,
+                    gamma=np.array(gamma), f_gap=f_gap, dist_sq=dist_sq,
+                    averaged=averaged, iterates=iterates)
+
+
+def run_algorithm(cfg: RunConfig, algorithm: str, trial: int = 0,
+                  form: Optional[str] = None) -> Trace:
+    """Trial ``trial`` of one method, with its (T+1, d) iterates."""
+    return run_lockstep(cfg, algorithm, [trial], form=form, keep_iterates=True).traces()[0]
 
 
 def run_gd(cfg: RunConfig, trial: int = 0) -> Trace:
     """Full gradient descent x_{t+1} = x_t - gamma * grad f(x_t)."""
-    if not cfg.schedule.is_constant:
-        raise ValueError("gd requires a constant stepsize schedule")
-    rec = _Recorder(cfg, "gd", trial, *_gap_reference(cfg, composite=False))
-    x = cfg.start_point()
-    grad = cfg.problem.grad
-    gamma = cfg.schedule.gamma
-    rec.record(0, x)
-    for t in range(cfg.iterations):
-        x = x - gamma * grad(x)
-        rec.record(t + 1, x)
-    return rec.finish(cfg.iterations)
+    return run_algorithm(cfg, "gd", trial)
 
 
 def run_sgd(cfg: RunConfig, trial: int = 0) -> Trace:
     """Uniform single-sample stochastic gradient descent."""
-    if not (cfg.schedule.is_constant or cfg.schedule.kind == "inv_sqrt"):
-        raise ValueError("sgd supports constant or inv_sqrt schedules")
-    rec = _Recorder(cfg, "sgd", trial, *_gap_reference(cfg, composite=False))
-    rng = np.random.default_rng(cfg.seed + trial)
-    idx = _draw_indices(rng, cfg.iterations, cfg.problem.n)
-    x = cfg.start_point()
-    grad_i = cfg.problem.grad_i
-    sched = cfg.schedule
-    rec.record(0, x)
-    for t in range(cfg.iterations):
-        x = x - sched.gamma_at(t) * grad_i(int(idx[t]), x)
-        rec.record(t + 1, x)
-    return rec.finish(cfg.iterations)
+    return run_algorithm(cfg, "sgd", trial)
 
 
 def run_minibatch_sgd(cfg: RunConfig, trial: int = 0) -> Trace:
     """SGD over uniformly random size-b subsets (without replacement in a batch)."""
-    b = cfg.batch_size
-    if b is None:
-        raise ValueError("minibatch_sgd needs batch_size b")
-    n = cfg.problem.n
-    rec = _Recorder(cfg, "minibatch_sgd", trial, *_gap_reference(cfg, composite=False))
-    rng = np.random.default_rng(cfg.seed + trial)
-    batches = _draw_batches(rng, cfg.iterations, n, b)
-    x = cfg.start_point()
-    grad_i = cfg.problem.grad_i
-    sched = cfg.schedule
-    rec.record(0, x)
-    for t in range(cfg.iterations):
-        g = grad_i(int(batches[t, 0]), x)
-        for j in range(1, b):
-            g = g + grad_i(int(batches[t, j]), x)
-        x = x - (sched.gamma_at(t) / b) * g
-        rec.record(t + 1, x)
-    return rec.finish(cfg.iterations)
+    return run_algorithm(cfg, "minibatch_sgd", trial)
 
 
 def run_momentum(cfg: RunConfig, form: Optional[str] = None, trial: int = 0) -> Trace:
-    """Stochastic momentum in one of three equivalent formulations.
-
-    ``buffer``:      m_t = beta_t m_{t-1} + grad f_i(x_t);  x_{t+1} = x_t - gamma_t m_t
-    ``heavy_ball``:  x_{t+1} = x_t - gamma_t grad f_i(x_t) + bhat_t (x_t - x_{t-1})
-                     with bhat_t = gamma_t beta_t / gamma_{t-1}, x_{-1} = x_0, bhat_0 = 0
-    ``ima``:         z_t = z_{t-1} - eta_t grad f_i(x_t);  x_{t+1} a moving average,
-                     with lambda_t = t/2, eta_t = (1 + lambda_{t+1}) gamma_t, z_{-1} = x_0
-
-    All three produce the same trajectory on the same sample stream.
-    """
-    form = cfg.momentum_form if form is None else form
-    if form not in ("buffer", "heavy_ball", "ima"):
-        raise ValueError(f"unknown momentum form {form!r}")
-    sched = cfg.schedule
-    if not sched.has_beta:
-        raise ValueError("momentum needs a schedule providing beta_t (momentum_pair or explicit)")
-    if form == "ima" and sched.kind != "momentum_pair":
-        raise ValueError("the ima form is only coupled to the momentum_pair schedule")
-
-    rec = _Recorder(cfg, f"momentum_{form}", trial, *_gap_reference(cfg, composite=False))
-    rng = np.random.default_rng(cfg.seed + trial)
-    idx = _draw_indices(rng, cfg.iterations, cfg.problem.n)
-    x = cfg.start_point()
-    grad_i = cfg.problem.grad_i
-    rec.record(0, x)
-
-    if form == "buffer":
-        m = np.zeros(cfg.problem.d)
-        for t in range(cfg.iterations):
-            m = sched.beta_at(t) * m + grad_i(int(idx[t]), x)
-            x = x - sched.gamma_at(t) * m
-            rec.record(t + 1, x)
-    elif form == "heavy_ball":
-        x_prev = x.copy()
-        for t in range(cfg.iterations):
-            bhat = 0.0 if t == 0 else sched.gamma_at(t) * sched.beta_at(t) / sched.gamma_at(t - 1)
-            x_next = x - sched.gamma_at(t) * grad_i(int(idx[t]), x) + bhat * (x - x_prev)
-            x_prev, x = x, x_next
-            rec.record(t + 1, x)
-    else:  # ima
-        z = x.copy()
-        for t in range(cfg.iterations):
-            lam_next = (t + 1) / 2.0
-            eta_t = (1.0 + lam_next) * sched.gamma_at(t)
-            z = z - eta_t * grad_i(int(idx[t]), x)
-            x = (lam_next * x + z) / (lam_next + 1.0)
-            rec.record(t + 1, x)
-    return rec.finish(cfg.iterations)
+    """Stochastic momentum in one of three equivalent formulations (``buffer``,
+    ``heavy_ball``, ``ima``; default ``cfg.momentum_form``), which produce the
+    same trajectory on the same sample stream."""
+    return run_algorithm(cfg, "momentum", trial, form)
 
 
 def run_subgradient(cfg: RunConfig, projected: bool = False, trial: int = 0) -> Trace:
     """Stochastic subgradient descent, optionally projected onto the ball B(0, B)."""
-    B = cfg.projection_B
-    if projected and B is None:
-        raise ValueError("projected subgradient run needs projection_B")
-    x = cfg.start_point()
-    if projected and float(np.linalg.norm(x)) > B * (1.0 + 1e-12):
-        raise ValueError("x0 must lie inside the projection ball")
-    name = "pssd" if projected else "ssd"
-    rec = _Recorder(cfg, name, trial, *_gap_reference(cfg, composite=False))
-    rng = np.random.default_rng(cfg.seed + trial)
-    idx = _draw_indices(rng, cfg.iterations, cfg.problem.n)
-    grad_i = cfg.problem.grad_i
-    sched = cfg.schedule
-    rec.record(0, x)
-    for t in range(cfg.iterations):
-        x = x - sched.gamma_at(t) * grad_i(int(idx[t]), x)
-        if projected:
-            nx = float(np.linalg.norm(x))
-            if nx > B:
-                x = x * (B / nx)
-        rec.record(t + 1, x)
-    return rec.finish(cfg.iterations)
+    return run_algorithm(cfg, "pssd" if projected else "ssd", trial)
 
 
 def run_prox_gd(cfg: RunConfig, trial: int = 0) -> Trace:
     """Forward-backward splitting x_{t+1} = prox_{gamma g}(x_t - gamma grad f(x_t))."""
-    if not cfg.schedule.is_constant:
-        raise ValueError("prox_gd requires a constant stepsize schedule")
-    if cfg.composite is None:
-        raise ValueError("prox_gd needs cfg.composite")
-    rec = _Recorder(cfg, "prox_gd", trial, *_gap_reference(cfg, composite=True))
-    reg = cfg.composite.reg
-    grad = cfg.composite.smooth.grad
-    gamma = cfg.schedule.gamma
-    x = cfg.start_point()
-    rec.record(0, x)
-    for t in range(cfg.iterations):
-        x = prox(reg, gamma, x - gamma * grad(x))
-        rec.record(t + 1, x)
-    return rec.finish(cfg.iterations)
+    return run_algorithm(cfg, "prox_gd", trial)
 
 
 def run_prox_sgd(cfg: RunConfig, trial: int = 0) -> Trace:
     """Stochastic forward-backward x_{t+1} = prox_{gamma_t g}(x_t - gamma_t grad f_i(x_t))."""
-    if not (cfg.schedule.is_constant or cfg.schedule.kind == "inv_sqrt"):
-        raise ValueError("prox_sgd supports constant or inv_sqrt schedules")
-    if cfg.composite is None:
-        raise ValueError("prox_sgd needs cfg.composite")
-    rec = _Recorder(cfg, "prox_sgd", trial, *_gap_reference(cfg, composite=True))
-    reg = cfg.composite.reg
-    grad_i = cfg.composite.smooth.grad_i
-    sched = cfg.schedule
-    rng = np.random.default_rng(cfg.seed + trial)
-    idx = _draw_indices(rng, cfg.iterations, cfg.problem.n)
-    x = cfg.start_point()
-    rec.record(0, x)
-    for t in range(cfg.iterations):
-        g = sched.gamma_at(t)
-        x = prox(reg, g, x - g * grad_i(int(idx[t]), x))
-        rec.record(t + 1, x)
-    return rec.finish(cfg.iterations)
-
-
-ALGORITHMS = {
-    "gd": run_gd,
-    "sgd": run_sgd,
-    "minibatch_sgd": run_minibatch_sgd,
-    "momentum": run_momentum,
-    "ssd": lambda cfg, trial=0: run_subgradient(cfg, projected=False, trial=trial),
-    "pssd": lambda cfg, trial=0: run_subgradient(cfg, projected=True, trial=trial),
-    "prox_gd": run_prox_gd,
-    "prox_sgd": run_prox_sgd,
-}
-
-
-def run_algorithm(cfg: RunConfig, algorithm: str, trial: int = 0) -> Trace:
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {sorted(ALGORITHMS)}")
-    return ALGORITHMS[algorithm](cfg, trial=trial)
+    return run_algorithm(cfg, "prox_sgd", trial)
 
 
 def is_deterministic(problem: FiniteSumProblem, algorithm: str, batch_size=None) -> bool:
@@ -464,6 +457,26 @@ def is_deterministic(problem: FiniteSumProblem, algorithm: str, batch_size=None)
     if algorithm == "minibatch_sgd":
         return batch_size == problem.n
     return problem.n == 1
+
+
+def _weights(gamma, weighting, t: int) -> np.ndarray:
+    """Averaging weights of x_0 .. x_{t-1}.  The uniform weights are ones, which
+    reproduce the plain mean exactly (1.0 * x == x, and t ones sum to t)."""
+    g = np.asarray(gamma[:t], dtype=float)
+    if weighting == "uniform":
+        return np.ones(t)
+    if weighting == "gamma_weighted":
+        return g
+    if isinstance(weighting, tuple) and weighting[0] == "p_tk":
+        w = g * (1.0 - 2.0 * g * float(weighting[1]))
+        bad = np.nonzero(w <= 0)[0]
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(
+                f"p_tk weight nonpositive at k={k} (gamma_k={g[k]:.6g} >= 1/(2 L_ref))"
+            )
+        return w
+    raise ValueError(f"unknown weighting {weighting!r}")
 
 
 def averaged_iterate(trace: Trace, weighting, upto: Optional[int] = None) -> np.ndarray:
@@ -477,24 +490,8 @@ def averaged_iterate(trace: Trace, weighting, upto: Optional[int] = None) -> np.
     t = T if upto is None else int(upto)
     if not (1 <= t <= T):
         raise ValueError(f"averaging horizon t={t} must be in [1, {T}]")
-    xs = trace.iterates[:t]
-    if weighting == "uniform":
-        return xs.mean(axis=0)
-    if weighting == "gamma_weighted":
-        w = trace.gamma[:t]
-        return (w[:, None] * xs).sum(axis=0) / w.sum()
-    if isinstance(weighting, tuple) and weighting[0] == "p_tk":
-        L_ref = float(weighting[1])
-        g = trace.gamma[:t]
-        w = g * (1.0 - 2.0 * g * L_ref)
-        bad = np.nonzero(w <= 0)[0]
-        if bad.size:
-            k = int(bad[0])
-            raise ValueError(
-                f"p_tk weight nonpositive at k={k} (gamma_k={g[k]:.6g} >= 1/(2 L_ref))"
-            )
-        return (w[:, None] * xs).sum(axis=0) / w.sum()
-    raise ValueError(f"unknown weighting {weighting!r}")
+    w = _weights(trace.gamma, weighting, t)
+    return (w[:, None] * trace.iterates[:t]).sum(axis=0) / w.sum()
 
 
 def write_traces_csv(traces, path) -> None:

@@ -22,7 +22,7 @@ import os
 import platform
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -33,9 +33,11 @@ from .algorithms import (
     DivergenceError,
     RunConfig,
     StepSchedule,
-    run_algorithm,
+    run_lockstep,
     write_traces_csv,
 )
+# the single-trial entry point, kept as a module attribute for perfbench/tracer.py
+from .algorithms import run_algorithm  # noqa: F401
 from .nonsmooth import Regularizer
 
 
@@ -186,9 +188,9 @@ def _trial_chunk(args):
 
 
 def _run_trials(rc: RunConfig, algorithm: str, trials) -> list:
-    """Traces of the given trials without their (T+1, d) iterates, which the
-    CSV does not need and workers should not ship back."""
-    return [replace(run_algorithm(rc, algorithm, trial=m), iterates=None) for m in trials]
+    """Traces of the given trials, run in lockstep, without their (T+1, d)
+    iterates, which the CSV does not need and workers should not ship back."""
+    return run_lockstep(rc, algorithm, trials).traces()
 
 
 def cmd_run(config_path: str, out_dir: str = ".", jobs: int = 1,
@@ -231,6 +233,10 @@ def cmd_run(config_path: str, out_dir: str = ".", jobs: int = 1,
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        # the method rejects the config (e.g. gd with a varying schedule)
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
     write_traces_csv(traces, trace_path)
     print(f"wrote {manifest_path} and {trace_path}")

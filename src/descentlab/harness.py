@@ -21,11 +21,11 @@ from .algorithms import (
     RunConfig,
     StepSchedule,
     Trace,
-    averaged_iterate,
-    DivergenceError,
     is_deterministic,
-    run_algorithm,
+    run_lockstep,
 )
+# single-trial entry points, kept as module attributes for perfbench/tracer.py
+from .algorithms import averaged_iterate, run_algorithm  # noqa: F401
 from .problems import Fixture, FiniteSumProblem
 from .theory import SETTINGS, BoundCurve, InitState, bound_curve
 
@@ -95,19 +95,6 @@ def default_checkpoints(T: int) -> tuple:
     return tuple(pts)
 
 
-def _metric_values(trace: Trace, metric: str, checkpoints, cfg: RunConfig, weighting):
-    if metric in ("f_gap", "dist_sq"):
-        return [float(getattr(trace, metric)[cp]) for cp in checkpoints]
-    if metric == "avg_f_gap":
-        objective, inf_val = cfg.problem.value, cfg.ground_truth.inf_f
-    elif metric == "avg_F_gap":
-        objective, inf_val = cfg.composite.value, cfg.composite.inf_F
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
-    return [objective(averaged_iterate(trace, weighting, upto=cp)) - inf_val
-            for cp in checkpoints]
-
-
 def estimate(
     cfg: RunConfig,
     metric: str,
@@ -115,7 +102,7 @@ def estimate(
     weighting=None,
     algorithm: Optional[str] = None,
 ) -> ExpectationEstimate:
-    """Run M independent trials and estimate the metric's expectation.
+    """Run M independent trials in lockstep and estimate the metric's expectation.
 
     Deterministic runs (full-batch methods, or single-term problems) short
     circuit to one trial with zero standard error.  Diverged trials abort the
@@ -129,26 +116,28 @@ def estimate(
     checkpoints = tuple(int(c) for c in checkpoints)
     if max(checkpoints) > cfg.iterations:
         raise ValueError(f"checkpoint {max(checkpoints)} beyond horizon T={cfg.iterations}")
+    if metric == "avg_f_gap":
+        averaging = (weighting, cfg.problem.value_rows, cfg.ground_truth.inf_f)
+    elif metric == "avg_F_gap":
+        averaging = (weighting, cfg.composite.value_rows, cfg.composite.inf_F)
+    elif metric in ("f_gap", "dist_sq"):
+        averaging = None
+    else:
+        raise ValueError(f"unknown metric {metric!r}")
+    if averaging and min(checkpoints) < 1:
+        raise ValueError(f"averaging horizon t={min(checkpoints)} must be in "
+                         f"[1, {cfg.iterations}]")
 
     deterministic = is_deterministic(cfg.problem, algorithm, cfg.batch_size)
     M = 1 if deterministic else cfg.trials
     if not deterministic and M < 2:
         raise ValueError("stochastic estimates need trials M >= 2")
 
-    rows = np.empty((M, len(checkpoints)))
-    failed = []
-    for m in range(M):
-        try:
-            trace = run_algorithm(cfg, algorithm, trial=m)
-        except DivergenceError as exc:
-            failed.append((m, exc.t))
-            continue
-        rows[m] = _metric_values(trace, metric, checkpoints, cfg, weighting)
-    if failed:
-        idx = ", ".join(f"trial {m} (t={t})" for m, t in failed)
-        raise DivergenceError(min(t for _, t in failed),
-                              f"{len(failed)} trial(s) diverged: {idx}")
-
+    run = run_lockstep(cfg, algorithm, range(M), at=checkpoints, averaging=averaging)
+    values = run.averaged if averaging else getattr(run, metric)
+    # C order, so the mean and stderr add the trials up in trial order (the
+    # column selection alone comes out in F order, which sums pairwise)
+    rows = np.ascontiguousarray(values[:, np.searchsorted(run.t, checkpoints)])
     mean = rows.mean(axis=0)
     if M > 1:
         stderr = rows.std(axis=0, ddof=1) / math.sqrt(M)

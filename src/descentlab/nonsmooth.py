@@ -68,6 +68,14 @@ class Regularizer:
         nx = float(np.linalg.norm(x))
         return 0.0 if nx <= self.B * (1.0 + 1e-12) else math.inf
 
+    def value_rows(self, X: np.ndarray) -> np.ndarray:
+        """value() of every row of X (M, d), each equal to value(X[m]) bit for bit."""
+        if self.kind == "zero":
+            return np.zeros(len(X))
+        if self.kind == "l1":
+            return self.lam * np.abs(X).sum(axis=1)
+        return np.where(_norms(X) <= self.B * (1.0 + 1e-12), 0.0, math.inf)
+
     def in_domain(self, x: np.ndarray) -> bool:
         return np.isfinite(self.value(x))
 
@@ -83,11 +91,18 @@ class ProxCertificate:
     verdict: bool
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of a vector, or of each row of an (M, d) array; the
+    row-wise dot reproduces np.linalg.norm of each row bit for bit."""
+    return np.sqrt(np.vecdot(x, x))
+
+
 def prox(reg: Regularizer, gamma: float, x: np.ndarray) -> np.ndarray:
     """prox_{gamma g}(x), the unique minimizer of g(u) + ||u - x||^2 / (2 gamma).
 
     zero -> identity; l1 -> componentwise soft threshold at gamma*lam;
     ball indicator -> euclidean projection onto the ball (independent of gamma).
+    An (M, d) input is mapped row by row.
     """
     if gamma <= 0:
         raise ValueError("prox step gamma must be > 0")
@@ -97,10 +112,8 @@ def prox(reg: Regularizer, gamma: float, x: np.ndarray) -> np.ndarray:
     if reg.kind == "l1":
         thr = gamma * reg.lam
         return np.sign(x) * np.maximum(np.abs(x) - thr, 0.0)
-    nx = float(np.linalg.norm(x))
-    if nx <= reg.B:
-        return x.copy()
-    return x * (reg.B / nx)
+    # the factor is exactly 1 inside the ball and B / ||x|| outside it
+    return x * (reg.B / np.maximum(_norms(x)[..., None], reg.B))
 
 
 def subgradient(reg: Regularizer, x: np.ndarray) -> np.ndarray:

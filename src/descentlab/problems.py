@@ -117,6 +117,44 @@ class FiniteSumProblem:
             g += self.grad_i_fn(i, x)
         return g / self.n
 
+    # Row-wise oracles over an (M, d) array of points.  Row m equals the
+    # single-point oracle at X[m] bit for bit and does not depend on the other
+    # rows; custom problems fall back to one call per row.
+
+    def grad_rows(self, idx: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """grad f_{idx[m]}(X[m]) for every row m."""
+        if self.kind == "least_squares":
+            phi = self.data["features"][idx]
+            return (np.vecdot(phi, X) - self.data["targets"][idx])[:, None] * phi
+        if self.kind == "abs_loss":
+            a = self.data["rows"][idx]
+            s = np.sign(np.vecdot(a, X) - self.data["targets"][idx])
+            return s[:, None] * a + self.data["strong_mu"] * X
+        if self.kind == "scalar_pl":
+            t = X[:, :1]
+            return 2.0 * t + 3.0 * np.sin(2.0 * t)
+        return np.array([self.grad_i_fn(int(i), x) for i, x in zip(idx, X)])
+
+    def value_rows(self, X: np.ndarray) -> np.ndarray:
+        """f(X[m]) for every row m."""
+        if self.kind == "least_squares":
+            r = _matvec_rows(self.data["features"], X) - self.data["targets"]
+            return 0.5 * np.vecdot(r, r) / self.n
+        if self.kind == "abs_loss":
+            r = _matvec_rows(self.data["rows"], X) - self.data["targets"]
+            return np.abs(r).mean(axis=1) + 0.5 * self.data["strong_mu"] * np.vecdot(X, X)
+        if self.kind == "scalar_pl":
+            t = X[:, 0]
+            return t * t + 3.0 * np.sin(t) ** 2
+        return np.array([self.value(x) for x in X])
+
+
+def _matvec_rows(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A @ X[m] for every row m, as a stack of matrix-vector products so that
+    each row matches the unbatched ``A @ x`` (a single (M, d) @ (d, n) product
+    may round differently and depend on M)."""
+    return np.matmul(X[:, None, :], A.T)[:, 0]
+
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -165,6 +203,11 @@ class CompositeProblem:
         if not np.isfinite(g):
             return math.inf
         return self.smooth.value(x) + g
+
+    def value_rows(self, X: np.ndarray) -> np.ndarray:
+        """F(X[m]) for every row m of X (M, d)."""
+        g = self.reg.value_rows(X)
+        return np.where(np.isfinite(g), self.smooth.value_rows(X) + g, math.inf)
 
 
 @dataclass(frozen=True)

@@ -123,12 +123,24 @@ def _need(value: float, name: str) -> float:
     return float(value)
 
 
-def _gamma_sums(schedule: StepSchedule, t: int, L_ref: float = 0.0):
-    """Sums over k < t of the weights gamma_k (1 - 2 gamma_k L_ref) and of
-    gamma_k^2; with L_ref = 0 the weights are the stepsizes themselves."""
-    g = np.array([schedule.gamma_at(k) for k in range(t)])
-    w = g * (1.0 - 2.0 * g * L_ref)
-    return float(w.sum()), float((g * g).sum())
+def _gamma_sums(schedule: StepSchedule, L_ref: float = 0.0):
+    """t -> sums over k < t of the weights gamma_k (1 - 2 gamma_k L_ref) and of
+    gamma_k^2; with L_ref = 0 the weights are the stepsizes themselves.
+
+    The stepsize array is built once and grown on demand; a contiguous slice
+    reduces exactly like a freshly built array, so the sums do not depend on
+    which t were asked for before."""
+    g = np.empty(0)
+
+    def sums(t: int):
+        nonlocal g
+        if t > len(g):
+            more = range(len(g), max(t, 2 * len(g)))
+            g = np.concatenate([g, [schedule.gamma_at(k) for k in more]])
+        head = g[:t]
+        w = head * (1.0 - 2.0 * head * L_ref)
+        return float(w.sum()), float((head * head).sum())
+    return sums
 
 
 def _full_step(c, s):
@@ -163,9 +175,10 @@ def _avg_general_curve(row, c, s, init, b, sF):
     D2 = _need(init.D2, "D2")
     # constant and inv_sqrt schedules both peak at t = 0
     _hyp(s.gamma_at(0) < 1.0 / (2.0 * L_ref), "gamma_t < 1/(2 L_ref) for all t")
+    gamma_sums = _gamma_sums(s, L_ref)
 
     def fn(t):
-        wsum, g2sum = _gamma_sums(s, t, L_ref)
+        wsum, g2sum = gamma_sums(t)
         return D2 / (2.0 * wsum) + sigma * g2sum / wsum
     return 1, fn
 
@@ -228,9 +241,10 @@ def _subgradient_start(c, init):
 
 def _ssd_general_curve(row, c, s, init, b, sF):
     G, D2 = _subgradient_start(c, init)
+    gamma_sums = _gamma_sums(s)
 
     def fn(t):
-        ssum, g2sum = _gamma_sums(s, t)
+        ssum, g2sum = gamma_sums(t)
         return D2 / (2.0 * ssum) + G * G * g2sum / (2.0 * ssum)
     return 1, fn
 
@@ -286,9 +300,10 @@ def _prox_sgd_invsqrt_curve(row, c, s, init, b, sF):
 
 def _prox_sgd_general_curve(row, c, s, init, b, sF):
     sF, E0, g0, slack = _prox_sgd_start(row, c, s, init, b, sF)
+    gamma_sums = _gamma_sums(s)
 
     def fn(t):
-        ssum, g2sum = _gamma_sums(s, t)
+        ssum, g2sum = gamma_sums(t)
         return E0 / (2.0 * slack * ssum) + 2.0 * sF * g2sum / (slack * ssum)
     return 1, fn
 

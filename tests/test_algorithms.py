@@ -1,8 +1,11 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
+from descentlab import algorithms, prox
 from descentlab import (
     DivergenceError,
     RunConfig,
@@ -411,3 +414,215 @@ def test_csv_byte_identical_reruns(tmp_path):
     write_traces_csv([run_sgd(cfg)], a)
     write_traces_csv([run_sgd(cfg)], b)
     assert a.read_bytes() == b.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the lockstep core against the per-trial loops it replaced
+# ---------------------------------------------------------------------------
+
+from descentlab import Regularizer, make_composite, run_algorithm  # noqa: E402
+from descentlab.algorithms import run_lockstep  # noqa: E402
+from descentlab.harness import estimate  # noqa: E402
+
+# room for a reordered reduction at unit scale, as in perfbench/checks.py
+REPLAY_TOL = 64 * np.finfo(np.float64).eps
+
+
+def _ref_batches(rng, T, n, b):
+    u = rng.random((T, b))
+    out = np.empty((T, b), dtype=np.int64)
+    for t in range(T):
+        perm = np.arange(n, dtype=np.int64)
+        for j in range(b):
+            k = min(j + int(u[t, j] * (n - j)), n - 1)
+            perm[j], perm[k] = perm[k], perm[j]
+        out[t] = perm[:b]
+    return out
+
+
+def _ref_prox(reg, gamma, x):
+    if reg.kind != "ball_indicator":
+        return prox(reg, gamma, x)
+    nx = float(np.linalg.norm(x))
+    return x.copy() if nx <= reg.B else x * (reg.B / nx)
+
+
+def _ref_run(cfg, algorithm, trial=0, form=None):
+    """One trial as the per-trial loops computed it: (iterates, f_gap, dist_sq,
+    first diverged t or None)."""
+    s, T = cfg.schedule, cfg.iterations
+    form = form or cfg.momentum_form
+    if algorithm.startswith("prox"):
+        p, reg = cfg.composite.smooth, cfg.composite.reg
+        obj, inf_val, x_ref = cfg.composite.value, cfg.composite.inf_F, cfg.composite.x_star_F
+    else:
+        p, reg = cfg.problem, None
+        obj, inf_val, x_ref = p.value, cfg.ground_truth.inf_f, cfg.ground_truth.x_star
+    if algorithm == "pssd":
+        reg = Regularizer.ball_indicator(cfg.projection_B)
+    rng = np.random.default_rng(cfg.seed + trial)
+    b = cfg.batch_size if algorithm == "minibatch_sgd" else 1
+    if b > 1:
+        batches = _ref_batches(rng, T, p.n, b)
+    else:
+        batches = np.minimum((rng.random(T) * p.n).astype(np.int64), p.n - 1)[:, None]
+    x = cfg.start_point()
+    xs, m, x_prev, z = [x], np.zeros_like(x), x.copy(), x.copy()
+    with np.errstate(all="ignore"):
+        for t in range(T):
+            g = s.gamma_at(t)
+            if algorithm in ("gd", "prox_gd"):
+                G = p.grad(x)
+            else:
+                G = p.grad_i(int(batches[t, 0]), x)
+                for j in batches[t, 1:]:
+                    G = G + p.grad_i(int(j), x)
+            if algorithm != "momentum":
+                x = x - (g / b if b > 1 else g) * G
+                x = x if reg is None else _ref_prox(reg, g, x)
+            elif form == "buffer":
+                m = s.beta_at(t) * m + G
+                x = x - g * m
+            elif form == "heavy_ball":
+                bhat = 0.0 if t == 0 else g * s.beta_at(t) / s.gamma_at(t - 1)
+                x, x_prev = x - g * G + bhat * (x - x_prev), x
+            else:
+                lam = (t + 1) / 2.0
+                z = z - (1.0 + lam) * g * G
+                x = (lam * x + z) / (lam + 1.0)
+            xs.append(x)
+        xs = np.array(xs)
+        f_gap = np.array([obj(v) - inf_val for v in xs])
+        dist_sq = np.array([float((v - x_ref) @ (v - x_ref)) for v in xs])
+        bad = ~np.isfinite(f_gap) | (f_gap > 1e12 * (1.0 + abs(f_gap[0])))
+    return xs, f_gap, dist_sq, (int(np.argmax(bad)) if bad.any() else None)
+
+
+def _close(a, b):
+    return np.all(np.abs(a - b) <= REPLAY_TOL * (1.0 + np.abs(b)))
+
+
+def _catalogue_runs():
+    """(id, cfg, algorithm, form) for every method on every catalogue fixture it suits."""
+    cases = []
+    for name in ("ls_4x2", "ls_6x2", "scalar_pl", "abs_2x1", "abs_2x1_reg", "lasso_4x2"):
+        fx = fixture(name)
+        c = fx.constants
+        smooth = math.isfinite(c.L)
+        x0 = fx.problem.default_x0 + 1.5
+        base = dict(problem=fx.problem, ground_truth=fx.ground_truth, iterations=60,
+                    seed=31, x0=x0)
+        step = StepSchedule.constant(0.9 / (2 * c.L_max) if smooth else 0.3)
+        # a ball small enough that the projection acts, around a feasible start
+        comp = fx.composite or (make_composite(fx.problem, c, Regularizer.ball_indicator(0.4))
+                                if smooth else None)
+        if smooth:
+            cases.append((f"{name}-gd", RunConfig(schedule=StepSchedule.constant(1 / c.L), **base),
+                          "gd", None))
+            for form in ("buffer", "heavy_ball", "ima"):
+                cases.append((f"{name}-momentum_{form}", RunConfig(
+                    schedule=StepSchedule.momentum_pair(1 / (4 * c.L_max)), **base),
+                    "momentum", form))
+            for alg in ("prox_gd", "prox_sgd"):
+                cases.append((f"{name}-{alg}", RunConfig(
+                    schedule=StepSchedule.constant(1 / c.L) if alg == "prox_gd" else step,
+                    composite=comp, **dict(base, x0=x0 if fx.composite else 0.2 + 0 * x0)),
+                    alg, None))
+        else:
+            for alg in ("ssd", "pssd"):
+                cases.append((f"{name}-{alg}", RunConfig(
+                    schedule=StepSchedule.inv_sqrt(0.5), projection_B=c.B, **base), alg, None))
+        cases.append((f"{name}-sgd", RunConfig(schedule=step, **base), "sgd", None))
+        for b in range(1, fx.problem.n + 1):
+            cases.append((f"{name}-minibatch_b{b}", RunConfig(schedule=step, batch_size=b, **base),
+                          "minibatch_sgd", None))
+    return cases
+
+
+_CASES = _catalogue_runs()
+
+
+@pytest.mark.parametrize("case", _CASES, ids=[c[0] for c in _CASES])
+def test_lockstep_replays_reference_loop(case):
+    _, cfg, alg, form = case
+    for trial in (0, 3):
+        xs, f_gap, dist_sq, _ = _ref_run(cfg, alg, trial, form)
+        tr = (run_momentum(cfg, form, trial=trial) if form
+              else run_algorithm(cfg, alg, trial=trial))
+        assert np.array_equal(tr.iterates, xs)
+        assert _close(tr.f_gap, f_gap) and _close(tr.dist_sq, dist_sq)
+        assert np.array_equal(tr.gamma, [cfg.schedule.gamma_at(t) for t in range(61)])
+
+
+@pytest.mark.parametrize("case", _CASES, ids=[c[0] for c in _CASES])
+def test_lockstep_averages_match_averaged_iterate(case):
+    _, cfg, alg, form = case
+    checkpoints = [1, 7, 60]
+    objective, inf_val = cfg.problem.value, cfg.ground_truth.inf_f
+    for weighting in ("uniform", "gamma_weighted"):
+        run = run_lockstep(cfg, alg, range(3), form=form, at=checkpoints,
+                           averaging=(weighting, cfg.problem.value_rows, inf_val))
+        for m, row in enumerate(run.averaged):
+            tr = (run_momentum(cfg, form, trial=m) if form
+                  else run_algorithm(cfg, alg, trial=m))
+            want = [objective(averaged_iterate(tr, weighting, upto=cp)) - inf_val
+                    for cp in checkpoints]
+            assert _close(row, np.array(want))
+
+
+@pytest.mark.parametrize("alg,extra", [("sgd", {}), ("minibatch_sgd", {"batch_size": 2}),
+                                       ("momentum", {}), ("prox_sgd", {})])
+def test_trial_independent_of_M(alg, extra):
+    fx = fixture("lasso_4x2")
+    sched = (StepSchedule.momentum_pair(0.1) if alg == "momentum"
+             else StepSchedule.constant(0.2))
+    cfg = RunConfig(problem=fx.problem, ground_truth=fx.ground_truth, schedule=sched,
+                    iterations=40, seed=5, composite=fx.composite, x0=np.array([2.0, -1.0]),
+                    **extra)
+    batched = [run_lockstep(cfg, alg, range(M), keep_iterates=True) for M in (7, 1000)]
+    for m in (0, 1, 6, 999):
+        alone = run_lockstep(cfg, alg, [m], keep_iterates=True)
+        for run in batched[m >= 7:]:
+            for key in ("iterates", "f_gap", "dist_sq"):
+                assert np.array_equal(getattr(run, key)[m], getattr(alone, key)[0])
+
+
+@pytest.mark.parametrize("alg,extra", [("gd", {}), ("sgd", {}), ("minibatch_sgd", {"batch_size": 3})])
+def test_custom_problem_rows_fall_back_to_its_callables(alg, extra):
+    from descentlab.problems import build_custom
+    fx = fixture("ls_6x2")
+    phi, y = fx.problem.data["features"], fx.problem.data["targets"]
+    p = build_custom(6, 2, lambda i, x: 0.5 * float(phi[i] @ x - y[i]) ** 2,
+                     lambda i, x: (phi[i] @ x - y[i]) * phi[i])
+    cfg = RunConfig(problem=p, ground_truth=fx.ground_truth, schedule=StepSchedule.constant(0.05),
+                    iterations=40, seed=2, x0=np.array([1.0, -2.0]), **extra)
+    for trial in (0, 1):
+        xs, f_gap, dist_sq, _ = _ref_run(cfg, alg, trial)
+        tr = run_algorithm(cfg, alg, trial=trial)
+        assert np.array_equal(tr.iterates, xs)
+        assert np.array_equal(tr.f_gap, f_gap) and np.array_equal(tr.dist_sq, dist_sq)
+
+
+def test_draw_batches_matches_sequential_fisher_yates():
+    for n, b in ((4, 2), (6, 3), (9, 9), (5, 1)):
+        assert np.array_equal(algorithms._draw_batches(np.random.default_rng(n), 300, n, b),
+                              _ref_batches(np.random.default_rng(n), 300, n, b))
+
+
+def test_estimate_names_exactly_the_diverged_trials():
+    # gamma * ||phi_i||^2 = 2.9 on two of the four terms: some sample streams
+    # blow up within T = 700 steps (on both sides of a 512-step block), others not
+    fx = fixture("ls_4x2")
+    cfg = RunConfig(problem=fx.problem, ground_truth=fx.ground_truth,
+                    schedule=StepSchedule.constant(1.45), iterations=700, trials=12,
+                    x0=np.array([2.0, 0.0]), algorithm="sgd")
+    want = [(m, _ref_run(cfg, "sgd", m)[3]) for m in range(12)]
+    want = [(m, t) for m, t in want if t is not None]
+    assert 0 < len(want) < 12
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as err:
+            estimate(cfg, "f_gap", [700])
+    named = [(int(m), int(t)) for m, t in re.findall(r"trial (\d+) \(t=(\d+)\)", str(err.value))]
+    assert named == want
+    assert err.value.t == min(t for _, t in want)

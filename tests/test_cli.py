@@ -90,6 +90,14 @@ def test_run_bad_batch_size_exits_2(tmp_path, capsys):
     assert "'b'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_method_rejecting_schedule_exits_2(tmp_path, capsys, jobs):
+    path = _write(tmp_path, "cfg.json", _gd_config(
+        trials=2, schedule={"kind": "inv_sqrt", "gamma0": 0.1}))
+    assert cmd_run(path, out_dir=str(tmp_path), jobs=jobs) == 2
+    assert "gd requires a constant stepsize schedule" in capsys.readouterr().err
+
+
 def test_run_divergence_exits_3(tmp_path):
     # gamma * L = 2.25 > 2, so the gd iteration map expands geometrically
     path = _write(tmp_path, "cfg.json",

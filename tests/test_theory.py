@@ -425,3 +425,22 @@ def test_setting_table_rows_are_consistent():
         assert row.metric != "avg_F_gap" or row.composite, name
         b = 2 if row.ref == "minibatch" else None
         assert row.deterministic == is_deterministic(ls.problem, row.algorithm, b), name
+
+
+def test_gamma_sums_match_rebuilt_array_bit_for_bit():
+    # the cached, grown stepsize array must reduce exactly like the array the
+    # sums were once rebuilt from on every call, in any order of t
+    from descentlab.theory import _gamma_sums
+
+    def rebuilt(schedule, t, L_ref):
+        g = np.array([schedule.gamma_at(k) for k in range(t)])
+        w = g * (1.0 - 2.0 * g * L_ref)
+        return float(w.sum()), float((g * g).sum())
+
+    ts = [1, 2, 3, 700, 5, 64, 65, 1999, 2000, 129, 1, 1024, 333]
+    for schedule in (StepSchedule.inv_sqrt(0.3), StepSchedule.constant(0.05),
+                     StepSchedule.momentum_pair(0.2)):
+        for L_ref in (0.0, 0.7):
+            sums = _gamma_sums(schedule, L_ref)
+            for t in ts:
+                assert sums(t) == rebuilt(schedule, t, L_ref)
