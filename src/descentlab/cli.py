@@ -355,6 +355,9 @@ def cmd_table(constants_source: str, epsilon: float, csv_path: Optional[str] = N
 
 
 def cmd_suite(fixture_names, samples: int = 10_000, out_path: Optional[str] = None) -> int:
+    if samples < 1:
+        print(f"config error: --samples must be >= 1, got {samples}", file=sys.stderr)
+        return 2
     reports = []
     try:
         for name in fixture_names:

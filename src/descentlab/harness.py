@@ -271,7 +271,7 @@ def enumerate_minibatch_oracle(problem: FiniteSumProblem, b: int, x: np.ndarray)
     total = math.comb(n, b)
     if total > 10**6:
         raise ValueError(f"C({n},{b}) = {total} exceeds the enumeration budget 10^6")
-    grads = np.array([problem.grad_i(i, x) for i in range(n)])
+    grads = problem.term_grad_rows(np.asarray(x, dtype=float)[None])[0]
     batch_means = np.array([grads[list(B)].mean(axis=0) for B in combinations(range(n), b)])
     exact_mean = batch_means.mean(axis=0)
     exact_variance = float(np.sum((batch_means - exact_mean) ** 2) / total)
@@ -337,16 +337,12 @@ def _sample_ball(rng: np.random.Generator, count: int, center: np.ndarray, radiu
 
 
 class _Sampled:
-    """Cached oracle evaluations on the sample set."""
+    """Cached oracle evaluations on the sample set, made by the row-wise oracles."""
 
     def __init__(self, problem: FiniteSumProblem, X: np.ndarray, per_term: bool):
-        self.X = X
-        self.f = np.array([problem.value(x) for x in X])
-        self.g = np.array([problem.grad(x) for x in X])
-        if per_term:
-            self.Gi = np.array([[problem.grad_i(i, x) for i in range(problem.n)] for x in X])
-        else:
-            self.Gi = None
+        self.f = problem.value_rows(X)
+        self.g = problem.full_grad_rows(X)
+        self.Gi = problem.term_grad_rows(X) if per_term else None
 
 
 def property_suite(fixture: Fixture, samples: int = 10_000, seed: int = 20_240_601) -> dict:
@@ -412,7 +408,7 @@ def property_suite(fixture: Fixture, samples: int = 10_000, seed: int = 20_240_6
     if smooth:
         add("smoothness_upper", sy.f - (sx.f + inner_gx + 0.5 * c.L * dist2), scale_xy)
         for lam in (1.0 / (2.0 * c.L), 1.0 / c.L):
-            f_step = np.array([problem.value(x - lam * g) for x, g in zip(X, sx.g)])
+            f_step = problem.value_rows(X - lam * sx.g)
             add(f"descent_identity_lam_{lam:.6g}",
                 f_step - sx.f + lam * (1.0 - lam * c.L / 2.0) * gx_sq, scale_x)
         add("inverse_pl", gx_sq / (2.0 * c.L) - (sx.f - gt.inf_f), scale_x)
@@ -446,7 +442,7 @@ def property_suite(fixture: Fixture, samples: int = 10_000, seed: int = 20_240_6
                 (sx.f - gt.inf_f) - gx_sq / (2.0 * c.mu), scale_x)
         # convex-plus-norm decomposition: h = f - mu/2 |.|^2 is midpoint convex
         mid = 0.5 * (X + Y)
-        f_mid = np.array([problem.value(m) for m in mid])
+        f_mid = problem.value_rows(mid)
         h = lambda fv, P: fv - 0.5 * c.mu * np.sum(P * P, axis=1)
         add("convex_plus_norm",
             h(f_mid, mid) - 0.5 * (h(sx.f, X) + h(sy.f, Y)), scale_xy)
@@ -463,7 +459,7 @@ def property_suite(fixture: Fixture, samples: int = 10_000, seed: int = 20_240_6
         f_star = problem.value(comp.x_star_F)
         dxs = X - comp.x_star_F
         bregman = sx.f - f_star - dxs @ g_star
-        F_gap = np.array([comp.value(x) for x in X]) - comp.inf_F
+        F_gap = comp.value_rows(X) - comp.inf_F
         finite = np.isfinite(F_gap)
         add("bregman_nonnegative", -bregman, scale_x)
         add("bregman_bound",
@@ -485,8 +481,8 @@ def _regularizer_checks(reg, rng, samples, d, add):
     U = rng.normal(size=(samples, d)) * scale
     V = rng.normal(size=(samples, d)) * scale
     for gamma in (1.0, 0.7):
-        PU = np.array([nonsmooth.prox(reg, gamma, u) for u in U])
-        PV = np.array([nonsmooth.prox(reg, gamma, v) for v in V])
+        PU = nonsmooth.prox(reg, gamma, U)
+        PV = nonsmooth.prox(reg, gamma, V)
         dn = np.linalg.norm(U - V, axis=1)
         pn = np.linalg.norm(PU - PV, axis=1)
         add(f"prox_nonexpansive_gamma_{gamma:g}", pn - dn, 1e-12)
@@ -501,23 +497,20 @@ def _regularizer_checks(reg, rng, samples, d, add):
         Bpts = _sample_ball(rng, samples, center, reg.B)
     else:
         A, Bpts = U, V
-    gvalA = np.array([reg.value(a) for a in A])
-    gvalB = np.array([reg.value(b) for b in Bpts])
-    subA = np.array([nonsmooth.subgradient(reg, a) for a in A])
+    gvalA = reg.value_rows(A)
+    gvalB = reg.value_rows(Bpts)
+    subA = nonsmooth.subgradient(reg, A)
     add("reg_subgradient_inequality",
         gvalA + np.sum(subA * (Bpts - A), axis=1) - gvalB,
         _REL_FLOOR * (1.0 + np.abs(gvalA) + np.abs(gvalB)))
 
-    # prox optimality against random candidates
-    n_cand = 1000
+    # prox optimality of 64 points against 1000 random candidates each
     gamma = 1.0
     xs = U[:64]
-    cands = rng.normal(size=(n_cand, d)) * scale
-    viol = []
-    for x in xs:
-        p = nonsmooth.prox(reg, gamma, x)
-        obj_p = reg.value(p) + 0.5 / gamma * float((p - x) @ (p - x))
-        obj_c = np.array([reg.value(u) + 0.5 / gamma * float((u - x) @ (u - x)) for u in cands])
-        viol.append(obj_p - obj_c.min())
-    viol = np.array(viol)
+    cands = rng.normal(size=(1000, d)) * scale
+    P = nonsmooth.prox(reg, gamma, xs)
+    obj_p = reg.value_rows(P) + 0.5 / gamma * np.vecdot(P - xs, P - xs)
+    C = cands - xs[:, None, :]
+    obj_c = reg.value_rows(cands) + 0.5 / gamma * np.vecdot(C, C)
+    viol = obj_p - obj_c.min(axis=1)
     add("prox_optimality", viol, _REL_FLOOR * (1.0 + np.abs(viol)))

@@ -121,13 +121,14 @@ def subgradient(reg: Regularizer, x: np.ndarray) -> np.ndarray:
 
     l1: lam * sign(x_j), with 0 selected where x_j = 0.  Ball indicator: 0
     (valid in the interior and on the boundary).  Raises outside the domain.
+    An (M, d) input is mapped row by row.
     """
     x = np.asarray(x, dtype=float)
     if reg.kind == "zero":
         return np.zeros_like(x)
     if reg.kind == "l1":
         return reg.lam * np.sign(x)
-    if float(np.linalg.norm(x)) > reg.B * (1.0 + 1e-12):
+    if np.any(_norms(x) > reg.B * (1.0 + 1e-12)):
         raise ValueError("x outside the ball: subdifferential is empty")
     return np.zeros_like(x)
 

@@ -135,6 +135,26 @@ class FiniteSumProblem:
             return 2.0 * t + 3.0 * np.sin(2.0 * t)
         return np.array([self.grad_i_fn(int(i), x) for i, x in zip(idx, X)])
 
+    def term_grad_rows(self, X: np.ndarray) -> np.ndarray:
+        """grad f_i(X[m]) for every row m and term i, shape (M, n, d)."""
+        idx = np.tile(np.arange(self.n), len(X))
+        return self.grad_rows(idx, np.repeat(X, self.n, axis=0)).reshape(len(X), self.n, self.d)
+
+    def full_grad_rows(self, X: np.ndarray) -> np.ndarray:
+        """grad f(X[m]) for every row m.  A.T @ r[m] is a stack of matrix-vector
+        products, as in grad(); one (M, n) @ (n, d) product rounds differently."""
+        if self.kind == "least_squares":
+            A = self.data["features"]
+            r = _matvec_rows(A, X) - self.data["targets"]
+            return np.matmul(A.T, r[:, :, None])[:, :, 0] / self.n
+        if self.kind == "abs_loss":
+            A = self.data["rows"]
+            s = np.sign(_matvec_rows(A, X) - self.data["targets"])
+            return np.matmul(A.T, s[:, :, None])[:, :, 0] / self.n + self.data["strong_mu"] * X
+        if self.kind == "scalar_pl":
+            return self.grad_rows(np.zeros(len(X), dtype=np.intp), X)
+        return np.array([self.grad(x) for x in X])
+
     def value_rows(self, X: np.ndarray) -> np.ndarray:
         """f(X[m]) for every row m."""
         if self.kind == "least_squares":
@@ -145,7 +165,8 @@ class FiniteSumProblem:
             return np.abs(r).mean(axis=1) + 0.5 * self.data["strong_mu"] * np.vecdot(X, X)
         if self.kind == "scalar_pl":
             t = X[:, 0]
-            return t * t + 3.0 * np.sin(t) ** 2
+            # libm pow, as the float ``** 2`` in value_i (np.square rounds differently)
+            return t * t + 3.0 * np.float_power(np.sin(t), 2)
         return np.array([self.value(x) for x in X])
 
 
@@ -224,7 +245,7 @@ class Fixture:
 
 def gradient_variance(problem: FiniteSumProblem, x: np.ndarray) -> float:
     """(1/n) sum_i ||grad f_i(x) - grad f(x)||^2."""
-    grads = np.array([problem.grad_i(i, x) for i in range(problem.n)])
+    grads = problem.term_grad_rows(np.asarray(x, dtype=float)[None])[0]
     mean = grads.mean(axis=0)
     return float(np.sum((grads - mean) ** 2) / problem.n)
 

@@ -193,6 +193,13 @@ def test_suite_command(tmp_path, capsys):
     assert statuses["convexity"] == "expected-fail"
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_suite_nonpositive_samples_exits_2(samples, capsys):
+    assert main(["suite", "--fixture", "ls_4x2", "--samples", samples]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "--samples" in err and samples in err
+
+
 def test_main_entrypoint(tmp_path):
     path = _write(tmp_path, "cfg.json", _gd_config())
     assert main(["run", "--config", path, "--out-dir", str(tmp_path)]) == 0

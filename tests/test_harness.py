@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -263,6 +265,212 @@ def test_property_suite_abs_fixtures():
 def test_gradient_variance_helper():
     fx = fixture("ls_4x2")
     assert gradient_variance(fx.problem, fx.ground_truth.x_star) == pytest.approx(4 / 9)
+
+
+# ---------------------------------------------------------------------------
+# row-wise suite against the per-point reference
+# ---------------------------------------------------------------------------
+
+CATALOGUE = ("ls_4x2", "ls_6x2", "scalar_pl", "abs_2x1", "abs_2x1_reg", "lasso_4x2")
+BALL_LS = {"kind": "least_squares",
+           "features": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0], [2.0, 0.0], [0.0, 2.0]],
+           "targets": [1.0, 1.0, 0.0, 0.0, 1.0, -1.0],
+           "regularizer": {"kind": "ball_indicator", "B": 0.3}}
+
+
+def _ball_fixture(tmp_path, monkeypatch):
+    """A least-squares fixture constrained to a ball its minimizer lies outside,
+    loaded from $DESCENTLAB_FIXTURES."""
+    import json
+    from descentlab import problems
+    (tmp_path / "ball_ls.json").write_text(json.dumps(BALL_LS))
+    monkeypatch.setenv("DESCENTLAB_FIXTURES", str(tmp_path))
+    monkeypatch.delitem(problems._FIXTURE_CACHE, "ball_ls", raising=False)
+    return fixture("ball_ls")
+
+
+def _ref_property_suite(fixture, samples, seed=20_240_601):
+    """The property suite as it was written before the row-wise oracles: every
+    sample point goes through the single-point value/grad/grad_i/prox calls."""
+    from descentlab import nonsmooth
+    from descentlab.harness import _REL_FLOOR, EXPECTED_FAIL, _sample_ball
+    p, gt, c = fixture.problem, fixture.ground_truth, fixture.constants
+    rng = np.random.default_rng(seed)
+    radius = 10.0 * (1.0 + float(np.linalg.norm(gt.x_star)))
+    X = _sample_ball(rng, samples, gt.x_star, radius)
+    Y = _sample_ball(rng, samples, gt.x_star, radius)
+    smooth = np.isfinite(c.L)
+    convex = p.kind not in ("scalar_pl", "custom")
+    expected = EXPECTED_FAIL.get(fixture.name, ())
+
+    def sampled(P, per_term):
+        return (np.array([p.value(x) for x in P]), np.array([p.grad(x) for x in P]),
+                np.array([[p.grad_i(i, x) for i in range(p.n)] for x in P]) if per_term else None)
+
+    fx_, gx, Gx = sampled(X, True)
+    fy, gy, Gy = sampled(Y, convex and smooth)
+    checks = []
+
+    def add(name, violation, tol):
+        violation = np.asarray(violation, dtype=float)
+        tol = np.broadcast_to(np.asarray(tol, dtype=float), violation.shape)
+        i = int(np.argmax(violation - tol))
+        failed = (violation - tol)[i] > 0
+        status = (("expected-fail" if failed else "unexpected-pass") if name in expected
+                  else ("fail" if failed else "pass"))
+        checks.append({"name": name, "max_violation": float(violation[i]),
+                       "tolerance": float(tol[i]), "status": status})
+
+    sq = lambda V: np.sum(V * V, axis=-1)  # noqa: E731
+    s_xy = _REL_FLOOR * (1.0 + np.abs(fx_) + np.abs(fy))
+    s_x = _REL_FLOOR * (1.0 + np.abs(fx_))
+    diff = Y - X
+    inner_gx, dist2, gx_sq = np.sum(gx * diff, axis=1), sq(diff), sq(gx)
+    add("unbiasedness", np.linalg.norm(Gx.mean(axis=1) - gx, axis=1),
+        1e-12 * (1.0 + np.linalg.norm(gx, axis=1)))
+    if convex or "convexity" in expected:
+        add("convexity", fy + np.sum(gy * (X - Y), axis=1) - fx_, s_xy)
+    if smooth:
+        add("smoothness_upper", fy - (fx_ + inner_gx + 0.5 * c.L * dist2), s_xy)
+        for lam in (1.0 / (2.0 * c.L), 1.0 / c.L):
+            f_step = np.array([p.value(x - lam * g) for x, g in zip(X, gx)])
+            add(f"descent_identity_lam_{lam:.6g}",
+                f_step - fx_ + lam * (1.0 - lam * c.L / 2.0) * gx_sq, s_x)
+        add("inverse_pl", gx_sq / (2.0 * c.L) - (fx_ - gt.inf_f), s_x)
+        add("variance_transfer_function", np.sum(Gx ** 2, axis=2).mean(axis=1)
+            - (2.0 * c.L_max * (fx_ - gt.inf_f) + 2.0 * c.L_max * c.delta_star_f), s_x)
+    if smooth and convex:
+        gdiff = gx - gy
+        add("cocoercivity", sq(gdiff) / c.L - np.sum(-gdiff * diff, axis=1), s_xy)
+        add("expected_smoothness", np.sum((Gx - Gy) ** 2, axis=2).mean(axis=1)
+            / (2.0 * c.L_max) - (fy - fx_ - inner_gx), s_xy)
+        add("variance_transfer_gradient", np.sum(Gx ** 2, axis=2).mean(axis=1)
+            - (4.0 * c.L_max * (fx_ - gt.inf_f) + 2.0 * c.sigma_star_f), s_x)
+        var_x = np.sum((Gx - gx[:, None, :]) ** 2, axis=2).mean(axis=1)
+        var_y = np.sum((Gy - gy[:, None, :]) ** 2, axis=2).mean(axis=1)
+        bregman = fx_ - fy - np.sum(gy * (X - Y), axis=1)
+        add("bregman_transfer", var_x - (4.0 * c.L_max * bregman + 2.0 * var_y), s_xy)
+    if c.mu > 0:
+        add("strong_convexity", fx_ + inner_gx + 0.5 * c.mu * dist2 - fy, s_xy)
+        if smooth:
+            add("strong_convexity_pl", (fx_ - gt.inf_f) - gx_sq / (2.0 * c.mu), s_x)
+        mid = 0.5 * (X + Y)
+        f_mid = np.array([p.value(m) for m in mid])
+        h = lambda fv, P: fv - 0.5 * c.mu * np.sum(P * P, axis=1)  # noqa: E731
+        add("convex_plus_norm", h(f_mid, mid) - 0.5 * (h(fx_, X) + h(fy, Y)), s_xy)
+    if c.mu_pl > 0 and smooth:
+        add("pl", (fx_ - gt.inf_f) - gx_sq / (2.0 * c.mu_pl), s_x)
+
+    reg = fixture.regularizer
+    if reg is not None:
+        d = X.shape[1]
+        scale = 5.0 if reg.kind != "ball_indicator" else reg.B * 2.0
+        U = rng.normal(size=(samples, d)) * scale
+        V = rng.normal(size=(samples, d)) * scale
+        for gamma in (1.0, 0.7):
+            PU = np.array([nonsmooth.prox(reg, gamma, u) for u in U])
+            PV = np.array([nonsmooth.prox(reg, gamma, v) for v in V])
+            dn, pn = np.linalg.norm(U - V, axis=1), np.linalg.norm(PU - PV, axis=1)
+            add(f"prox_nonexpansive_gamma_{gamma:g}", pn - dn, 1e-12)
+            add(f"prox_firm_gamma_{gamma:g}", pn**2 - np.sum((U - V) * (PU - PV), axis=1),
+                1e-12 * (1.0 + dn**2))
+        if reg.kind == "ball_indicator":
+            A = _sample_ball(rng, samples, np.zeros(d), reg.B)
+            B = _sample_ball(rng, samples, np.zeros(d), reg.B)
+        else:
+            A, B = U, V
+        gA, gB = np.array([reg.value(a) for a in A]), np.array([reg.value(b) for b in B])
+        subA = np.array([nonsmooth.subgradient(reg, a) for a in A])
+        add("reg_subgradient_inequality", gA + np.sum(subA * (B - A), axis=1) - gB,
+            _REL_FLOOR * (1.0 + np.abs(gA) + np.abs(gB)))
+        cands = rng.normal(size=(1000, d)) * scale
+        viol = []
+        for x in U[:64]:
+            pr = nonsmooth.prox(reg, 1.0, x)
+            obj_c = [reg.value(u) + 0.5 / 1.0 * float((u - x) @ (u - x)) for u in cands]
+            viol.append(reg.value(pr) + 0.5 / 1.0 * float((pr - x) @ (pr - x)) - min(obj_c))
+        viol = np.array(viol)
+        add("prox_optimality", viol, _REL_FLOOR * (1.0 + np.abs(viol)))
+
+    comp = fixture.composite
+    if comp is not None:
+        bregman = (fx_ - p.value(comp.x_star_F)
+                   - (X - comp.x_star_F) @ p.grad(comp.x_star_F))
+        F_gap = np.array([comp.value(x) for x in X]) - comp.inf_F
+        add("bregman_nonnegative", -bregman, s_x)
+        add("bregman_bound", np.where(np.isfinite(F_gap), bregman - F_gap, -1.0), s_x)
+
+    ok = all(ch["status"] in ("pass", "expected-fail") for ch in checks)
+    return {"suite": "properties", "fixture": fixture.name, "samples": samples,
+            "ok": ok, "checks": checks}
+
+
+@pytest.mark.parametrize("name", CATALOGUE + ("ball_ls",))
+def test_property_suite_equals_per_point_reference(name, tmp_path, monkeypatch):
+    fx = _ball_fixture(tmp_path, monkeypatch) if name == "ball_ls" else fixture(name)
+    report = property_suite(fx, samples=500)
+    # == on the dicts compares every float exactly
+    assert report == _ref_property_suite(fx, samples=500)
+
+
+def test_property_suite_on_ball_indicator_fixture(tmp_path, monkeypatch):
+    fx = _ball_fixture(tmp_path, monkeypatch)
+    assert np.linalg.norm(fx.ground_truth.x_star) > fx.regularizer.B
+    report = property_suite(fx, samples=2000)
+    statuses = {c["name"]: c["status"] for c in report["checks"]}
+    for needed in ("prox_firm_gamma_1", "reg_subgradient_inequality", "prox_optimality",
+                   "bregman_bound"):
+        assert statuses[needed] == "pass", needed
+    assert report["ok"], report["checks"]
+
+
+def _custom_problem():
+    from descentlab.problems import build_custom
+    a = RNG.normal(size=(3, 2))
+    return build_custom(3, 2, lambda i, x: float(np.cos(a[i] @ x)),
+                        lambda i, x: -np.sin(a[i] @ x) * a[i])
+
+
+def _ref_gradient_variance(p, x):
+    grads = np.array([p.grad_i(i, x) for i in range(p.n)])
+    return float(np.sum((grads - grads.mean(axis=0)) ** 2) / p.n)
+
+
+@pytest.mark.parametrize("name", CATALOGUE + ("custom",))
+def test_row_oracles_equal_single_point_oracles_bit_for_bit(name):
+    p = _custom_problem() if name == "custom" else fixture(name).problem
+    # enough points to meet the rare ones where a numpy kernel rounds differently
+    # from the single-point one (1 in ~1000 for a vectorised square of sin t)
+    X = RNG.normal(size=(20_000, p.d)) * RNG.choice([1e-3, 1.0, 10.0, 1e3], size=(20_000, 1))
+    same = lambda a, b: a.shape == b.shape and a.tobytes() == b.tobytes()  # noqa: E731
+    assert same(p.value_rows(X), np.array([p.value(x) for x in X]))
+    assert same(p.full_grad_rows(X), np.array([p.grad(x) for x in X]))
+    X = X[:2000]
+    assert same(p.term_grad_rows(X),
+                np.array([[p.grad_i(i, x) for i in range(p.n)] for x in X]))
+    x = X[7]
+    assert gradient_variance(p, x) == _ref_gradient_variance(p, x)
+    if p.n <= 6:
+        grads = np.array([p.grad_i(i, x) for i in range(p.n)])
+        for b in range(1, p.n + 1):
+            means = np.array([grads[list(B)].mean(axis=0) for B in combinations(range(p.n), b)])
+            mean, var = enumerate_minibatch_oracle(p, b, x)
+            assert mean.tobytes() == means.mean(axis=0).tobytes()
+            assert var == float(np.sum((means - means.mean(axis=0)) ** 2) / len(means))
+
+
+@pytest.mark.parametrize("name", CATALOGUE)
+def test_fixture_noise_constants_equal_per_point_reference(name):
+    fx = fixture(name)
+    p, gt, c = fx.problem, fx.ground_truth, fx.constants
+    if p.kind != "scalar_pl":
+        assert c.sigma_star_f == _ref_gradient_variance(p, gt.x_star)
+    if p.kind == "least_squares":
+        assert c.delta_star_f == p.value(gt.x_star)
+    elif p.kind == "abs_loss":
+        assert c.delta_star_f == gt.inf_f - sum(gt.inf_f_i) / p.n
+    if fx.composite is not None:
+        assert fx.composite.sigma_star_F == _ref_gradient_variance(p, fx.composite.x_star_F)
 
 
 # ---------------------------------------------------------------------------
