@@ -267,7 +267,7 @@ def _method(cfg: RunConfig, algorithm: str, form: Optional[str], gamma, X0: np.n
     def oracle(X, idx):
         """Full gradient, or the sum of the b sampled gradients, of every row."""
         if idx is None:
-            return np.array([problem.grad(x) for x in X])
+            return problem.full_grad_rows(X)
         G = problem.grad_rows(idx[0], X)
         for j in idx[1:]:
             G = G + problem.grad_rows(j, X)

@@ -336,15 +336,6 @@ def _sample_ball(rng: np.random.Generator, count: int, center: np.ndarray, radiu
     return center + z * r[:, None]
 
 
-class _Sampled:
-    """Cached oracle evaluations on the sample set, made by the row-wise oracles."""
-
-    def __init__(self, problem: FiniteSumProblem, X: np.ndarray, per_term: bool):
-        self.f = problem.value_rows(X)
-        self.g = problem.full_grad_rows(X)
-        self.Gi = problem.term_grad_rows(X) if per_term else None
-
-
 def property_suite(fixture: Fixture, samples: int = 10_000, seed: int = 20_240_601) -> dict:
     """Evaluate every functional inequality the problem class promises.
 
@@ -364,8 +355,9 @@ def property_suite(fixture: Fixture, samples: int = 10_000, seed: int = 20_240_6
 
     smooth = np.isfinite(c.L)
     convex = problem.kind != "scalar_pl" and (problem.kind != "custom")
-    sx = _Sampled(problem, X, per_term=True)
-    sy = _Sampled(problem, Y, per_term=convex and smooth)
+    fx, gx, Gx = problem.value_rows(X), problem.full_grad_rows(X), problem.term_grad_rows(X)
+    fy, gy = problem.value_rows(Y), problem.full_grad_rows(Y)
+    Gy = problem.term_grad_rows(Y) if convex and smooth else None
 
     checks = []
 
@@ -387,68 +379,68 @@ def property_suite(fixture: Fixture, samples: int = 10_000, seed: int = 20_240_6
             "status": status,
         })
 
-    scale_xy = _REL_FLOOR * (1.0 + np.abs(sx.f) + np.abs(sy.f))
-    scale_x = _REL_FLOOR * (1.0 + np.abs(sx.f))
+    scale_xy = _REL_FLOOR * (1.0 + np.abs(fx) + np.abs(fy))
+    scale_x = _REL_FLOOR * (1.0 + np.abs(fx))
     diff = Y - X
-    inner_gx = np.sum(sx.g * diff, axis=1)
+    inner_gx = np.sum(gx * diff, axis=1)
     dist2 = np.sum(diff * diff, axis=1)
-    gx_sq = np.sum(sx.g * sx.g, axis=1)
+    gx_sq = np.sum(gx * gx, axis=1)
 
     # unbiasedness: averaging the per-term oracles reproduces the full gradient
-    mean_gi = sx.Gi.mean(axis=1)
-    gnorm = np.linalg.norm(sx.g, axis=1)
+    mean_gi = Gx.mean(axis=1)
+    gnorm = np.linalg.norm(gx, axis=1)
     add("unbiasedness",
-        np.linalg.norm(mean_gi - sx.g, axis=1),
+        np.linalg.norm(mean_gi - gx, axis=1),
         1e-12 * (1.0 + gnorm))
 
     if convex or "convexity" in EXPECTED_FAIL.get(fixture.name, ()):
         # f(x) >= f(y) + <g(y), x - y>
-        add("convexity", sy.f + np.sum(sy.g * (X - Y), axis=1) - sx.f, scale_xy)
+        add("convexity", fy + np.sum(gy * (X - Y), axis=1) - fx, scale_xy)
 
     if smooth:
-        add("smoothness_upper", sy.f - (sx.f + inner_gx + 0.5 * c.L * dist2), scale_xy)
+        add("smoothness_upper", fy - (fx + inner_gx + 0.5 * c.L * dist2), scale_xy)
         for lam in (1.0 / (2.0 * c.L), 1.0 / c.L):
-            f_step = problem.value_rows(X - lam * sx.g)
+            f_step = problem.value_rows(X - lam * gx)
             add(f"descent_identity_lam_{lam:.6g}",
-                f_step - sx.f + lam * (1.0 - lam * c.L / 2.0) * gx_sq, scale_x)
-        add("inverse_pl", gx_sq / (2.0 * c.L) - (sx.f - gt.inf_f), scale_x)
+                f_step - fx + lam * (1.0 - lam * c.L / 2.0) * gx_sq, scale_x)
+        add("inverse_pl", gx_sq / (2.0 * c.L) - (fx - gt.inf_f), scale_x)
         add("variance_transfer_function",
-            np.sum(sx.Gi ** 2, axis=2).mean(axis=1)
-            - (2.0 * c.L_max * (sx.f - gt.inf_f) + 2.0 * c.L_max * c.delta_star_f),
+            np.sum(Gx ** 2, axis=2).mean(axis=1)
+            - (2.0 * c.L_max * (fx - gt.inf_f) + 2.0 * c.L_max * c.delta_star_f),
             scale_x)
 
     if smooth and convex:
-        gdiff = sx.g - sy.g
+        gdiff = gx - gy
         add("cocoercivity",
             np.sum(gdiff * gdiff, axis=1) / c.L - np.sum(-gdiff * diff, axis=1), scale_xy)
-        gidiff = sx.Gi - sy.Gi
+        gidiff = Gx - Gy
         add("expected_smoothness",
             np.sum(gidiff ** 2, axis=2).mean(axis=1) / (2.0 * c.L_max)
-            - (sy.f - sx.f - inner_gx), scale_xy)
+            - (fy - fx - inner_gx), scale_xy)
         add("variance_transfer_gradient",
-            np.sum(sx.Gi ** 2, axis=2).mean(axis=1)
-            - (4.0 * c.L_max * (sx.f - gt.inf_f) + 2.0 * c.sigma_star_f), scale_x)
-        var_x = np.sum((sx.Gi - sx.g[:, None, :]) ** 2, axis=2).mean(axis=1)
-        var_y = np.sum((sy.Gi - sy.g[:, None, :]) ** 2, axis=2).mean(axis=1)
-        bregman = sx.f - sy.f - np.sum(sy.g * (X - Y), axis=1)
+            np.sum(Gx ** 2, axis=2).mean(axis=1)
+            - (4.0 * c.L_max * (fx - gt.inf_f) + 2.0 * c.sigma_star_f), scale_x)
+        var_x = np.sum((Gx - gx[:, None, :]) ** 2, axis=2).mean(axis=1)
+        var_y = np.sum((Gy - gy[:, None, :]) ** 2, axis=2).mean(axis=1)
+        bregman = fx - fy - np.sum(gy * (X - Y), axis=1)
         add("bregman_transfer",
             var_x - (4.0 * c.L_max * bregman + 2.0 * var_y), scale_xy)
 
     if c.mu > 0:
         add("strong_convexity",
-            sx.f + inner_gx + 0.5 * c.mu * dist2 - sy.f, scale_xy)
+            fx + inner_gx + 0.5 * c.mu * dist2 - fy, scale_xy)
         if smooth:
             add("strong_convexity_pl",
-                (sx.f - gt.inf_f) - gx_sq / (2.0 * c.mu), scale_x)
+                (fx - gt.inf_f) - gx_sq / (2.0 * c.mu), scale_x)
         # convex-plus-norm decomposition: h = f - mu/2 |.|^2 is midpoint convex
         mid = 0.5 * (X + Y)
         f_mid = problem.value_rows(mid)
         h = lambda fv, P: fv - 0.5 * c.mu * np.sum(P * P, axis=1)
         add("convex_plus_norm",
-            h(f_mid, mid) - 0.5 * (h(sx.f, X) + h(sy.f, Y)), scale_xy)
+            h(f_mid, mid) - 0.5 * (h(fx, X) + h(fy, Y)), scale_xy)
 
     if c.mu_pl > 0 and smooth:
-        add("pl", (sx.f - gt.inf_f) - gx_sq / (2.0 * c.mu_pl), scale_x)
+        add("pl", (fx - gt.inf_f) - gx_sq / (2.0 * c.mu_pl), scale_x)
 
     if fixture.regularizer is not None:
         _regularizer_checks(fixture.regularizer, rng, samples, X.shape[1], add)
@@ -458,7 +450,7 @@ def property_suite(fixture: Fixture, samples: int = 10_000, seed: int = 20_240_6
         g_star = problem.grad(comp.x_star_F)
         f_star = problem.value(comp.x_star_F)
         dxs = X - comp.x_star_F
-        bregman = sx.f - f_star - dxs @ g_star
+        bregman = fx - f_star - dxs @ g_star
         F_gap = comp.value_rows(X) - comp.inf_F
         finite = np.isfinite(F_gap)
         add("bregman_nonnegative", -bregman, scale_x)

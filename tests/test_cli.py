@@ -193,6 +193,14 @@ def test_suite_command(tmp_path, capsys):
     assert statuses["convexity"] == "expected-fail"
 
 
+def test_suite_unexpected_pass_exits_4(monkeypatch, capsys):
+    from descentlab import harness
+    monkeypatch.setitem(harness.EXPECTED_FAIL, "ls_4x2", {"convexity"})
+    assert main(["suite", "--fixture", "ls_4x2", "--samples", "200"]) == 4
+    statuses = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)[0]["checks"]}
+    assert statuses["convexity"] == "unexpected-pass"
+
+
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_suite_nonpositive_samples_exits_2(samples, capsys):
     assert main(["suite", "--fixture", "ls_4x2", "--samples", samples]) == 2
