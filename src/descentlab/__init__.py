@@ -24,13 +24,7 @@ from .algorithms import (
     Trace,
     RunConfig,
     DivergenceError,
-    run_gd,
-    run_sgd,
-    run_minibatch_sgd,
-    run_momentum,
-    run_subgradient,
-    run_prox_gd,
-    run_prox_sgd,
+    run_lockstep,
     run_algorithm,
     averaged_iterate,
     write_traces_csv,

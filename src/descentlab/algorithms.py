@@ -11,7 +11,7 @@ distance to the reference minimizer, and the stepsize at each index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -24,13 +24,7 @@ __all__ = [
     "Trace",
     "RunConfig",
     "DivergenceError",
-    "run_gd",
-    "run_sgd",
-    "run_minibatch_sgd",
-    "run_momentum",
-    "run_subgradient",
-    "run_prox_gd",
-    "run_prox_sgd",
+    "run_lockstep",
     "run_algorithm",
     "averaged_iterate",
     "write_traces_csv",
@@ -170,7 +164,8 @@ class Trace:
 
 @dataclass
 class RunConfig:
-    """Everything a runner needs for one experiment."""
+    """One run: problem, schedule and horizon, and the method that
+    ``run_lockstep`` runs (``algorithm``, ``momentum_form``, ``batch_size``)."""
 
     problem: FiniteSumProblem
     ground_truth: GroundTruth
@@ -224,12 +219,13 @@ def _draw_batches(rng: np.random.Generator, T: int, n: int, b: int) -> np.ndarra
 ALGORITHMS = ("gd", "sgd", "minibatch_sgd", "momentum", "ssd", "pssd", "prox_gd", "prox_sgd")
 
 
-def _method(cfg: RunConfig, algorithm: str, form: Optional[str], gamma, X0: np.ndarray):
-    """Check that ``cfg`` suits the method.  Returns (trace name, batch size or
-    None, (row-wise objective, inf, x_ref) of the gap, step), where
-    ``step(t, X, idx)`` maps every row of X to its next iterate, given the
-    (b, M) sample indices ``idx`` of step t (None for full-gradient methods)."""
-    sched = cfg.schedule
+def _method(cfg: RunConfig, gamma, X0: np.ndarray):
+    """Check that ``cfg`` suits its method ``cfg.algorithm``.  Returns (trace
+    name, batch size or None, (row-wise objective, inf, x_ref) of the gap,
+    step), where ``step(t, X, idx)`` maps every row of X to its next iterate,
+    given the (b, M) sample indices ``idx`` of step t (None for full-gradient
+    methods)."""
+    sched, algorithm, form = cfg.schedule, cfg.algorithm, cfg.momentum_form
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {sorted(ALGORITHMS)}")
     if algorithm in ("gd", "prox_gd") and not sched.is_constant:
@@ -255,7 +251,6 @@ def _method(cfg: RunConfig, algorithm: str, form: Optional[str], gamma, X0: np.n
             raise ValueError("x0 must lie inside the projection ball")
         reg = Regularizer.ball_indicator(B)  # its prox is the projection
     elif algorithm == "momentum":
-        form = cfg.momentum_form if form is None else form
         if form not in ("buffer", "heavy_ball", "ima"):
             raise ValueError(f"unknown momentum form {form!r}")
         if not sched.has_beta:
@@ -276,10 +271,19 @@ def _method(cfg: RunConfig, algorithm: str, form: Optional[str], gamma, X0: np.n
     scale = float(batch or 1)
     m, prev, z = np.zeros_like(X0), X0, X0  # momentum state: m_{t-1}, x_{t-1}, z_{t-1}
     if algorithm != "momentum":
-        # x_{t+1} = prox_{gamma_t g}(x_t - (gamma_t / b) * sum of b gradients)
+        # x_{t+1} = prox_{gamma_t g}(x_t - (gamma_t / b) * sum of b gradients), that is
+        #   gd:            x_{t+1} = x_t - gamma grad f(x_t)
+        #   sgd, ssd:      x_{t+1} = x_t - gamma_t grad f_i(x_t), i uniform
+        #   minibatch_sgd: x_{t+1} = x_t - (gamma_t / b) sum_{i in S_t} grad f_i(x_t),
+        #                  S_t a uniform size-b subset (without replacement)
+        #   pssd:          x_{t+1} = Proj_{B(0, B)}(x_t - gamma_t grad f_i(x_t))
+        #   prox_gd:       x_{t+1} = prox_{gamma g}(x_t - gamma grad f(x_t))
+        #   prox_sgd:      x_{t+1} = prox_{gamma_t g}(x_t - gamma_t grad f_i(x_t))
         def step(t, X, idx):
             X = X - (gamma[t] / scale) * oracle(X, idx)
             return X if reg is None else prox(reg, gamma[t], X)
+    # momentum: three formulations of one method, which produce the same
+    # trajectory on the same sample stream (cfg.momentum_form picks one)
     elif form == "buffer":
         # m_t = beta_t m_{t-1} + grad f_i(x_t);  x_{t+1} = x_t - gamma_t m_t
         def step(t, X, idx):
@@ -331,9 +335,10 @@ class Lockstep:
 _BLOCK = 512  # steps whose sample indices are drawn, and gaps guarded, at once
 
 
-def run_lockstep(cfg: RunConfig, algorithm: str, trials, form: Optional[str] = None,
-                 at=None, averaging=None, keep_iterates: bool = False) -> Lockstep:
-    """Run the given trials in lockstep on one (M, d) iterate array.
+def run_lockstep(cfg: RunConfig, trials, at=None, averaging=None,
+                 keep_iterates: bool = False) -> Lockstep:
+    """Run the given trials of ``cfg.algorithm`` in lockstep on one (M, d)
+    iterate array.
 
     Row m is trial ``trials[m]`` exactly as if run alone: its samples come from
     its own ``default_rng(cfg.seed + trial)`` (drawn in blocks of steps, which
@@ -351,7 +356,7 @@ def run_lockstep(cfg: RunConfig, algorithm: str, trials, form: Optional[str] = N
     M = len(trials)
     gamma = [cfg.schedule.gamma_at(t) for t in range(T + 1)]
     X = np.tile(cfg.start_point(), (M, 1))
-    name, batch, (objective, inf_val, x_ref), step = _method(cfg, algorithm, form, gamma, X)
+    name, batch, (objective, inf_val, x_ref), step = _method(cfg, gamma, X)
     recorded = np.arange(T + 1) if at is None else np.unique(np.asarray(at, dtype=np.int64))
     column = dict(zip(recorded.tolist(), range(len(recorded))))
     f_gap, dist_sq = np.empty((2, M, len(recorded)))
@@ -362,7 +367,7 @@ def run_lockstep(cfg: RunConfig, algorithm: str, trials, form: Optional[str] = N
         weights = _weights(gamma, weighting, int(recorded[-1]))
         averaged = np.full((M, len(recorded)), np.nan)
         total = np.zeros((M, d))
-    sampled = algorithm not in ("gd", "prox_gd")
+    sampled = cfg.algorithm not in ("gd", "prox_gd")
     rngs = [np.random.default_rng(cfg.seed + int(m)) for m in trials] if sampled else []
     gaps = np.empty((_BLOCK, M))
     first = np.full(M, -1)  # first diverged step of each trial
@@ -407,56 +412,18 @@ def run_lockstep(cfg: RunConfig, algorithm: str, trials, form: Optional[str] = N
                     averaged=averaged, iterates=iterates)
 
 
-def run_algorithm(cfg: RunConfig, algorithm: str, trial: int = 0,
-                  form: Optional[str] = None) -> Trace:
-    """Trial ``trial`` of one method, with its (T+1, d) iterates."""
-    return run_lockstep(cfg, algorithm, [trial], form=form, keep_iterates=True).traces()[0]
+def run_algorithm(cfg: RunConfig, algorithm: str, trial: int = 0) -> Trace:
+    """Trial ``trial`` of ``algorithm`` on ``cfg``, with its (T+1, d) iterates."""
+    return run_lockstep(replace(cfg, algorithm=algorithm), [trial], keep_iterates=True).traces()[0]
 
 
-def run_gd(cfg: RunConfig, trial: int = 0) -> Trace:
-    """Full gradient descent x_{t+1} = x_t - gamma * grad f(x_t)."""
-    return run_algorithm(cfg, "gd", trial)
-
-
-def run_sgd(cfg: RunConfig, trial: int = 0) -> Trace:
-    """Uniform single-sample stochastic gradient descent."""
-    return run_algorithm(cfg, "sgd", trial)
-
-
-def run_minibatch_sgd(cfg: RunConfig, trial: int = 0) -> Trace:
-    """SGD over uniformly random size-b subsets (without replacement in a batch)."""
-    return run_algorithm(cfg, "minibatch_sgd", trial)
-
-
-def run_momentum(cfg: RunConfig, form: Optional[str] = None, trial: int = 0) -> Trace:
-    """Stochastic momentum in one of three equivalent formulations (``buffer``,
-    ``heavy_ball``, ``ima``; default ``cfg.momentum_form``), which produce the
-    same trajectory on the same sample stream."""
-    return run_algorithm(cfg, "momentum", trial, form)
-
-
-def run_subgradient(cfg: RunConfig, projected: bool = False, trial: int = 0) -> Trace:
-    """Stochastic subgradient descent, optionally projected onto the ball B(0, B)."""
-    return run_algorithm(cfg, "pssd" if projected else "ssd", trial)
-
-
-def run_prox_gd(cfg: RunConfig, trial: int = 0) -> Trace:
-    """Forward-backward splitting x_{t+1} = prox_{gamma g}(x_t - gamma grad f(x_t))."""
-    return run_algorithm(cfg, "prox_gd", trial)
-
-
-def run_prox_sgd(cfg: RunConfig, trial: int = 0) -> Trace:
-    """Stochastic forward-backward x_{t+1} = prox_{gamma_t g}(x_t - gamma_t grad f_i(x_t))."""
-    return run_algorithm(cfg, "prox_sgd", trial)
-
-
-def is_deterministic(problem: FiniteSumProblem, algorithm: str, batch_size=None) -> bool:
-    """True when the trajectory does not depend on the sampling stream."""
-    if algorithm in ("gd", "prox_gd"):
+def is_deterministic(cfg: RunConfig) -> bool:
+    """True when the trajectory of ``cfg`` does not depend on the sampling stream."""
+    if cfg.algorithm in ("gd", "prox_gd"):
         return True
-    if algorithm == "minibatch_sgd":
-        return batch_size == problem.n
-    return problem.n == 1
+    if cfg.algorithm == "minibatch_sgd":
+        return cfg.batch_size == cfg.problem.n
+    return cfg.problem.n == 1
 
 
 def _weights(gamma, weighting, t: int) -> np.ndarray:

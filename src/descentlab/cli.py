@@ -22,7 +22,7 @@ import os
 import platform
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -36,7 +36,7 @@ from .algorithms import (
     run_lockstep,
     write_traces_csv,
 )
-# the single-trial entry point, kept as a module attribute for perfbench/tracer.py
+# kept as a module attribute, where perfbench/tracer.py wraps it
 from .algorithms import run_algorithm  # noqa: F401
 from .nonsmooth import Regularizer
 
@@ -47,13 +47,6 @@ class ConfigError(Exception):
     def __init__(self, fieldname: str, message: str):
         super().__init__(f"field {fieldname!r}: {message}")
         self.fieldname = fieldname
-
-
-_CONFIG_FIELDS = (
-    "problem", "algorithm", "schedule", "iterations", "trials", "batch_size",
-    "seed", "x0", "momentum_form", "regularizer", "projection_B",
-    "checkpoints", "verify", "outputs",
-)
 
 
 @dataclass
@@ -77,13 +70,14 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
-        unknown = set(raw) - set(_CONFIG_FIELDS)
+        names = [f.name for f in fields(ExperimentConfig)]
+        unknown = set(raw) - set(names)
         if unknown:
             raise ConfigError(sorted(unknown)[0], "unknown configuration field")
         for req in ("problem", "algorithm", "schedule", "iterations"):
             if req not in raw:
                 raise ConfigError(req, "required field missing")
-        cfg = ExperimentConfig(**{k: raw[k] for k in _CONFIG_FIELDS if k in raw})
+        cfg = ExperimentConfig(**{k: raw[k] for k in names if k in raw})
         if cfg.algorithm not in ALGORITHMS:
             raise ConfigError("algorithm", f"unknown algorithm {cfg.algorithm!r}")
         if not isinstance(cfg.iterations, int) or cfg.iterations < 1:
@@ -179,18 +173,11 @@ def _run_config(cfg: ExperimentConfig, fx: problems.Fixture, seed: int) -> RunCo
 
 
 def _trial_chunk(args):
-    """Worker: rebuild the experiment and run a contiguous range of trials."""
+    """Worker: rebuild the experiment and run a contiguous range of trials,
+    returning their traces without the (T+1, d) iterates."""
     raw, seed, lo, hi = args
     cfg = ExperimentConfig.from_dict(raw)
-    fx = _build_fixture(cfg)
-    rc = _run_config(cfg, fx, seed)
-    return _run_trials(rc, cfg.algorithm, range(lo, hi))
-
-
-def _run_trials(rc: RunConfig, algorithm: str, trials) -> list:
-    """Traces of the given trials, run in lockstep, without their (T+1, d)
-    iterates, which the CSV does not need and workers should not ship back."""
-    return run_lockstep(rc, algorithm, trials).traces()
+    return run_lockstep(_run_config(cfg, _build_fixture(cfg), seed), range(lo, hi)).traces()
 
 
 def cmd_run(config_path: str, out_dir: str = ".", jobs: int = 1,
@@ -229,7 +216,7 @@ def cmd_run(config_path: str, out_dir: str = ".", jobs: int = 1,
                 # map keeps the chunks, and so the trials, in order
                 traces = [tr for part in pool.map(_trial_chunk, args) for tr in part]
         else:
-            traces = _run_trials(rc, cfg.algorithm, range(cfg.trials))
+            traces = run_lockstep(rc, range(cfg.trials)).traces()
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return 3
@@ -359,12 +346,13 @@ def cmd_suite(fixture_names, samples: int = 10_000, out_path: Optional[str] = No
         print(f"config error: --samples must be >= 1, got {samples}", file=sys.stderr)
         return 2
     reports = []
-    try:
-        for name in fixture_names:
-            reports.append(harness.property_suite(problems.fixture(name), samples=samples))
-    except KeyError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    for name in fixture_names:
+        try:
+            fx = problems.fixture(name)
+        except (KeyError, ValueError) as exc:  # unknown name, malformed fixture file
+            print(f"config error: fixture {name!r}: {exc}", file=sys.stderr)
+            return 2
+        reports.append(harness.property_suite(fx, samples=samples))
     payload = json.dumps(reports, indent=2, sort_keys=True)
     print(payload)
     if out_path:

@@ -24,7 +24,7 @@ from .algorithms import (
     is_deterministic,
     run_lockstep,
 )
-# single-trial entry points, kept as module attributes for perfbench/tracer.py
+# kept as module attributes, where perfbench/tracer.py wraps them
 from .algorithms import averaged_iterate, run_algorithm  # noqa: F401
 from .problems import Fixture, FiniteSumProblem
 from .theory import SETTINGS, BoundCurve, InitState, bound_curve
@@ -95,20 +95,14 @@ def default_checkpoints(T: int) -> tuple:
     return tuple(pts)
 
 
-def estimate(
-    cfg: RunConfig,
-    metric: str,
-    checkpoints,
-    weighting=None,
-    algorithm: Optional[str] = None,
-) -> ExpectationEstimate:
-    """Run M independent trials in lockstep and estimate the metric's expectation.
+def estimate(cfg: RunConfig, metric: str, checkpoints, weighting=None) -> ExpectationEstimate:
+    """Run M independent trials of ``cfg.algorithm`` in lockstep and estimate
+    the metric's expectation.
 
     Deterministic runs (full-batch methods, or single-term problems) short
     circuit to one trial with zero standard error.  Diverged trials abort the
     estimate with a DivergenceError naming every failing trial and its step.
     """
-    algorithm = algorithm or cfg.algorithm
     if metric in ("avg_f_gap", "avg_F_gap") and weighting is None:
         raise ValueError("averaged metrics need a weighting")
     if metric == "avg_F_gap" and cfg.composite is None:
@@ -128,12 +122,12 @@ def estimate(
         raise ValueError(f"averaging horizon t={min(checkpoints)} must be in "
                          f"[1, {cfg.iterations}]")
 
-    deterministic = is_deterministic(cfg.problem, algorithm, cfg.batch_size)
+    deterministic = is_deterministic(cfg)
     M = 1 if deterministic else cfg.trials
     if not deterministic and M < 2:
         raise ValueError("stochastic estimates need trials M >= 2")
 
-    run = run_lockstep(cfg, algorithm, range(M), at=checkpoints, averaging=averaging)
+    run = run_lockstep(cfg, range(M), at=checkpoints, averaging=averaging)
     values = run.averaged if averaging else getattr(run, metric)
     # C order, so the mean and stderr add the trials up in trial order (the
     # column selection alone comes out in F order, which sums pairwise)
@@ -250,7 +244,7 @@ def run_verification(
     )
     if checkpoints is None:
         checkpoints = [cp for cp in default_checkpoints(iterations) if cp >= curve.min_t]
-    est = estimate(cfg, row.metric, checkpoints, weighting=weighting, algorithm=row.algorithm)
+    est = estimate(cfg, row.metric, checkpoints, weighting=weighting)
     if policy is None:
         policy = "deterministic" if row.deterministic else "three_sigma"
     verdict = verify_bound(est, curve, policy)

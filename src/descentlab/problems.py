@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from .nonsmooth import Regularizer, prox
 
@@ -348,7 +347,9 @@ def _abs_reference_solve(problem: FiniteSumProblem, ball_B: float, strong_mu: fl
             acc += x
     xbar = acc / (T - tail_from)
 
-    res = _scipy_minimize(
+    # imported here, not at module level: it costs most of the package's import time
+    from scipy.optimize import minimize
+    res = minimize(
         problem.value, xbar, method="Nelder-Mead",
         options={"xatol": 1e-13, "fatol": 1e-15, "maxiter": 20_000, "maxfev": 40_000},
     )
@@ -437,6 +438,8 @@ def build_custom(n, d, value_i, grad_i, x0=None):
 def build_problem(spec: dict):
     """(problem, ground truth, constants) for an inline problem description
     (README schema); ValueError names an unknown kind or a missing field."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"a problem spec is a JSON object, not {type(spec).__name__}")
     kind = spec.get("kind")
     try:
         if kind == "least_squares":
@@ -520,52 +523,19 @@ def composite_noise(composite: CompositeProblem) -> float:
 # Embedded fixture catalogue
 # ---------------------------------------------------------------------------
 
-_LS_4X2 = (np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]]),
-           np.array([1.0, 1.0, 0.0, 0.0]))
-_LS_6X2 = (np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0], [2.0, 0.0], [0.0, 2.0]]),
-           np.array([1.0, 1.0, 0.0, 0.0, 1.0, -1.0]))
-_ABS_2X1 = (np.array([[1.0], [1.0]]), np.array([1.0, -1.0]))
-
-
-def _fx_ls_4x2():
-    p, gt, c = build_least_squares(*_LS_4X2)
-    return Fixture("ls_4x2", p, gt, c)
-
-
-def _fx_ls_6x2():
-    p, gt, c = build_least_squares(*_LS_6X2)
-    return Fixture("ls_6x2", p, gt, c)
-
-
-def _fx_scalar_pl():
-    p, gt, c = build_scalar_pl()
-    return Fixture("scalar_pl", p, gt, c)
-
-
-def _fx_abs_2x1():
-    p, gt, c = build_abs_loss(*_ABS_2X1, strong_mu=0.0, ball_B=2.0)
-    return Fixture("abs_2x1", p, gt, c)
-
-
-def _fx_abs_2x1_reg():
-    p, gt, c = build_abs_loss(*_ABS_2X1, strong_mu=0.5, ball_B=2.0)
-    return Fixture("abs_2x1_reg", p, gt, c)
-
-
-def _fx_lasso_4x2():
-    p, gt, c = build_least_squares(*_LS_4X2)
-    reg = Regularizer.l1(0.1)
-    comp = make_composite(p, c, reg)
-    return Fixture("lasso_4x2", p, gt, c, regularizer=reg, composite=comp)
-
-
+# Problem specs in the inline-problem schema (README), plus an optional
+# regularizer; $DESCENTLAB_FIXTURES/<name>.json files hold the same.
+_LS_4X2 = {"kind": "least_squares", "features": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]],
+           "targets": [1.0, 1.0, 0.0, 0.0]}
+_ABS_2X1 = {"kind": "abs_loss", "rows": [[1.0], [1.0]], "targets": [1.0, -1.0], "ball_B": 2.0}
 _CATALOGUE = {
-    "ls_4x2": _fx_ls_4x2,
-    "ls_6x2": _fx_ls_6x2,
-    "scalar_pl": _fx_scalar_pl,
-    "abs_2x1": _fx_abs_2x1,
-    "abs_2x1_reg": _fx_abs_2x1_reg,
-    "lasso_4x2": _fx_lasso_4x2,
+    "ls_4x2": _LS_4X2,
+    "ls_6x2": {"kind": "least_squares", "features": _LS_4X2["features"] + [[2.0, 0.0], [0.0, 2.0]],
+               "targets": _LS_4X2["targets"] + [1.0, -1.0]},
+    "scalar_pl": {"kind": "scalar_pl"},
+    "abs_2x1": dict(_ABS_2X1, strong_mu=0.0),
+    "abs_2x1_reg": dict(_ABS_2X1, strong_mu=0.5),
+    "lasso_4x2": dict(_LS_4X2, regularizer={"kind": "l1", "lambda": 0.1}),
 }
 
 _FIXTURE_CACHE: dict = {}
@@ -575,14 +545,14 @@ def fixture_names():
     return sorted(_CATALOGUE)
 
 
-def _fixture_from_file(path: str) -> Fixture:
-    with open(path) as fh:
-        spec = json.load(fh)
-    name = os.path.splitext(os.path.basename(path))[0]
+def _fixture_from_spec(name: str, spec: dict) -> Fixture:
     p, gt, c = build_problem(spec)
     reg = comp = None
     if "regularizer" in spec:
-        reg = Regularizer.from_config(spec["regularizer"])
+        try:
+            reg = Regularizer.from_config(spec["regularizer"])
+        except KeyError as exc:
+            raise ValueError(f"regularizer needs field {exc}") from exc
         comp = make_composite(p, c, reg)
     return Fixture(name, p, gt, c, regularizer=reg, composite=comp)
 
@@ -594,14 +564,13 @@ def fixture(name: str) -> Fixture:
     """
     if name in _FIXTURE_CACHE:
         return _FIXTURE_CACHE[name]
-    if name in _CATALOGUE:
-        fx = _CATALOGUE[name]()
-    else:
+    spec = _CATALOGUE.get(name)
+    if spec is None:
         ext_dir = os.environ.get("DESCENTLAB_FIXTURES")
         path = os.path.join(ext_dir, f"{name}.json") if ext_dir else None
-        if path and os.path.exists(path):
-            fx = _fixture_from_file(path)
-        else:
+        if not (path and os.path.exists(path)):
             raise KeyError(f"unknown fixture {name!r}; available: {fixture_names()}")
-    _FIXTURE_CACHE[name] = fx
+        with open(path) as fh:
+            spec = json.load(fh)
+    fx = _FIXTURE_CACHE[name] = _fixture_from_spec(name, spec)
     return fx

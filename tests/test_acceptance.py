@@ -6,6 +6,7 @@ floor of 1e-9 and no statistical slack.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,10 +26,7 @@ from descentlab import (
     lyapunov_check,
     minibatch_constants,
     property_suite,
-    run_gd,
-    run_momentum,
-    run_prox_gd,
-    run_subgradient,
+    run_algorithm,
     run_verification,
 )
 from descentlab.cli import cmd_run
@@ -49,7 +47,7 @@ def test_criterion_01_gd_strongly_convex_contraction():
     cfg = RunConfig(problem=fx.problem, ground_truth=fx.ground_truth,
                     schedule=StepSchedule.constant(gamma), iterations=200,
                     x0=np.array([3.0, -1.0]))
-    tr = run_gd(cfg)
+    tr = run_algorithm(cfg, "gd")
     rate = 1.0 - gamma * fx.constants.mu
     ok = all(
         tr.dist_sq[t + 1] <= rate * tr.dist_sq[t] + 1e-9 * (1.0 + tr.dist_sq[t])
@@ -64,7 +62,7 @@ def test_criterion_02_gd_convex_bound_and_energy():
     x0 = np.array([3.0, -1.0])
     cfg = RunConfig(problem=fx.problem, ground_truth=fx.ground_truth,
                     schedule=StepSchedule.constant(gamma), iterations=1000, x0=x0)
-    tr = run_gd(cfg)
+    tr = run_algorithm(cfg, "gd")
     D2 = float((x0 - fx.ground_truth.x_star) @ (x0 - fx.ground_truth.x_star))
     ok_bound = all(
         tr.f_gap[t] <= D2 / (2 * gamma * t) + 1e-9 * (1 + D2 / (2 * gamma * t))
@@ -82,7 +80,7 @@ def test_criterion_03_gd_pl_linear_rate():
         cfg = RunConfig(problem=fx.problem, ground_truth=fx.ground_truth,
                         schedule=StepSchedule.constant(gamma), iterations=500,
                         x0=np.array([start]))
-        tr = run_gd(cfg)
+        tr = run_algorithm(cfg, "gd")
         envelope = (1 - gamma / 40.0) ** np.arange(501) * tr.f_gap[0]
         ok &= bool(np.all(tr.f_gap <= envelope * (1 + 1e-9) + 1e-15))
     _report(3, "gd linear decay on the nonconvex quadratic-growth benchmark", ok)
@@ -151,7 +149,8 @@ def test_criterion_08_momentum_triple_equivalence():
         cfg = RunConfig(problem=fx.problem, ground_truth=fx.ground_truth,
                         schedule=StepSchedule.momentum_pair(eta), iterations=100,
                         seed=404)
-        runs = [run_momentum(cfg, form) for form in ("buffer", "heavy_ball", "ima")]
+        runs = [run_algorithm(replace(cfg, momentum_form=form), "momentum")
+                for form in ("buffer", "heavy_ball", "ima")]
         for i in range(3):
             for j in range(i + 1, 3):
                 dev = float(np.max(np.abs(runs[i].iterates - runs[j].iterates)))
@@ -188,7 +187,7 @@ def test_criterion_10_ssd_and_pssd():
     cfg = RunConfig(problem=fx.problem, ground_truth=fx.ground_truth,
                     schedule=StepSchedule.inv_sqrt(1.5), iterations=400,
                     projection_B=fx.constants.B, x0=x0, seed=808)
-    tr = run_subgradient(cfg, projected=True)
+    tr = run_algorithm(cfg, "pssd")
     feasible = bool(np.all(np.linalg.norm(tr.iterates, axis=1) <= fx.constants.B + 1e-12))
     _report(10, "subgradient-method envelopes and exact projection feasibility",
             v_ssd.passed and v_pssd.passed and feasible,
@@ -217,7 +216,7 @@ def test_criterion_12_pgd_bounds():
         cfg = RunConfig(problem=fx.problem, ground_truth=fx.ground_truth,
                         schedule=StepSchedule.constant(gamma), iterations=2000,
                         composite=fx.composite, x0=x0)
-        tr = run_prox_gd(cfg)
+        tr = run_algorithm(cfg, "prox_gd")
         # composite objective never increases
         ok &= bool(np.all(np.diff(tr.f_gap) <= 1e-12 * (1 + np.abs(tr.f_gap[:-1]))))
         # sublinear gap bound against the reference infimum, 1e-6 absolute floor

@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,13 +15,7 @@ from descentlab import (
     build_abs_loss,
     build_least_squares,
     fixture,
-    run_gd,
-    run_minibatch_sgd,
-    run_momentum,
-    run_prox_gd,
-    run_prox_sgd,
-    run_sgd,
-    run_subgradient,
+    run_algorithm,
     write_traces_csv,
 )
 
@@ -81,13 +76,13 @@ def test_gd_one_step_exact_on_isotropic_quadratic():
     p, gt, c = build_least_squares(np.eye(3), np.zeros(3))
     cfg = RunConfig(problem=p, ground_truth=gt, schedule=StepSchedule.constant(1.0 / c.L),
                     iterations=1, x0=np.array([4.0, -2.0, 1.0]))
-    tr = run_gd(cfg)
+    tr = run_algorithm(cfg, "gd")
     assert tr.dist_sq[1] == 0.0
 
 
 def test_gd_trace_shape_and_gap_sign():
     fx, cfg = _cfg(T=30, schedule=StepSchedule.constant(1.0))
-    tr = run_gd(cfg)
+    tr = run_algorithm(cfg, "gd")
     assert len(tr.t) == 31
     assert tr.iterates.shape == (31, 2)
     assert np.all(tr.f_gap >= -1e-9 * (1 + np.abs(tr.f_gap)))
@@ -96,7 +91,7 @@ def test_gd_trace_shape_and_gap_sign():
 def test_gd_pl_linear_decay():
     fx, cfg = _cfg("scalar_pl", schedule=StepSchedule.constant(1 / 8),
                    T=100, x0=np.array([3.0]))
-    tr = run_gd(cfg)
+    tr = run_algorithm(cfg, "gd")
     envelope = (1 - (1 / 8) / 40) ** np.arange(101) * tr.f_gap[0]
     assert np.all(tr.f_gap <= envelope * (1 + 1e-9))
 
@@ -104,7 +99,7 @@ def test_gd_pl_linear_decay():
 def test_gd_strongly_convex_contraction_per_step():
     fx, cfg = _cfg(T=200, schedule=StepSchedule.constant(1 / fixture("ls_4x2").constants.L),
                    x0=np.array([3.0, -2.0]))
-    tr = run_gd(cfg)
+    tr = run_algorithm(cfg, "gd")
     rate = 1 - (1 / fx.constants.L) * fx.constants.mu
     for t in range(200):
         assert tr.dist_sq[t + 1] <= rate * tr.dist_sq[t] + 1e-9 * (1 + tr.dist_sq[t])
@@ -113,21 +108,21 @@ def test_gd_strongly_convex_contraction_per_step():
 def test_gd_distance_monotone():
     fx, cfg = _cfg(T=300, schedule=StepSchedule.constant(1 / fixture("ls_4x2").constants.L),
                    x0=np.array([5.0, 1.0]))
-    tr = run_gd(cfg)
+    tr = run_algorithm(cfg, "gd")
     assert np.all(np.diff(tr.dist_sq) <= 1e-12)
 
 
 def test_gd_divergence_error_names_t():
     fx, cfg = _cfg(T=2000, schedule=StepSchedule.constant(1000.0), x0=np.array([1.0, 1.0]))
     with pytest.raises(DivergenceError, match=r"t=\d+") as err:
-        run_gd(cfg)
+        run_algorithm(cfg, "gd")
     assert err.value.t > 0
 
 
 def test_gd_rejects_varying_schedule():
     fx, cfg = _cfg(schedule=StepSchedule.inv_sqrt(0.1))
     with pytest.raises(ValueError, match="constant"):
-        run_gd(cfg)
+        run_algorithm(cfg, "gd")
 
 
 # ---------------------------------------------------------------------------
@@ -137,15 +132,15 @@ def test_gd_rejects_varying_schedule():
 def test_sgd_single_term_equals_gd():
     fx, cfg = _cfg("scalar_pl", schedule=StepSchedule.constant(0.05), T=50,
                    x0=np.array([2.0]))
-    assert np.array_equal(run_sgd(cfg).iterates, run_gd(cfg).iterates)
+    assert np.array_equal(run_algorithm(cfg, "sgd").iterates, run_algorithm(cfg, "gd").iterates)
 
 
 def test_sgd_seed_determinism():
     fx, cfg = _cfg(T=200, seed=42)
-    a, b = run_sgd(cfg), run_sgd(cfg)
+    a, b = run_algorithm(cfg, "sgd"), run_algorithm(cfg, "sgd")
     assert np.array_equal(a.iterates, b.iterates)
     assert np.array_equal(a.f_gap, b.f_gap)
-    c = run_sgd(cfg, trial=1)
+    c = run_algorithm(cfg, "sgd", trial=1)
     assert not np.array_equal(a.iterates, c.iterates)
 
 
@@ -155,18 +150,20 @@ def test_sgd_interpolation_converges():
     cfg = RunConfig(problem=p, ground_truth=gt,
                     schedule=StepSchedule.constant(0.9 / (2 * c.L_max)),
                     iterations=4000, x0=np.array([2.0, 2.0]), seed=3)
-    tr = run_sgd(cfg)
+    tr = run_algorithm(cfg, "sgd")
     assert tr.f_gap[-1] <= 1e-8
 
 
 def test_minibatch_full_batch_equals_gd():
     fx, cfg = _cfg(T=60, batch_size=4, x0=np.array([1.0, 2.0]))
-    assert np.allclose(run_minibatch_sgd(cfg).iterates, run_gd(cfg).iterates, atol=1e-14)
+    assert np.allclose(run_algorithm(cfg, "minibatch_sgd").iterates,
+                       run_algorithm(cfg, "gd").iterates, atol=1e-14)
 
 
 def test_minibatch_b1_replays_sgd_stream():
     fx, cfg = _cfg(T=200, batch_size=1, seed=9)
-    assert np.array_equal(run_minibatch_sgd(cfg).iterates, run_sgd(cfg).iterates)
+    assert np.array_equal(run_algorithm(cfg, "minibatch_sgd").iterates,
+                          run_algorithm(cfg, "sgd").iterates)
 
 
 def test_minibatch_rejects_bad_b():
@@ -212,8 +209,8 @@ def test_momentum_zero_beta_equals_sgd():
                     iterations=80, seed=17)
     cfg_sgd = RunConfig(problem=fx.problem, ground_truth=fx.ground_truth,
                         schedule=StepSchedule.inv_sqrt(0.1), iterations=80, seed=17)
-    assert np.allclose(run_momentum(cfg, "buffer").iterates,
-                       run_sgd(cfg_sgd).iterates, atol=1e-15)
+    assert np.allclose(run_algorithm(replace(cfg, momentum_form="buffer"), "momentum").iterates,
+                       run_algorithm(cfg_sgd, "sgd").iterates, atol=1e-15)
 
 
 @pytest.mark.parametrize("name", ["ls_4x2", "ls_6x2", "scalar_pl"])
@@ -222,7 +219,8 @@ def test_momentum_three_forms_coincide(name):
     eta = 1.0 / (4 * fx.constants.L_max)
     cfg = RunConfig(problem=fx.problem, ground_truth=fx.ground_truth,
                     schedule=StepSchedule.momentum_pair(eta), iterations=100, seed=23)
-    runs = {form: run_momentum(cfg, form) for form in ("buffer", "heavy_ball", "ima")}
+    runs = {form: run_algorithm(replace(cfg, momentum_form=form), "momentum")
+            for form in ("buffer", "heavy_ball", "ima")}
     for a in runs.values():
         for b in runs.values():
             assert np.max(np.abs(a.iterates - b.iterates)) <= 1e-8
@@ -231,7 +229,7 @@ def test_momentum_three_forms_coincide(name):
 def test_momentum_requires_beta_schedule():
     fx, cfg = _cfg(schedule=StepSchedule.constant(0.1))
     with pytest.raises(ValueError, match="beta"):
-        run_momentum(cfg, "buffer")
+        run_algorithm(replace(cfg, momentum_form="buffer"), "momentum")
 
 
 def test_ima_requires_momentum_pair():
@@ -239,7 +237,7 @@ def test_ima_requires_momentum_pair():
     cfg = RunConfig(problem=fx.problem, ground_truth=fx.ground_truth,
                     schedule=StepSchedule.explicit([0.1] * 10, [0.5] * 10), iterations=10)
     with pytest.raises(ValueError, match="momentum_pair"):
-        run_momentum(cfg, "ima")
+        run_algorithm(replace(cfg, momentum_form="ima"), "momentum")
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +249,7 @@ def test_subgradient_oscillates_on_abs():
     p, gt, c = build_abs_loss(np.array([[1.0]]), np.array([0.0]), ball_B=1.0)
     cfg = RunConfig(problem=p, ground_truth=gt, schedule=StepSchedule.constant(1.0),
                     iterations=4, x0=np.array([0.5]))
-    tr = run_subgradient(cfg, projected=False)
+    tr = run_algorithm(cfg, "ssd")
     assert np.allclose(tr.iterates.ravel(), [0.5, -0.5, 0.5, -0.5, 0.5])
 
 
@@ -260,7 +258,7 @@ def test_projected_iterates_stay_in_ball():
     cfg = RunConfig(problem=fx.problem, ground_truth=fx.ground_truth,
                     schedule=StepSchedule.inv_sqrt(1.5), iterations=500,
                     projection_B=fx.constants.B, seed=1)
-    tr = run_subgradient(cfg, projected=True)
+    tr = run_algorithm(cfg, "pssd")
     norms = np.linalg.norm(tr.iterates, axis=1)
     assert np.all(norms <= fx.constants.B + 1e-12)
 
@@ -270,7 +268,7 @@ def test_projected_requires_radius():
     cfg = RunConfig(problem=fx.problem, ground_truth=fx.ground_truth,
                     schedule=StepSchedule.constant(0.1), iterations=5)
     with pytest.raises(ValueError, match="projection_B"):
-        run_subgradient(cfg, projected=True)
+        run_algorithm(cfg, "pssd")
 
 
 def test_projected_rejects_infeasible_start():
@@ -279,7 +277,7 @@ def test_projected_rejects_infeasible_start():
                     schedule=StepSchedule.constant(0.1), iterations=5,
                     projection_B=1.0, x0=np.array([5.0]))
     with pytest.raises(ValueError, match="inside"):
-        run_subgradient(cfg, projected=True)
+        run_algorithm(cfg, "pssd")
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +295,8 @@ def test_prox_gd_zero_reg_equals_gd():
     cfg_gd = RunConfig(problem=fx.problem, ground_truth=fx.ground_truth,
                        schedule=StepSchedule.constant(gamma), iterations=50,
                        x0=np.array([2.0, -1.0]))
-    assert np.allclose(run_prox_gd(cfg).iterates, run_gd(cfg_gd).iterates, atol=1e-15)
+    assert np.allclose(run_algorithm(cfg, "prox_gd").iterates,
+                       run_algorithm(cfg_gd, "gd").iterates, atol=1e-15)
 
 
 def test_prox_gd_ball_constrained_projection():
@@ -308,7 +307,7 @@ def test_prox_gd_ball_constrained_projection():
     comp = make_composite(p, c, Regularizer.ball_indicator(1.0))
     cfg = RunConfig(problem=p, ground_truth=gt, schedule=StepSchedule.constant(1.0 / c.L),
                     iterations=200, composite=comp, x0=np.zeros(2))
-    tr = run_prox_gd(cfg)
+    tr = run_algorithm(cfg, "prox_gd")
     assert np.allclose(tr.iterates[-1], [0.6, 0.8], atol=1e-10)
 
 
@@ -317,7 +316,7 @@ def test_prox_gd_F_monotone():
     cfg = RunConfig(problem=fx.problem, ground_truth=fx.ground_truth,
                     schedule=StepSchedule.constant(1.0 / fx.constants.L),
                     iterations=300, composite=fx.composite, x0=np.array([4.0, -3.0]))
-    tr = run_prox_gd(cfg)
+    tr = run_algorithm(cfg, "prox_gd")
     assert np.all(np.diff(tr.f_gap) <= 1e-12 * (1 + np.abs(tr.f_gap[:-1])))
 
 
@@ -330,13 +329,14 @@ def test_prox_sgd_zero_reg_equals_sgd():
                     composite=comp, seed=6)
     cfg_sgd = RunConfig(problem=fx.problem, ground_truth=fx.ground_truth,
                         schedule=StepSchedule.constant(0.2), iterations=120, seed=6)
-    assert np.allclose(run_prox_sgd(cfg).iterates, run_sgd(cfg_sgd).iterates, atol=1e-15)
+    assert np.allclose(run_algorithm(cfg, "prox_sgd").iterates,
+                       run_algorithm(cfg_sgd, "sgd").iterates, atol=1e-15)
 
 
 def test_prox_runs_need_composite():
     fx, cfg = _cfg()
     with pytest.raises(ValueError, match="composite"):
-        run_prox_gd(cfg)
+        run_algorithm(cfg, "prox_gd")
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +345,7 @@ def test_prox_runs_need_composite():
 
 def test_uniform_average_is_running_mean():
     fx, cfg = _cfg(T=10, x0=np.array([1.0, 0.0]))
-    tr = run_gd(cfg)
+    tr = run_algorithm(cfg, "gd")
     for t in (1, 5, 10):
         assert np.allclose(averaged_iterate(tr, "uniform", upto=t),
                            tr.iterates[:t].mean(axis=0))
@@ -353,7 +353,7 @@ def test_uniform_average_is_running_mean():
 
 def test_p_tk_constant_schedule_reduces_to_uniform():
     fx, cfg = _cfg(T=20, schedule=StepSchedule.constant(0.2), seed=2)
-    tr = run_sgd(cfg)
+    tr = run_algorithm(cfg, "sgd")
     u = averaged_iterate(tr, "uniform")
     w = averaged_iterate(tr, ("p_tk", fx.constants.L_max))
     assert np.allclose(u, w, atol=1e-14)
@@ -361,14 +361,14 @@ def test_p_tk_constant_schedule_reduces_to_uniform():
 
 def test_two_point_midpoint():
     fx, cfg = _cfg(T=2, schedule=StepSchedule.constant(0.3))
-    tr = run_gd(cfg)
+    tr = run_algorithm(cfg, "gd")
     assert np.allclose(averaged_iterate(tr, "uniform", upto=2),
                        0.5 * (tr.iterates[0] + tr.iterates[1]))
 
 
 def test_p_tk_inv_sqrt_hand_computed():
     fx, cfg = _cfg(T=3, schedule=StepSchedule.inv_sqrt(0.1), seed=4)
-    tr = run_sgd(cfg)
+    tr = run_algorithm(cfg, "sgd")
     L = fx.constants.L_max
     g = [0.1 / math.sqrt(k + 1) for k in range(3)]
     w = np.array([gk * (1 - 2 * gk * L) for gk in g])
@@ -378,14 +378,14 @@ def test_p_tk_inv_sqrt_hand_computed():
 
 def test_p_tk_rejects_nonpositive_weights():
     fx, cfg = _cfg(T=5, schedule=StepSchedule.constant(0.5))  # 0.5 >= 1/(2*2)
-    tr = run_sgd(cfg)
+    tr = run_algorithm(cfg, "sgd")
     with pytest.raises(ValueError, match="k=0"):
         averaged_iterate(tr, ("p_tk", fx.constants.L_max))
 
 
 def test_gamma_weighted_average():
     fx, cfg = _cfg(T=4, schedule=StepSchedule.inv_sqrt(0.2), seed=8)
-    tr = run_sgd(cfg)
+    tr = run_algorithm(cfg, "sgd")
     g = tr.gamma[:4]
     want = (g[:, None] * tr.iterates[:4]).sum(axis=0) / g.sum()
     assert np.allclose(averaged_iterate(tr, "gamma_weighted", upto=4), want)
@@ -397,7 +397,7 @@ def test_gamma_weighted_average():
 
 def test_csv_format(tmp_path):
     fx, cfg = _cfg(T=5)
-    tr = run_sgd(cfg)
+    tr = run_algorithm(cfg, "sgd")
     path = tmp_path / "trace.csv"
     write_traces_csv([tr], path)
     lines = path.read_text().splitlines()
@@ -411,8 +411,8 @@ def test_csv_format(tmp_path):
 def test_csv_byte_identical_reruns(tmp_path):
     fx, cfg = _cfg(T=50, seed=13)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_traces_csv([run_sgd(cfg)], a)
-    write_traces_csv([run_sgd(cfg)], b)
+    write_traces_csv([run_algorithm(cfg, "sgd")], a)
+    write_traces_csv([run_algorithm(cfg, "sgd")], b)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -420,7 +420,7 @@ def test_csv_byte_identical_reruns(tmp_path):
 # the lockstep core against the per-trial loops it replaced
 # ---------------------------------------------------------------------------
 
-from descentlab import Regularizer, make_composite, run_algorithm  # noqa: E402
+from descentlab import Regularizer, make_composite  # noqa: E402
 from descentlab.algorithms import run_lockstep  # noqa: E402
 from descentlab.harness import estimate  # noqa: E402
 
@@ -547,7 +547,7 @@ def test_lockstep_replays_reference_loop(case):
     _, cfg, alg, form = case
     for trial in (0, 3):
         xs, f_gap, dist_sq, _ = _ref_run(cfg, alg, trial, form)
-        tr = (run_momentum(cfg, form, trial=trial) if form
+        tr = (run_algorithm(replace(cfg, momentum_form=form), "momentum", trial=trial) if form
               else run_algorithm(cfg, alg, trial=trial))
         assert np.array_equal(tr.iterates, xs)
         assert _close(tr.f_gap, f_gap) and _close(tr.dist_sq, dist_sq)
@@ -560,10 +560,11 @@ def test_lockstep_averages_match_averaged_iterate(case):
     checkpoints = [1, 7, 60]
     objective, inf_val = cfg.problem.value, cfg.ground_truth.inf_f
     for weighting in ("uniform", "gamma_weighted"):
-        run = run_lockstep(cfg, alg, range(3), form=form, at=checkpoints,
+        run = run_lockstep(replace(cfg, algorithm=alg, momentum_form=form or cfg.momentum_form),
+                           range(3), at=checkpoints,
                            averaging=(weighting, cfg.problem.value_rows, inf_val))
         for m, row in enumerate(run.averaged):
-            tr = (run_momentum(cfg, form, trial=m) if form
+            tr = (run_algorithm(replace(cfg, momentum_form=form), "momentum", trial=m) if form
                   else run_algorithm(cfg, alg, trial=m))
             want = [objective(averaged_iterate(tr, weighting, upto=cp)) - inf_val
                     for cp in checkpoints]
@@ -579,9 +580,10 @@ def test_trial_independent_of_M(alg, extra):
     cfg = RunConfig(problem=fx.problem, ground_truth=fx.ground_truth, schedule=sched,
                     iterations=40, seed=5, composite=fx.composite, x0=np.array([2.0, -1.0]),
                     **extra)
-    batched = [run_lockstep(cfg, alg, range(M), keep_iterates=True) for M in (7, 1000)]
+    cfg = replace(cfg, algorithm=alg)
+    batched = [run_lockstep(cfg, range(M), keep_iterates=True) for M in (7, 1000)]
     for m in (0, 1, 6, 999):
-        alone = run_lockstep(cfg, alg, [m], keep_iterates=True)
+        alone = run_lockstep(cfg, [m], keep_iterates=True)
         for run in batched[m >= 7:]:
             for key in ("iterates", "f_gap", "dist_sq"):
                 assert np.array_equal(getattr(run, key)[m], getattr(alone, key)[0])

@@ -294,6 +294,23 @@ def test_run_malformed_external_fixture_exits_2(tmp_path, monkeypatch, capsys):
         assert "problem.fixture" in err and detail in err
 
 
+@pytest.mark.parametrize("content,detail", [
+    (json.dumps({"kind": "least_squares", "features": [[1.0]]}), "targets"),
+    ('{"kind": "least_squares", "features": [[1.0]', "Expecting"),
+    ("[1.0]", "JSON object"),
+    (json.dumps({"kind": "least_squares", "features": [[1.0]], "targets": [1.0],
+                 "regularizer": {"kind": "l1"}}), "regularizer needs field 'lambda'"),
+], ids=["missing_field", "invalid_json", "not_an_object", "regularizer_field"])
+def test_suite_malformed_external_fixture_exits_2(tmp_path, monkeypatch, capsys, content, detail):
+    from descentlab import problems
+    (tmp_path / "bad.json").write_text(content)
+    monkeypatch.setenv("DESCENTLAB_FIXTURES", str(tmp_path))
+    monkeypatch.delitem(problems._FIXTURE_CACHE, "bad", raising=False)
+    assert main(["suite", "--fixture", "bad"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: fixture 'bad'") and detail in err
+
+
 def test_verify_divergence_exits_3_naming_trials(tmp_path, capsys):
     payload = {
         "problem": {"fixture": "abs_2x1"},
@@ -325,3 +342,28 @@ def test_shipped_configs_parse_and_run(tmp_path):
         cfg = load_config(os.path.join(base, name))
         assert cfg.iterations >= 1
     assert cmd_run(os.path.join(base, "run_sgd_ls.json"), out_dir=str(tmp_path)) == 0
+
+
+def test_benchmark_tracer_finds_the_names_it_wraps(monkeypatch, capsys):
+    # perfbench/tracer.py looks each wrapped name up as owner.__dict__[attr]
+    # (cli/harness.run_algorithm, harness.averaged_iterate and bound_curve,
+    # cli.ProcessPoolExecutor, problems/algorithms.prox, the FiniteSumProblem
+    # oracles, the problems builders), so removing one fails only under --trace 1
+    import os
+    from descentlab import algorithms, cli, problems
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    monkeypatch.delitem(problems._FIXTURE_CACHE, "ls_4x2", raising=False)  # rebuilt, traced
+    from tracer import Tracer
+    tracer = Tracer()
+    try:
+        tracer.install()
+        span = tracer.open("bench", "round")
+        rc = main(["verify", "--config", os.path.join(root, "configs", "verify_gd_convex.json")])
+        tracer.close(span)
+    finally:
+        tracer.uninstall()
+    assert rc == 0 and json.loads(capsys.readouterr().out)["pass"] is True
+    names = {s.name for s in tracer.spans}
+    assert {"verdict:gd_convex", "estimate", "bound_curve", "build:build_least_squares"} <= names
+    assert cli.run_algorithm is algorithms.run_algorithm  # uninstalled

@@ -15,8 +15,7 @@ from descentlab import (
     lyapunov_check,
     minibatch_constants,
     property_suite,
-    run_gd,
-    run_prox_gd,
+    run_algorithm,
     run_verification,
     verify_bound,
 )
@@ -197,7 +196,7 @@ def test_gd_energy_monotone():
     fx, cfg = _cfg(T=500, algorithm="gd",
                    schedule=StepSchedule.constant(1 / fixture("ls_4x2").constants.L),
                    x0=np.array([4.0, -2.0]))
-    tr = run_gd(cfg)
+    tr = run_algorithm(cfg, "gd")
     v = lyapunov_check(tr, "gd_energy", cfg.schedule.gamma, fx.ground_truth,
                        L=fx.constants.L)
     assert v.passed
@@ -208,7 +207,7 @@ def test_pgd_energy_monotone():
     cfg = RunConfig(problem=fx.problem, ground_truth=fx.ground_truth,
                     schedule=StepSchedule.constant(1 / fx.constants.L),
                     iterations=500, composite=fx.composite, x0=np.array([4.0, -2.0]))
-    tr = run_prox_gd(cfg)
+    tr = run_algorithm(cfg, "prox_gd")
     v = lyapunov_check(tr, "pgd_energy", cfg.schedule.gamma, fx.composite,
                        L=fx.constants.L)
     assert v.passed
@@ -216,7 +215,7 @@ def test_pgd_energy_monotone():
 
 def test_lyapunov_rejects_large_gamma():
     fx, cfg = _cfg(T=10, algorithm="gd", schedule=StepSchedule.constant(0.1))
-    tr = run_gd(cfg)
+    tr = run_algorithm(cfg, "gd")
     with pytest.raises(ValueError, match="gamma <= 1/L"):
         lyapunov_check(tr, "gd_energy", 10 / fx.constants.L, fx.ground_truth,
                        L=fx.constants.L)

@@ -302,3 +302,48 @@ def test_composite_solver_budget_error():
 def test_unknown_fixture_raises():
     with pytest.raises(KeyError, match="unknown fixture"):
         fixture("nope")
+
+
+# ---------------------------------------------------------------------------
+# fixture catalogue and external fixture files
+# ---------------------------------------------------------------------------
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_catalogue_spec_loaded_from_file_equals_catalogue_fixture(tmp_path, monkeypatch):
+    # the catalogue and $DESCENTLAB_FIXTURES files go through one build path
+    import json
+    from descentlab import problems
+    (tmp_path / "lasso_copy.json").write_text(json.dumps(problems._CATALOGUE["lasso_4x2"]))
+    monkeypatch.setenv("DESCENTLAB_FIXTURES", str(tmp_path))
+    monkeypatch.delitem(problems._FIXTURE_CACHE, "lasso_copy", raising=False)
+    got, want = fixture("lasso_copy"), fixture("lasso_4x2")
+    assert got.name == "lasso_copy"
+    for key in ("features", "targets"):
+        assert _same_bits(got.problem.data[key], want.problem.data[key])
+    assert _same_bits(got.problem.default_x0, want.problem.default_x0)
+    assert _same_bits(got.ground_truth.x_star, want.ground_truth.x_star)
+    assert (got.ground_truth.inf_f, got.ground_truth.inf_f_i, got.ground_truth.provenance) == \
+        (want.ground_truth.inf_f, want.ground_truth.inf_f_i, want.ground_truth.provenance)
+    assert got.constants == want.constants
+    assert got.regularizer == want.regularizer == Regularizer.l1(0.1)
+    gc, wc = got.composite, want.composite
+    assert _same_bits(gc.x_star_F, wc.x_star_F)
+    assert (gc.reg, gc.inf_F, gc.sigma_star_F) == (wc.reg, wc.inf_F, wc.sigma_star_F)
+
+
+def test_import_and_least_squares_build_leave_scipy_out():
+    # scipy.optimize is only needed by the abs-loss reference solver
+    import os
+    import subprocess
+    import sys
+    import descentlab
+    src = os.path.dirname(os.path.dirname(os.path.abspath(descentlab.__file__)))
+    code = ("import sys, descentlab; descentlab.fixture('ls_4x2'); "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "False"

@@ -411,7 +411,7 @@ def test_sgd_invsqrt_curve_upper_bounds_general_form():
 
 def test_setting_table_rows_are_consistent():
     # a typo in a row (method, metric, averaging or deterministic flag) fails here
-    from descentlab.algorithms import ALGORITHMS, is_deterministic
+    from descentlab.algorithms import ALGORITHMS, RunConfig, StepSchedule, is_deterministic
     ls = fixture("ls_4x2")
     for name, row in SETTINGS.items():
         assert row.name == name
@@ -424,7 +424,9 @@ def test_setting_table_rows_are_consistent():
         assert row.composite == (row.algorithm in ("prox_gd", "prox_sgd")), name
         assert row.metric != "avg_F_gap" or row.composite, name
         b = 2 if row.ref == "minibatch" else None
-        assert row.deterministic == is_deterministic(ls.problem, row.algorithm, b), name
+        assert row.deterministic == is_deterministic(RunConfig(
+            problem=ls.problem, ground_truth=ls.ground_truth, schedule=StepSchedule.constant(0.1),
+            iterations=1, batch_size=b, algorithm=row.algorithm)), name
 
 
 def test_gamma_sums_match_rebuilt_array_bit_for_bit():
