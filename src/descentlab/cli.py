@@ -49,6 +49,27 @@ class ConfigError(Exception):
         self.fieldname = fieldname
 
 
+_NUMBER = (int, float)
+# the JSON type of each configuration field; a field whose default is None may be null
+_FIELD_TYPES = {
+    "problem": dict, "algorithm": str, "schedule": dict, "iterations": int, "trials": int,
+    "batch_size": int, "seed": int, "x0": list, "momentum_form": str, "regularizer": dict,
+    "projection_B": _NUMBER, "checkpoints": list, "verify": dict, "outputs": dict,
+}
+_JSON_NAMES = {dict: "a JSON object", str: "a string", int: "an integer", list: "a list",
+               _NUMBER: "a number"}
+
+
+def _is_json(value, kind) -> bool:
+    """Whether a parsed JSON value has the given type (true/false are not numbers)."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _check_json(fieldname: str, value, kind, nullable: bool = False) -> None:
+    if not (_is_json(value, kind) or (nullable and value is None)):
+        raise ConfigError(fieldname, f"must be {_JSON_NAMES[kind]}, got {value!r:.40}")
+
+
 @dataclass
 class ExperimentConfig:
     """Parsed experiment description (see README for the JSON schema)."""
@@ -70,6 +91,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
+        _check_json("config", raw, dict)
         names = [f.name for f in fields(ExperimentConfig)]
         unknown = set(raw) - set(names)
         if unknown:
@@ -77,12 +99,15 @@ class ExperimentConfig:
         for req in ("problem", "algorithm", "schedule", "iterations"):
             if req not in raw:
                 raise ConfigError(req, "required field missing")
+        for f in fields(ExperimentConfig):
+            if f.name in raw:
+                _check_json(f.name, raw[f.name], _FIELD_TYPES[f.name], nullable=f.default is None)
         cfg = ExperimentConfig(**{k: raw[k] for k in names if k in raw})
         if cfg.algorithm not in ALGORITHMS:
             raise ConfigError("algorithm", f"unknown algorithm {cfg.algorithm!r}")
-        if not isinstance(cfg.iterations, int) or cfg.iterations < 1:
+        if cfg.iterations < 1:
             raise ConfigError("iterations", "must be an integer >= 1")
-        if not isinstance(cfg.trials, int) or cfg.trials < 1:
+        if cfg.trials < 1:
             raise ConfigError("trials", "must be an integer >= 1")
         try:
             StepSchedule.from_config(cfg.schedule)
@@ -93,9 +118,13 @@ class ExperimentConfig:
                 Regularizer.from_config(cfg.regularizer)
             except (KeyError, ValueError, TypeError) as exc:
                 raise ConfigError("regularizer", str(exc)) from exc
-        if cfg.checkpoints is not None:
-            if not all(isinstance(c, int) and c >= 0 for c in cfg.checkpoints):
-                raise ConfigError("checkpoints", "must be nonnegative integers")
+        if cfg.x0 is not None and not all(_is_json(v, _NUMBER) for v in cfg.x0):
+            raise ConfigError("x0", "must be a list of numbers")
+        if cfg.checkpoints is not None and not (
+                cfg.checkpoints and all(_is_json(c, int) and c >= 0 for c in cfg.checkpoints)):
+            raise ConfigError("checkpoints", "must be a nonempty list of nonnegative integers")
+        for key, name in cfg.outputs.items():
+            _check_json(f"outputs.{key}", name, str)
         return cfg
 
     def to_dict(self) -> dict:
@@ -117,6 +146,8 @@ def _build_fixture(cfg: ExperimentConfig, setting=None) -> problems.Fixture:
     """The config's problem, with the composite its method needs: the method
     of ``setting`` (a theory.Setting) when verifying, else the config's."""
     spec = cfg.problem
+    if "fixture" in spec:
+        _check_json("problem.fixture", spec["fixture"], str)
     try:
         if "fixture" in spec:
             fx = problems.fixture(spec["fixture"])
@@ -138,6 +169,13 @@ def _build_fixture(cfg: ExperimentConfig, setting=None) -> problems.Fixture:
                             regularizer=reg, composite=comp)
 
 
+def _start_point(cfg: ExperimentConfig, fx: problems.Fixture) -> Optional[np.ndarray]:
+    """The config's x0 as an array of the problem's dimension (None: the default)."""
+    if cfg.x0 is not None and len(cfg.x0) != fx.problem.d:
+        raise ConfigError("x0", f"must have length {fx.problem.d}")
+    return None if cfg.x0 is None else np.asarray(cfg.x0, dtype=float)
+
+
 def _run_config(cfg: ExperimentConfig, fx: problems.Fixture, seed: int) -> RunConfig:
     if cfg.algorithm == "minibatch_sgd":
         if cfg.batch_size is None:
@@ -150,9 +188,6 @@ def _run_config(cfg: ExperimentConfig, fx: problems.Fixture, seed: int) -> RunCo
         projection_B = fx.constants.B if fx.constants.B > 0 else None
         if projection_B is None:
             raise ConfigError("projection_B", "pssd needs a projection radius")
-    x0 = np.asarray(cfg.x0, dtype=float) if cfg.x0 is not None else None
-    if x0 is not None and x0.shape != (fx.problem.d,):
-        raise ConfigError("x0", f"must have length {fx.problem.d}")
     try:
         return RunConfig(
             problem=fx.problem,
@@ -164,7 +199,7 @@ def _run_config(cfg: ExperimentConfig, fx: problems.Fixture, seed: int) -> RunCo
             batch_size=cfg.batch_size,
             projection_B=projection_B,
             composite=fx.composite if cfg.algorithm.startswith("prox") else None,
-            x0=x0,
+            x0=_start_point(cfg, fx),
             momentum_form=cfg.momentum_form,
             algorithm=cfg.algorithm,
         )
@@ -235,13 +270,14 @@ def cmd_verify(config_path: str, seed_override: Optional[int] = None) -> int:
         cfg = load_config(config_path)
         if not cfg.verify or "setting" not in cfg.verify:
             raise ConfigError("verify.setting", "verify needs a theorem setting")
+        _check_json("verify.setting", cfg.verify["setting"], str)
         row = theory.SETTINGS.get(cfg.verify["setting"])
         if row is None:
             raise ConfigError("verify.setting", f"unknown setting {cfg.verify['setting']!r}")
         fx = _build_fixture(cfg, row)
         seed = cfg.seed if seed_override is None else seed_override
         schedule = StepSchedule.from_config(cfg.schedule)
-        x0 = np.asarray(cfg.x0, dtype=float) if cfg.x0 is not None else None
+        x0 = _start_point(cfg, fx)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -271,13 +307,19 @@ def cmd_verify(config_path: str, seed_override: Optional[int] = None) -> int:
 def _constants_from_json(path: str) -> dict:
     with open(path) as fh:
         raw = json.load(fh)
-    sm = raw.get("smooth", {})
+    _check_json("constants", raw, dict)
+    for section in ("smooth", "lipschitz", "composite"):
+        _check_json(section, raw.get(section), dict, nullable=True)
+        for key, val in (raw.get(section) or {}).items():
+            _check_json(f"{section}.{key}", val, list if key == "L_i" else _NUMBER, nullable=True)
+    _check_json("batch_size", raw.get("batch_size", 2), int)
+    sm = raw.get("smooth") or {}
     needed = ("n", "L", "L_max", "mu", "mu_pl", "sigma_star_f", "delta_star_f")
     for key in needed:
-        if key not in sm:
+        if sm.get(key) is None:
             raise ValueError(f"missing constant: {key}")
     consts = problems.ProblemConstants(
-        n=int(sm["n"]), L=float(sm["L"]), L_i=tuple(sm.get("L_i", ())),
+        n=int(sm["n"]), L=float(sm["L"]), L_i=tuple(sm.get("L_i") or ()),
         L_max=float(sm["L_max"]),
         L_avg=float(sm.get("L_avg", sm["L_max"])),
         mu=float(sm["mu"]), mu_pl=float(sm["mu_pl"]),
@@ -330,7 +372,7 @@ def cmd_table(constants_source: str, epsilon: float, csv_path: Optional[str] = N
         else:
             sources = table_sources_for_fixture(constants_source, batch_size)
         table = theory.complexity_table(sources, epsilon)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ConfigError, ValueError, KeyError, OSError) as exc:
         print(f"table error: {exc}", file=sys.stderr)
         return 2
     print(theory.table_to_text(table))

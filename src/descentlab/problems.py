@@ -178,12 +178,14 @@ def _matvec_rows(A: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """A minimizer of f, its infimum, and the per-term infima."""
+    """A minimizer of f, its infimum, the per-term infima and, for abs_loss, the
+    KKT multipliers certifying the minimizer (see ``_abs_reference_solve``)."""
 
     x_star: np.ndarray
     inf_f: float
     inf_f_i: tuple
     provenance: str  # "closed_form" | "reference_solver"
+    multipliers: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -323,62 +325,65 @@ def build_scalar_pl():
     return problem, gt, consts
 
 
-def _abs_reference_solve(problem: FiniteSumProblem, ball_B: float, strong_mu: float):
-    """Reference minimizer: projected subgradient descent with tail averaging,
-    polished with a derivative-free local search, then (when the minimizer may be
-    non-unique) shrunk toward the origin for a minimum-norm representative."""
-    n, d = problem.n, problem.d
-    rows = problem.data["rows"]
-    G = float(np.max(np.linalg.norm(rows, axis=1))) + strong_mu * ball_B
-    rng = np.random.default_rng(123456789)
-    T = 60_000
-    idx = (rng.random(T) * n).astype(np.int64)
-    x = np.zeros(d)
-    tail_from = T // 2
-    acc = np.zeros(d)
-    scale = ball_B / max(G, 1e-12)
-    for t in range(T):
-        g = problem.grad_i(int(idx[t]), x)
-        x = x - (scale / math.sqrt(t + 1.0)) * g
-        nx = float(np.linalg.norm(x))
-        if nx > ball_B:
-            x = x * (ball_B / nx)
-        if t >= tail_from:
-            acc += x
-    xbar = acc / (T - tail_from)
-
+def _abs_reference_solve(problem: FiniteSumProblem):
+    """Exact minimizer of f(x) = (1/n)||Ax - b||_1 + (mu/2)||x||^2 and the KKT multipliers
+    lam certifying it, to 1e-12 relative: lam_i = sign(r_i) where r = Ax - b is nonzero,
+    |lam_i| <= 1 where r_i = 0, and mu x + A^T lam/n = 0.  An approximate solve of the dual
+    over the box |lam_i| <= 1 tells which r_i vanish; x is then a linear solve.  For mu = 0
+    this runs at mu_eff = 1, 1/4, ... until x is certified for f itself, which makes it the
+    minimum-norm minimizer (exact regularization; Friedlander & Tseng, SIAM J. Optim. 2007)."""
     # imported here, not at module level: it costs most of the package's import time
-    from scipy.optimize import minimize
-    res = minimize(
-        problem.value, xbar, method="Nelder-Mead",
-        options={"xatol": 1e-13, "fatol": 1e-15, "maxiter": 20_000, "maxfev": 40_000},
-    )
-    cand = res.x if res.fun <= problem.value(xbar) else xbar
-    fbest = problem.value(cand)
+    from scipy.linalg import null_space
+    from scipy.optimize import Bounds, linprog, minimize
 
-    if strong_mu == 0.0 and np.linalg.norm(cand) > 0:
-        # minimum-norm representative: smallest s with f(s * cand) still optimal
-        tol = 1e-12 * (1.0 + abs(fbest))
-        lo, hi = 0.0, 1.0
-        if problem.value(0.0 * cand) <= fbest + tol:
-            hi = 0.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if problem.value(mid * cand) <= fbest + tol:
-                hi = mid
-            else:
-                lo = mid
-        cand = hi * cand
-        fbest = min(fbest, problem.value(cand))
-    return np.asarray(cand, dtype=float), float(fbest)
+    A, b, n = problem.data["rows"], problem.data["targets"], problem.n
+    strong_mu = problem.data["strong_mu"]
+
+    def scale(x):  # magnitude of the terms of each residual, for relative tolerances
+        return 1.0 + np.abs(A) @ np.abs(x) + np.abs(b)
+
+    def kkt_point(mu, zero, s):
+        # r_i = 0 on `zero`, lam_i = s_i elsewhere; projecting onto null(A_zero)
+        # before dividing by mu keeps those zeros exact however small mu is
+        N = null_space(A[zero])
+        x = np.linalg.lstsq(A[zero], b[zero], rcond=None)[0]
+        return x - N @ (N.T @ (A[~zero].T @ s[~zero])) / (n * mu)
+
+    def solve(mu):
+        H = A @ A.T / (n * mu)
+        lam = np.zeros(n)
+        with np.errstate(divide="ignore"):  # L-BFGS-B's unused inverse-Hessian estimate
+            for method in ("L-BFGS-B", "SLSQP"):  # a fast start, then an active-set polish
+                lam = minimize(lambda v: (0.5 * v @ H @ v + v @ b, H @ v + b), lam, jac=True,
+                               method=method, bounds=Bounds(-1.0, 1.0), tol=1e-16).x
+        x = kkt_point(mu, np.abs(lam) < 1.0 - 1e-9, np.sign(lam))
+        r = A @ x - b  # again on the zeros of its own residuals, weakly active ones included
+        return kkt_point(mu, np.abs(r) <= 1e-9 * scale(x), np.sign(r))
+
+    def certificate(x):
+        # multipliers of x (an LP: they need not be unique) and their relative KKT residual
+        r = A @ x - b
+        box = np.where((np.abs(r) <= 1e-12 * scale(x))[:, None], [-1.0, 1.0], np.sign(r)[:, None])
+        lp = linprog(np.zeros(n), A_eq=A.T, b_eq=-n * strong_mu * x, bounds=box)
+        lam = np.clip(lp.x if lp.status == 0 else np.nan, box[:, 0], box[:, 1])  # nan: none
+        gap = np.abs(strong_mu * x + A.T @ lam / n).max()
+        return lam, gap / (1.0 + strong_mu * np.abs(x).max() + np.abs(A).max())
+
+    for mu_eff in [strong_mu] if strong_mu > 0 else 4.0 ** -np.arange(30):
+        x = solve(mu_eff)
+        lam, gap = certificate(x)
+        if gap <= 1e-12:
+            return x, lam
+    raise ValueError(f"abs_loss minimizer not certified: relative KKT residual {gap:.3g}")
 
 
 def build_abs_loss(rows, targets, strong_mu: float = 0.0, ball_B: float = 1.0):
     """Absolute loss f_i(x) = |<a_i, x> - b_i| + (strong_mu/2) ||x||^2.
 
     Subgradients are bounded on the ball of radius ball_B by
-    G = max_i ||a_i|| + strong_mu * ball_B.  The minimizer comes from a pinned
-    reference solver and must lie inside the ball (error otherwise).
+    G = max_i ||a_i|| + strong_mu * ball_B.  The minimizer is exact (of minimum
+    norm if strong_mu = 0) and certified by KKT multipliers; ValueError if the
+    certificate fails or the minimizer is not inside the ball.
     """
     rows, targets = _check_matrix(rows, targets, "rows")
     if strong_mu < 0:
@@ -393,36 +398,30 @@ def build_abs_loss(rows, targets, strong_mu: float = 0.0, ball_B: float = 1.0):
         differentiable=False,
     )
 
-    x_star, inf_f = _abs_reference_solve(problem, ball_B, strong_mu)
+    x_star, multipliers = _abs_reference_solve(problem)
     if np.linalg.norm(x_star) > ball_B * (1.0 - 1e-9):
         raise ValueError(
             f"reference minimizer sits on the ball boundary (|x*| = "
             f"{np.linalg.norm(x_star):.6g}); increase ball_B beyond {ball_B}"
         )
+    inf_f = problem.value(x_star)
 
-    inf_f_i = []
-    for i in range(n):
-        a2 = float(rows[i] @ rows[i])
-        b = float(targets[i])
-        if a2 == 0.0:
-            inf_f_i.append(abs(b))
-        elif strong_mu == 0.0:
-            inf_f_i.append(0.0)
-        else:
-            c = strong_mu / (2.0 * a2)
-            thr = 1.0 / (2.0 * c)
-            inf_f_i.append(c * b * b if abs(b) <= thr else abs(b) - 1.0 / (4.0 * c))
+    # inf of |<a, x> - b| + (mu/2)||x||^2 in closed form, with c = mu/(2|a|^2)
+    a2 = np.array([float(a @ a) for a in rows])
+    with np.errstate(divide="ignore", invalid="ignore"):  # a2 = 0 or mu = 0
+        c = strong_mu / (2.0 * a2)
+        inf_f_i = tuple(np.where(a2 == 0.0, np.abs(targets), np.where(
+            np.abs(targets) <= 1.0 / (2.0 * c), c * targets * targets,
+            np.abs(targets) - 1.0 / (4.0 * c))).tolist())
 
-    G = float(np.max(np.linalg.norm(rows, axis=1))) + strong_mu * ball_B
-    gt = GroundTruth(
-        x_star=x_star, inf_f=inf_f, inf_f_i=tuple(inf_f_i), provenance="reference_solver",
-    )
+    gt = GroundTruth(x_star=x_star, inf_f=inf_f, inf_f_i=inf_f_i,
+                     provenance="reference_solver", multipliers=multipliers)
     consts = ProblemConstants(
         n=n, L=math.inf, L_i=(math.inf,) * n, L_max=math.inf, L_avg=math.inf,
         mu=float(strong_mu), mu_pl=0.0,
         sigma_star_f=gradient_variance(problem, x_star),
         delta_star_f=inf_f - sum(inf_f_i) / n,
-        G=G, B=float(ball_B),
+        G=float(np.max(np.linalg.norm(rows, axis=1))) + strong_mu * ball_B, B=float(ball_B),
     )
     return problem, gt, consts
 

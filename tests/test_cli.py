@@ -367,3 +367,89 @@ def test_benchmark_tracer_finds_the_names_it_wraps(monkeypatch, capsys):
     names = {s.name for s in tracer.spans}
     assert {"verdict:gd_convex", "estimate", "bound_curve", "build:build_least_squares"} <= names
     assert cli.run_algorithm is algorithms.run_algorithm  # uninstalled
+
+
+def _verify_config(**overrides):
+    return dict(_gd_config(verify={"setting": "gd_convex"}), **overrides)
+
+
+@pytest.mark.parametrize("command,payload,fieldname", [
+    ("run", 5, "config"),
+    ("run", _gd_config(problem=5), "problem"),
+    ("run", _gd_config(schedule="constant"), "schedule"),
+    ("run", _gd_config(regularizer="l1"), "regularizer"),
+    ("run", _gd_config(x0="ab"), "x0"),
+    ("run", _gd_config(algorithm="minibatch_sgd", batch_size="2"), "batch_size"),
+    ("run", _gd_config(seed="x"), "seed"),
+    ("verify", _verify_config(x0="ab"), "x0"),
+    ("run", _gd_config(problem={"fixture": [1]}), "problem.fixture"),
+    ("run", _gd_config(outputs={"trace": 5}), "outputs.trace"),
+    ("verify", _verify_config(verify={"setting": []}), "verify.setting"),
+], ids=["not_an_object", "problem", "schedule", "regularizer", "x0", "batch_size", "seed",
+        "verify_x0", "fixture_name", "output_name", "verify_setting"])
+def test_malformed_config_value_exits_2_naming_field(tmp_path, capsys, command, payload,
+                                                     fieldname):
+    argv = [command, "--config", _write(tmp_path, "cfg.json", payload)]
+    if command == "run":
+        argv += ["--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: field {fieldname!r}:")
+
+
+_SMOOTH = {"n": 4, "L": 1.0, "L_max": 2.0, "mu": 0.5, "mu_pl": 0.5, "sigma_star_f": 0.1,
+           "delta_star_f": 0.1, "D2": 1.0, "f0_gap": 1.0}
+
+
+@pytest.mark.parametrize("payload,fieldname", [
+    ({"smooth": 5}, "smooth"),
+    ([1, 2], "constants"),
+    ({"smooth": _SMOOTH, "lipschitz": {"G": [1.0], "D2": 1.0}}, "lipschitz.G"),
+], ids=["section_not_an_object", "not_an_object", "constant_not_a_number"])
+def test_table_malformed_constants_file_exits_2(tmp_path, capsys, payload, fieldname):
+    path = _write(tmp_path, "k.json", payload)
+    assert main(["table", "--constants", path, "--epsilon", "1e-3"]) == 2
+    assert capsys.readouterr().err.startswith(f"table error: field {fieldname!r}:")
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_x0_of_wrong_length_is_a_config_error(tmp_path, capsys, command):
+    argv = [command, "--config", _write(tmp_path, "cfg.json", _verify_config(x0=[1.0, 2.0, 3.0]))]
+    if command == "run":
+        argv += ["--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.strip() == "config error: field 'x0': must have length 2"
+
+
+def test_verify_empty_checkpoints_is_a_config_error(tmp_path, capsys):
+    assert main(["verify", "--config", _write(tmp_path, "cfg.json",
+                                              _verify_config(checkpoints=[]))]) == 2
+    assert capsys.readouterr().err.startswith("config error: field 'checkpoints':")
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "suite"])
+def test_failed_abs_certificate_exits_2(tmp_path, monkeypatch, capsys, command):
+    import types
+
+    import numpy as np
+    import scipy.optimize
+
+    from descentlab import problems
+    (tmp_path / "abs_copy.json").write_text(json.dumps(problems._CATALOGUE["abs_2x1_reg"]))
+    monkeypatch.setenv("DESCENTLAB_FIXTURES", str(tmp_path))
+    monkeypatch.delitem(problems._FIXTURE_CACHE, "abs_copy", raising=False)
+    # a broken dual solve: every multiplier at the corner +1, so x* comes out wrong
+    monkeypatch.setattr(scipy.optimize, "minimize",
+                        lambda fun, x0, **kw: types.SimpleNamespace(x=np.ones_like(x0)))
+    if command == "suite":
+        argv = ["suite", "--fixture", "abs_copy"]
+    else:
+        cfg = {"problem": {"fixture": "abs_copy"}, "algorithm": "ssd", "iterations": 10,
+               "schedule": {"kind": "inv_sqrt", "gamma0": 0.1},
+               "verify": {"setting": "ssd_convex_general"}}
+        argv = [command, "--config", _write(tmp_path, "cfg.json", cfg)]
+        argv += ["--out-dir", str(tmp_path)] if command == "run" else []
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "abs_loss minimizer not certified" in err
+    assert "abs_copy" not in problems._FIXTURE_CACHE

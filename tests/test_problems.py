@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from descentlab import (
     Regularizer,
@@ -174,8 +176,8 @@ def test_scalar_pl_is_not_convex():
 
 def test_abs_single_term():
     p, gt, c = build_abs_loss(np.array([[1.0]]), np.array([0.0]), strong_mu=0.0, ball_B=1.0)
-    assert abs(gt.x_star[0]) <= 1e-8
-    assert gt.inf_f <= 1e-10
+    assert gt.x_star[0] == 0.0
+    assert gt.inf_f == 0.0
     assert c.G == 1.0
 
 
@@ -186,7 +188,7 @@ def test_abs_2x1_against_scan_oracle():
     fx = fixture("abs_2x1")
     assert fx.ground_truth.inf_f == pytest.approx(vals.min(), abs=1e-9)
     # minimum-norm representative of the flat region [-1, 1]
-    assert abs(fx.ground_truth.x_star[0]) <= 1e-6
+    assert fx.ground_truth.x_star[0] == 0.0
     assert fx.constants.G == 1.0
 
 
@@ -197,7 +199,7 @@ def test_abs_subgradient_bound_on_ball():
     assert c.mu == 0.5
     # closed-form per-term infima: c_i = mu/(2||a||^2) = 0.25, |b|=1 <= 1/(2c)=2
     assert gt.inf_f_i == pytest.approx((0.25, 0.25))
-    assert c.delta_star_f == pytest.approx(1.0 - 0.25, abs=1e-8)
+    assert c.delta_star_f == 0.75
 
 
 def test_abs_minimizer_outside_ball_rejected():
@@ -208,6 +210,66 @@ def test_abs_minimizer_outside_ball_rejected():
 def test_abs_selection_at_kink_is_zero():
     p, _, _ = build_abs_loss(np.array([[2.0]]), np.array([0.0]), ball_B=1.0)
     assert p.grad_i(0, np.zeros(1))[0] == 0.0
+
+
+@st.composite
+def _abs_instances(draw):
+    """(rows, targets, strong_mu, seed): n <= 8, d <= 3; Gaussian data, integer data in
+    {-2..2} with duplicate and zero rows, and interpolating data with n <= d."""
+    d = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["gaussian", "integer", "interpolating"]))
+    n = draw(st.integers(1, d if kind == "interpolating" else 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()) and kind != "gaussian":
+        base = np.array(draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                                      min_size=n, max_size=n)), dtype=float)
+        # each row is its own, a copy of an earlier row, or zero (-1)
+        rows = np.array([base[j] if j >= 0 else np.zeros(d)
+                         for j in (draw(st.integers(-1, i)) for i in range(n))])
+    else:
+        rows = rng.standard_normal((n, d))
+    if kind == "interpolating":
+        targets = rows @ rng.standard_normal(d)
+    elif kind == "integer":
+        targets = np.array(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)), float)
+    else:
+        targets = rng.standard_normal(n)
+    strong_mu = draw(st.sampled_from([0.0]) | st.floats(-6.0, 1.0).map(lambda e: 10.0**e))
+    return rows, targets, strong_mu, seed
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_abs_instances())
+def test_abs_minimizer_is_certified_and_optimal(instance):
+    from scipy.linalg import null_space
+    rows, targets, mu, seed = instance
+    p, gt, _ = build_abs_loss(rows, targets, strong_mu=mu, ball_B=1e9)
+    x, lam, n = gt.x_star, gt.multipliers, len(targets)
+    # the certificate, checked here independently of the solver
+    r = rows @ x - targets
+    scale = 1.0 + np.abs(rows) @ np.abs(x) + np.abs(targets)
+    nonzero = np.abs(r) > 1e-12 * scale
+    assert np.array_equal(lam[nonzero], np.sign(r[nonzero]))
+    assert np.all(np.abs(lam) <= 1.0)
+    kkt = np.abs(mu * x + rows.T @ lam / n).max()
+    assert kkt <= 1e-12 * (1.0 + mu * np.abs(x).max() + np.abs(rows).max())
+    assert gt.inf_f == p.value(x)
+    # no random perturbation lowers f
+    rng = np.random.default_rng(seed)
+    tol = 1e-12 * scale.mean()
+    for size in (1e-7, 1e-4, 1e-2):
+        for u in rng.standard_normal((20, len(x))):
+            assert p.value(x + size * u / np.linalg.norm(u)) >= gt.inf_f - tol
+    if mu == 0.0:
+        # minimum norm: moving along the optimal set, here x + null(rows with r_i = 0)
+        # (f is constant there since A^T lam = 0), never shortens x
+        null = null_space(rows[~nonzero])
+        for size in (1e-7, 1e-4, 1e-2):
+            for u in rng.standard_normal((20, null.shape[1])):
+                y = x + size * (null @ u) / max(np.linalg.norm(u), 1e-300)
+                if p.value(y) <= gt.inf_f + tol:
+                    assert y @ y >= x @ x - 1e-12 * (1.0 + x @ x)
 
 
 # ---------------------------------------------------------------------------
