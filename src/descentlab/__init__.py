@@ -15,7 +15,6 @@ from .problems import (
     build_abs_loss,
     minibatch_constants,
     make_composite,
-    composite_noise,
     fixture,
     fixture_names,
 )

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .nonsmooth import Regularizer, prox
+from .nonsmooth import Regularizer, prox, spec_value
 from .problems import CompositeProblem, FiniteSumProblem, GroundTruth
 
 __all__ = [
@@ -29,6 +29,8 @@ __all__ = [
     "averaged_iterate",
     "write_traces_csv",
     "ALGORITHMS",
+    "FULL_GRADIENT",
+    "PROXIMAL",
 ]
 
 _DIVERGENCE_FACTOR = 1e12
@@ -121,27 +123,19 @@ class StepSchedule:
 
     @staticmethod
     def from_config(cfg: dict) -> "StepSchedule":
+        """Parse a schedule spec; KeyError names a missing field, SpecError a
+        field that is not a JSON number (``horizon``: an integer)."""
         kind = cfg.get("kind")
         if kind == "constant":
-            return StepSchedule.constant(cfg["gamma"])
+            return StepSchedule.constant(spec_value(cfg, "gamma"))
         if kind == "inv_sqrt":
-            return StepSchedule.inv_sqrt(cfg["gamma0"])
+            return StepSchedule.inv_sqrt(spec_value(cfg, "gamma0"))
         if kind == "momentum_pair":
-            return StepSchedule.momentum_pair(cfg["eta"])
+            return StepSchedule.momentum_pair(spec_value(cfg, "eta"))
         if kind == "horizon_constant":
-            return StepSchedule.horizon_constant(cfg["gamma"], cfg["horizon"])
+            return StepSchedule.horizon_constant(spec_value(cfg, "gamma"),
+                                                 spec_value(cfg, "horizon", int))
         raise ValueError(f"unknown schedule kind {kind!r}")
-
-    def to_config(self) -> dict:
-        if self.kind == "constant":
-            return {"kind": "constant", "gamma": self.gamma}
-        if self.kind == "inv_sqrt":
-            return {"kind": "inv_sqrt", "gamma0": self.gamma0}
-        if self.kind == "momentum_pair":
-            return {"kind": "momentum_pair", "eta": self.eta}
-        if self.kind == "horizon_constant":
-            return {"kind": "horizon_constant", "gamma": self.gamma, "horizon": self.horizon}
-        raise ValueError("explicit schedules are not serializable")
 
 
 @dataclass
@@ -150,7 +144,6 @@ class Trace:
 
     algorithm: str
     trial: int
-    rng_seed: int
     t: np.ndarray
     gamma: np.ndarray
     f_gap: np.ndarray
@@ -216,7 +209,11 @@ def _draw_batches(rng: np.random.Generator, T: int, n: int, b: int) -> np.ndarra
     return perm[:, :b].copy()
 
 
-ALGORITHMS = ("gd", "sgd", "minibatch_sgd", "momentum", "ssd", "pssd", "prox_gd", "prox_sgd")
+# methods that step on the full gradient, so their trajectory is deterministic
+FULL_GRADIENT = ("gd", "prox_gd")
+# methods that step on F = f + g through the prox of g, so they need a composite
+PROXIMAL = ("prox_gd", "prox_sgd")
+ALGORITHMS = ("gd", "sgd", "minibatch_sgd", "momentum", "ssd", "pssd") + PROXIMAL
 
 
 def _method(cfg: RunConfig, gamma, X0: np.ndarray):
@@ -228,13 +225,13 @@ def _method(cfg: RunConfig, gamma, X0: np.ndarray):
     sched, algorithm, form = cfg.schedule, cfg.algorithm, cfg.momentum_form
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {sorted(ALGORITHMS)}")
-    if algorithm in ("gd", "prox_gd") and not sched.is_constant:
+    if algorithm in FULL_GRADIENT and not sched.is_constant:
         raise ValueError(f"{algorithm} requires a constant stepsize schedule")
     if algorithm in ("sgd", "prox_sgd") and not (sched.is_constant or sched.kind == "inv_sqrt"):
         raise ValueError(f"{algorithm} supports constant or inv_sqrt schedules")
     problem, reg, batch, name = cfg.problem, None, None, algorithm
     gap = (problem.value_rows, cfg.ground_truth.inf_f, cfg.ground_truth.x_star)
-    if algorithm in ("prox_gd", "prox_sgd"):
+    if algorithm in PROXIMAL:
         comp = cfg.composite
         if comp is None:
             raise ValueError(f"{algorithm} needs cfg.composite")
@@ -315,7 +312,6 @@ class Lockstep:
 
     algorithm: str
     trials: np.ndarray  # (M,) trial numbers
-    seed: int
     t: np.ndarray  # recorded steps, ascending
     gamma: np.ndarray  # (T+1,) stepsizes
     f_gap: np.ndarray  # (M, len(t))
@@ -325,8 +321,8 @@ class Lockstep:
 
     def traces(self) -> list:  # of a run that recorded every step
         return [
-            Trace(algorithm=self.algorithm, trial=int(m), rng_seed=self.seed + int(m),
-                  t=self.t, gamma=self.gamma, f_gap=self.f_gap[j], dist_sq=self.dist_sq[j],
+            Trace(algorithm=self.algorithm, trial=int(m), t=self.t, gamma=self.gamma,
+                  f_gap=self.f_gap[j], dist_sq=self.dist_sq[j],
                   iterates=None if self.iterates is None else self.iterates[j])
             for j, m in enumerate(self.trials)
         ]
@@ -367,7 +363,7 @@ def run_lockstep(cfg: RunConfig, trials, at=None, averaging=None,
         weights = _weights(gamma, weighting, int(recorded[-1]))
         averaged = np.full((M, len(recorded)), np.nan)
         total = np.zeros((M, d))
-    sampled = cfg.algorithm not in ("gd", "prox_gd")
+    sampled = cfg.algorithm not in FULL_GRADIENT
     rngs = [np.random.default_rng(cfg.seed + int(m)) for m in trials] if sampled else []
     gaps = np.empty((_BLOCK, M))
     first = np.full(M, -1)  # first diverged step of each trial
@@ -407,7 +403,7 @@ def run_lockstep(cfg: RunConfig, trials, at=None, averaging=None,
         names = ", ".join(f"trial {trials[j]} (t={first[j]})" for j in failed)
         raise DivergenceError(int(first[failed].min()),
                               f"{failed.size} trial(s) diverged: {names}")
-    return Lockstep(algorithm=name, trials=trials, seed=cfg.seed, t=recorded,
+    return Lockstep(algorithm=name, trials=trials, t=recorded,
                     gamma=np.array(gamma), f_gap=f_gap, dist_sq=dist_sq,
                     averaged=averaged, iterates=iterates)
 
@@ -419,7 +415,7 @@ def run_algorithm(cfg: RunConfig, algorithm: str, trial: int = 0) -> Trace:
 
 def is_deterministic(cfg: RunConfig) -> bool:
     """True when the trajectory of ``cfg`` does not depend on the sampling stream."""
-    if cfg.algorithm in ("gd", "prox_gd"):
+    if cfg.algorithm in FULL_GRADIENT:
         return True
     if cfg.algorithm == "minibatch_sgd":
         return cfg.batch_size == cfg.problem.n

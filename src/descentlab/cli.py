@@ -30,6 +30,7 @@ import numpy as np
 from . import __version__, harness, problems, theory
 from .algorithms import (
     ALGORITHMS,
+    PROXIMAL,
     DivergenceError,
     RunConfig,
     StepSchedule,
@@ -38,7 +39,7 @@ from .algorithms import (
 )
 # kept as a module attribute, where perfbench/tracer.py wraps it
 from .algorithms import run_algorithm  # noqa: F401
-from .nonsmooth import Regularizer
+from .nonsmooth import Regularizer, SpecError
 
 
 class ConfigError(Exception):
@@ -68,6 +69,17 @@ def _is_json(value, kind) -> bool:
 def _check_json(fieldname: str, value, kind, nullable: bool = False) -> None:
     if not (_is_json(value, kind) or (nullable and value is None)):
         raise ConfigError(fieldname, f"must be {_JSON_NAMES[kind]}, got {value!r:.40}")
+
+
+def _parse(section: str, parse, spec):
+    """``parse(spec)``; its errors as a ConfigError naming ``section``, or the
+    field within it that has the wrong type."""
+    try:
+        return parse(spec)
+    except SpecError as exc:
+        raise ConfigError(f"{section}.{exc.field}", exc.reason) from exc
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ConfigError(section, str(exc)) from exc
 
 
 @dataclass
@@ -109,15 +121,9 @@ class ExperimentConfig:
             raise ConfigError("iterations", "must be an integer >= 1")
         if cfg.trials < 1:
             raise ConfigError("trials", "must be an integer >= 1")
-        try:
-            StepSchedule.from_config(cfg.schedule)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError("schedule", str(exc)) from exc
+        _parse("schedule", StepSchedule.from_config, cfg.schedule)
         if cfg.regularizer is not None:
-            try:
-                Regularizer.from_config(cfg.regularizer)
-            except (KeyError, ValueError, TypeError) as exc:
-                raise ConfigError("regularizer", str(exc)) from exc
+            _parse("regularizer", Regularizer.from_config, cfg.regularizer)
         if cfg.x0 is not None and not all(_is_json(v, _NUMBER) for v in cfg.x0):
             raise ConfigError("x0", "must be a list of numbers")
         if cfg.checkpoints is not None and not (
@@ -142,25 +148,21 @@ def load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig.from_dict(raw)
 
 
-def _build_fixture(cfg: ExperimentConfig, setting=None) -> problems.Fixture:
-    """The config's problem, with the composite its method needs: the method
-    of ``setting`` (a theory.Setting) when verifying, else the config's."""
+def _build_fixture(cfg: ExperimentConfig) -> problems.Fixture:
+    """The config's problem, with the composite its method needs."""
     spec = cfg.problem
     if "fixture" in spec:
         _check_json("problem.fixture", spec["fixture"], str)
-    try:
-        if "fixture" in spec:
+        try:
             fx = problems.fixture(spec["fixture"])
-        else:
-            fx = problems.Fixture("inline", *problems.build_problem(spec))
-    except (KeyError, ValueError) as exc:
-        raise ConfigError("problem.fixture" if "fixture" in spec else "problem",
-                          str(exc)) from exc
+        except (KeyError, ValueError) as exc:  # unknown name, malformed fixture file
+            raise ConfigError("problem.fixture", str(exc)) from exc
+    else:
+        fx = problems.Fixture("inline", *_parse("problem", problems.build_problem, spec))
 
     reg = Regularizer.from_config(cfg.regularizer) if cfg.regularizer else fx.regularizer
     comp = fx.composite
-    needs_composite = setting.composite if setting else cfg.algorithm in ("prox_gd", "prox_sgd")
-    if needs_composite:
+    if cfg.algorithm in PROXIMAL:
         if reg is None:
             raise ConfigError("regularizer", "proximal runs need a regularizer")
         if comp is None or fx.regularizer != reg:
@@ -198,7 +200,7 @@ def _run_config(cfg: ExperimentConfig, fx: problems.Fixture, seed: int) -> RunCo
             trials=cfg.trials,
             batch_size=cfg.batch_size,
             projection_B=projection_B,
-            composite=fx.composite if cfg.algorithm.startswith("prox") else None,
+            composite=fx.composite if cfg.algorithm in PROXIMAL else None,
             x0=_start_point(cfg, fx),
             momentum_form=cfg.momentum_form,
             algorithm=cfg.algorithm,
@@ -274,7 +276,17 @@ def cmd_verify(config_path: str, seed_override: Optional[int] = None) -> int:
         row = theory.SETTINGS.get(cfg.verify["setting"])
         if row is None:
             raise ConfigError("verify.setting", f"unknown setting {cfg.verify['setting']!r}")
-        fx = _build_fixture(cfg, row)
+        # the setting fixes the method; a config field it would not use is an error
+        if cfg.algorithm != row.algorithm:
+            raise ConfigError("algorithm", f"setting {row.name} runs {row.algorithm!r}, "
+                                           f"not {cfg.algorithm!r}")
+        if cfg.projection_B is not None:
+            raise ConfigError("projection_B", "verify projects with the fixture's B, which "
+                                              "the bound uses; leave it unset")
+        if cfg.momentum_form != "buffer":
+            raise ConfigError("momentum_form", f"verify runs the buffer form, not "
+                                               f"{cfg.momentum_form!r}")
+        fx = _build_fixture(cfg)
         seed = cfg.seed if seed_override is None else seed_override
         schedule = StepSchedule.from_config(cfg.schedule)
         x0 = _start_point(cfg, fx)
@@ -342,10 +354,7 @@ def table_sources_for_fixture(name: str, batch_size: int = 2) -> dict:
     d = x0 - fx.ground_truth.x_star
     lip = problems.fixture("abs_2x1")
     # worst case over the solution ball: ||x0 - x*|| <= 2B
-    if lip.constants.B > 0:
-        dl = np.array([2.0 * lip.constants.B])
-    else:
-        dl = lip.problem.default_x0 - lip.ground_truth.x_star
+    dl = np.array([2.0 * lip.constants.B])
     comp = problems.fixture("lasso_4x2").composite
     dc = comp.smooth.default_x0 - comp.x_star_F
     return {

@@ -348,7 +348,7 @@ def property_suite(fixture: Fixture, samples: int = 10_000, seed: int = 20_240_6
     Y = _sample_ball(rng, samples, gt.x_star, radius)
 
     smooth = np.isfinite(c.L)
-    convex = problem.kind != "scalar_pl" and (problem.kind != "custom")
+    convex = problem.kind != "scalar_pl"
     fx, gx, Gx = problem.value_rows(X), problem.full_grad_rows(X), problem.term_grad_rows(X)
     fy, gy = problem.value_rows(Y), problem.full_grad_rows(Y)
     Gy = problem.term_grad_rows(Y) if convex and smooth else None

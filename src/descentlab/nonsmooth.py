@@ -5,6 +5,8 @@ Three regularizers are supported: the zero function, the scaled L1 norm, and the
 indicator of a centered euclidean ball (whose prox is the projection).  All
 operations are pure functions; the certificate verifies a candidate prox output
 through the optimality condition (x - p)/gamma in the subdifferential at p.
+``spec_value`` checks a field of the JSON specs parsed here, in ``algorithms``
+and in ``problems``; it lives in this module because the other two import it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Regularizer", "ProxCertificate", "prox", "subgradient", "prox_certificate"]
+__all__ = ["Regularizer", "ProxCertificate", "prox", "subgradient", "prox_certificate",
+           "SpecError", "spec_value"]
+
+
+class SpecError(ValueError):
+    """A field of a JSON spec (schedule, regularizer, problem) of the wrong type;
+    ``field`` names it within its spec."""
+
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"field {field!r}: {reason}")
+        self.field, self.reason = field, reason
+
+
+def spec_value(spec: dict, key: str, kind=float, default=None):
+    """``spec[key]``, or ``default`` when it is absent and a default is given:
+    a JSON number, or an integer for ``kind=int`` (true/false are neither).
+    KeyError if it is missing, SpecError naming ``key`` if it has another type."""
+    value = spec[key] if default is None else spec.get(key, default)
+    types, name = (int, "an integer") if kind is int else ((int, float), "a number")
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise SpecError(key, f"must be {name}, got {value!r:.40}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -43,21 +66,18 @@ class Regularizer:
 
     @staticmethod
     def from_config(cfg: dict) -> "Regularizer":
+        """Parse a regularizer spec; KeyError names a missing field, SpecError a
+        field that is not a JSON number."""
+        if not isinstance(cfg, dict):
+            raise ValueError(f"a regularizer spec is a JSON object, not {type(cfg).__name__}")
         kind = cfg.get("kind")
         if kind == "zero":
             return Regularizer.zero()
         if kind == "l1":
-            return Regularizer.l1(cfg["lambda"])
+            return Regularizer.l1(spec_value(cfg, "lambda"))
         if kind == "ball_indicator":
-            return Regularizer.ball_indicator(cfg["B"])
+            return Regularizer.ball_indicator(spec_value(cfg, "B"))
         raise ValueError(f"unknown regularizer kind {kind!r}")
-
-    def to_config(self) -> dict:
-        if self.kind == "l1":
-            return {"kind": "l1", "lambda": self.lam}
-        if self.kind == "ball_indicator":
-            return {"kind": "ball_indicator", "B": self.B}
-        return {"kind": "zero"}
 
     def value(self, x: np.ndarray) -> float:
         """g(x); +inf outside the domain of an indicator."""
@@ -75,9 +95,6 @@ class Regularizer:
         if self.kind == "l1":
             return self.lam * np.abs(X).sum(axis=1)
         return np.where(_norms(X) <= self.B * (1.0 + 1e-12), 0.0, math.inf)
-
-    def in_domain(self, x: np.ndarray) -> bool:
-        return np.isfinite(self.value(x))
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,11 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .nonsmooth import Regularizer, prox
+from .nonsmooth import Regularizer, SpecError, prox, spec_value
 
 __all__ = [
     "FiniteSumProblem",
@@ -33,11 +33,9 @@ __all__ = [
     "build_least_squares",
     "build_scalar_pl",
     "build_abs_loss",
-    "build_custom",
     "build_problem",
     "minibatch_constants",
     "make_composite",
-    "composite_noise",
     "gradient_variance",
     "fixture",
     "fixture_names",
@@ -52,8 +50,8 @@ _EIG_CUTOFF = 1e-10
 class FiniteSumProblem:
     """Oracle bundle for f = (1/n) sum_i f_i.
 
-    ``kind`` is one of ``least_squares``, ``abs_loss``, ``scalar_pl``, ``custom``.
-    For nondifferentiable kinds, ``grad_i`` returns a fixed subgradient selection
+    ``kind`` is one of ``least_squares``, ``abs_loss``, ``scalar_pl``.
+    For the nonsmooth ``abs_loss``, ``grad_i`` returns a fixed subgradient selection
     (sign convention: 0 at kinks).
     """
 
@@ -61,10 +59,7 @@ class FiniteSumProblem:
     n: int
     d: int
     data: dict = field(default_factory=dict, repr=False)
-    value_i_fn: Optional[Callable[[int, np.ndarray], float]] = field(default=None, repr=False)
-    grad_i_fn: Optional[Callable[[int, np.ndarray], np.ndarray]] = field(default=None, repr=False)
     default_x0: np.ndarray = field(default=None, repr=False)
-    differentiable: bool = True
 
     def value_i(self, i: int, x: np.ndarray) -> float:
         if self.kind == "least_squares":
@@ -73,10 +68,8 @@ class FiniteSumProblem:
         if self.kind == "abs_loss":
             r = float(self.data["rows"][i] @ x - self.data["targets"][i])
             return abs(r) + 0.5 * self.data["strong_mu"] * float(x @ x)
-        if self.kind == "scalar_pl":
-            t = float(x[0])
-            return t * t + 3.0 * math.sin(t) ** 2
-        return self.value_i_fn(i, x)
+        t = float(x[0])  # scalar_pl
+        return t * t + 3.0 * math.sin(t) ** 2
 
     def grad_i(self, i: int, x: np.ndarray) -> np.ndarray:
         if self.kind == "least_squares":
@@ -86,10 +79,8 @@ class FiniteSumProblem:
             a = self.data["rows"][i]
             s = np.sign(float(a @ x - self.data["targets"][i]))
             return s * a + self.data["strong_mu"] * x
-        if self.kind == "scalar_pl":
-            t = float(x[0])
-            return np.array([2.0 * t + 3.0 * math.sin(2.0 * t)])
-        return self.grad_i_fn(i, x)
+        t = float(x[0])  # scalar_pl
+        return np.array([2.0 * t + 3.0 * math.sin(2.0 * t)])
 
     def value(self, x: np.ndarray) -> float:
         if self.kind == "least_squares":
@@ -98,9 +89,7 @@ class FiniteSumProblem:
         if self.kind == "abs_loss":
             r = self.data["rows"] @ x - self.data["targets"]
             return float(np.abs(r).mean()) + 0.5 * self.data["strong_mu"] * float(x @ x)
-        if self.kind == "scalar_pl":
-            return self.value_i(0, x)
-        return sum(self.value_i_fn(i, x) for i in range(self.n)) / self.n
+        return self.value_i(0, x)  # scalar_pl
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         if self.kind == "least_squares":
@@ -109,16 +98,10 @@ class FiniteSumProblem:
         if self.kind == "abs_loss":
             r = self.data["rows"] @ x - self.data["targets"]
             return (self.data["rows"].T @ np.sign(r)) / self.n + self.data["strong_mu"] * x
-        if self.kind == "scalar_pl":
-            return self.grad_i(0, x)
-        g = np.zeros(self.d)
-        for i in range(self.n):
-            g += self.grad_i_fn(i, x)
-        return g / self.n
+        return self.grad_i(0, x)  # scalar_pl
 
-    # Row-wise oracles over an (M, d) array of points.  Row m equals the
-    # single-point oracle at X[m] bit for bit and does not depend on the other
-    # rows; custom problems fall back to one call per row.
+    # Row-wise oracles over an (M, d) array of points.  Row m equals the single-point
+    # oracle at X[m] bit for bit and does not depend on the other rows.
 
     def grad_rows(self, idx: np.ndarray, X: np.ndarray) -> np.ndarray:
         """grad f_{idx[m]}(X[m]) for every row m."""
@@ -129,10 +112,8 @@ class FiniteSumProblem:
             a = self.data["rows"][idx]
             s = np.sign(np.vecdot(a, X) - self.data["targets"][idx])
             return s[:, None] * a + self.data["strong_mu"] * X
-        if self.kind == "scalar_pl":
-            t = X[:, :1]
-            return 2.0 * t + 3.0 * np.sin(2.0 * t)
-        return np.array([self.grad_i_fn(int(i), x) for i, x in zip(idx, X)])
+        t = X[:, :1]  # scalar_pl
+        return 2.0 * t + 3.0 * np.sin(2.0 * t)
 
     def term_grad_rows(self, X: np.ndarray) -> np.ndarray:
         """grad f_i(X[m]) for every row m and term i, shape (M, n, d)."""
@@ -150,9 +131,7 @@ class FiniteSumProblem:
             A = self.data["rows"]
             s = np.sign(_matvec_rows(A, X) - self.data["targets"])
             return np.matmul(A.T, s[:, :, None])[:, :, 0] / self.n + self.data["strong_mu"] * X
-        if self.kind == "scalar_pl":
-            return self.grad_rows(np.zeros(len(X), dtype=np.intp), X)
-        return np.array([self.grad(x) for x in X])
+        return self.grad_rows(np.zeros(len(X), dtype=np.intp), X)  # scalar_pl
 
     def value_rows(self, X: np.ndarray) -> np.ndarray:
         """f(X[m]) for every row m."""
@@ -162,11 +141,9 @@ class FiniteSumProblem:
         if self.kind == "abs_loss":
             r = _matvec_rows(self.data["rows"], X) - self.data["targets"]
             return np.abs(r).mean(axis=1) + 0.5 * self.data["strong_mu"] * np.vecdot(X, X)
-        if self.kind == "scalar_pl":
-            t = X[:, 0]
-            # libm pow, as the float ``** 2`` in value_i (np.square rounds differently)
-            return t * t + 3.0 * np.float_power(np.sin(t), 2)
-        return np.array([self.value(x) for x in X])
+        t = X[:, 0]  # scalar_pl
+        # libm pow, as the float ``** 2`` in value_i (np.square rounds differently)
+        return t * t + 3.0 * np.float_power(np.sin(t), 2)
 
 
 def _matvec_rows(A: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -184,7 +161,6 @@ class GroundTruth:
     x_star: np.ndarray
     inf_f: float
     inf_f_i: tuple
-    provenance: str  # "closed_form" | "reference_solver"
     multipliers: Optional[np.ndarray] = None
 
 
@@ -300,7 +276,7 @@ def build_least_squares(features, targets):
     sigma_star_f = gradient_variance(problem, x_star)
     delta_star_f = inf_f  # inf f_i = 0 for every term
 
-    gt = GroundTruth(x_star=x_star, inf_f=inf_f, inf_f_i=(0.0,) * n, provenance="closed_form")
+    gt = GroundTruth(x_star=x_star, inf_f=inf_f, inf_f_i=(0.0,) * n)
     consts = ProblemConstants(
         n=n, L=L, L_i=L_i, L_max=L_max, L_avg=L_avg, mu=mu, mu_pl=mu_pl,
         sigma_star_f=sigma_star_f, delta_star_f=delta_star_f,
@@ -317,7 +293,7 @@ def build_scalar_pl():
     problem = FiniteSumProblem(
         kind="scalar_pl", n=1, d=1, data={}, default_x0=np.array([3.0]),
     )
-    gt = GroundTruth(x_star=np.zeros(1), inf_f=0.0, inf_f_i=(0.0,), provenance="closed_form")
+    gt = GroundTruth(x_star=np.zeros(1), inf_f=0.0, inf_f_i=(0.0,))
     consts = ProblemConstants(
         n=1, L=8.0, L_i=(8.0,), L_max=8.0, L_avg=8.0, mu=0.0, mu_pl=1.0 / 40.0,
         sigma_star_f=0.0, delta_star_f=0.0,
@@ -395,7 +371,6 @@ def build_abs_loss(rows, targets, strong_mu: float = 0.0, ball_B: float = 1.0):
         kind="abs_loss", n=n, d=d,
         data={"rows": rows, "targets": targets, "strong_mu": float(strong_mu)},
         default_x0=np.zeros(d),
-        differentiable=False,
     )
 
     x_star, multipliers = _abs_reference_solve(problem)
@@ -414,8 +389,7 @@ def build_abs_loss(rows, targets, strong_mu: float = 0.0, ball_B: float = 1.0):
             np.abs(targets) <= 1.0 / (2.0 * c), c * targets * targets,
             np.abs(targets) - 1.0 / (4.0 * c))).tolist())
 
-    gt = GroundTruth(x_star=x_star, inf_f=inf_f, inf_f_i=inf_f_i,
-                     provenance="reference_solver", multipliers=multipliers)
+    gt = GroundTruth(x_star=x_star, inf_f=inf_f, inf_f_i=inf_f_i, multipliers=multipliers)
     consts = ProblemConstants(
         n=n, L=math.inf, L_i=(math.inf,) * n, L_max=math.inf, L_avg=math.inf,
         mu=float(strong_mu), mu_pl=0.0,
@@ -426,17 +400,10 @@ def build_abs_loss(rows, targets, strong_mu: float = 0.0, ball_B: float = 1.0):
     return problem, gt, consts
 
 
-def build_custom(n, d, value_i, grad_i, x0=None):
-    """Finite sum from user callables (no constants derived)."""
-    return FiniteSumProblem(
-        kind="custom", n=n, d=d, value_i_fn=value_i, grad_i_fn=grad_i,
-        default_x0=np.zeros(d) if x0 is None else np.asarray(x0, dtype=float),
-    )
-
-
 def build_problem(spec: dict):
     """(problem, ground truth, constants) for an inline problem description
-    (README schema); ValueError names an unknown kind or a missing field."""
+    (README schema); ValueError names an unknown kind or a missing field,
+    SpecError a constant that is not a JSON number."""
     if not isinstance(spec, dict):
         raise ValueError(f"a problem spec is a JSON object, not {type(spec).__name__}")
     kind = spec.get("kind")
@@ -446,7 +413,8 @@ def build_problem(spec: dict):
         if kind == "abs_loss":
             return build_abs_loss(
                 spec["rows"], spec["targets"],
-                strong_mu=spec.get("strong_mu", 0.0), ball_B=spec.get("ball_B", 1.0),
+                strong_mu=spec_value(spec, "strong_mu", default=0.0),
+                ball_B=spec_value(spec, "ball_B", default=1.0),
             )
         if kind == "scalar_pl":
             return build_scalar_pl()
@@ -513,11 +481,6 @@ def make_composite(
     )
 
 
-def composite_noise(composite: CompositeProblem) -> float:
-    """Gradient variance of the smooth terms at the composite minimizer."""
-    return gradient_variance(composite.smooth, composite.x_star_F)
-
-
 # ---------------------------------------------------------------------------
 # Embedded fixture catalogue
 # ---------------------------------------------------------------------------
@@ -552,6 +515,8 @@ def _fixture_from_spec(name: str, spec: dict) -> Fixture:
             reg = Regularizer.from_config(spec["regularizer"])
         except KeyError as exc:
             raise ValueError(f"regularizer needs field {exc}") from exc
+        except SpecError as exc:
+            raise SpecError(f"regularizer.{exc.field}", exc.reason) from exc
         comp = make_composite(p, c, reg)
     return Fixture(name, p, gt, c, regularizer=reg, composite=comp)
 

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algorithms import StepSchedule
+from .algorithms import FULL_GRADIENT, PROXIMAL, StepSchedule
 from .problems import ProblemConstants, minibatch_constants
 
 __all__ = [
@@ -63,15 +63,8 @@ class BoundCurve:
     """Theoretical upper bound t -> bound(t) for one convergence guarantee."""
 
     setting: str
-    constants: ProblemConstants
-    schedule: StepSchedule
-    init: InitState
     min_t: int
     eval_fn: Callable[[int], float] = field(repr=False)
-
-    @property
-    def deterministic(self) -> bool:
-        return SETTINGS[self.setting].deterministic
 
     def eval(self, t: int) -> float:
         if t < self.min_t:
@@ -93,11 +86,17 @@ class Setting:
     metric: str  # f_gap | dist_sq | avg_f_gap | avg_F_gap
     weighting: Optional[str]  # uniform | gamma_weighted | p_tk (bound to L_ref)
     ref: Optional[str]  # single | minibatch | composite
-    composite: bool
-    deterministic: bool
     curve: Callable = field(repr=False)
     complexity: Optional[Callable] = field(default=None, repr=False)
     answer: str = "constant"  # constant | horizon_constant | momentum_pair
+
+    @property
+    def composite(self) -> bool:
+        return self.algorithm in PROXIMAL
+
+    @property
+    def deterministic(self) -> bool:
+        return self.algorithm in FULL_GRADIENT
 
     def ref_constants(self, c: ProblemConstants, b=None, sigma_star_F=None):
         """(L_ref, sigma): (L_max, sigma*_f) for ``single``, (L_max, sigma*_F) for
@@ -434,49 +433,49 @@ def _prox_sgd_const_steps(row, c, e, init, b, sF):
 
 
 SETTINGS = {row.name: row for row in (
-    # name, method, metric, averaging, L_ref/sigma, composite, deterministic,
-    #   curve family, complexity family, recommended schedule
-    Setting("gd_convex", "gd", "f_gap", None, None, False, True,
+    # name, method, metric, averaging, L_ref/sigma, curve family,
+    #   complexity family, recommended schedule
+    Setting("gd_convex", "gd", "f_gap", None, None,
             _gd_sublinear_curve, _gd_sublinear_steps),
-    Setting("gd_strongly_convex", "gd", "dist_sq", None, None, False, True,
+    Setting("gd_strongly_convex", "gd", "dist_sq", None, None,
             _gd_contraction_curve, _gd_contraction_steps),
-    Setting("gd_pl", "gd", "f_gap", None, None, False, True, _gd_pl_curve, _gd_pl_steps),
-    Setting("sgd_convex_general", "sgd", "avg_f_gap", "p_tk", "single", False, False,
+    Setting("gd_pl", "gd", "f_gap", None, None, _gd_pl_curve, _gd_pl_steps),
+    Setting("sgd_convex_general", "sgd", "avg_f_gap", "p_tk", "single",
             _avg_general_curve),
-    Setting("sgd_convex_const", "sgd", "avg_f_gap", "uniform", "single", False, False,
+    Setting("sgd_convex_const", "sgd", "avg_f_gap", "uniform", "single",
             _avg_const_curve, _avg_const_steps, "horizon_constant"),
-    Setting("sgd_convex_invsqrt", "sgd", "avg_f_gap", "p_tk", "single", False, False,
+    Setting("sgd_convex_invsqrt", "sgd", "avg_f_gap", "p_tk", "single",
             _avg_invsqrt_curve),
-    Setting("sgd_strongly_convex", "sgd", "dist_sq", None, "single", False, False,
+    Setting("sgd_strongly_convex", "sgd", "dist_sq", None, "single",
             _noisy_contraction_curve, _noisy_contraction_steps),
-    Setting("sgd_pl", "sgd", "f_gap", None, None, False, False, _sgd_pl_curve, _sgd_pl_steps),
+    Setting("sgd_pl", "sgd", "f_gap", None, None, _sgd_pl_curve, _sgd_pl_steps),
     Setting("mini_convex_general", "minibatch_sgd", "avg_f_gap", "p_tk", "minibatch",
-            False, False, _avg_general_curve),
+            _avg_general_curve),
     Setting("mini_convex_const", "minibatch_sgd", "avg_f_gap", "uniform", "minibatch",
-            False, False, _avg_const_curve, _avg_const_steps, "horizon_constant"),
+            _avg_const_curve, _avg_const_steps, "horizon_constant"),
     Setting("mini_strongly_convex", "minibatch_sgd", "dist_sq", None, "minibatch",
-            False, False, _noisy_contraction_curve, _noisy_contraction_steps),
-    Setting("momentum_convex", "momentum", "f_gap", None, "single", False, False,
+            _noisy_contraction_curve, _noisy_contraction_steps),
+    Setting("momentum_convex", "momentum", "f_gap", None, "single",
             _momentum_curve, _momentum_steps, "momentum_pair"),
-    Setting("ssd_convex_general", "ssd", "avg_f_gap", "gamma_weighted", None, False, False,
+    Setting("ssd_convex_general", "ssd", "avg_f_gap", "gamma_weighted", None,
             _ssd_general_curve, _ssd_general_steps, "horizon_constant"),
-    Setting("ssd_convex_invsqrt", "ssd", "avg_f_gap", "gamma_weighted", None, False, False,
+    Setting("ssd_convex_invsqrt", "ssd", "avg_f_gap", "gamma_weighted", None,
             _ssd_invsqrt_curve),
-    Setting("pssd_convex", "pssd", "avg_f_gap", "uniform", None, False, False, _pssd_curve),
-    Setting("ssd_strongly_convex", "pssd", "dist_sq", None, None, False, False,
+    Setting("pssd_convex", "pssd", "avg_f_gap", "uniform", None, _pssd_curve),
+    Setting("ssd_strongly_convex", "pssd", "dist_sq", None, None,
             _ssd_strongly_convex_curve, _ssd_strongly_convex_steps),
     # the trace gap of a prox run is the F-gap, so pgd measures f_gap
-    Setting("pgd_convex", "prox_gd", "f_gap", None, None, True, True,
+    Setting("pgd_convex", "prox_gd", "f_gap", None, None,
             _gd_sublinear_curve, _gd_sublinear_steps),
-    Setting("pgd_strongly_convex", "prox_gd", "dist_sq", None, None, True, True,
+    Setting("pgd_strongly_convex", "prox_gd", "dist_sq", None, None,
             _gd_contraction_curve, _gd_contraction_steps),
     Setting("spgd_convex_general", "prox_sgd", "avg_F_gap", "gamma_weighted", "composite",
-            True, False, _prox_sgd_general_curve),
+            _prox_sgd_general_curve),
     Setting("spgd_convex_const", "prox_sgd", "avg_F_gap", "uniform", "composite",
-            True, False, _prox_sgd_const_curve, _prox_sgd_const_steps),
+            _prox_sgd_const_curve, _prox_sgd_const_steps),
     Setting("spgd_convex_invsqrt", "prox_sgd", "avg_F_gap", "gamma_weighted", "composite",
-            True, False, _prox_sgd_invsqrt_curve),
-    Setting("spgd_strongly_convex", "prox_sgd", "dist_sq", None, "composite", True, False,
+            _prox_sgd_invsqrt_curve),
+    Setting("spgd_strongly_convex", "prox_sgd", "dist_sq", None, "composite",
             _noisy_contraction_curve, _noisy_contraction_steps),
 )}
 
@@ -499,8 +498,7 @@ def bound_curve(
     if row is None:
         raise ValueError(f"unknown setting {setting!r}")
     min_t, fn = row.curve(row, constants, schedule, init, b, sigma_star_F)
-    return BoundCurve(setting=setting, constants=constants, schedule=schedule, init=init,
-                      min_t=min_t, eval_fn=fn)
+    return BoundCurve(setting=setting, min_t=min_t, eval_fn=fn)
 
 
 @dataclass(frozen=True)
@@ -547,7 +545,7 @@ def answer_schedule(answer: ComplexityAnswer) -> StepSchedule:
 # Complexity table
 # ---------------------------------------------------------------------------
 
-TABLE_METHODS = ("gd", "sgd", "mini_sgd", "momentum", "prox_gd", "prox_sgd")
+TABLE_METHODS = ("gd", "sgd", "mini_sgd", "momentum") + PROXIMAL
 TABLE_COLUMNS = ("convex_smooth", "convex_lipschitz", "strongly_convex", "pl")
 NOT_COVERED = "not covered"
 

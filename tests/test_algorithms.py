@@ -63,9 +63,12 @@ def test_schedule_without_beta_rejected():
 
 
 def test_schedule_config_roundtrip():
-    for s in (StepSchedule.constant(0.2), StepSchedule.inv_sqrt(0.7),
-              StepSchedule.momentum_pair(0.1), StepSchedule.horizon_constant(0.05, 300)):
-        assert StepSchedule.from_config(s.to_config()) == s
+    for spec, s in (({"kind": "constant", "gamma": 0.2}, StepSchedule.constant(0.2)),
+                    ({"kind": "inv_sqrt", "gamma0": 0.7}, StepSchedule.inv_sqrt(0.7)),
+                    ({"kind": "momentum_pair", "eta": 0.1}, StepSchedule.momentum_pair(0.1)),
+                    ({"kind": "horizon_constant", "gamma": 0.05, "horizon": 300},
+                     StepSchedule.horizon_constant(0.05, 300))):
+        assert StepSchedule.from_config(spec) == s
 
 
 # ---------------------------------------------------------------------------
@@ -587,22 +590,6 @@ def test_trial_independent_of_M(alg, extra):
         for run in batched[m >= 7:]:
             for key in ("iterates", "f_gap", "dist_sq"):
                 assert np.array_equal(getattr(run, key)[m], getattr(alone, key)[0])
-
-
-@pytest.mark.parametrize("alg,extra", [("gd", {}), ("sgd", {}), ("minibatch_sgd", {"batch_size": 3})])
-def test_custom_problem_rows_fall_back_to_its_callables(alg, extra):
-    from descentlab.problems import build_custom
-    fx = fixture("ls_6x2")
-    phi, y = fx.problem.data["features"], fx.problem.data["targets"]
-    p = build_custom(6, 2, lambda i, x: 0.5 * float(phi[i] @ x - y[i]) ** 2,
-                     lambda i, x: (phi[i] @ x - y[i]) * phi[i])
-    cfg = RunConfig(problem=p, ground_truth=fx.ground_truth, schedule=StepSchedule.constant(0.05),
-                    iterations=40, seed=2, x0=np.array([1.0, -2.0]), **extra)
-    for trial in (0, 1):
-        xs, f_gap, dist_sq, _ = _ref_run(cfg, alg, trial)
-        tr = run_algorithm(cfg, alg, trial=trial)
-        assert np.array_equal(tr.iterates, xs)
-        assert np.array_equal(tr.f_gap, f_gap) and np.array_equal(tr.dist_sq, dist_sq)
 
 
 def test_draw_batches_matches_sequential_fisher_yates():

@@ -20,6 +20,10 @@ def _write(tmp_path, name, payload):
     return str(path)
 
 
+_ABS_SPEC = {"kind": "abs_loss", "rows": [[1.0], [1.0]], "targets": [1.0, -1.0]}
+_L1_X = {"kind": "l1", "lambda": "x"}
+
+
 def _gd_config(**overrides):
     cfg = {
         "problem": {"fixture": "ls_4x2"},
@@ -287,7 +291,9 @@ def test_run_malformed_external_fixture_exits_2(tmp_path, monkeypatch, capsys):
     (ext / "ls_no_targets.json").write_text(json.dumps({
         "kind": "least_squares", "features": [[1.0]]}))
     monkeypatch.setenv("DESCENTLAB_FIXTURES", str(ext))
-    for name, detail in (("huber_bad", "huber"), ("ls_no_targets", "targets")):
+    (ext / "abs_mu_x.json").write_text(json.dumps(dict(_ABS_SPEC, strong_mu="x")))
+    for name, detail in (("huber_bad", "huber"), ("ls_no_targets", "targets"),
+                         ("abs_mu_x", "field 'strong_mu': must be a number")):
         path = _write(tmp_path, "cfg.json", _gd_config(problem={"fixture": name}))
         assert cmd_run(path, out_dir=str(tmp_path / name)) == 2
         err = capsys.readouterr().err
@@ -300,7 +306,13 @@ def test_run_malformed_external_fixture_exits_2(tmp_path, monkeypatch, capsys):
     ("[1.0]", "JSON object"),
     (json.dumps({"kind": "least_squares", "features": [[1.0]], "targets": [1.0],
                  "regularizer": {"kind": "l1"}}), "regularizer needs field 'lambda'"),
-], ids=["missing_field", "invalid_json", "not_an_object", "regularizer_field"])
+    (json.dumps(dict(_ABS_SPEC, strong_mu="x")), "field 'strong_mu': must be a number"),
+    (json.dumps({"kind": "least_squares", "features": [[1.0]], "targets": [1.0],
+                 "regularizer": _L1_X}), "field 'regularizer.lambda': must be a number"),
+    (json.dumps({"kind": "least_squares", "features": [[1.0]], "targets": [1.0],
+                 "regularizer": "l1"}), "a regularizer spec is a JSON object"),
+], ids=["missing_field", "invalid_json", "not_an_object", "regularizer_field", "strong_mu",
+        "regularizer_lambda", "regularizer_not_an_object"])
 def test_suite_malformed_external_fixture_exits_2(tmp_path, monkeypatch, capsys, content, detail):
     from descentlab import problems
     (tmp_path / "bad.json").write_text(content)
@@ -385,8 +397,23 @@ def _verify_config(**overrides):
     ("run", _gd_config(problem={"fixture": [1]}), "problem.fixture"),
     ("run", _gd_config(outputs={"trace": 5}), "outputs.trace"),
     ("verify", _verify_config(verify={"setting": []}), "verify.setting"),
+    ("run", _gd_config(algorithm="ssd", problem=dict(_ABS_SPEC, strong_mu="x")),
+     "problem.strong_mu"),
+    ("run", _gd_config(algorithm="ssd", problem=dict(_ABS_SPEC, ball_B="2")), "problem.ball_B"),
+    ("verify", _verify_config(problem=dict(_ABS_SPEC, strong_mu="x")), "problem.strong_mu"),
+    ("run", _gd_config(schedule={"kind": "constant", "gamma": "x"}), "schedule.gamma"),
+    ("verify", _verify_config(schedule={"kind": "constant", "gamma": "x"}), "schedule.gamma"),
+    ("run", _gd_config(schedule={"kind": "horizon_constant", "gamma": 0.1, "horizon": "x"}),
+     "schedule.horizon"),
+    ("run", _gd_config(regularizer=_L1_X), "regularizer.lambda"),
+    ("verify", _verify_config(regularizer=_L1_X), "regularizer.lambda"),
+    ("verify", _verify_config(algorithm="momentum"), "algorithm"),
+    ("verify", _verify_config(projection_B=-3), "projection_B"),
+    ("verify", _verify_config(momentum_form="nope"), "momentum_form"),
 ], ids=["not_an_object", "problem", "schedule", "regularizer", "x0", "batch_size", "seed",
-        "verify_x0", "fixture_name", "output_name", "verify_setting"])
+        "verify_x0", "fixture_name", "output_name", "verify_setting", "strong_mu", "ball_B",
+        "verify_strong_mu", "gamma", "verify_gamma", "horizon", "lambda", "verify_lambda",
+        "verify_other_algorithm", "verify_projection_B", "verify_momentum_form"])
 def test_malformed_config_value_exits_2_naming_field(tmp_path, capsys, command, payload,
                                                      fieldname):
     argv = [command, "--config", _write(tmp_path, "cfg.json", payload)]

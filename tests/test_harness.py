@@ -299,7 +299,7 @@ def _ref_property_suite(fixture, samples, seed=20_240_601):
     X = _sample_ball(rng, samples, gt.x_star, radius)
     Y = _sample_ball(rng, samples, gt.x_star, radius)
     smooth = np.isfinite(c.L)
-    convex = p.kind not in ("scalar_pl", "custom")
+    convex = p.kind != "scalar_pl"
     expected = EXPECTED_FAIL.get(fixture.name, ())
 
     def sampled(P, per_term):
@@ -423,21 +423,14 @@ def test_property_suite_on_ball_indicator_fixture(tmp_path, monkeypatch):
     assert report["ok"], report["checks"]
 
 
-def _custom_problem():
-    from descentlab.problems import build_custom
-    a = RNG.normal(size=(3, 2))
-    return build_custom(3, 2, lambda i, x: float(np.cos(a[i] @ x)),
-                        lambda i, x: -np.sin(a[i] @ x) * a[i])
-
-
 def _ref_gradient_variance(p, x):
     grads = np.array([p.grad_i(i, x) for i in range(p.n)])
     return float(np.sum((grads - grads.mean(axis=0)) ** 2) / p.n)
 
 
-@pytest.mark.parametrize("name", CATALOGUE + ("custom",))
+@pytest.mark.parametrize("name", CATALOGUE)
 def test_row_oracles_equal_single_point_oracles_bit_for_bit(name):
-    p = _custom_problem() if name == "custom" else fixture(name).problem
+    p = fixture(name).problem
     # enough points to meet the rare ones where a numpy kernel rounds differently
     # from the single-point one (1 in ~1000 for a vectorised square of sin t)
     X = RNG.normal(size=(20_000, p.d)) * RNG.choice([1e-3, 1.0, 10.0, 1e3], size=(20_000, 1))

@@ -85,7 +85,6 @@ def test_indicator_value_is_extended():
     reg = Regularizer.ball_indicator(1.0)
     assert reg.value(np.array([0.5, 0.0])) == 0.0
     assert reg.value(np.array([2.0, 0.0])) == np.inf
-    assert not reg.in_domain(np.array([2.0, 0.0]))
 
 
 def test_value_convex_along_segments():
@@ -131,5 +130,7 @@ def test_prox_optimality_against_candidates():
 
 
 def test_regularizer_config_roundtrip():
-    for reg in (Regularizer.l1(0.8), Regularizer.ball_indicator(1.2), Regularizer.zero()):
-        assert Regularizer.from_config(reg.to_config()) == reg
+    for spec, reg in (({"kind": "l1", "lambda": 0.8}, Regularizer.l1(0.8)),
+                      ({"kind": "ball_indicator", "B": 1.2}, Regularizer.ball_indicator(1.2)),
+                      ({"kind": "zero"}, Regularizer.zero())):
+        assert Regularizer.from_config(spec) == reg

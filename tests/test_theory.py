@@ -146,7 +146,7 @@ def test_missing_constant_named():
 def test_deterministic_curves_flagged_and_monotone():
     c = _consts()
     curve = bound_curve("gd_convex", c, StepSchedule.constant(1 / c.L), InitState(D2=4.0))
-    assert curve.deterministic
+    assert SETTINGS["gd_convex"].deterministic
     vals = [curve.eval(t) for t in range(1, 300)]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
     assert all(v >= 0 for v in vals)
