@@ -16,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .nonsmooth import Regularizer, prox, spec_value
-from .problems import CompositeProblem, FiniteSumProblem, GroundTruth
+from .nonsmooth import Regularizer, SpecError, prox, spec_value
+from .problems import CompositeProblem, FiniteSumProblem, Fixture, GroundTruth
 
 __all__ = [
     "StepSchedule",
@@ -158,7 +158,12 @@ class Trace:
 @dataclass
 class RunConfig:
     """One run: problem, schedule and horizon, and the method that
-    ``run_lockstep`` runs (``algorithm``, ``momentum_form``, ``batch_size``)."""
+    ``run_lockstep`` runs (``algorithm``, ``momentum_form``, ``batch_size``).
+
+    A run is checked here and nowhere else: a field that does not fit raises
+    SpecError naming it.  The checks against the method run once
+    ``algorithm`` is set (``run_algorithm`` sets it through ``replace``, which
+    checks again)."""
 
     problem: FiniteSumProblem
     ground_truth: GroundTruth
@@ -171,19 +176,75 @@ class RunConfig:
     composite: Optional[CompositeProblem] = None
     x0: Optional[np.ndarray] = None
     momentum_form: str = "buffer"
-    algorithm: str = ""
+    algorithm: Optional[str] = None
 
     def __post_init__(self):
+        n, d = self.problem.n, self.problem.d
         if self.iterations < 1:
-            raise ValueError("iterations T must be >= 1")
+            raise SpecError("iterations", "must be an integer >= 1")
         if self.trials < 1:
-            raise ValueError("trials M must be >= 1")
-        if self.batch_size is not None and not (1 <= self.batch_size <= self.problem.n):
-            raise ValueError(f"b={self.batch_size} out of range [1, {self.problem.n}]")
+            raise SpecError("trials", "must be an integer >= 1")
+        if self.batch_size is not None and not 1 <= self.batch_size <= n:
+            raise SpecError("batch_size", f"batch size {self.batch_size} out of range [1, {n}]")
         if self.x0 is not None:
             self.x0 = np.asarray(self.x0, dtype=float)
-            if self.x0.shape != (self.problem.d,):
-                raise ValueError(f"x0 must have shape ({self.problem.d},)")
+            if self.x0.shape != (d,):
+                raise SpecError("x0", f"must have length {d}")
+        if self.algorithm is None:
+            return
+        sched, algorithm, form = self.schedule, self.algorithm, self.momentum_form
+        if algorithm not in ALGORITHMS:
+            raise SpecError("algorithm", f"unknown algorithm {algorithm!r}; "
+                                         f"expected one of {sorted(ALGORITHMS)}")
+        if algorithm in FULL_GRADIENT and not sched.is_constant:
+            raise SpecError("schedule", f"{algorithm} requires a constant stepsize schedule")
+        if algorithm in ("sgd", "prox_sgd") and not (sched.is_constant or sched.kind == "inv_sqrt"):
+            raise SpecError("schedule", f"{algorithm} supports constant or inv_sqrt schedules")
+        if algorithm in PROXIMAL and self.composite is None:
+            raise ValueError(f"{algorithm} needs cfg.composite")
+        if algorithm == "minibatch_sgd" and self.batch_size is None:
+            raise SpecError("batch_size", "minibatch_sgd needs a batch size")
+        if algorithm == "pssd":
+            B = self.projection_B
+            if B is None:
+                raise SpecError("projection_B", "pssd needs a projection radius")
+            if not B > 0:
+                raise SpecError("projection_B", f"must be > 0, got {B}")
+            if float(np.linalg.norm(self.start_point())) > B * (1.0 + 1e-12):
+                raise SpecError("x0", f"must lie inside the projection ball of radius {B}")
+        if algorithm == "momentum":
+            if form not in ("buffer", "heavy_ball", "ima"):
+                raise SpecError("momentum_form", f"unknown momentum form {form!r}")
+            if not sched.has_beta:
+                raise SpecError("schedule", "momentum needs a schedule providing beta_t "
+                                            "(momentum_pair or explicit)")
+            if form == "ima" and sched.kind != "momentum_pair":
+                raise SpecError("momentum_form",
+                                "the ima form is only coupled to the momentum_pair schedule")
+
+    @classmethod
+    def for_fixture(cls, fx: Fixture, algorithm: str, schedule: StepSchedule, iterations: int,
+                    seed: int = 0, trials: int = 1, batch_size: Optional[int] = None,
+                    projection_B: Optional[float] = None, x0=None,
+                    momentum_form: str = "buffer") -> "RunConfig":
+        """The run of ``algorithm`` on a fixture: a proximal method steps on the
+        fixture's composite, and ``pssd`` projects onto the fixture's ``B``
+        unless ``projection_B`` is given.  A field the method does not use is a
+        SpecError: ``batch_size`` but for minibatch_sgd, ``projection_B`` but
+        for pssd, a ``momentum_form`` other than buffer but for momentum."""
+        if algorithm == "pssd" and projection_B is None and fx.constants.B > 0:
+            projection_B = fx.constants.B
+        cfg = cls(problem=fx.problem, ground_truth=fx.ground_truth, schedule=schedule,
+                  iterations=iterations, seed=seed, trials=trials, batch_size=batch_size,
+                  projection_B=projection_B,
+                  composite=fx.composite if algorithm in PROXIMAL else None,
+                  x0=x0, momentum_form=momentum_form, algorithm=algorithm)
+        for name, given, user in (("batch_size", batch_size is not None, "minibatch_sgd"),
+                                  ("projection_B", projection_B is not None, "pssd"),
+                                  ("momentum_form", momentum_form != "buffer", "momentum")):
+            if given and algorithm != user:
+                raise SpecError(name, f"{algorithm} does not use it, only {user} does")
+        return cfg
 
     def start_point(self) -> np.ndarray:
         return (self.problem.default_x0 if self.x0 is None else self.x0).astype(float).copy()
@@ -217,43 +278,22 @@ ALGORITHMS = ("gd", "sgd", "minibatch_sgd", "momentum", "ssd", "pssd") + PROXIMA
 
 
 def _method(cfg: RunConfig, gamma, X0: np.ndarray):
-    """Check that ``cfg`` suits its method ``cfg.algorithm``.  Returns (trace
-    name, batch size or None, (row-wise objective, inf, x_ref) of the gap,
-    step), where ``step(t, X, idx)`` maps every row of X to its next iterate,
-    given the (b, M) sample indices ``idx`` of step t (None for full-gradient
-    methods)."""
+    """The step of ``cfg.algorithm`` (which ``cfg`` was checked against).
+    Returns (trace name, batch size or None, (row-wise objective, inf, x_ref)
+    of the gap, step), where ``step(t, X, idx)`` maps every row of X to its
+    next iterate, given the (b, M) sample indices ``idx`` of step t (None for
+    full-gradient methods)."""
     sched, algorithm, form = cfg.schedule, cfg.algorithm, cfg.momentum_form
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {sorted(ALGORITHMS)}")
-    if algorithm in FULL_GRADIENT and not sched.is_constant:
-        raise ValueError(f"{algorithm} requires a constant stepsize schedule")
-    if algorithm in ("sgd", "prox_sgd") and not (sched.is_constant or sched.kind == "inv_sqrt"):
-        raise ValueError(f"{algorithm} supports constant or inv_sqrt schedules")
     problem, reg, batch, name = cfg.problem, None, None, algorithm
     gap = (problem.value_rows, cfg.ground_truth.inf_f, cfg.ground_truth.x_star)
     if algorithm in PROXIMAL:
         comp = cfg.composite
-        if comp is None:
-            raise ValueError(f"{algorithm} needs cfg.composite")
         problem, reg, gap = comp.smooth, comp.reg, (comp.value_rows, comp.inf_F, comp.x_star_F)
     elif algorithm == "minibatch_sgd":
         batch = cfg.batch_size
-        if batch is None:
-            raise ValueError("minibatch_sgd needs batch_size b")
     elif algorithm == "pssd":
-        B = cfg.projection_B
-        if B is None:
-            raise ValueError("projected subgradient run needs projection_B")
-        if float(np.linalg.norm(X0[0])) > B * (1.0 + 1e-12):
-            raise ValueError("x0 must lie inside the projection ball")
-        reg = Regularizer.ball_indicator(B)  # its prox is the projection
+        reg = Regularizer.ball_indicator(cfg.projection_B)  # its prox is the projection
     elif algorithm == "momentum":
-        if form not in ("buffer", "heavy_ball", "ima"):
-            raise ValueError(f"unknown momentum form {form!r}")
-        if not sched.has_beta:
-            raise ValueError("momentum needs a schedule providing beta_t (momentum_pair or explicit)")
-        if form == "ima" and sched.kind != "momentum_pair":
-            raise ValueError("the ima form is only coupled to the momentum_pair schedule")
         name = f"momentum_{form}"
 
     def oracle(X, idx):
@@ -347,6 +387,8 @@ def run_lockstep(cfg: RunConfig, trials, at=None, averaging=None,
     diverges at the first t where its gap is non-finite or above
     1e12 (1 + |gap_0|); one DivergenceError names every diverged trial.
     """
+    if cfg.algorithm is None:
+        raise ValueError("the config names no algorithm")
     T, d = cfg.iterations, cfg.problem.d
     trials = np.array(list(trials), dtype=np.int64)
     M = len(trials)

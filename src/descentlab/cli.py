@@ -29,7 +29,6 @@ import numpy as np
 
 from . import __version__, harness, problems, theory
 from .algorithms import (
-    ALGORITHMS,
     PROXIMAL,
     DivergenceError,
     RunConfig,
@@ -42,12 +41,9 @@ from .algorithms import run_algorithm  # noqa: F401
 from .nonsmooth import Regularizer, SpecError
 
 
-class ConfigError(Exception):
-    """Invalid configuration; carries the offending field name."""
-
-    def __init__(self, fieldname: str, message: str):
-        super().__init__(f"field {fieldname!r}: {message}")
-        self.fieldname = fieldname
+class ConfigError(SpecError):
+    """Invalid configuration; ``field`` names the offending field.  A SpecError
+    raised while the run is built (by ``RunConfig``) names a config field too."""
 
 
 _NUMBER = (int, float)
@@ -58,12 +54,14 @@ _FIELD_TYPES = {
     "projection_B": _NUMBER, "checkpoints": list, "verify": dict, "outputs": dict,
 }
 _JSON_NAMES = {dict: "a JSON object", str: "a string", int: "an integer", list: "a list",
-               _NUMBER: "a number"}
+               _NUMBER: "a finite number"}
 
 
 def _is_json(value, kind) -> bool:
-    """Whether a parsed JSON value has the given type (true/false are not numbers)."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+    """Whether a parsed JSON value has the given type (true/false are not
+    numbers, and neither are NaN and Infinity, which Python's json accepts)."""
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and not (isinstance(value, float) and not math.isfinite(value)))
 
 
 def _check_json(fieldname: str, value, kind, nullable: bool = False) -> None:
@@ -115,17 +113,8 @@ class ExperimentConfig:
             if f.name in raw:
                 _check_json(f.name, raw[f.name], _FIELD_TYPES[f.name], nullable=f.default is None)
         cfg = ExperimentConfig(**{k: raw[k] for k in names if k in raw})
-        if cfg.algorithm not in ALGORITHMS:
-            raise ConfigError("algorithm", f"unknown algorithm {cfg.algorithm!r}")
-        if cfg.iterations < 1:
-            raise ConfigError("iterations", "must be an integer >= 1")
-        if cfg.trials < 1:
-            raise ConfigError("trials", "must be an integer >= 1")
-        _parse("schedule", StepSchedule.from_config, cfg.schedule)
-        if cfg.regularizer is not None:
-            _parse("regularizer", Regularizer.from_config, cfg.regularizer)
         if cfg.x0 is not None and not all(_is_json(v, _NUMBER) for v in cfg.x0):
-            raise ConfigError("x0", "must be a list of numbers")
+            raise ConfigError("x0", "must be a list of finite numbers")
         if cfg.checkpoints is not None and not (
                 cfg.checkpoints and all(_is_json(c, int) and c >= 0 for c in cfg.checkpoints)):
             raise ConfigError("checkpoints", "must be a nonempty list of nonnegative integers")
@@ -160,7 +149,8 @@ def _build_fixture(cfg: ExperimentConfig) -> problems.Fixture:
     else:
         fx = problems.Fixture("inline", *_parse("problem", problems.build_problem, spec))
 
-    reg = Regularizer.from_config(cfg.regularizer) if cfg.regularizer else fx.regularizer
+    reg = (_parse("regularizer", Regularizer.from_config, cfg.regularizer)
+           if cfg.regularizer else fx.regularizer)
     comp = fx.composite
     if cfg.algorithm in PROXIMAL:
         if reg is None:
@@ -171,42 +161,13 @@ def _build_fixture(cfg: ExperimentConfig) -> problems.Fixture:
                             regularizer=reg, composite=comp)
 
 
-def _start_point(cfg: ExperimentConfig, fx: problems.Fixture) -> Optional[np.ndarray]:
-    """The config's x0 as an array of the problem's dimension (None: the default)."""
-    if cfg.x0 is not None and len(cfg.x0) != fx.problem.d:
-        raise ConfigError("x0", f"must have length {fx.problem.d}")
-    return None if cfg.x0 is None else np.asarray(cfg.x0, dtype=float)
-
-
 def _run_config(cfg: ExperimentConfig, fx: problems.Fixture, seed: int) -> RunConfig:
-    if cfg.algorithm == "minibatch_sgd":
-        if cfg.batch_size is None:
-            raise ConfigError("batch_size", "minibatch_sgd needs a batch size")
-        if not 1 <= cfg.batch_size <= fx.problem.n:
-            raise ConfigError("b", f"batch size {cfg.batch_size} out of range "
-                                   f"[1, {fx.problem.n}]")
-    projection_B = cfg.projection_B
-    if cfg.algorithm == "pssd" and projection_B is None:
-        projection_B = fx.constants.B if fx.constants.B > 0 else None
-        if projection_B is None:
-            raise ConfigError("projection_B", "pssd needs a projection radius")
-    try:
-        return RunConfig(
-            problem=fx.problem,
-            ground_truth=fx.ground_truth,
-            schedule=StepSchedule.from_config(cfg.schedule),
-            iterations=cfg.iterations,
-            seed=seed,
-            trials=cfg.trials,
-            batch_size=cfg.batch_size,
-            projection_B=projection_B,
-            composite=fx.composite if cfg.algorithm in PROXIMAL else None,
-            x0=_start_point(cfg, fx),
-            momentum_form=cfg.momentum_form,
-            algorithm=cfg.algorithm,
-        )
-    except ValueError as exc:
-        raise ConfigError("run", str(exc)) from exc
+    """The run the config describes; RunConfig checks it, and a SpecError
+    names the config field that does not fit."""
+    return RunConfig.for_fixture(
+        fx, cfg.algorithm, _parse("schedule", StepSchedule.from_config, cfg.schedule),
+        cfg.iterations, seed=seed, trials=cfg.trials, batch_size=cfg.batch_size,
+        projection_B=cfg.projection_B, x0=cfg.x0, momentum_form=cfg.momentum_form)
 
 
 def _trial_chunk(args):
@@ -221,10 +182,9 @@ def cmd_run(config_path: str, out_dir: str = ".", jobs: int = 1,
             seed_override: Optional[int] = None) -> int:
     try:
         cfg = load_config(config_path)
-        fx = _build_fixture(cfg)
         seed = cfg.seed if seed_override is None else seed_override
-        rc = _run_config(cfg, fx, seed)
-    except ConfigError as exc:
+        rc = _run_config(cfg, _build_fixture(cfg), seed)
+    except SpecError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
@@ -257,10 +217,6 @@ def cmd_run(config_path: str, out_dir: str = ".", jobs: int = 1,
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        # the method rejects the config (e.g. gd with a varying schedule)
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
 
     write_traces_csv(traces, trace_path)
     print(f"wrote {manifest_path} and {trace_path}")
@@ -286,24 +242,19 @@ def cmd_verify(config_path: str, seed_override: Optional[int] = None) -> int:
         if cfg.momentum_form != "buffer":
             raise ConfigError("momentum_form", f"verify runs the buffer form, not "
                                                f"{cfg.momentum_form!r}")
-        fx = _build_fixture(cfg)
-        seed = cfg.seed if seed_override is None else seed_override
-        schedule = StepSchedule.from_config(cfg.schedule)
-        x0 = _start_point(cfg, fx)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         _, _, verdict = harness.run_verification(
-            row.name, fx, schedule, cfg.iterations,
+            row.name, _build_fixture(cfg),
+            _parse("schedule", StepSchedule.from_config, cfg.schedule), cfg.iterations,
             checkpoints=cfg.checkpoints,
             trials=cfg.trials,
-            seed=seed,
+            seed=cfg.seed if seed_override is None else seed_override,
             b=cfg.batch_size,
-            x0=x0,
-            policy=(cfg.verify or {}).get("policy"),
+            x0=cfg.x0,
+            policy=cfg.verify.get("policy"),
         )
+    except SpecError as exc:  # a ConfigError, or a field the run does not accept
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         # hypothesis violations and validity-window errors
         print(f"hypothesis error: {exc}", file=sys.stderr)

@@ -26,6 +26,7 @@ from .algorithms import (
 )
 # kept as module attributes, where perfbench/tracer.py wraps them
 from .algorithms import averaged_iterate, run_algorithm  # noqa: F401
+from .nonsmooth import SpecError
 from .problems import Fixture, FiniteSumProblem
 from .theory import SETTINGS, BoundCurve, InitState, bound_curve
 
@@ -125,7 +126,7 @@ def estimate(cfg: RunConfig, metric: str, checkpoints, weighting=None) -> Expect
     deterministic = is_deterministic(cfg)
     M = 1 if deterministic else cfg.trials
     if not deterministic and M < 2:
-        raise ValueError("stochastic estimates need trials M >= 2")
+        raise SpecError("trials", "stochastic estimates need trials M >= 2")
 
     run = run_lockstep(cfg, range(M), at=checkpoints, averaging=averaging)
     values = run.averaged if averaging else getattr(run, metric)
@@ -210,38 +211,27 @@ def run_verification(
     x0: Optional[np.ndarray] = None,
     policy: Optional[str] = None,
 ):
-    """Build the bound curve and the matching experiment, then compare them.
+    """Build the setting's run (``RunConfig.for_fixture``) and its bound curve,
+    then compare them.
 
-    The experiment runs the setting's own method.  Returns (estimate, curve,
+    The run is the setting's own method.  Returns (estimate, curve,
     verdict).  The policy defaults to deterministic for the gd/pgd settings and
     three_sigma otherwise.
     """
     row = SETTINGS.get(setting)
     if row is None:
         raise ValueError(f"unknown setting {setting!r}")
+    cfg = RunConfig.for_fixture(fixture, row.algorithm, schedule, iterations, seed=seed,
+                                trials=trials, batch_size=b, x0=x0)
     consts = fixture.constants
     sigma_F = fixture.composite.sigma_star_F if fixture.composite else None
-    x0 = fixture.problem.default_x0 if x0 is None else np.asarray(x0, dtype=float)
-    init = init_state_for(fixture, setting, x0)
+    init = init_state_for(fixture, setting, cfg.start_point())
     curve = bound_curve(setting, consts, schedule, init, b=b, sigma_star_F=sigma_F)
 
     weighting = row.weighting
     if weighting == "p_tk":
         weighting = ("p_tk", row.ref_constants(consts, b)[0])
 
-    cfg = RunConfig(
-        problem=fixture.problem,
-        ground_truth=fixture.ground_truth,
-        schedule=schedule,
-        iterations=iterations,
-        seed=seed,
-        trials=trials,
-        batch_size=b,
-        projection_B=consts.B if row.algorithm == "pssd" else None,
-        composite=fixture.composite if row.composite else None,
-        x0=x0,
-        algorithm=row.algorithm,
-    )
     if checkpoints is None:
         checkpoints = [cp for cp in default_checkpoints(iterations) if cp >= curve.min_t]
     est = estimate(cfg, row.metric, checkpoints, weighting=weighting)

@@ -31,12 +31,15 @@ class SpecError(ValueError):
 
 def spec_value(spec: dict, key: str, kind=float, default=None):
     """``spec[key]``, or ``default`` when it is absent and a default is given:
-    a JSON number, or an integer for ``kind=int`` (true/false are neither).
-    KeyError if it is missing, SpecError naming ``key`` if it has another type."""
+    a finite JSON number, or an integer for ``kind=int`` (true/false are
+    neither).  KeyError if it is missing, SpecError naming ``key`` if it has
+    another type or is NaN or infinite (which Python's json module accepts)."""
     value = spec[key] if default is None else spec.get(key, default)
     types, name = (int, "an integer") if kind is int else ((int, float), "a number")
     if isinstance(value, bool) or not isinstance(value, types):
         raise SpecError(key, f"must be {name}, got {value!r:.40}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise SpecError(key, f"must be finite, got {value!r}")
     return value
 
 

@@ -615,3 +615,13 @@ def test_estimate_names_exactly_the_diverged_trials():
     named = [(int(m), int(t)) for m, t in re.findall(r"trial (\d+) \(t=(\d+)\)", str(err.value))]
     assert named == want
     assert err.value.t == min(t for _, t in want)
+
+
+def test_run_for_fixture_picks_composite_and_ball():
+    lasso, ab = fixture("lasso_4x2"), fixture("abs_2x1")
+    sched = StepSchedule.constant(0.1)
+    assert RunConfig.for_fixture(lasso, "prox_gd", sched, 5).composite is lasso.composite
+    assert RunConfig.for_fixture(lasso, "gd", sched, 5).composite is None
+    assert RunConfig.for_fixture(ab, "pssd", sched, 5).projection_B == ab.constants.B
+    assert RunConfig.for_fixture(ab, "pssd", sched, 5, projection_B=3.0).projection_B == 3.0
+    assert RunConfig.for_fixture(ab, "ssd", sched, 5).projection_B is None

@@ -91,7 +91,7 @@ def test_run_bad_batch_size_exits_2(tmp_path, capsys):
                   _gd_config(algorithm="minibatch_sgd", batch_size=9,
                              schedule={"kind": "constant", "gamma": 0.01}))
     assert cmd_run(path, out_dir=str(tmp_path)) == 2
-    assert "'b'" in capsys.readouterr().err
+    assert "'batch_size'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -410,10 +410,15 @@ def _verify_config(**overrides):
     ("verify", _verify_config(algorithm="momentum"), "algorithm"),
     ("verify", _verify_config(projection_B=-3), "projection_B"),
     ("verify", _verify_config(momentum_form="nope"), "momentum_form"),
+    ("verify", _verify_config(schedule={"kind": "constant", "gamma": float("nan")}),
+     "schedule.gamma"),
+    ("verify", _verify_config(algorithm="sgd", trials=1, verify={"setting": "sgd_convex_const"},
+                              schedule={"kind": "constant", "gamma": 0.1}), "trials"),
 ], ids=["not_an_object", "problem", "schedule", "regularizer", "x0", "batch_size", "seed",
         "verify_x0", "fixture_name", "output_name", "verify_setting", "strong_mu", "ball_B",
         "verify_strong_mu", "gamma", "verify_gamma", "horizon", "lambda", "verify_lambda",
-        "verify_other_algorithm", "verify_projection_B", "verify_momentum_form"])
+        "verify_other_algorithm", "verify_projection_B", "verify_momentum_form",
+        "verify_gamma_nan", "verify_stochastic_one_trial"])
 def test_malformed_config_value_exits_2_naming_field(tmp_path, capsys, command, payload,
                                                      fieldname):
     argv = [command, "--config", _write(tmp_path, "cfg.json", payload)]
@@ -432,7 +437,9 @@ _SMOOTH = {"n": 4, "L": 1.0, "L_max": 2.0, "mu": 0.5, "mu_pl": 0.5, "sigma_star_
     ({"smooth": 5}, "smooth"),
     ([1, 2], "constants"),
     ({"smooth": _SMOOTH, "lipschitz": {"G": [1.0], "D2": 1.0}}, "lipschitz.G"),
-], ids=["section_not_an_object", "not_an_object", "constant_not_a_number"])
+    ({"smooth": dict(_SMOOTH, L=float("inf"))}, "smooth.L"),
+], ids=["section_not_an_object", "not_an_object", "constant_not_a_number",
+        "constant_infinity"])
 def test_table_malformed_constants_file_exits_2(tmp_path, capsys, payload, fieldname):
     path = _write(tmp_path, "k.json", payload)
     assert main(["table", "--constants", path, "--epsilon", "1e-3"]) == 2
@@ -480,3 +487,42 @@ def test_failed_abs_certificate_exits_2(tmp_path, monkeypatch, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "abs_loss minimizer not certified" in err
     assert "abs_copy" not in problems._FIXTURE_CACHE
+
+
+_MINI_B9 = dict(_gd_config(algorithm="minibatch_sgd", batch_size=9, trials=10,
+                           schedule={"kind": "constant", "gamma": 0.01}),
+                verify={"setting": "mini_convex_const"})
+
+
+@pytest.mark.parametrize("payload,fieldname", [
+    (_gd_config(schedule={"kind": "inv_sqrt", "gamma0": 0.1}), "schedule"),
+    (_gd_config(algorithm="momentum"), "schedule"),
+    (_gd_config(problem={"fixture": "abs_2x1"}, algorithm="pssd",
+                schedule={"kind": "inv_sqrt", "gamma0": 1.5}, x0=[5.0]), "x0"),
+    (_MINI_B9, "batch_size"),
+    # a field the method does not use
+    (_gd_config(projection_B=-3), "projection_B"),
+    (_gd_config(momentum_form="nope"), "momentum_form"),
+    (_gd_config(algorithm="sgd", batch_size=2), "batch_size"),
+    # NaN and Infinity are not JSON numbers
+    (_gd_config(schedule={"kind": "constant", "gamma": float("inf")}), "schedule.gamma"),
+    (_gd_config(x0=[float("nan"), 1.0]), "x0"),
+    (_gd_config(projection_B=float("inf")), "projection_B"),
+], ids=["gd_inv_sqrt", "momentum_constant", "pssd_x0_outside_ball", "batch_size_9",
+        "gd_projection_B", "gd_momentum_form", "sgd_batch_size", "gamma_inf", "x0_nan",
+        "projection_B_inf"])
+def test_run_rejects_config_before_writing(tmp_path, capsys, payload, fieldname):
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write(tmp_path, "cfg.json", payload),
+                 "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: field {fieldname!r}:")
+    assert not (out / "manifest.json").exists()
+
+
+def test_run_and_verify_report_a_bad_batch_size_alike(tmp_path, capsys):
+    path = _write(tmp_path, "cfg.json", _MINI_B9)
+    assert main(["run", "--config", path, "--out-dir", str(tmp_path / "out")]) == 2
+    run_err = capsys.readouterr().err
+    assert main(["verify", "--config", path]) == 2
+    assert capsys.readouterr().err == run_err
+    assert run_err.startswith("config error: field 'batch_size':")

@@ -412,7 +412,7 @@ def test_sgd_invsqrt_curve_upper_bounds_general_form():
 def test_setting_table_rows_are_consistent():
     # a typo in a row (method, metric, averaging or deterministic flag) fails here
     from descentlab.algorithms import ALGORITHMS, RunConfig, StepSchedule, is_deterministic
-    ls = fixture("ls_4x2")
+    checked = 0
     for name, row in SETTINGS.items():
         assert row.name == name
         assert row.algorithm in ALGORITHMS, name
@@ -423,10 +423,16 @@ def test_setting_table_rows_are_consistent():
             assert row.weighting in ("uniform", "gamma_weighted", "p_tk"), name
         assert row.composite == (row.algorithm in ("prox_gd", "prox_sgd")), name
         assert row.metric != "avg_F_gap" or row.composite, name
+        # a run the row's method accepts: a composite, a ball, a beta_t schedule
+        fx = fixture("lasso_4x2" if row.composite else
+                     "abs_2x1" if row.algorithm == "pssd" else "ls_4x2")
+        schedule = (StepSchedule.momentum_pair(0.1) if row.algorithm == "momentum"
+                    else StepSchedule.constant(0.1))
         b = 2 if row.ref == "minibatch" else None
-        assert row.deterministic == is_deterministic(RunConfig(
-            problem=ls.problem, ground_truth=ls.ground_truth, schedule=StepSchedule.constant(0.1),
-            iterations=1, batch_size=b, algorithm=row.algorithm)), name
+        run = RunConfig.for_fixture(fx, row.algorithm, schedule, 1, batch_size=b)
+        assert row.deterministic == is_deterministic(run), name
+        checked += 1
+    assert checked == 22
 
 
 def test_gamma_sums_match_rebuilt_array_bit_for_bit():
