@@ -11,7 +11,7 @@ distance to the reference minimizer, and the stepsize at each index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -52,19 +52,16 @@ class DivergenceError(RuntimeError):
 class StepSchedule:
     """Stepsize (and momentum) schedule.
 
-    kinds: ``constant`` (gamma), ``inv_sqrt`` (gamma_t = gamma0/sqrt(t+1)),
-    ``momentum_pair`` (gamma_t = 2*eta/(t+3), beta_t = t/(t+2)),
-    ``horizon_constant`` (a constant stepsize chosen for a fixed horizon), and
-    ``explicit`` (arbitrary per-step gamma/beta arrays, programmatic use only).
+    kinds: ``constant`` (gamma), ``inv_sqrt`` (gamma_t = gamma0/sqrt(t+1)) and
+    ``momentum_pair`` (gamma_t = 2*eta/(t+3), beta_t = t/(t+2)).  A stepsize
+    recommended for a finite horizon T is a ``constant`` one: a run reads only
+    gamma.
     """
 
     kind: str
     gamma: float = 0.0
     gamma0: float = 0.0
     eta: float = 0.0
-    horizon: int = 0
-    gammas: tuple = field(default=(), repr=False)
-    betas: tuple = field(default=(), repr=False)
 
     @staticmethod
     def constant(gamma: float) -> "StepSchedule":
@@ -84,47 +81,26 @@ class StepSchedule:
             raise ValueError("momentum_pair eta must be > 0")
         return StepSchedule("momentum_pair", eta=float(eta))
 
-    @staticmethod
-    def horizon_constant(gamma: float, horizon: int) -> "StepSchedule":
-        if gamma <= 0:
-            raise ValueError("horizon_constant stepsize must be > 0")
-        return StepSchedule("horizon_constant", gamma=float(gamma), horizon=int(horizon))
-
-    @staticmethod
-    def explicit(gammas, betas=None) -> "StepSchedule":
-        gammas = tuple(float(g) for g in gammas)
-        betas = tuple(float(b) for b in betas) if betas is not None else ()
-        return StepSchedule("explicit", gammas=gammas, betas=betas)
-
     @property
     def is_constant(self) -> bool:
-        return self.kind in ("constant", "horizon_constant")
-
-    @property
-    def has_beta(self) -> bool:
-        return self.kind == "momentum_pair" or (self.kind == "explicit" and bool(self.betas))
+        return self.kind == "constant"
 
     def gamma_at(self, t: int) -> float:
-        if self.is_constant:
+        if self.kind == "constant":
             return self.gamma
         if self.kind == "inv_sqrt":
             return self.gamma0 / math.sqrt(t + 1.0)
-        if self.kind == "momentum_pair":
-            return 2.0 * self.eta / (t + 3.0)
-        # explicit: clamp so the trace can label its final row
-        return self.gammas[min(t, len(self.gammas) - 1)]
+        return 2.0 * self.eta / (t + 3.0)  # momentum_pair
 
     def beta_at(self, t: int) -> float:
-        if self.kind == "momentum_pair":
-            return t / (t + 2.0)
-        if self.kind == "explicit" and self.betas:
-            return self.betas[t]
-        raise ValueError(f"schedule kind {self.kind!r} lacks a momentum parameter beta_t")
+        if self.kind != "momentum_pair":
+            raise ValueError(f"schedule kind {self.kind!r} lacks a momentum parameter beta_t")
+        return t / (t + 2.0)
 
     @staticmethod
     def from_config(cfg: dict) -> "StepSchedule":
         """Parse a schedule spec; KeyError names a missing field, SpecError a
-        field that is not a JSON number (``horizon``: an integer)."""
+        field that is not a JSON number."""
         kind = cfg.get("kind")
         if kind == "constant":
             return StepSchedule.constant(spec_value(cfg, "gamma"))
@@ -132,9 +108,6 @@ class StepSchedule:
             return StepSchedule.inv_sqrt(spec_value(cfg, "gamma0"))
         if kind == "momentum_pair":
             return StepSchedule.momentum_pair(spec_value(cfg, "eta"))
-        if kind == "horizon_constant":
-            return StepSchedule.horizon_constant(spec_value(cfg, "gamma"),
-                                                 spec_value(cfg, "horizon", int))
         raise ValueError(f"unknown schedule kind {kind!r}")
 
 
@@ -215,12 +188,9 @@ class RunConfig:
         if algorithm == "momentum":
             if form not in ("buffer", "heavy_ball", "ima"):
                 raise SpecError("momentum_form", f"unknown momentum form {form!r}")
-            if not sched.has_beta:
-                raise SpecError("schedule", "momentum needs a schedule providing beta_t "
-                                            "(momentum_pair or explicit)")
-            if form == "ima" and sched.kind != "momentum_pair":
-                raise SpecError("momentum_form",
-                                "the ima form is only coupled to the momentum_pair schedule")
+            if sched.kind != "momentum_pair":
+                raise SpecError("schedule", "momentum needs the momentum_pair schedule, "
+                                            "which provides beta_t")
 
     @classmethod
     def for_fixture(cls, fx: Fixture, algorithm: str, schedule: StepSchedule, iterations: int,

@@ -120,6 +120,13 @@ class ExperimentConfig:
             raise ConfigError("checkpoints", "must be a nonempty list of nonnegative integers")
         for key, name in cfg.outputs.items():
             _check_json(f"outputs.{key}", name, str)
+        spec = cfg.verify or {}
+        unknown = sorted(set(spec) - {"setting", "policy"})
+        if unknown:
+            raise ConfigError(f"verify.{unknown[0]}", "unknown verify field")
+        if spec.get("policy") not in (None, *harness.POLICIES):
+            raise ConfigError("verify.policy", f"must be one of {list(harness.POLICIES)}, "
+                                               f"got {spec['policy']!r:.40}")
         return cfg
 
     def to_dict(self) -> dict:
@@ -306,7 +313,9 @@ def table_sources_for_fixture(name: str, batch_size: int = 2) -> dict:
     lip = problems.fixture("abs_2x1")
     # worst case over the solution ball: ||x0 - x*|| <= 2B
     dl = np.array([2.0 * lip.constants.B])
-    comp = problems.fixture("lasso_4x2").composite
+    # the fixture's own composite, or else its f with lasso_4x2's regularizer
+    comp = fx.composite or problems.make_composite(
+        fx.problem, fx.constants, problems.fixture("lasso_4x2").regularizer)
     dc = comp.smooth.default_x0 - comp.x_star_F
     return {
         "smooth": {
@@ -325,12 +334,16 @@ def table_sources_for_fixture(name: str, batch_size: int = 2) -> dict:
 
 
 def cmd_table(constants_source: str, epsilon: float, csv_path: Optional[str] = None,
-              batch_size: int = 2) -> int:
+              batch_size: Optional[int] = None) -> int:
+    """The table of a fixture or a constants file; ``batch_size``, when given,
+    overrides the source's (2 for a fixture)."""
     try:
         if os.path.exists(constants_source):
             sources = _constants_from_json(constants_source)
         else:
-            sources = table_sources_for_fixture(constants_source, batch_size)
+            sources = table_sources_for_fixture(constants_source)
+        if batch_size is not None:
+            sources["batch_size"] = batch_size
         table = theory.complexity_table(sources, epsilon)
     except (ConfigError, ValueError, KeyError, OSError) as exc:
         print(f"table error: {exc}", file=sys.stderr)
@@ -385,7 +398,8 @@ def main(argv=None) -> int:
                        help="fixture name or JSON file with the constants")
     p_tab.add_argument("--epsilon", type=float, required=True)
     p_tab.add_argument("--csv", default=None)
-    p_tab.add_argument("--batch-size", type=int, default=2)
+    p_tab.add_argument("--batch-size", type=int, default=None,
+                       help="batch size of the mini_sgd row (default: the source's, or 2)")
 
     p_sui = sub.add_parser("suite", help="run the functional-inequality suite")
     p_sui.add_argument("--fixture", action="append", required=True)

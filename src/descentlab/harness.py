@@ -41,9 +41,11 @@ __all__ = [
     "default_checkpoints",
     "run_verification",
     "EXPECTED_FAIL",
+    "POLICIES",
 ]
 
 _REL_FLOOR = 1e-9
+POLICIES = ("deterministic", "three_sigma")
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,8 @@ def estimate(cfg: RunConfig, metric: str, checkpoints, weighting=None) -> Expect
         raise ValueError("avg_F_gap requires a composite problem")
     checkpoints = tuple(int(c) for c in checkpoints)
     if max(checkpoints) > cfg.iterations:
-        raise ValueError(f"checkpoint {max(checkpoints)} beyond horizon T={cfg.iterations}")
+        raise SpecError("checkpoints",
+                        f"checkpoint {max(checkpoints)} beyond horizon T={cfg.iterations}")
     if metric == "avg_f_gap":
         averaging = (weighting, cfg.problem.value_rows, cfg.ground_truth.inf_f)
     elif metric == "avg_F_gap":
@@ -120,8 +123,8 @@ def estimate(cfg: RunConfig, metric: str, checkpoints, weighting=None) -> Expect
     else:
         raise ValueError(f"unknown metric {metric!r}")
     if averaging and min(checkpoints) < 1:
-        raise ValueError(f"averaging horizon t={min(checkpoints)} must be in "
-                         f"[1, {cfg.iterations}]")
+        raise SpecError("checkpoints", f"averaging horizon t={min(checkpoints)} must be in "
+                                       f"[1, {cfg.iterations}]")
 
     deterministic = is_deterministic(cfg)
     M = 1 if deterministic else cfg.trials
@@ -148,7 +151,7 @@ def verify_bound(est: ExpectationEstimate, curve: BoundCurve, policy: str) -> Ve
     deterministic policy:  mean <= bound + 1e-9 * (1 + bound)
     three_sigma policy:    mean <= bound + 3 * stderr + 1e-9 * (1 + bound)
     """
-    if policy not in ("deterministic", "three_sigma"):
+    if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     bad = [cp for cp in est.checkpoints if cp < curve.min_t]
     if bad:

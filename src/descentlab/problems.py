@@ -228,14 +228,22 @@ def gradient_variance(problem: FiniteSumProblem, x: np.ndarray) -> float:
 
 
 def _check_matrix(features, targets, mat_name: str):
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    targets = np.asarray(targets, dtype=float).ravel()
+    """A (n, d) matrix and its n targets; SpecError names the faulty field."""
+    def numbers(name, values):
+        try:
+            arr = np.asarray(values)
+        except ValueError:  # ragged rows
+            arr = None
+        if arr is None or arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+            raise SpecError(name, f"must hold finite numbers only, got {values!r:.40}")
+        return arr.astype(float, copy=False)
+
+    features = np.atleast_2d(numbers(mat_name, features))
+    targets = numbers("targets", targets).ravel()
     if features.size == 0 or features.shape[0] < 1 or features.shape[1] < 1:
-        raise ValueError(f"{mat_name} must have n >= 1 rows and d >= 1 columns")
-    if not (np.isfinite(features).all() and np.isfinite(targets).all()):
-        raise ValueError(f"{mat_name}/targets must be finite")
+        raise SpecError(mat_name, "must have n >= 1 rows and d >= 1 columns")
     if targets.shape[0] != features.shape[0]:
-        raise ValueError("targets length must match row count")
+        raise SpecError("targets", "length must match the row count")
     return features, targets
 
 

@@ -78,17 +78,15 @@ class BoundCurve:
 class Setting:
     """One convergence guarantee: the method the harness runs, what it
     measures, and the formula families of its bound and its complexity, each
-    shared by every setting with the same formula.  ``ref`` picks the
+    shared by every setting with the same formula.  The method fixes the
     (L_ref, sigma) pair the formulas use (see ``ref_constants``)."""
 
     name: str
     algorithm: str
     metric: str  # f_gap | dist_sq | avg_f_gap | avg_F_gap
     weighting: Optional[str]  # uniform | gamma_weighted | p_tk (bound to L_ref)
-    ref: Optional[str]  # single | minibatch | composite
     curve: Callable = field(repr=False)
     complexity: Optional[Callable] = field(default=None, repr=False)
-    answer: str = "constant"  # constant | horizon_constant | momentum_pair
 
     @property
     def composite(self) -> bool:
@@ -99,11 +97,12 @@ class Setting:
         return self.algorithm in FULL_GRADIENT
 
     def ref_constants(self, c: ProblemConstants, b=None, sigma_star_F=None):
-        """(L_ref, sigma): (L_max, sigma*_f) for ``single``, (L_max, sigma*_F) for
-        ``composite``, the expected-smoothness pair (L_b, sigma_b) for ``minibatch``."""
-        if self.ref == "composite":
+        """(L_ref, sigma): (L_max, sigma*_F) for a proximal method, the
+        expected-smoothness pair (L_b, sigma_b) for minibatch_sgd, and
+        (L_max, sigma*_f) otherwise."""
+        if self.composite:
             return c.L_max, _need(sigma_star_F, "sigma_star_F")
-        if self.ref != "minibatch":
+        if self.algorithm != "minibatch_sgd":
             return c.L_max, _need(c.sigma_star_f, "sigma_star_f")
         if b is None:
             raise ValueError("minibatch settings need the batch size b")
@@ -433,49 +432,40 @@ def _prox_sgd_const_steps(row, c, e, init, b, sF):
 
 
 SETTINGS = {row.name: row for row in (
-    # name, method, metric, averaging, L_ref/sigma, curve family,
-    #   complexity family, recommended schedule
-    Setting("gd_convex", "gd", "f_gap", None, None,
-            _gd_sublinear_curve, _gd_sublinear_steps),
-    Setting("gd_strongly_convex", "gd", "dist_sq", None, None,
+    # name, method, metric, averaging, curve family, complexity family
+    Setting("gd_convex", "gd", "f_gap", None, _gd_sublinear_curve, _gd_sublinear_steps),
+    Setting("gd_strongly_convex", "gd", "dist_sq", None,
             _gd_contraction_curve, _gd_contraction_steps),
-    Setting("gd_pl", "gd", "f_gap", None, None, _gd_pl_curve, _gd_pl_steps),
-    Setting("sgd_convex_general", "sgd", "avg_f_gap", "p_tk", "single",
-            _avg_general_curve),
-    Setting("sgd_convex_const", "sgd", "avg_f_gap", "uniform", "single",
-            _avg_const_curve, _avg_const_steps, "horizon_constant"),
-    Setting("sgd_convex_invsqrt", "sgd", "avg_f_gap", "p_tk", "single",
-            _avg_invsqrt_curve),
-    Setting("sgd_strongly_convex", "sgd", "dist_sq", None, "single",
+    Setting("gd_pl", "gd", "f_gap", None, _gd_pl_curve, _gd_pl_steps),
+    Setting("sgd_convex_general", "sgd", "avg_f_gap", "p_tk", _avg_general_curve),
+    Setting("sgd_convex_const", "sgd", "avg_f_gap", "uniform", _avg_const_curve, _avg_const_steps),
+    Setting("sgd_convex_invsqrt", "sgd", "avg_f_gap", "p_tk", _avg_invsqrt_curve),
+    Setting("sgd_strongly_convex", "sgd", "dist_sq", None,
             _noisy_contraction_curve, _noisy_contraction_steps),
-    Setting("sgd_pl", "sgd", "f_gap", None, None, _sgd_pl_curve, _sgd_pl_steps),
-    Setting("mini_convex_general", "minibatch_sgd", "avg_f_gap", "p_tk", "minibatch",
-            _avg_general_curve),
-    Setting("mini_convex_const", "minibatch_sgd", "avg_f_gap", "uniform", "minibatch",
-            _avg_const_curve, _avg_const_steps, "horizon_constant"),
-    Setting("mini_strongly_convex", "minibatch_sgd", "dist_sq", None, "minibatch",
+    Setting("sgd_pl", "sgd", "f_gap", None, _sgd_pl_curve, _sgd_pl_steps),
+    Setting("mini_convex_general", "minibatch_sgd", "avg_f_gap", "p_tk", _avg_general_curve),
+    Setting("mini_convex_const", "minibatch_sgd", "avg_f_gap", "uniform",
+            _avg_const_curve, _avg_const_steps),
+    Setting("mini_strongly_convex", "minibatch_sgd", "dist_sq", None,
             _noisy_contraction_curve, _noisy_contraction_steps),
-    Setting("momentum_convex", "momentum", "f_gap", None, "single",
-            _momentum_curve, _momentum_steps, "momentum_pair"),
-    Setting("ssd_convex_general", "ssd", "avg_f_gap", "gamma_weighted", None,
-            _ssd_general_curve, _ssd_general_steps, "horizon_constant"),
-    Setting("ssd_convex_invsqrt", "ssd", "avg_f_gap", "gamma_weighted", None,
-            _ssd_invsqrt_curve),
-    Setting("pssd_convex", "pssd", "avg_f_gap", "uniform", None, _pssd_curve),
-    Setting("ssd_strongly_convex", "pssd", "dist_sq", None, None,
+    Setting("momentum_convex", "momentum", "f_gap", None, _momentum_curve, _momentum_steps),
+    Setting("ssd_convex_general", "ssd", "avg_f_gap", "gamma_weighted",
+            _ssd_general_curve, _ssd_general_steps),
+    Setting("ssd_convex_invsqrt", "ssd", "avg_f_gap", "gamma_weighted", _ssd_invsqrt_curve),
+    Setting("pssd_convex", "pssd", "avg_f_gap", "uniform", _pssd_curve),
+    Setting("ssd_strongly_convex", "pssd", "dist_sq", None,
             _ssd_strongly_convex_curve, _ssd_strongly_convex_steps),
     # the trace gap of a prox run is the F-gap, so pgd measures f_gap
-    Setting("pgd_convex", "prox_gd", "f_gap", None, None,
-            _gd_sublinear_curve, _gd_sublinear_steps),
-    Setting("pgd_strongly_convex", "prox_gd", "dist_sq", None, None,
+    Setting("pgd_convex", "prox_gd", "f_gap", None, _gd_sublinear_curve, _gd_sublinear_steps),
+    Setting("pgd_strongly_convex", "prox_gd", "dist_sq", None,
             _gd_contraction_curve, _gd_contraction_steps),
-    Setting("spgd_convex_general", "prox_sgd", "avg_F_gap", "gamma_weighted", "composite",
+    Setting("spgd_convex_general", "prox_sgd", "avg_F_gap", "gamma_weighted",
             _prox_sgd_general_curve),
-    Setting("spgd_convex_const", "prox_sgd", "avg_F_gap", "uniform", "composite",
+    Setting("spgd_convex_const", "prox_sgd", "avg_F_gap", "uniform",
             _prox_sgd_const_curve, _prox_sgd_const_steps),
-    Setting("spgd_convex_invsqrt", "prox_sgd", "avg_F_gap", "gamma_weighted", "composite",
+    Setting("spgd_convex_invsqrt", "prox_sgd", "avg_F_gap", "gamma_weighted",
             _prox_sgd_invsqrt_curve),
-    Setting("spgd_strongly_convex", "prox_sgd", "dist_sq", None, "composite",
+    Setting("spgd_strongly_convex", "prox_sgd", "dist_sq", None,
             _noisy_contraction_curve, _noisy_contraction_steps),
 )}
 
@@ -532,12 +522,11 @@ def complexity_iterations(
 
 
 def answer_schedule(answer: ComplexityAnswer) -> StepSchedule:
-    """Schedule that realizes a complexity answer's recommended stepsize."""
-    kind = SETTINGS[answer.setting].answer
-    if kind == "momentum_pair":
+    """Schedule that realizes a complexity answer's recommended stepsize: the
+    momentum pair for the momentum setting, a constant stepsize otherwise (a
+    finite-horizon recommendation fixes gamma from ``answer.t_min``)."""
+    if SETTINGS[answer.setting].algorithm == "momentum":
         return StepSchedule.momentum_pair(answer.recommended_gamma)
-    if kind == "horizon_constant":
-        return StepSchedule.horizon_constant(answer.recommended_gamma, answer.t_min)
     return StepSchedule.constant(answer.recommended_gamma)
 
 

@@ -18,6 +18,7 @@ from descentlab import (
     run_algorithm,
     write_traces_csv,
 )
+from descentlab.nonsmooth import SpecError
 
 
 def _cfg(name="ls_4x2", schedule=None, T=100, **kw):
@@ -65,10 +66,10 @@ def test_schedule_without_beta_rejected():
 def test_schedule_config_roundtrip():
     for spec, s in (({"kind": "constant", "gamma": 0.2}, StepSchedule.constant(0.2)),
                     ({"kind": "inv_sqrt", "gamma0": 0.7}, StepSchedule.inv_sqrt(0.7)),
-                    ({"kind": "momentum_pair", "eta": 0.1}, StepSchedule.momentum_pair(0.1)),
-                    ({"kind": "horizon_constant", "gamma": 0.05, "horizon": 300},
-                     StepSchedule.horizon_constant(0.05, 300))):
+                    ({"kind": "momentum_pair", "eta": 0.1}, StepSchedule.momentum_pair(0.1))):
         assert StepSchedule.from_config(spec) == s
+    with pytest.raises(ValueError, match="unknown schedule kind 'horizon_constant'"):
+        StepSchedule.from_config({"kind": "horizon_constant", "gamma": 0.05, "horizon": 300})
 
 
 # ---------------------------------------------------------------------------
@@ -204,18 +205,6 @@ def test_minibatch_batch_frequencies_uniform():
 # momentum
 # ---------------------------------------------------------------------------
 
-def test_momentum_zero_beta_equals_sgd():
-    fx = fixture("ls_4x2")
-    gammas = [0.1 / math.sqrt(t + 1) for t in range(80)]
-    cfg = RunConfig(problem=fx.problem, ground_truth=fx.ground_truth,
-                    schedule=StepSchedule.explicit(gammas, [0.0] * 80),
-                    iterations=80, seed=17)
-    cfg_sgd = RunConfig(problem=fx.problem, ground_truth=fx.ground_truth,
-                        schedule=StepSchedule.inv_sqrt(0.1), iterations=80, seed=17)
-    assert np.allclose(run_algorithm(replace(cfg, momentum_form="buffer"), "momentum").iterates,
-                       run_algorithm(cfg_sgd, "sgd").iterates, atol=1e-15)
-
-
 @pytest.mark.parametrize("name", ["ls_4x2", "ls_6x2", "scalar_pl"])
 def test_momentum_three_forms_coincide(name):
     fx = fixture(name)
@@ -233,14 +222,6 @@ def test_momentum_requires_beta_schedule():
     fx, cfg = _cfg(schedule=StepSchedule.constant(0.1))
     with pytest.raises(ValueError, match="beta"):
         run_algorithm(replace(cfg, momentum_form="buffer"), "momentum")
-
-
-def test_ima_requires_momentum_pair():
-    fx = fixture("ls_4x2")
-    cfg = RunConfig(problem=fx.problem, ground_truth=fx.ground_truth,
-                    schedule=StepSchedule.explicit([0.1] * 10, [0.5] * 10), iterations=10)
-    with pytest.raises(ValueError, match="momentum_pair"):
-        run_algorithm(replace(cfg, momentum_form="ima"), "momentum")
 
 
 # ---------------------------------------------------------------------------
@@ -625,3 +606,23 @@ def test_run_for_fixture_picks_composite_and_ball():
     assert RunConfig.for_fixture(ab, "pssd", sched, 5).projection_B == ab.constants.B
     assert RunConfig.for_fixture(ab, "pssd", sched, 5, projection_B=3.0).projection_B == 3.0
     assert RunConfig.for_fixture(ab, "ssd", sched, 5).projection_B is None
+
+
+@pytest.mark.parametrize("kw,fieldname", [
+    ({"iterations": 0}, "iterations"),
+    ({"trials": 0}, "trials"),
+    ({"algorithm": "newton"}, "algorithm"),
+    ({"algorithm": "sgd", "schedule": StepSchedule.momentum_pair(0.1)}, "schedule"),
+    ({"algorithm": "minibatch_sgd"}, "batch_size"),
+    ({"algorithm": "pssd", "projection_B": 0.0}, "projection_B"),
+    ({"algorithm": "momentum", "schedule": StepSchedule.momentum_pair(0.1),
+      "momentum_form": "nope"}, "momentum_form"),
+], ids=["iterations", "trials", "unknown_algorithm", "sgd_momentum_pair",
+        "minibatch_without_batch_size", "projection_B_zero", "unknown_momentum_form"])
+def test_run_config_names_the_field_it_rejects(kw, fieldname):
+    fx = fixture("ls_4x2")
+    args = dict(problem=fx.problem, ground_truth=fx.ground_truth,
+                schedule=StepSchedule.constant(0.1), iterations=5)
+    with pytest.raises(SpecError) as err:
+        RunConfig(**dict(args, **kw))
+    assert err.value.field == fieldname

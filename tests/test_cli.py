@@ -21,6 +21,7 @@ def _write(tmp_path, name, payload):
 
 
 _ABS_SPEC = {"kind": "abs_loss", "rows": [[1.0], [1.0]], "targets": [1.0, -1.0]}
+_LS_SPEC = {"kind": "least_squares", "features": [[1.0, 0.0], [0.0, 1.0]], "targets": [1.0, 0.0]}
 _L1_X = {"kind": "l1", "lambda": "x"}
 
 
@@ -403,8 +404,8 @@ def _verify_config(**overrides):
     ("verify", _verify_config(problem=dict(_ABS_SPEC, strong_mu="x")), "problem.strong_mu"),
     ("run", _gd_config(schedule={"kind": "constant", "gamma": "x"}), "schedule.gamma"),
     ("verify", _verify_config(schedule={"kind": "constant", "gamma": "x"}), "schedule.gamma"),
-    ("run", _gd_config(schedule={"kind": "horizon_constant", "gamma": 0.1, "horizon": "x"}),
-     "schedule.horizon"),
+    ("run", _gd_config(schedule={"kind": "horizon_constant", "gamma": 0.1, "horizon": 10}),
+     "schedule"),
     ("run", _gd_config(regularizer=_L1_X), "regularizer.lambda"),
     ("verify", _verify_config(regularizer=_L1_X), "regularizer.lambda"),
     ("verify", _verify_config(algorithm="momentum"), "algorithm"),
@@ -414,11 +415,27 @@ def _verify_config(**overrides):
      "schedule.gamma"),
     ("verify", _verify_config(algorithm="sgd", trials=1, verify={"setting": "sgd_convex_const"},
                               schedule={"kind": "constant", "gamma": 0.1}), "trials"),
+    ("verify", _verify_config(verify={"setting": "gd_convex", "polcy": "three_sigma"}),
+     "verify.polcy"),
+    ("verify", _verify_config(verify={"setting": "gd_convex", "policy": "lenient"}),
+     "verify.policy"),
+    ("verify", _verify_config(checkpoints=[5000]), "checkpoints"),
+    ("verify", _verify_config(algorithm="sgd", trials=10, checkpoints=[0, 50],
+                              verify={"setting": "sgd_convex_const"},
+                              schedule={"kind": "constant", "gamma": 0.1}), "checkpoints"),
+    ("run", _gd_config(problem=dict(_LS_SPEC, features=[[1.0, "a"], [0.0, 1.0]])),
+     "problem.features"),
+    ("run", _gd_config(algorithm="ssd", problem=dict(_ABS_SPEC, rows=[[1.0], [None]])),
+     "problem.rows"),
+    ("run", _gd_config(problem=dict(_LS_SPEC, targets=[1.0, "b"])), "problem.targets"),
 ], ids=["not_an_object", "problem", "schedule", "regularizer", "x0", "batch_size", "seed",
         "verify_x0", "fixture_name", "output_name", "verify_setting", "strong_mu", "ball_B",
         "verify_strong_mu", "gamma", "verify_gamma", "horizon", "lambda", "verify_lambda",
         "verify_other_algorithm", "verify_projection_B", "verify_momentum_form",
-        "verify_gamma_nan", "verify_stochastic_one_trial"])
+        "verify_gamma_nan", "verify_stochastic_one_trial", "verify_unknown_key",
+        "verify_unknown_policy", "verify_checkpoint_beyond_iterations",
+        "verify_averaged_checkpoint_zero", "features_entry",
+        "rows_entry", "targets_entry"])
 def test_malformed_config_value_exits_2_naming_field(tmp_path, capsys, command, payload,
                                                      fieldname):
     argv = [command, "--config", _write(tmp_path, "cfg.json", payload)]
@@ -526,3 +543,48 @@ def test_run_and_verify_report_a_bad_batch_size_alike(tmp_path, capsys):
     assert main(["verify", "--config", path]) == 2
     assert capsys.readouterr().err == run_err
     assert run_err.startswith("config error: field 'batch_size':")
+
+
+@pytest.mark.parametrize("command,config,fieldname", [
+    ("run", {k: v for k, v in _gd_config().items() if k != "iterations"}, "iterations"),
+    ("run", None, "config"),  # no such file
+    ("run", "{not json", "config"),
+    ("verify", _gd_config(verify={"policy": "three_sigma"}), "verify.setting"),
+    ("run", _gd_config(algorithm="prox_gd"), "regularizer"),
+], ids=["missing_required_field", "unreadable_file", "invalid_json", "verify_without_setting",
+        "proximal_without_regularizer"])
+def test_cli_config_checks_name_the_field(tmp_path, capsys, command, config, fieldname):
+    path = tmp_path / "cfg.json"
+    if isinstance(config, dict):
+        path.write_text(json.dumps(config))
+    elif config is not None:
+        path.write_text(config)
+    argv = [command, "--config", str(path)]
+    if command == "run":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"config error: field {fieldname!r}:")
+    assert not (tmp_path / "out").exists()
+
+
+def _table(capsys, *argv):
+    assert main(["table", "--epsilon", "1e-3", *argv]) == 0
+    return capsys.readouterr().out
+
+
+def test_table_constants_file_matches_its_fixture(tmp_path, capsys):
+    from dataclasses import asdict
+
+    from descentlab.cli import table_sources_for_fixture
+    src = table_sources_for_fixture("ls_4x2")
+    smooth = dict(asdict(src["smooth"]["constants"]), D2=src["smooth"]["D2"],
+                  f0_gap=src["smooth"]["f0_gap"])
+    path = _write(tmp_path, "k.json", {"smooth": smooth, "lipschitz": src["lipschitz"],
+                                       "composite": src["composite"], "batch_size": 2})
+    assert _table(capsys, "--constants", path) == _table(capsys, "--constants", "ls_4x2")
+    # --batch-size overrides the file's batch_size as it does the fixture's default
+    b2 = _table(capsys, "--constants", path).splitlines()
+    b3 = _table(capsys, "--constants", path, "--batch-size", "3").splitlines()
+    assert b3 == _table(capsys, "--constants", "ls_4x2", "--batch-size", "3").splitlines()
+    changed = [new.split()[0] for old, new in zip(b2, b3) if old != new]
+    assert changed == ["mini_sgd"]

@@ -322,6 +322,24 @@ def test_table_missing_constant_named():
         complexity_table(sources, 1e-3)
 
 
+def test_table_prox_cells_use_the_fixtures_own_composite():
+    # ls_6x2 has no composite of its own: its f with lasso_4x2's l1(0.1)
+    from descentlab.problems import make_composite
+    fx = fixture("ls_6x2")
+    comp = make_composite(fx.problem, fx.constants, fixture("lasso_4x2").regularizer)
+    x0 = fx.problem.default_x0
+    D2F = float((x0 - comp.x_star_F) @ (x0 - comp.x_star_F))
+    F0, sF = comp.value(x0) - comp.inf_F, comp.sigma_star_F
+    assert (sF, D2F, F0) == pytest.approx((0.908, 0.121, 0.0705), abs=1e-3)
+    c, eps = fx.constants, 1e-3
+    table = complexity_table(table_sources_for_fixture("ls_6x2"), eps)
+    assert table["prox_gd"]["convex_smooth"] == pytest.approx(c.L * D2F / (2 * eps))
+    assert table["prox_sgd"]["convex_smooth"] == pytest.approx(
+        16 * (D2F + F0 / (4 * c.L_max)) * sF / eps**2)
+    assert table["prox_sgd"]["strongly_convex"] == pytest.approx(
+        max(4 * sF / (eps * c.mu**2), 2 * c.L_max / c.mu) * math.log(2 * D2F / eps))
+
+
 def test_table_golden_against_independent_formulas():
     # recompute every covered cell from the closed-form expressions written out here
     sources = table_sources_for_fixture("ls_4x2", batch_size=2)
@@ -428,7 +446,7 @@ def test_setting_table_rows_are_consistent():
                      "abs_2x1" if row.algorithm == "pssd" else "ls_4x2")
         schedule = (StepSchedule.momentum_pair(0.1) if row.algorithm == "momentum"
                     else StepSchedule.constant(0.1))
-        b = 2 if row.ref == "minibatch" else None
+        b = 2 if row.algorithm == "minibatch_sgd" else None
         run = RunConfig.for_fixture(fx, row.algorithm, schedule, 1, batch_size=b)
         assert row.deterministic == is_deterministic(run), name
         checked += 1
