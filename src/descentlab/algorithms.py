@@ -5,7 +5,10 @@ Trial m is a strictly sequential recurrence seeded by ``cfg.seed + m``; index
 sampling draws one double per index (and b doubles per size-b batch) from the
 trial's own generator, so a batch size of 1 replays the single-sample stream
 exactly.  Traces record t = 0..T inclusive with the objective gap, squared
-distance to the reference minimizer, and the stepsize at each index.
+distance to the reference minimizer, and the stepsize at each index.  The gaps
+and distances are evaluated once per block of steps, on the block's stacked
+iterates, with row-wise oracles: neither the block length nor the number of
+trials run together changes any value.
 """
 
 from __future__ import annotations
@@ -329,7 +332,12 @@ class Lockstep:
     averaged: Optional[np.ndarray] = None  # (M, len(t)) gap at the averaged iterate
     iterates: Optional[np.ndarray] = None  # (M, T+1, d)
 
-    def traces(self) -> list:  # of a run that recorded every step
+    def traces(self) -> list:
+        """One Trace per trial; a Trace has a row for every step, so the run
+        must have recorded every step."""
+        if len(self.t) != len(self.gamma):
+            raise ValueError(f"traces need every step recorded; this run recorded "
+                             f"{len(self.t)} of {len(self.gamma)}")
         return [
             Trace(algorithm=self.algorithm, trial=int(m), t=self.t, gamma=self.gamma,
                   f_gap=self.f_gap[j], dist_sq=self.dist_sq[j],
@@ -338,7 +346,15 @@ class Lockstep:
         ]
 
 
-_BLOCK = 512  # steps whose sample indices are drawn, and gaps guarded, at once
+_BLOCK = 512  # most steps whose sample indices are drawn, and gaps evaluated, at once
+_BLOCK_VALUES = 2 ** 16  # most values in the objective residual, or the iterates, of a block
+
+
+def _block_steps(M: int, n: int, d: int) -> int:
+    """Steps per block for M trials on a problem of n terms in dimension d:
+    at most _BLOCK, and few enough that the block's (k M, n) objective
+    residual and its (k, M, d) iterates hold at most _BLOCK_VALUES values."""
+    return max(1, min(_BLOCK, _BLOCK_VALUES // (M * max(n, d))))
 
 
 def run_lockstep(cfg: RunConfig, trials, at=None, averaging=None,
@@ -349,6 +365,9 @@ def run_lockstep(cfg: RunConfig, trials, at=None, averaging=None,
     Row m is trial ``trials[m]`` exactly as if run alone: its samples come from
     its own ``default_rng(cfg.seed + trial)`` (drawn in blocks of steps, which
     concatenate to the same stream) and the oracles act on rows independently.
+    The steps of a block are taken first; one objective call on the block's
+    stacked (k M, d) iterates then gives their gaps, so neither the block
+    length nor M changes a value.
 
     Gaps and squared distances are kept at the steps ``at`` (every step when
     None), iterates on request.  ``averaging = (weighting, objective_rows,
@@ -359,14 +378,13 @@ def run_lockstep(cfg: RunConfig, trials, at=None, averaging=None,
     """
     if cfg.algorithm is None:
         raise ValueError("the config names no algorithm")
-    T, d = cfg.iterations, cfg.problem.d
+    T, n, d = cfg.iterations, cfg.problem.n, cfg.problem.d
     trials = np.array(list(trials), dtype=np.int64)
     M = len(trials)
     gamma = [cfg.schedule.gamma_at(t) for t in range(T + 1)]
     X = np.tile(cfg.start_point(), (M, 1))
     name, batch, (objective, inf_val, x_ref), step = _method(cfg, gamma, X)
     recorded = np.arange(T + 1) if at is None else np.unique(np.asarray(at, dtype=np.int64))
-    column = dict(zip(recorded.tolist(), range(len(recorded))))
     f_gap, dist_sq = np.empty((2, M, len(recorded)))
     averaged = None
     iterates = np.empty((M, T + 1, d)) if keep_iterates else None
@@ -374,38 +392,41 @@ def run_lockstep(cfg: RunConfig, trials, at=None, averaging=None,
         weighting, avg_objective, avg_inf = averaging
         weights = _weights(gamma, weighting, int(recorded[-1]))
         averaged = np.full((M, len(recorded)), np.nan)
+        column = dict(zip(recorded.tolist(), range(len(recorded))))
         total = np.zeros((M, d))
     sampled = cfg.algorithm not in FULL_GRADIENT
     rngs = [np.random.default_rng(cfg.seed + int(m)) for m in trials] if sampled else []
-    gaps = np.empty((_BLOCK, M))
+    block = _block_steps(M, n, d)
+    xs = np.empty((block, M, d))  # the iterates of the block's steps
     first = np.full(M, -1)  # first diverged step of each trial
     with np.errstate(all="ignore"):  # diverging rows run on as inf/nan
-        limit = _DIVERGENCE_FACTOR * (1.0 + np.abs(objective(X) - inf_val))
-        for t0 in range(0, T + 1, _BLOCK):
-            t1 = min(t0 + _BLOCK, T + 1)
+        for t0 in range(0, T + 1, block):
+            t1 = min(t0 + block, T + 1)
             if sampled and t0 < T:
-                k, n = min(t1, T) - t0, cfg.problem.n
+                k = min(t1, T) - t0
                 idx = np.stack([_draw_indices(r, k, n)[:, None] if batch is None
                                 else _draw_batches(r, k, n, batch) for r in rngs], axis=2)
             for t in range(t0, t1):
-                gap = objective(X) - inf_val
-                gaps[t - t0] = gap
-                c = column.get(t)
-                if c is not None:
-                    f_gap[:, c] = gap
-                    diff = X - x_ref
-                    dist_sq[:, c] = np.vecdot(diff, diff)
-                    if averaging is not None and t > 0:
-                        averaged[:, c] = avg_objective(total / weights[:t].sum()) - avg_inf
-                if keep_iterates:
-                    iterates[:, t] = X
+                xs[t - t0] = X
+                if averaging is not None and t > 0 and t in column:
+                    averaged[:, column[t]] = avg_objective(total / weights[:t].sum()) - avg_inf
                 if t == T:
                     break
                 if averaging is not None and t < len(weights):
                     total = total + weights[t] * X
                 X = step(t, X, idx[t - t0] if sampled else None)
-            block = gaps[: t1 - t0]
-            bad = ~np.isfinite(block) | (block > limit)
+            steps = xs[: t1 - t0]
+            gaps = (objective(steps.reshape(-1, d)) - inf_val).reshape(-1, M)
+            if t0 == 0:
+                limit = _DIVERGENCE_FACTOR * (1.0 + np.abs(gaps[0]))
+            lo, hi = np.searchsorted(recorded, [t0, t1])
+            rows = recorded[lo:hi] - t0
+            f_gap[:, lo:hi] = gaps[rows].T
+            diff = steps[rows] - x_ref
+            dist_sq[:, lo:hi] = np.vecdot(diff, diff).T
+            if keep_iterates:
+                iterates[:, t0:t1] = steps.transpose(1, 0, 2)
+            bad = ~np.isfinite(gaps) | (gaps > limit)
             newly = bad.any(axis=0) & (first < 0)
             first[newly] = t0 + bad[:, newly].argmax(axis=0)
             if (first >= 0).all():
@@ -470,11 +491,22 @@ def averaged_iterate(trace: Trace, weighting, upto: Optional[int] = None) -> np.
 
 
 def write_traces_csv(traces, path) -> None:
-    """Serialize traces as CSV: trial,t,gamma_t,f_gap,dist_sq (17 significant digits)."""
+    """Serialize traces as CSV: trial,t,gamma_t,f_gap,dist_sq (17 significant digits).
+
+    The ``,t,gamma_t,`` fields are formatted once for each distinct stepsize
+    array (keyed by its contents: traces from separate pool workers carry
+    separate copies), so a trial costs one %-format of its f_gap and dist_sq
+    columns and one write."""
     if isinstance(traces, Trace):
         traces = [traces]
+    templates = {}  # stepsize array bytes -> ["", row after the trial number, ...]
     with open(path, "w", newline="\n") as fh:
         fh.write("trial,t,gamma_t,f_gap,dist_sq\n")
         for tr in traces:
-            for t, (g, f, d) in enumerate(zip(tr.gamma, tr.f_gap, tr.dist_sq)):
-                fh.write(f"{tr.trial},{t},{g:.17g},{f:.17g},{d:.17g}\n")
+            gamma = np.asarray(tr.gamma, dtype=float)
+            key = gamma.tobytes()
+            if key not in templates:
+                templates[key] = ["", *(f",{t},{g:.17g},%.17g,%.17g\n"
+                                        for t, g in enumerate(gamma.tolist()))]
+            values = np.stack((tr.f_gap, tr.dist_sq), axis=1).ravel().tolist()
+            fh.write(str(tr.trial).join(templates[key]) % tuple(values))

@@ -26,6 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algorithms import FULL_GRADIENT, PROXIMAL, StepSchedule
+from .nonsmooth import SpecError
 from .problems import ProblemConstants, minibatch_constants
 
 __all__ = [
@@ -565,7 +566,10 @@ def complexity_table(sources: dict, epsilon: float) -> dict:
     for name in ("L", "L_max", "mu", "mu_pl", "sigma_star_f", "delta_star_f"):
         _req({name: getattr(c, name)}, name)
     b = int(sources.get("batch_size", 2))
-    Lb, sb = minibatch_constants(c, b)
+    try:
+        Lb, sb = minibatch_constants(c, b)
+    except ValueError as exc:
+        raise SpecError("batch_size", str(exc)) from exc
     lip = sources.get("lipschitz")
     G = float(_req(lip, "G"))
     D2_lip = float(_req(lip, "D2"))

@@ -400,6 +400,65 @@ def test_csv_byte_identical_reruns(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _row_csv(traces) -> bytes:
+    """The plain per-row writer that write_traces_csv must match byte for byte."""
+    out = ["trial,t,gamma_t,f_gap,dist_sq\n"]
+    for tr in traces:
+        for t, (g, f, d) in enumerate(zip(tr.gamma, tr.f_gap, tr.dist_sq)):
+            out.append(f"{tr.trial},{t},{g:.17g},{f:.17g},{d:.17g}\n")
+    return "".join(out).encode()
+
+
+def _sgd_traces(schedule, trials, T=40):
+    _, cfg = _cfg(T=T, seed=3, schedule=schedule)
+    return algorithms.run_lockstep(replace(cfg, algorithm="sgd"), trials).traces()
+
+
+def _assert_csv_matches_rows(tmp_path, traces):
+    path = tmp_path / "trace.csv"
+    write_traces_csv(traces, path)
+    assert path.read_bytes() == _row_csv(traces)
+
+
+def test_csv_matches_row_writer_inv_sqrt_many_trials(tmp_path):
+    traces = _sgd_traces(StepSchedule.inv_sqrt(0.3), range(13))
+    assert len(set(traces[0].gamma.tolist())) == len(traces[0].gamma)  # gamma varies with t
+    _assert_csv_matches_rows(tmp_path, traces)
+
+
+def test_csv_matches_row_writer_mixing_two_schedules(tmp_path):
+    # same horizon, different stepsizes, interleaved: the format cache keys on
+    # the stepsize values, so neither run's rows may borrow the other's
+    a = _sgd_traces(StepSchedule.constant(0.3), range(3))
+    b = _sgd_traces(StepSchedule.inv_sqrt(0.3), range(3))
+    _assert_csv_matches_rows(tmp_path, [a[0], b[0], a[1], b[1], a[2], b[2]])
+
+
+def test_csv_matches_row_writer_on_unpickled_chunks(tmp_path):
+    import pickle
+
+    # as the process pool returns them: each chunk carries its own gamma copy
+    chunks = [pickle.loads(pickle.dumps(_sgd_traces(StepSchedule.inv_sqrt(0.3), range(lo, hi))))
+              for lo, hi in ((0, 7), (7, 12))]
+    assert chunks[0][0].gamma is not chunks[1][0].gamma
+    _assert_csv_matches_rows(tmp_path, chunks[0] + chunks[1])
+
+
+def test_csv_matches_row_writer_on_special_values(tmp_path):
+    t = np.arange(4)
+    tr = algorithms.Trace(algorithm="sgd", trial=10, t=t, gamma=np.array([0.1, 1e-300, 2.0, 3.0]),
+                          f_gap=np.array([-0.0, np.nan, np.inf, -np.inf]),
+                          dist_sq=np.array([1e308, 5e-324, 0.1 + 0.2, 1.0]), iterates=None)
+    _assert_csv_matches_rows(tmp_path, [tr])
+
+
+def test_traces_need_every_step_recorded():
+    _, cfg = _cfg(T=10)
+    run = algorithms.run_lockstep(replace(cfg, algorithm="sgd"), range(2), at=[5, 10])
+    with pytest.raises(ValueError, match="recorded 2 of 11"):
+        run.traces()
+
+
 # ---------------------------------------------------------------------------
 # the lockstep core against the per-trial loops it replaced
 # ---------------------------------------------------------------------------
@@ -526,7 +585,22 @@ def _catalogue_runs():
 _CASES = _catalogue_runs()
 
 
-@pytest.mark.parametrize("case", _CASES, ids=[c[0] for c in _CASES])
+def _long_runs():
+    """Catalogue runs long enough that a one-trial run crosses two block edges."""
+    T = 1100
+    cases = [c for c in _CASES if c[0] in ("ls_4x2-sgd", "abs_2x1-pssd", "lasso_4x2-prox_sgd",
+                                           "ls_4x2-momentum_buffer", "ls_4x2-momentum_heavy_ball",
+                                           "ls_4x2-momentum_ima")]
+    for _, cfg, _, _ in cases:
+        assert T >= 2 * algorithms._block_steps(1, cfg.problem.n, cfg.problem.d)
+    return [(f"{name}-T{T}", replace(cfg, iterations=T), alg, form)
+            for name, cfg, alg, form in cases]
+
+
+_LONG_CASES = _long_runs()
+
+
+@pytest.mark.parametrize("case", _CASES + _LONG_CASES, ids=[c[0] for c in _CASES + _LONG_CASES])
 def test_lockstep_replays_reference_loop(case):
     _, cfg, alg, form = case
     for trial in (0, 3):
@@ -535,7 +609,8 @@ def test_lockstep_replays_reference_loop(case):
               else run_algorithm(cfg, alg, trial=trial))
         assert np.array_equal(tr.iterates, xs)
         assert _close(tr.f_gap, f_gap) and _close(tr.dist_sq, dist_sq)
-        assert np.array_equal(tr.gamma, [cfg.schedule.gamma_at(t) for t in range(61)])
+        assert np.array_equal(tr.gamma, [cfg.schedule.gamma_at(t)
+                                         for t in range(cfg.iterations + 1)])
 
 
 @pytest.mark.parametrize("case", _CASES, ids=[c[0] for c in _CASES])
@@ -562,15 +637,22 @@ def test_trial_independent_of_M(alg, extra):
     sched = (StepSchedule.momentum_pair(0.1) if alg == "momentum"
              else StepSchedule.constant(0.2))
     cfg = RunConfig(problem=fx.problem, ground_truth=fx.ground_truth, schedule=sched,
-                    iterations=40, seed=5, composite=fx.composite, x0=np.array([2.0, -1.0]),
+                    iterations=600, seed=5, composite=fx.composite, x0=np.array([2.0, -1.0]),
                     **extra)
     cfg = replace(cfg, algorithm=alg)
+    # M = 7 and M = 1000 step in blocks of different lengths, and both cross an edge
+    edges = {M: algorithms._block_steps(M, fx.problem.n, fx.problem.d) for M in (7, 1000)}
+    assert edges[7] != edges[1000] and max(edges.values()) < cfg.iterations
+    at = sorted({e + s for e in edges.values() for s in (-1, 0, 1)})
     batched = [run_lockstep(cfg, range(M), keep_iterates=True) for M in (7, 1000)]
+    checked = [run_lockstep(cfg, range(M), at=at) for M in (7, 1000)]
     for m in (0, 1, 6, 999):
         alone = run_lockstep(cfg, [m], keep_iterates=True)
-        for run in batched[m >= 7:]:
+        for run, at_run in zip(batched[m >= 7:], checked[m >= 7:]):
             for key in ("iterates", "f_gap", "dist_sq"):
                 assert np.array_equal(getattr(run, key)[m], getattr(alone, key)[0])
+            for key in ("f_gap", "dist_sq"):
+                assert np.array_equal(getattr(at_run, key)[m], getattr(alone, key)[0][at])
 
 
 def test_draw_batches_matches_sequential_fisher_yates():
@@ -581,7 +663,7 @@ def test_draw_batches_matches_sequential_fisher_yates():
 
 def test_estimate_names_exactly_the_diverged_trials():
     # gamma * ||phi_i||^2 = 2.9 on two of the four terms: some sample streams
-    # blow up within T = 700 steps (on both sides of a 512-step block), others not
+    # blow up within T = 700 steps (on both sides of a block edge), others not
     fx = fixture("ls_4x2")
     cfg = RunConfig(problem=fx.problem, ground_truth=fx.ground_truth,
                     schedule=StepSchedule.constant(1.45), iterations=700, trials=12,
@@ -596,6 +678,9 @@ def test_estimate_names_exactly_the_diverged_trials():
     named = [(int(m), int(t)) for m, t in re.findall(r"trial (\d+) \(t=(\d+)\)", str(err.value))]
     assert named == want
     assert err.value.t == min(t for _, t in want)
+    # trials diverge on both sides of the first block edge of this M
+    edge = algorithms._block_steps(12, fx.problem.n, fx.problem.d)
+    assert min(t for _, t in want) < edge <= max(t for _, t in want)
 
 
 def test_run_for_fixture_picks_composite_and_ball():

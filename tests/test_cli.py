@@ -463,6 +463,18 @@ def test_table_malformed_constants_file_exits_2(tmp_path, capsys, payload, field
     assert capsys.readouterr().err.startswith(f"table error: field {fieldname!r}:")
 
 
+@pytest.mark.parametrize("source,extra,b", [
+    ("file", [], 9),
+    ("ls_4x2", ["--batch-size", "0"], 0),
+], ids=["constants_file_batch_size_9", "flag_batch_size_0"])
+def test_table_batch_size_out_of_range_names_the_field(tmp_path, capsys, source, extra, b):
+    if source == "file":
+        source = _write(tmp_path, "k.json", {"smooth": _SMOOTH, "batch_size": 9})
+    assert main(["table", "--constants", source, "--epsilon", "1e-3", *extra]) == 2
+    assert capsys.readouterr().err == (
+        f"table error: field 'batch_size': batch size b={b} out of range [1, 4]\n")
+
+
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_x0_of_wrong_length_is_a_config_error(tmp_path, capsys, command):
     argv = [command, "--config", _write(tmp_path, "cfg.json", _verify_config(x0=[1.0, 2.0, 3.0]))]
