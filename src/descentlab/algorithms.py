@@ -5,10 +5,14 @@ Trial m is a strictly sequential recurrence seeded by ``cfg.seed + m``; index
 sampling draws one double per index (and b doubles per size-b batch) from the
 trial's own generator, so a batch size of 1 replays the single-sample stream
 exactly.  Traces record t = 0..T inclusive with the objective gap, squared
-distance to the reference minimizer, and the stepsize at each index.  The gaps
-and distances are evaluated once per block of steps, on the block's stacked
-iterates, with row-wise oracles: neither the block length nor the number of
-trials run together changes any value.
+distance to the reference minimizer, and the stepsize at each index.
+
+Two lengths split a run, and neither changes a value.  Each trial draws its
+samples once per *draw window* (``_draw_steps``), whose draws concatenate to
+the trial's one stream; the gaps and distances are evaluated once per *gap
+block* (``_block_steps``), on the block's stacked iterates, with row-wise
+oracles.  The window is bounded by what the draw allocates and the block by
+the objective residual, so the two differ whenever n is large or M is.
 """
 
 from __future__ import annotations
@@ -40,15 +44,18 @@ _DIVERGENCE_FACTOR = 1e12
 
 
 class DivergenceError(RuntimeError):
-    """Raised when an iterate goes non-finite or the gap explodes."""
+    """Raised when trials diverge: an iterate goes non-finite or the gap
+    explodes.  ``failures`` lists each diverged (trial, t) in trial order, and
+    the message names them all; ``t`` is the earliest."""
 
-    def __init__(self, t: int, message: str):
-        super().__init__(message)
-        self.t = t
+    def __init__(self, failures):
+        self.failures = [(int(m), int(t)) for m, t in failures]
+        self.t = min(t for _, t in self.failures)
+        names = ", ".join(f"trial {m} (t={t})" for m, t in self.failures)
+        super().__init__(f"{len(self.failures)} trial(s) diverged: {names}")
 
     def __reduce__(self):
-        # keep the two-argument signature picklable across process pools
-        return (DivergenceError, (self.t, str(self)))
+        return (DivergenceError, (self.failures,))
 
 
 @dataclass(frozen=True)
@@ -346,15 +353,24 @@ class Lockstep:
         ]
 
 
-_BLOCK = 512  # most steps whose sample indices are drawn, and gaps evaluated, at once
-_BLOCK_VALUES = 2 ** 16  # most values in the objective residual, or the iterates, of a block
+_BLOCK = 512  # most steps whose sample indices are drawn, or gaps evaluated, at once
+_BLOCK_VALUES = 2 ** 16  # most values one draw window, or one gap block, allocates
 
 
 def _block_steps(M: int, n: int, d: int) -> int:
-    """Steps per block for M trials on a problem of n terms in dimension d:
-    at most _BLOCK, and few enough that the block's (k M, n) objective
+    """Steps per gap block for M trials on a problem of n terms in dimension
+    d: at most _BLOCK, and few enough that the block's (k M, n) objective
     residual and its (k, M, d) iterates hold at most _BLOCK_VALUES values."""
     return max(1, min(_BLOCK, _BLOCK_VALUES // (M * max(n, d))))
+
+
+def _draw_steps(M: int, n: int, b: Optional[int]) -> int:
+    """Steps per draw window for M trials sampling batches of b of n terms (b
+    None: single indices): at most _BLOCK, and few enough that the (k, b, M)
+    index array and, for batches, each trial's (k, n) Fisher-Yates table hold
+    at most _BLOCK_VALUES values."""
+    k = _BLOCK_VALUES // (M * (b or 1))
+    return max(1, min(_BLOCK, k if b is None else min(k, _BLOCK_VALUES // n)))
 
 
 def run_lockstep(cfg: RunConfig, trials, at=None, averaging=None,
@@ -363,11 +379,11 @@ def run_lockstep(cfg: RunConfig, trials, at=None, averaging=None,
     iterate array.
 
     Row m is trial ``trials[m]`` exactly as if run alone: its samples come from
-    its own ``default_rng(cfg.seed + trial)`` (drawn in blocks of steps, which
-    concatenate to the same stream) and the oracles act on rows independently.
-    The steps of a block are taken first; one objective call on the block's
-    stacked (k M, d) iterates then gives their gaps, so neither the block
-    length nor M changes a value.
+    its own ``default_rng(cfg.seed + trial)`` (drawn once per draw window, and
+    the windows concatenate to the same stream) and the oracles act on rows
+    independently.  The steps of a gap block are taken first; one objective
+    call on the block's stacked (k M, d) iterates then gives their gaps, so
+    neither the window, the block length nor M changes a value.
 
     Gaps and squared distances are kept at the steps ``at`` (every step when
     None), iterates on request.  ``averaging = (weighting, objective_rows,
@@ -396,16 +412,13 @@ def run_lockstep(cfg: RunConfig, trials, at=None, averaging=None,
         total = np.zeros((M, d))
     sampled = cfg.algorithm not in FULL_GRADIENT
     rngs = [np.random.default_rng(cfg.seed + int(m)) for m in trials] if sampled else []
-    block = _block_steps(M, n, d)
+    block, window = _block_steps(M, n, d), _draw_steps(M, n, batch)
+    w0 = w1 = 0  # the draw window idx holds: steps w0 .. w1 - 1
     xs = np.empty((block, M, d))  # the iterates of the block's steps
     first = np.full(M, -1)  # first diverged step of each trial
     with np.errstate(all="ignore"):  # diverging rows run on as inf/nan
         for t0 in range(0, T + 1, block):
             t1 = min(t0 + block, T + 1)
-            if sampled and t0 < T:
-                k = min(t1, T) - t0
-                idx = np.stack([_draw_indices(r, k, n)[:, None] if batch is None
-                                else _draw_batches(r, k, n, batch) for r in rngs], axis=2)
             for t in range(t0, t1):
                 xs[t - t0] = X
                 if averaging is not None and t > 0 and t in column:
@@ -414,7 +427,12 @@ def run_lockstep(cfg: RunConfig, trials, at=None, averaging=None,
                     break
                 if averaging is not None and t < len(weights):
                     total = total + weights[t] * X
-                X = step(t, X, idx[t - t0] if sampled else None)
+                if sampled and t == w1:
+                    w0, w1 = t, min(t + window, T)
+                    idx = np.stack([_draw_indices(r, w1 - w0, n)[:, None] if batch is None
+                                    else _draw_batches(r, w1 - w0, n, batch) for r in rngs],
+                                   axis=2)
+                X = step(t, X, idx[t - w0] if sampled else None)
             steps = xs[: t1 - t0]
             gaps = (objective(steps.reshape(-1, d)) - inf_val).reshape(-1, M)
             if t0 == 0:
@@ -433,9 +451,7 @@ def run_lockstep(cfg: RunConfig, trials, at=None, averaging=None,
                 break
     failed = np.nonzero(first >= 0)[0]
     if failed.size:
-        names = ", ".join(f"trial {trials[j]} (t={first[j]})" for j in failed)
-        raise DivergenceError(int(first[failed].min()),
-                              f"{failed.size} trial(s) diverged: {names}")
+        raise DivergenceError(zip(trials[failed], first[failed]))
     return Lockstep(algorithm=name, trials=trials, t=recorded,
                     gamma=np.array(gamma), f_gap=f_gap, dist_sq=dist_sq,
                     averaged=averaged, iterates=iterates)
@@ -490,18 +506,22 @@ def averaged_iterate(trace: Trace, weighting, upto: Optional[int] = None) -> np.
     return (w[:, None] * trace.iterates[:t]).sum(axis=0) / w.sum()
 
 
-def write_traces_csv(traces, path) -> None:
+def write_traces_csv(traces, path, header: bool = True) -> None:
     """Serialize traces as CSV: trial,t,gamma_t,f_gap,dist_sq (17 significant digits).
 
-    The ``,t,gamma_t,`` fields are formatted once for each distinct stepsize
-    array (keyed by its contents: traces from separate pool workers carry
-    separate copies), so a trial costs one %-format of its f_gap and dist_sq
-    columns and one write."""
+    With ``header=False`` only the rows are written, so the rows of
+    consecutive trial ranges, each written by the process that ran it,
+    concatenate behind one header into the file a single call would write;
+    traces never cross a process boundary.  The ``,t,gamma_t,`` fields are
+    formatted once for each distinct stepsize array (keyed by its contents),
+    so a trial costs one %-format of its f_gap and dist_sq columns and one
+    write."""
     if isinstance(traces, Trace):
         traces = [traces]
     templates = {}  # stepsize array bytes -> ["", row after the trial number, ...]
     with open(path, "w", newline="\n") as fh:
-        fh.write("trial,t,gamma_t,f_gap,dist_sq\n")
+        if header:
+            fh.write("trial,t,gamma_t,f_gap,dist_sq\n")
         for tr in traces:
             gamma = np.asarray(tr.gamma, dtype=float)
             key = gamma.tobytes()

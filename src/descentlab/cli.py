@@ -20,7 +20,9 @@ import json
 import math
 import os
 import platform
+import shutil
 import sys
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
@@ -178,11 +180,16 @@ def _run_config(cfg: ExperimentConfig, fx: problems.Fixture, seed: int) -> RunCo
 
 
 def _trial_chunk(args):
-    """Worker: rebuild the experiment and run a contiguous range of trials,
-    returning their traces without the (T+1, d) iterates."""
-    raw, seed, lo, hi = args
-    cfg = ExperimentConfig.from_dict(raw)
-    return run_lockstep(_run_config(cfg, _build_fixture(cfg), seed), range(lo, hi)).traces()
+    """Worker: run trials lo .. hi-1 of the checked run and write their trace
+    rows, without the header, to ``path``.  Returns the (trial, t) of each
+    diverged trial, and writes nothing if there is one."""
+    rc, lo, hi, path = args
+    try:
+        traces = run_lockstep(rc, range(lo, hi)).traces()
+    except DivergenceError as exc:
+        return exc.failures
+    write_traces_csv(traces, path, header=False)
+    return []
 
 
 def cmd_run(config_path: str, out_dir: str = ".", jobs: int = 1,
@@ -213,21 +220,36 @@ def cmd_run(config_path: str, out_dir: str = ".", jobs: int = 1,
 
     try:
         if jobs > 1 and cfg.trials > 1:
-            chunks = np.array_split(np.arange(cfg.trials), min(jobs, cfg.trials))
-            args = [(cfg.to_dict(), seed, int(ch[0]), int(ch[-1]) + 1)
-                    for ch in chunks if len(ch)]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                # map keeps the chunks, and so the trials, in order
-                traces = [tr for part in pool.map(_trial_chunk, args) for tr in part]
+            _run_chunks(rc, jobs, out_dir, trace_path)
         else:
-            traces = run_lockstep(rc, range(cfg.trials)).traces()
+            write_traces_csv(run_lockstep(rc, range(cfg.trials)).traces(), trace_path)
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return 3
-
-    write_traces_csv(traces, trace_path)
     print(f"wrote {manifest_path} and {trace_path}")
     return 0
+
+
+def _run_chunks(rc: RunConfig, jobs: int, out_dir: str, trace_path: str) -> None:
+    """The trials of ``rc`` in ``jobs`` contiguous chunks, one per worker.
+    Each worker writes its rows to a part file in a temporary directory under
+    ``out_dir``; the trace is the header and then the parts in chunk order, so
+    it is the file one process would write, and the rows never pass through
+    this process.  Raises one DivergenceError naming every diverged trial."""
+    chunks = np.array_split(np.arange(rc.trials), min(jobs, rc.trials))
+    with tempfile.TemporaryDirectory(dir=out_dir) as tmp:
+        args = [(rc, int(ch[0]), int(ch[-1]) + 1, os.path.join(tmp, f"part{i}.csv"))
+                for i, ch in enumerate(chunks)]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            # map keeps the chunks, and so the trials, in order
+            failures = [f for part in pool.map(_trial_chunk, args) for f in part]
+        if failures:
+            raise DivergenceError(failures)
+        write_traces_csv((), trace_path)
+        with open(trace_path, "ab") as out:
+            for _, _, _, part in args:
+                with open(part, "rb") as fh:
+                    shutil.copyfileobj(fh, out)
 
 
 def cmd_verify(config_path: str, seed_override: Optional[int] = None) -> int:

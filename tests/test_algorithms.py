@@ -463,7 +463,7 @@ def test_traces_need_every_step_recorded():
 # the lockstep core against the per-trial loops it replaced
 # ---------------------------------------------------------------------------
 
-from descentlab import Regularizer, make_composite  # noqa: E402
+from descentlab import Regularizer, build_least_squares, make_composite  # noqa: E402
 from descentlab.algorithms import run_lockstep  # noqa: E402
 from descentlab.harness import estimate  # noqa: E402
 
@@ -630,20 +630,52 @@ def test_lockstep_averages_match_averaged_iterate(case):
             assert _close(row, np.array(want))
 
 
-@pytest.mark.parametrize("alg,extra", [("sgd", {}), ("minibatch_sgd", {"batch_size": 2}),
-                                       ("momentum", {}), ("prox_sgd", {})])
+def _tiled_ls(copies=64):
+    """ls_4x2 with each of its rows repeated: n = 256 terms, so a minibatch
+    draw window is capped by the (k, n) Fisher-Yates table, not by M."""
+    data = fixture("ls_4x2").problem.data
+    problem, ground_truth, _ = build_least_squares(np.tile(data["features"], (copies, 1)),
+                                                   np.tile(data["targets"], copies))
+    return problem, ground_truth
+
+
+_TILED = _tiled_ls()
+
+
+def test_draw_window_and_gap_block_differ():
+    # the trace_export 256 x 16 sgd run, one worker of M = 32: the gap block is
+    # capped by the (k M, n) residual, the draw window only by _BLOCK
+    assert algorithms._block_steps(32, 256, 16) == 8
+    assert algorithms._draw_steps(32, 256, None) == algorithms._BLOCK
+    # a minibatch window is capped by n, and the gap block by M n, apart
+    n = _TILED[0].n
+    assert algorithms._draw_steps(7, n, 2) == algorithms._BLOCK_VALUES // n < algorithms._BLOCK
+    assert algorithms._block_steps(7, n, 2) < algorithms._draw_steps(7, n, 2)
+
+
+@pytest.mark.parametrize("alg,extra", [
+    ("sgd", {}), ("minibatch_sgd", {"batch_size": 2}), ("momentum", {}), ("prox_sgd", {}),
+    pytest.param("minibatch_sgd", {"batch_size": 2, "problem": _TILED[0],
+                                   "ground_truth": _TILED[1], "composite": None},
+                 id="minibatch_sgd-n256")])
 def test_trial_independent_of_M(alg, extra):
     fx = fixture("lasso_4x2")
     sched = (StepSchedule.momentum_pair(0.1) if alg == "momentum"
              else StepSchedule.constant(0.2))
-    cfg = RunConfig(problem=fx.problem, ground_truth=fx.ground_truth, schedule=sched,
-                    iterations=600, seed=5, composite=fx.composite, x0=np.array([2.0, -1.0]),
-                    **extra)
+    base = dict(problem=fx.problem, ground_truth=fx.ground_truth, composite=fx.composite)
+    cfg = RunConfig(schedule=sched, iterations=600, seed=5, x0=np.array([2.0, -1.0]),
+                    **dict(base, **extra))
     cfg = replace(cfg, algorithm=alg)
-    # M = 7 and M = 1000 step in blocks of different lengths, and both cross an edge
-    edges = {M: algorithms._block_steps(M, fx.problem.n, fx.problem.d) for M in (7, 1000)}
-    assert edges[7] != edges[1000] and max(edges.values()) < cfg.iterations
-    at = sorted({e + s for e in edges.values() for s in (-1, 0, 1)})
+    n, d, b = cfg.problem.n, cfg.problem.d, cfg.batch_size
+    # M = 7 and M = 1000 step in gap blocks of different lengths and draw their
+    # samples in windows of different lengths; at M = 1000 the window and the
+    # block differ too, and every block and window crosses an edge
+    edges = {M: algorithms._block_steps(M, n, d) for M in (7, 1000)}
+    windows = {M: algorithms._draw_steps(M, n, b) for M in (7, 1000)}
+    assert edges[7] != edges[1000] and windows[7] != windows[1000] != edges[1000]
+    assert max(*edges.values(), *windows.values()) < cfg.iterations
+    at = sorted({e + s for e in (*edges.values(), *windows.values()) for s in (-1, 0, 1)
+                 if e + s >= 0})
     batched = [run_lockstep(cfg, range(M), keep_iterates=True) for M in (7, 1000)]
     checked = [run_lockstep(cfg, range(M), at=at) for M in (7, 1000)]
     for m in (0, 1, 6, 999):
@@ -662,25 +694,32 @@ def test_draw_batches_matches_sequential_fisher_yates():
 
 
 def test_estimate_names_exactly_the_diverged_trials():
-    # gamma * ||phi_i||^2 = 2.9 on two of the four terms: some sample streams
-    # blow up within T = 700 steps (on both sides of a block edge), others not
+    # sgd: gamma * ||phi_i||^2 = 2.9 on two of the four terms of ls_4x2;
+    # minibatch_sgd (b = 2) on the n = 256 tiling of ls_4x2, whose draw window
+    # is capped by n.  In both, some sample streams blow up within T = 700
+    # steps, in more than one gap block and more than one draw window, and
+    # others do not
     fx = fixture("ls_4x2")
-    cfg = RunConfig(problem=fx.problem, ground_truth=fx.ground_truth,
-                    schedule=StepSchedule.constant(1.45), iterations=700, trials=12,
-                    x0=np.array([2.0, 0.0]), algorithm="sgd")
-    want = [(m, _ref_run(cfg, "sgd", m)[3]) for m in range(12)]
-    want = [(m, t) for m, t in want if t is not None]
-    assert 0 < len(want) < 12
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DivergenceError) as err:
-            estimate(cfg, "f_gap", [700])
-    named = [(int(m), int(t)) for m, t in re.findall(r"trial (\d+) \(t=(\d+)\)", str(err.value))]
-    assert named == want
-    assert err.value.t == min(t for _, t in want)
-    # trials diverge on both sides of the first block edge of this M
-    edge = algorithms._block_steps(12, fx.problem.n, fx.problem.d)
-    assert min(t for _, t in want) < edge <= max(t for _, t in want)
+    base = dict(problem=fx.problem, ground_truth=fx.ground_truth, iterations=700, trials=12,
+                x0=np.array([2.0, 0.0]))
+    for cfg in (RunConfig(schedule=StepSchedule.constant(1.45), algorithm="sgd", **base),
+                RunConfig(**dict(base, problem=_TILED[0], ground_truth=_TILED[1]),
+                          schedule=StepSchedule.constant(2.2), batch_size=2,
+                          algorithm="minibatch_sgd")):
+        want = [(m, _ref_run(cfg, cfg.algorithm, m)[3]) for m in range(12)]
+        want = [(m, t) for m, t in want if t is not None]
+        assert 0 < len(want) < 12
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as err:
+                estimate(cfg, "f_gap", [700])
+        named = [(int(m), int(t))
+                 for m, t in re.findall(r"trial (\d+) \(t=(\d+)\)", str(err.value))]
+        assert named == want == err.value.failures
+        assert err.value.t == min(t for _, t in want)
+        n, d, b = cfg.problem.n, cfg.problem.d, cfg.batch_size
+        for edge in (algorithms._block_steps(12, n, d), algorithms._draw_steps(12, n, b)):
+            assert len({t // edge for _, t in want}) > 1
 
 
 def test_run_for_fixture_picks_composite_and_ball():

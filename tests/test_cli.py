@@ -79,12 +79,40 @@ def test_run_repeat_is_byte_identical(tmp_path):
 
 
 def test_run_jobs_matches_sequential(tmp_path):
-    path = _write(tmp_path, "cfg.json", _gd_config(algorithm="sgd", trials=4,
-                                                   schedule={"kind": "constant", "gamma": 0.2}))
-    a, b = tmp_path / "seq", tmp_path / "par"
-    assert cmd_run(path, out_dir=str(a), jobs=1) == 0
-    assert cmd_run(path, out_dir=str(b), jobs=3) == 0
-    assert (a / "trace.csv").read_bytes() == (b / "trace.csv").read_bytes()
+    # T = 600 crosses the first draw window (512 steps for up to 4 trials), and
+    # --jobs 3 splits the 4 trials 2 + 1 + 1
+    for name, changes in (
+            ("sgd", {}),
+            ("minibatch_sgd", {"batch_size": 2}),
+            ("momentum", {"schedule": {"kind": "momentum_pair", "eta": 0.1}}),
+            ("prox_sgd", {"problem": {"fixture": "lasso_4x2"}})):
+        path = _write(tmp_path, f"{name}.json", _gd_config(
+            **dict({"algorithm": name, "trials": 4, "iterations": 600,
+                    "schedule": {"kind": "constant", "gamma": 0.2}}, **changes)))
+        traces = []
+        for jobs in (1, 2, 3):
+            out = tmp_path / f"{name}_{jobs}"
+            assert cmd_run(path, out_dir=str(out), jobs=jobs) == 0
+            assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "trace.csv"]
+            traces.append((out / "trace.csv").read_bytes())
+        assert traces[0] == traces[1] == traces[2]
+        assert traces[0].count(b"\n") == 1 + 4 * 601
+
+
+def test_run_divergence_names_every_trial_whatever_jobs(tmp_path, capsys):
+    # gamma * ||phi_i||^2 = 2.9 on two of the four terms: 8 of the 12 sample
+    # streams blow up within T = 700 steps, in both halves and all thirds
+    path = _write(tmp_path, "cfg.json", _gd_config(
+        algorithm="sgd", trials=12, iterations=700, x0=[2.0, 0.0],
+        schedule={"kind": "constant", "gamma": 1.45}))
+    errs = []
+    for jobs in (1, 2, 3):
+        out = tmp_path / f"jobs{jobs}"
+        assert cmd_run(path, out_dir=str(out), jobs=jobs) == 3
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == errs[2]
+    assert errs[0].startswith("divergence: 8 trial(s) diverged: trial 0 (t=301), ")
 
 
 def test_run_bad_batch_size_exits_2(tmp_path, capsys):
