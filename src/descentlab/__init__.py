@@ -33,11 +33,10 @@ from .theory import (
     InitState,
     BoundCurve,
     ComplexityAnswer,
+    HypothesisError,
     bound_curve,
     complexity_iterations,
     complexity_table,
-    contraction_iterations,
-    linear_plus_constant,
     answer_schedule,
 )
 from .harness import (

@@ -386,9 +386,10 @@ def run_lockstep(cfg: RunConfig, trials, at=None, averaging=None,
     neither the window, the block length nor M changes a value.
 
     Gaps and squared distances are kept at the steps ``at`` (every step when
-    None), iterates on request.  ``averaging = (weighting, objective_rows,
-    inf)`` adds ``objective(xbar_t) - inf`` at each recorded t >= 1, xbar_t the
-    weighted average of x_0 .. x_{t-1} (see ``averaged_iterate``).  A trial
+    None), iterates on request.  An ``averaging`` weighting adds the gap at
+    xbar_t at each recorded t >= 1, xbar_t the weighted average of x_0 ..
+    x_{t-1} (see ``averaged_iterate``); the gap is the method's own, of F for a
+    proximal method and of f otherwise.  A trial
     diverges at the first t where its gap is non-finite or above
     1e12 (1 + |gap_0|); one DivergenceError names every diverged trial.
     """
@@ -405,8 +406,7 @@ def run_lockstep(cfg: RunConfig, trials, at=None, averaging=None,
     averaged = None
     iterates = np.empty((M, T + 1, d)) if keep_iterates else None
     if averaging is not None:
-        weighting, avg_objective, avg_inf = averaging
-        weights = _weights(gamma, weighting, int(recorded[-1]))
+        weights = _weights(gamma, averaging, int(recorded[-1]))
         averaged = np.full((M, len(recorded)), np.nan)
         column = dict(zip(recorded.tolist(), range(len(recorded))))
         total = np.zeros((M, d))
@@ -422,7 +422,7 @@ def run_lockstep(cfg: RunConfig, trials, at=None, averaging=None,
             for t in range(t0, t1):
                 xs[t - t0] = X
                 if averaging is not None and t > 0 and t in column:
-                    averaged[:, column[t]] = avg_objective(total / weights[:t].sum()) - avg_inf
+                    averaged[:, column[t]] = objective(total / weights[:t].sum()) - inf_val
                 if t == T:
                     break
                 if averaging is not None and t < len(weights):

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import nonsmooth
 from .algorithms import (
+    PROXIMAL,
     RunConfig,
     StepSchedule,
     Trace,
@@ -106,23 +107,18 @@ def estimate(cfg: RunConfig, metric: str, checkpoints, weighting=None) -> Expect
     circuit to one trial with zero standard error.  Diverged trials abort the
     estimate with a DivergenceError naming every failing trial and its step.
     """
-    if metric in ("avg_f_gap", "avg_F_gap") and weighting is None:
+    averaged = metric in ("avg_f_gap", "avg_F_gap")
+    if averaged and weighting is None:
         raise ValueError("averaged metrics need a weighting")
-    if metric == "avg_F_gap" and cfg.composite is None:
-        raise ValueError("avg_F_gap requires a composite problem")
+    if metric == "avg_F_gap" and cfg.algorithm not in PROXIMAL:
+        raise ValueError("avg_F_gap is the averaged gap of a proximal method")
     checkpoints = tuple(int(c) for c in checkpoints)
     if max(checkpoints) > cfg.iterations:
         raise SpecError("checkpoints",
                         f"checkpoint {max(checkpoints)} beyond horizon T={cfg.iterations}")
-    if metric == "avg_f_gap":
-        averaging = (weighting, cfg.problem.value_rows, cfg.ground_truth.inf_f)
-    elif metric == "avg_F_gap":
-        averaging = (weighting, cfg.composite.value_rows, cfg.composite.inf_F)
-    elif metric in ("f_gap", "dist_sq"):
-        averaging = None
-    else:
+    if not averaged and metric not in ("f_gap", "dist_sq"):
         raise ValueError(f"unknown metric {metric!r}")
-    if averaging and min(checkpoints) < 1:
+    if averaged and min(checkpoints) < 1:
         raise SpecError("checkpoints", f"averaging horizon t={min(checkpoints)} must be in "
                                        f"[1, {cfg.iterations}]")
 
@@ -131,8 +127,9 @@ def estimate(cfg: RunConfig, metric: str, checkpoints, weighting=None) -> Expect
     if not deterministic and M < 2:
         raise SpecError("trials", "stochastic estimates need trials M >= 2")
 
-    run = run_lockstep(cfg, range(M), at=checkpoints, averaging=averaging)
-    values = run.averaged if averaging else getattr(run, metric)
+    # the averaged gap is of the method's own objective, as in run_lockstep
+    run = run_lockstep(cfg, range(M), at=checkpoints, averaging=weighting if averaged else None)
+    values = run.averaged if averaged else getattr(run, metric)
     # C order, so the mean and stderr add the trials up in trial order (the
     # column selection alone comes out in F order, which sums pairwise)
     rows = np.ascontiguousarray(values[:, np.searchsorted(run.t, checkpoints)])

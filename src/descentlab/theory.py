@@ -14,13 +14,17 @@ Conventions adopted here (documented in the README):
   * the momentum horizon complexity is stated so that plugging the recommended
     eta back into the momentum bound meets the target exactly;
   * the finite-horizon subgradient recommendation is gamma = D/(G*sqrt(T)) with
-    T >= D^2 G^2 / eps^2.
+    T >= D^2 G^2 / eps^2;
+  * a complexity family computes its count once, unrounded
+    (``ComplexityAnswer.rate``), and rounds it to ``t_min`` by its rule; a
+    table cell is the rate of its setting, or "not covered" where the setting's
+    hypotheses fail (e.g. prox_sgd / convex_smooth needs eps <= sigma_F/L_max).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,13 +39,12 @@ __all__ = [
     "InitState",
     "BoundCurve",
     "ComplexityAnswer",
+    "HypothesisError",
     "bound_curve",
     "complexity_iterations",
     "complexity_table",
     "table_to_text",
     "table_to_csv",
-    "contraction_iterations",
-    "linear_plus_constant",
     "answer_schedule",
 ]
 
@@ -111,9 +114,14 @@ class Setting:
         return L_b, _need(sigma_b, "sigma_star_f")
 
 
+class HypothesisError(ValueError):
+    """A hypothesis of a setting fails for the given constants, schedule or
+    accuracy target."""
+
+
 def _hyp(condition: bool, constraint: str):
     if not condition:
-        raise ValueError(f"hypothesis violated: {constraint}")
+        raise HypothesisError(f"hypothesis violated: {constraint}")
 
 
 def _need(value: float, name: str) -> float:
@@ -317,68 +325,65 @@ def _ceil(value: float) -> int:
     return math.ceil(value - 1e-9 * max(1.0, abs(value)))
 
 
-def contraction_iterations(rho: float, epsilon: float) -> int:
-    """Iterations for alpha_k <= rho^k alpha_0 to reach alpha_k <= eps*alpha_0."""
+def _contraction_steps(L: float, modulus: float, e: float):
+    """(gamma = 1/L, t, rate) for rho^t <= eps, rho = 1 - modulus/L: rate =
+    log(1/eps) / (1 - rho), rounded up to t, or one step at rho = 0.  A target
+    eps >= 1 holds at t = 0."""
+    if e >= 1:
+        return 1.0 / L, 0, 0.0
+    rho = 1.0 - modulus / L
     if not 0.0 <= rho < 1.0:
         raise ValueError("contraction factor rho must be in [0, 1)")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must be in (0, 1) for a relative target")
-    if rho == 0.0:
-        return 1
-    return _ceil(math.log(1.0 / epsilon) / (1.0 - rho))
+    rate = math.log(1.0 / e) / (1.0 - rho)
+    return 1.0 / L, 1 if rho == 0.0 else _ceil(rate), rate
 
 
-def linear_plus_constant(mu: float, A: float, C: float, alpha0: float, epsilon: float):
-    """Stepsize and iterations for the recurrence alpha_t <= (1-gamma mu)^t alpha0 + A gamma.
-
-    Returns (gamma, t) with gamma = min(eps/(2A), 1/C) and
-    t = ceil(max(2A/(eps mu), C/mu) * log(2 alpha0 / eps)).
-    """
-    if mu <= 0:
-        raise ValueError("mu must be > 0")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
-    gamma = 1.0 / C if A == 0.0 else min(epsilon / (2.0 * A), 1.0 / C)
-    factor = C / mu if A == 0.0 else max(2.0 * A / (epsilon * mu), C / mu)
-    log_term = math.log(2.0 * alpha0 / epsilon) if 2.0 * alpha0 > epsilon else 0.0
-    return gamma, max(0, _ceil(factor * log_term))
+def _linear_plus_constant(mu: float, A: float, C: float, alpha0: float, e: float):
+    """(gamma, t, rate) for alpha_t <= (1 - gamma mu)^t alpha0 + A gamma to reach
+    eps: gamma = min(eps/(2A), 1/C) and rate = max(2A/(eps mu), C/mu) *
+    log(2 alpha0 / eps), rounded up to t (0 once 2 alpha0 <= eps)."""
+    gamma = 1.0 / C if A == 0.0 else min(e / (2.0 * A), 1.0 / C)
+    factor = C / mu if A == 0.0 else max(2.0 * A / (e * mu), C / mu)
+    rate = factor * (math.log(2.0 * alpha0 / e) if 2.0 * alpha0 > e else 0.0)
+    return gamma, max(0, _ceil(rate)), rate
 
 
 # complexity families: (row, constants, eps, init, b, sigma_star_F)
-# -> (gamma, t, formula, relative)
+# -> (gamma, t, rate, formula, relative): rate is the unrounded count, t the
+# count the family's rule rounds it to
 def _gd_sublinear_steps(row, c, e, init, b, sF):
     D2 = _need(init.D2, "D2")
     _hyp(np.isfinite(c.L) and c.L > 0, "finite L > 0")
-    return 1.0 / c.L, max(1, _ceil(c.L * D2 / (2.0 * e))), "L*D2/(2*eps)", False
+    rate = c.L * D2 / (2.0 * e)
+    return 1.0 / c.L, max(1, _ceil(rate)), rate, "L*D2/(2*eps)", False
 
 
 def _gd_contraction_steps(row, c, e, init, b, sF):
     _hyp(c.mu > 0, "mu > 0")
-    _hyp(0 < e < 1, "epsilon in (0,1) for a relative contraction target")
-    return 1.0 / c.L, contraction_iterations(1.0 - c.mu / c.L, e), "(L/mu)*log(1/eps)", True
+    return (*_contraction_steps(c.L, c.mu, e), "(L/mu)*log(1/eps)", True)
 
 
 def _gd_pl_steps(row, c, e, init, b, sF):
     _hyp(c.mu_pl > 0, "mu_pl > 0")
-    _hyp(0 < e < 1, "epsilon in (0,1) for a relative contraction target")
-    t = contraction_iterations(1.0 - c.mu_pl / c.L, e)
-    return 1.0 / c.L, t, "(L/mu_pl)*log(1/eps)", True
+    return (*_contraction_steps(c.L, c.mu_pl, e), "(L/mu_pl)*log(1/eps)", True)
 
 
 def _avg_const_steps(row, c, e, init, b, sF):
     L_ref, sigma = row.ref_constants(c, b, sF)
     D2 = _need(init.D2, "D2")
-    t = max(4, _ceil((2.0 * L_ref * D2 + sigma / L_ref) ** 2 / e**2))
-    return 1.0 / (2.0 * L_ref * math.sqrt(t)), t, "((2*L_ref*D2 + sigma/L_ref)/eps)^2", False
+    rate = (2.0 * L_ref * D2 + sigma / L_ref) ** 2 / e**2
+    t = max(4, _ceil(rate))
+    return (1.0 / (2.0 * L_ref * math.sqrt(t)), t, rate,
+            "((2*L_ref*D2 + sigma/L_ref)/eps)^2", False)
 
 
 def _noisy_contraction_steps(row, c, e, init, b, sF):
     _hyp(c.mu > 0, "mu > 0")
     L_ref, sigma = row.ref_constants(c, b, sF)
     D2 = _need(init.D2, "D2")
-    gamma, t = linear_plus_constant(c.mu, 2.0 * sigma / c.mu, 2.0 * L_ref, D2, e)
     names = ("sigma_F", "L_max") if row.composite else ("sigma", "L_ref")
-    return gamma, t, "max(4*%s/(eps*mu^2), 2*%s/mu)*log(2*D2/eps)" % names, False
+    return (*_linear_plus_constant(c.mu, 2.0 * sigma / c.mu, 2.0 * L_ref, D2, e),
+            "max(4*%s/(eps*mu^2), 2*%s/mu)*log(2*D2/eps)" % names, False)
 
 
 def _sgd_pl_steps(row, c, e, init, b, sF):
@@ -389,8 +394,8 @@ def _sgd_pl_steps(row, c, e, init, b, sF):
     base = c.mu_pl / (c.L * c.L_max)
     gamma = base if delta == 0.0 else base * min(e / (2.0 * delta), 1.0)
     factor = (c.L * c.L_max / c.mu_pl**2) * max(2.0 * delta / e, 1.0)
-    log_term = math.log(2.0 * f0 / e) if 2.0 * f0 > e else 0.0
-    return (gamma, max(0, _ceil(factor * log_term)),
+    rate = factor * (math.log(2.0 * f0 / e) if 2.0 * f0 > e else 0.0)
+    return (gamma, max(0, _ceil(rate)), rate,
             "(L*L_max/mu_pl^2)*max(2*Delta/eps,1)*log(2*f0/eps)", False)
 
 
@@ -398,24 +403,26 @@ def _momentum_steps(row, c, e, init, b, sF):
     D2 = _need(init.D2, "D2")
     sigma = _need(c.sigma_star_f, "sigma_star_f")
     Lm = c.L_max
-    t = max(0, _ceil((8.0 * Lm * Lm * D2 + sigma) ** 2 / (4.0 * Lm * Lm * e * e) - 1.0))
-    return (1.0 / (4.0 * Lm * math.sqrt(t + 1.0)), t,
+    rate = (8.0 * Lm * Lm * D2 + sigma) ** 2 / (4.0 * Lm * Lm * e * e)
+    t = max(0, _ceil(rate - 1.0))  # the bound at horizon T has T + 1 >= rate
+    return (1.0 / (4.0 * Lm * math.sqrt(t + 1.0)), t, rate,
             "((8*L_max^2*D2 + sigma)/(2*L_max*eps))^2 - 1", False)
 
 
 def _ssd_general_steps(row, c, e, init, b, sF):
     D2 = _need(init.D2, "D2")
-    _hyp(c.G > 0, "G > 0")
-    t = max(1, _ceil(D2 * c.G * c.G / (e * e)))
-    return math.sqrt(D2) / (c.G * math.sqrt(t)), t, "D2*G^2/eps^2", False
+    _hyp(_need(c.G, "G") > 0, "G > 0")
+    rate = D2 * c.G * c.G / (e * e)
+    t = max(1, _ceil(rate))
+    return math.sqrt(D2) / (c.G * math.sqrt(t)), t, rate, "D2*G^2/eps^2", False
 
 
 def _ssd_strongly_convex_steps(row, c, e, init, b, sF):
     _hyp(c.mu > 0, "mu > 0")
     _hyp(c.G > 0, "G > 0")
     _hyp(c.B > 0, "B > 0")
-    gamma, t = linear_plus_constant(c.mu, c.G**2 / c.mu, c.mu, 4.0 * c.B**2, e)
-    return gamma, t, "max(2*G^2/(eps*mu^2), 1)*log(8*B^2/eps)", False
+    return (*_linear_plus_constant(c.mu, c.G**2 / c.mu, c.mu, 4.0 * c.B**2, e),
+            "max(2*G^2/(eps*mu^2), 1)*log(8*B^2/eps)", False)
 
 
 def _prox_sgd_const_steps(row, c, e, init, b, sF):
@@ -423,8 +430,9 @@ def _prox_sgd_const_steps(row, c, e, init, b, sF):
     D2 = _need(init.D2, "D2")
     F0 = _need(init.F0_gap, "F0_gap")
     _hyp(sF > 0 and e <= sF / Lm, "eps <= sigma_star_F / L_max")
-    t = max(1, _ceil(16.0 * (D2 + F0 / (4.0 * Lm)) * sF / (e * e)))
-    return e / (8.0 * sF), t, "16*(D2 + F0/(4*L_max))*sigma_F/eps^2", False
+    rate = 16.0 * (D2 + F0 / (4.0 * Lm)) * sF / (e * e)
+    return (e / (8.0 * sF), max(1, _ceil(rate)), rate,
+            "16*(D2 + F0/(4*L_max))*sigma_F/eps^2", False)
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +502,15 @@ def bound_curve(
 
 @dataclass(frozen=True)
 class ComplexityAnswer:
-    """Sufficient iteration count (and stepsize, when prescribed) for accuracy eps."""
+    """Sufficient iteration count (and stepsize, when prescribed) for accuracy
+    eps: ``rate`` is the setting's unrounded count and ``t_min`` that count
+    rounded by the setting's rule."""
 
     setting: str
     epsilon: float
     recommended_gamma: Optional[float]
     t_min: int
+    rate: float
     formula: str
     relative: bool  # target is eps * (initial scale) rather than eps
 
@@ -512,14 +523,25 @@ def complexity_iterations(
     b: Optional[int] = None,
     sigma_star_F: Optional[float] = None,
 ) -> ComplexityAnswer:
-    """Evaluate the sufficient iteration count for a setting's accuracy target."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
+    """Evaluate the sufficient iteration count for a setting's accuracy target;
+    a relative target (eps times the initial scale) needs eps < 1."""
+    e = _epsilon(epsilon)
     row = SETTINGS.get(setting)
     if row is None or row.complexity is None:
         raise ValueError(f"no iteration-complexity recommendation for setting {setting!r}")
+    answer = ComplexityAnswer(setting, e, *row.complexity(row, constants, e, init, b, sigma_star_F))
+    if answer.relative and e >= 1:
+        # not a HypothesisError: the target holds at t = 0, where the table reads 0
+        raise ValueError("hypothesis violated: epsilon in (0,1) for a relative contraction target")
+    return answer
+
+
+def _epsilon(epsilon) -> float:
+    """The accuracy target as a float; SpecError unless it is finite and > 0."""
     e = float(epsilon)
-    return ComplexityAnswer(setting, e, *row.complexity(row, constants, e, init, b, sigma_star_F))
+    if not (math.isfinite(e) and e > 0):
+        raise SpecError("epsilon", f"must be finite and > 0, got {e:g}")
+    return e
 
 
 def answer_schedule(answer: ComplexityAnswer) -> StepSchedule:
@@ -538,86 +560,65 @@ def answer_schedule(answer: ComplexityAnswer) -> StepSchedule:
 TABLE_METHODS = ("gd", "sgd", "mini_sgd", "momentum") + PROXIMAL
 TABLE_COLUMNS = ("convex_smooth", "convex_lipschitz", "strongly_convex", "pl")
 NOT_COVERED = "not covered"
-
-
-def _req(source: dict, key: str):
-    if source is None or key not in source or source[key] is None:
-        raise ValueError(f"missing constant: {key}")
-    val = source[key]
-    if isinstance(val, float) and math.isnan(val):
-        raise ValueError(f"missing constant: {key}")
-    return val
+# (method, column) -> the setting whose complexity family gives the cell, in the
+# order the cells are evaluated: those of the smooth source, then of the
+# Lipschitz and of the composite source
+TABLE_CELLS = {
+    ("gd", "convex_smooth"): "gd_convex",
+    ("gd", "strongly_convex"): "gd_strongly_convex",
+    ("gd", "pl"): "gd_pl",
+    ("sgd", "convex_smooth"): "sgd_convex_const",
+    ("sgd", "strongly_convex"): "sgd_strongly_convex",
+    ("sgd", "pl"): "sgd_pl",
+    ("mini_sgd", "convex_smooth"): "mini_convex_const",
+    ("mini_sgd", "strongly_convex"): "mini_strongly_convex",
+    ("momentum", "convex_smooth"): "momentum_convex",
+    ("gd", "convex_lipschitz"): "ssd_convex_general",
+    ("sgd", "convex_lipschitz"): "ssd_convex_general",
+    ("prox_gd", "convex_smooth"): "pgd_convex",
+    ("prox_gd", "strongly_convex"): "pgd_strongly_convex",
+    ("prox_sgd", "convex_smooth"): "spgd_convex_const",
+    ("prox_sgd", "strongly_convex"): "spgd_strongly_convex",
+}
 
 
 def complexity_table(sources: dict, epsilon: float) -> dict:
-    """Evaluate every covered complexity cell numerically.
+    """Every cell of the complexity table, a view of the settings: a covered
+    cell is the unrounded count (``ComplexityAnswer.rate``) of its setting's
+    complexity family, and reads "not covered" where the setting's hypotheses
+    fail at these constants and this eps.  A relative cell reads 0 at eps >= 1.
 
     ``sources`` carries three sections: "smooth" (constants, D2, f0_gap),
     "lipschitz" (G, D2), "composite" (sigma_star_F, D2, F0_gap), plus
-    "batch_size".  Cells without a guarantee are the string "not covered".
+    "batch_size".  Cells no setting gives are the string "not covered".
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
-    e = float(epsilon)
-    sm = sources.get("smooth")
-    c: ProblemConstants = _req(sm, "constants")
-    D2 = float(_req(sm, "D2"))
-    f0 = float(_req(sm, "f0_gap"))
-    for name in ("L", "L_max", "mu", "mu_pl", "sigma_star_f", "delta_star_f"):
-        _req({name: getattr(c, name)}, name)
+    e = _epsilon(epsilon)
+    sm, lip, comp = (sources.get(k) or {} for k in ("smooth", "lipschitz", "composite"))
+    c: ProblemConstants = sm["constants"]
+    inputs = {  # (constants, init, sigma_star_F) of each source section
+        "smooth": (c, InitState(D2=sm.get("D2"), f0_gap=sm.get("f0_gap")), None),
+        "lipschitz": (replace(c, G=lip.get("G")), InitState(D2=lip.get("D2")), None),
+        "composite": (c, InitState(D2=comp.get("D2"), F0_gap=comp.get("F0_gap")),
+                      comp.get("sigma_star_F")),
+    }
     b = int(sources.get("batch_size", 2))
-    try:
-        Lb, sb = minibatch_constants(c, b)
-    except ValueError as exc:
-        raise SpecError("batch_size", str(exc)) from exc
-    lip = sources.get("lipschitz")
-    G = float(_req(lip, "G"))
-    D2_lip = float(_req(lip, "D2"))
-    comp = sources.get("composite")
-    sF = float(_req(comp, "sigma_star_F"))
-    D2F = float(_req(comp, "D2"))
-    F0 = float(_req(comp, "F0_gap"))
-
-    log_rel = math.log(1.0 / e) if e < 1 else 0.0
-
-    def loggy(num):
-        return math.log(num / e) if num > e else 0.0
-
     table = {m: dict.fromkeys(TABLE_COLUMNS, NOT_COVERED) for m in TABLE_METHODS}
-    table["gd"]["convex_smooth"] = c.L * D2 / (2.0 * e)
-    table["gd"]["convex_lipschitz"] = D2_lip * G * G / (e * e)
-    table["gd"]["strongly_convex"] = (c.L / c.mu) * log_rel if c.mu > 0 else NOT_COVERED
-    table["gd"]["pl"] = (c.L / c.mu_pl) * log_rel if c.mu_pl > 0 else NOT_COVERED
-
-    table["sgd"]["convex_smooth"] = ((2.0 * c.L_max * D2 + c.sigma_star_f / c.L_max) / e) ** 2
-    table["sgd"]["convex_lipschitz"] = D2_lip * G * G / (e * e)
-    if c.mu > 0:
-        table["sgd"]["strongly_convex"] = (
-            max(4.0 * c.sigma_star_f / (e * c.mu**2), 2.0 * c.L_max / c.mu) * loggy(2.0 * D2)
-        )
-    if c.mu_pl > 0:
-        table["sgd"]["pl"] = (
-            (c.L * c.L_max / c.mu_pl**2) * max(2.0 * c.delta_star_f / e, 1.0) * loggy(2.0 * f0)
-        )
-
-    table["mini_sgd"]["convex_smooth"] = ((2.0 * Lb * D2 + sb / Lb) / e) ** 2
-    if c.mu > 0:
-        table["mini_sgd"]["strongly_convex"] = (
-            max(4.0 * sb / (e * c.mu**2), 2.0 * Lb / c.mu) * loggy(2.0 * D2)
-        )
-
-    table["momentum"]["convex_smooth"] = (
-        (8.0 * c.L_max**2 * D2 + c.sigma_star_f) ** 2 / (4.0 * c.L_max**2 * e * e)
-    )
-
-    table["prox_gd"]["convex_smooth"] = c.L * D2F / (2.0 * e)
-    table["prox_gd"]["strongly_convex"] = (c.L / c.mu) * log_rel if c.mu > 0 else NOT_COVERED
-
-    table["prox_sgd"]["convex_smooth"] = 16.0 * (D2F + F0 / (4.0 * c.L_max)) * sF / (e * e)
-    if c.mu > 0:
-        table["prox_sgd"]["strongly_convex"] = (
-            max(4.0 * sF / (e * c.mu**2), 2.0 * c.L_max / c.mu) * loggy(2.0 * D2F)
-        )
+    for (method, column), setting in TABLE_CELLS.items():
+        row = SETTINGS[setting]
+        source = ("composite" if row.composite
+                  else "lipschitz" if column == "convex_lipschitz" else "smooth")
+        consts, init, sF = inputs[source]
+        try:
+            answer = ComplexityAnswer(setting, e, *row.complexity(row, consts, e, init, b, sF))
+        except HypothesisError:
+            continue
+        except ValueError as exc:
+            # the sgd cells, evaluated first, have already needed every other
+            # constant a minibatch family reads: this is the batch size's error
+            if row.algorithm != "minibatch_sgd":
+                raise
+            raise SpecError("batch_size", str(exc)) from exc
+        table[method][column] = answer.rate
     return table
 
 

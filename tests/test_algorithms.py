@@ -18,6 +18,7 @@ from descentlab import (
     run_algorithm,
     write_traces_csv,
 )
+from descentlab.algorithms import PROXIMAL
 from descentlab.nonsmooth import SpecError
 
 
@@ -617,11 +618,12 @@ def test_lockstep_replays_reference_loop(case):
 def test_lockstep_averages_match_averaged_iterate(case):
     _, cfg, alg, form = case
     checkpoints = [1, 7, 60]
-    objective, inf_val = cfg.problem.value, cfg.ground_truth.inf_f
+    # the averages are of the method's own objective: F for a proximal method
+    objective, inf_val = ((cfg.composite.value, cfg.composite.inf_F) if alg in PROXIMAL
+                          else (cfg.problem.value, cfg.ground_truth.inf_f))
     for weighting in ("uniform", "gamma_weighted"):
         run = run_lockstep(replace(cfg, algorithm=alg, momentum_form=form or cfg.momentum_form),
-                           range(3), at=checkpoints,
-                           averaging=(weighting, cfg.problem.value_rows, inf_val))
+                           range(3), at=checkpoints, averaging=weighting)
         for m, row in enumerate(run.averaged):
             tr = (run_algorithm(replace(cfg, momentum_form=form), "momentum", trial=m) if form
                   else run_algorithm(cfg, alg, trial=m))

@@ -211,6 +211,14 @@ def test_table_epsilon_one(capsys):
     assert " 0 " in gd_line
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1"])
+def test_table_non_finite_or_non_positive_epsilon_exits_2(capsys, eps):
+    assert main(["table", "--constants", "ls_4x2", "--epsilon", eps]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"table error: field 'epsilon': must be finite and > 0, got {float(eps):g}\n"
+
+
 def test_table_missing_constant_exits_2(tmp_path, capsys):
     payload = {"smooth": {"n": 4, "L": 1.0, "L_max": 2.0, "mu": 0.5, "mu_pl": 0.5,
                           "delta_star_f": 0.1}}  # sigma_star_f missing

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,14 +9,16 @@ from descentlab import (
     StepSchedule,
     answer_schedule,
     bound_curve,
+    HypothesisError,
     complexity_iterations,
     complexity_table,
-    contraction_iterations,
     fixture,
-    linear_plus_constant,
     minibatch_constants,
 )
-from descentlab.theory import NOT_COVERED, SETTINGS, table_to_csv, table_to_text
+from descentlab.problems import ProblemConstants
+from descentlab.theory import (
+    NOT_COVERED, SETTINGS, TABLE_CELLS, TABLE_COLUMNS, TABLE_METHODS, table_to_csv, table_to_text,
+)
 from descentlab.cli import table_sources_for_fixture
 
 
@@ -153,32 +156,38 @@ def test_deterministic_curves_flagged_and_monotone():
 
 
 # ---------------------------------------------------------------------------
-# recurrence helper bounds
+# the recurrences behind the complexity counts
 # ---------------------------------------------------------------------------
 
-def test_contraction_iterations_exact_case():
-    # L/mu = 10, eps = 1/e: 10 * log(e) = 10
-    assert contraction_iterations(1 - 1 / 10, math.exp(-1)) == 10
+def _constants(L_max, mu, sigma=0.0):
+    return ProblemConstants(n=2, L=L_max, L_i=(L_max, L_max), L_max=L_max, L_avg=L_max,
+                            mu=mu, mu_pl=mu, sigma_star_f=sigma, delta_star_f=0.0)
 
 
-def test_contraction_iterations_guarantee():
+def test_contraction_steps_guarantee():
+    # gd at gamma = 1/L contracts by rho = 1 - mu/L a step
     for rho in (0.0, 0.3, 0.9, 0.99):
+        c = _constants(1.0, 1.0 - rho)
         for eps in (0.5, 1e-2, 1e-4):
-            k = contraction_iterations(rho, eps)
-            assert rho**k <= eps * (1 + 1e-12)
+            k = complexity_iterations("gd_strongly_convex", c, eps, InitState(D2=1.0)).t_min
+            assert (1.0 - c.mu / c.L) ** k <= eps * (1 + 1e-12)
 
 
-def test_linear_plus_constant_no_noise_collapses():
-    gamma, t = linear_plus_constant(mu=0.5, A=0.0, C=2.0, alpha0=1.0, epsilon=0.1)
-    assert gamma == 0.5  # 1/C
-    assert t == math.ceil((2.0 / 0.5) * math.log(2 / 0.1))
+def test_noisy_contraction_without_noise_collapses():
+    # alpha_t <= (1 - gamma mu)^t alpha0 + A gamma with A = 2 sigma/mu = 0, C = 2 L_max = 2
+    ans = complexity_iterations("sgd_strongly_convex", _constants(1.0, 0.5), 0.1,
+                                InitState(D2=1.0))
+    assert ans.recommended_gamma == 0.5  # 1/C
+    assert ans.t_min == math.ceil((2.0 / 0.5) * math.log(2 / 0.1))
 
 
-def test_linear_plus_constant_guarantee():
+def test_noisy_contraction_steps_guarantee():
+    mu, C, a0 = 0.4, 3.0, 2.0
     for A in (0.0, 0.7, 5.0):
+        c = _constants(C / 2, mu, sigma=A * mu / 2)
         for eps in (0.5, 0.05):
-            mu, C, a0 = 0.4, 3.0, 2.0
-            gamma, t = linear_plus_constant(mu, A, C, a0, eps)
+            ans = complexity_iterations("sgd_strongly_convex", c, eps, InitState(D2=a0))
+            gamma, t = ans.recommended_gamma, ans.t_min
             value = (1 - gamma * mu) ** t * a0 + A * gamma
             assert value <= eps * (1 + 1e-9)
 
@@ -256,6 +265,12 @@ def test_gd_complexity_exact_example():
     ans = complexity_iterations("gd_strongly_convex", c, math.exp(-1), InitState(D2=1.0))
     assert ans.t_min == 10
     assert ans.recommended_gamma == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1.0])
+def test_complexity_rejects_non_finite_or_non_positive_epsilon(eps):
+    with pytest.raises(ValueError, match="field 'epsilon': must be finite and > 0"):
+        complexity_iterations("gd_convex", _consts(), eps, InitState(D2=1.0))
 
 
 def test_complexity_rejects_bad_epsilon():
@@ -338,6 +353,42 @@ def test_table_prox_cells_use_the_fixtures_own_composite():
         16 * (D2F + F0 / (4 * c.L_max)) * sF / eps**2)
     assert table["prox_sgd"]["strongly_convex"] == pytest.approx(
         max(4 * sF / (eps * c.mu**2), 2 * c.L_max / c.mu) * math.log(2 * D2F / eps))
+
+
+@pytest.mark.parametrize("name", ["ls_4x2", "ls_6x2"])
+@pytest.mark.parametrize("eps", [1e-3, 0.1, 0.5, 2.0])
+def test_table_cells_are_the_settings_rates(name, eps):
+    sources = table_sources_for_fixture(name, batch_size=2)
+    sm, lip, comp = sources["smooth"], sources["lipschitz"], sources["composite"]
+    c = sm["constants"]
+    table = complexity_table(sources, eps)
+    for (method, column), setting in TABLE_CELLS.items():
+        if SETTINGS[setting].composite:
+            consts, init, sF = c, InitState(D2=comp["D2"], F0_gap=comp["F0_gap"]), \
+                comp["sigma_star_F"]
+        elif column == "convex_lipschitz":
+            consts, init, sF = replace(c, G=lip["G"]), InitState(D2=lip["D2"]), None
+        else:
+            consts, init, sF = c, InitState(D2=sm["D2"], f0_gap=sm["f0_gap"]), None
+        cell = table[method][column]
+        try:
+            ans = complexity_iterations(setting, consts, eps, init, b=2, sigma_star_F=sF)
+        except HypothesisError:
+            assert cell == NOT_COVERED, (method, column)
+            continue
+        except ValueError as exc:
+            # a relative target eps >= 1 holds from the start
+            assert eps >= 1 and "relative" in str(exc) and cell == 0.0, (method, column)
+            continue
+        assert cell == ans.rate, (method, column)
+        if setting == "momentum_convex":
+            assert ans.t_min == max(0, math.ceil(ans.rate - 1))
+    for method in TABLE_METHODS:
+        for column in TABLE_COLUMNS:
+            if (method, column) not in TABLE_CELLS:
+                assert table[method][column] == NOT_COVERED
+    # eps above sigma_star_F / L_max (0.19 and 0.23) is outside spgd_convex_const's hypotheses
+    assert (table["prox_sgd"]["convex_smooth"] == NOT_COVERED) == (eps >= 0.5)
 
 
 def test_table_golden_against_independent_formulas():
