@@ -9,10 +9,13 @@ distance to the reference minimizer, and the stepsize at each index.
 
 Two lengths split a run, and neither changes a value.  Each trial draws its
 samples once per *draw window* (``_draw_steps``), whose draws concatenate to
-the trial's one stream; the gaps and distances are evaluated once per *gap
-block* (``_block_steps``), on the block's stacked iterates, with row-wise
-oracles.  The window is bounded by what the draw allocates and the block by
-the objective residual, so the two differ whenever n is large or M is.
+the trial's one stream; one Fisher-Yates pass turns the doubles of all trials
+into indices, and one gather (``sample_rows``) reads the sampled terms' data,
+of which each step takes views.  The gaps and distances are evaluated once
+per *gap block* (``_block_steps``), on the block's stacked iterates, with
+row-wise oracles.  The window is bounded by its index array and gathered rows
+and the block by the objective residual, so the two differ whenever n is
+large or M is.
 """
 
 from __future__ import annotations
@@ -230,24 +233,33 @@ class RunConfig:
         return (self.problem.default_x0 if self.x0 is None else self.x0).astype(float).copy()
 
 
-def _draw_indices(rng: np.random.Generator, T: int, n: int) -> np.ndarray:
-    """T uniform indices, one double consumed per index."""
-    u = rng.random(T)
-    return np.minimum((u * n).astype(np.int64), n - 1)
+def _draw_window(rngs, k: int, n: int, b: int) -> np.ndarray:
+    """The (k, b, M) sample indices of the next k steps of M trials: a uniform
+    size-b subset of the n terms per step and trial, by partial Fisher-Yates on
+    b doubles (b = 1: one uniform index).  Trial m draws its (k, b) doubles
+    with one call on its own generator ``rngs[m]``, so consecutive windows
+    concatenate to the trial's one stream.
 
-
-def _draw_batches(rng: np.random.Generator, T: int, n: int, b: int) -> np.ndarray:
-    """T uniform size-b subsets via partial Fisher-Yates (b doubles per step);
-    swap j is done for all T steps at once, in O(T n) memory."""
-    u = rng.random((T, b))
-    perm = np.tile(np.arange(n, dtype=np.int64), (T, 1))
-    steps = np.arange(T)
+    Swap j exchanges positions j and min(j + floor(u_j (n - j)), n - 1), for
+    the M k rows at once.  No (rows, n) table is built: each row keeps the
+    (position, value) pairs its swaps wrote, and position j is final once swap
+    j has read it."""
+    u = np.empty((len(rngs), k, b))
+    for r, drawn in zip(rngs, u):
+        r.random(out=drawn)
+    u = u.reshape(-1, b)
+    out = np.empty(u.shape, dtype=np.int64)
+    pos = np.empty(u.shape, dtype=np.int64)  # position swap i wrote, -1 once overwritten
+    val = np.empty(u.shape, dtype=np.int64)  # the value swap i wrote there
     for j in range(b):
-        k = np.minimum(j + (u[:, j] * (n - j)).astype(np.int64), n - 1)
-        at_j = perm[:, j].copy()
-        perm[:, j] = perm[steps, k]
-        perm[steps, k] = at_j
-    return perm[:, :b].copy()
+        kj = np.minimum(j + (u[:, j] * (n - j)).astype(np.int64), n - 1)
+        seen, held = pos[:, :j], val[:, :j]
+        at_j, at_k = seen == j, seen == kj[:, None]
+        out[:, j] = np.where(at_k.any(axis=1), (held * at_k).sum(axis=1), kj)
+        pos[:, j] = kj
+        val[:, j] = np.where(at_j.any(axis=1), (held * at_j).sum(axis=1), j)
+        seen[at_k] = -1
+    return out.reshape(len(rngs), k, b).transpose(1, 2, 0)
 
 
 # methods that step on the full gradient, so their trajectory is deterministic
@@ -259,12 +271,13 @@ ALGORITHMS = ("gd", "sgd", "minibatch_sgd", "momentum", "ssd", "pssd") + PROXIMA
 
 def _method(cfg: RunConfig, gamma, X0: np.ndarray):
     """The step of ``cfg.algorithm`` (which ``cfg`` was checked against).
-    Returns (trace name, batch size or None, (row-wise objective, inf, x_ref)
-    of the gap, step), where ``step(t, X, idx)`` maps every row of X to its
-    next iterate, given the (b, M) sample indices ``idx`` of step t (None for
-    full-gradient methods)."""
+    Returns (trace name, batch size b, the oracle's ``sample_rows`` or None for
+    a full-gradient method, (row-wise objective, inf, x_ref) of the gap,
+    step), where ``step(t, X, rows)`` maps every row of X to its next iterate,
+    given the data ``rows`` of step t's (b, M) sampled terms (None for a
+    full-gradient method)."""
     sched, algorithm, form = cfg.schedule, cfg.algorithm, cfg.momentum_form
-    problem, reg, batch, name = cfg.problem, None, None, algorithm
+    problem, reg, batch, name = cfg.problem, None, 1, algorithm
     gap = (problem.value_rows, cfg.ground_truth.inf_f, cfg.ground_truth.x_star)
     if algorithm in PROXIMAL:
         comp = cfg.composite
@@ -276,16 +289,16 @@ def _method(cfg: RunConfig, gamma, X0: np.ndarray):
     elif algorithm == "momentum":
         name = f"momentum_{form}"
 
-    def oracle(X, idx):
+    def oracle(X, rows):
         """Full gradient, or the sum of the b sampled gradients, of every row."""
-        if idx is None:
+        if rows is None:
             return problem.full_grad_rows(X)
-        G = problem.grad_rows(idx[0], X)
-        for j in idx[1:]:
-            G = G + problem.grad_rows(j, X)
+        G = problem.grad_sampled([r[0] for r in rows], X)
+        for j in range(1, batch):
+            G = G + problem.grad_sampled([r[j] for r in rows], X)
         return G
 
-    scale = float(batch or 1)
+    scale = float(batch)
     m, prev, z = np.zeros_like(X0), X0, X0  # momentum state: m_{t-1}, x_{t-1}, z_{t-1}
     if algorithm != "momentum":
         # x_{t+1} = prox_{gamma_t g}(x_t - (gamma_t / b) * sum of b gradients), that is
@@ -296,34 +309,35 @@ def _method(cfg: RunConfig, gamma, X0: np.ndarray):
         #   pssd:          x_{t+1} = Proj_{B(0, B)}(x_t - gamma_t grad f_i(x_t))
         #   prox_gd:       x_{t+1} = prox_{gamma g}(x_t - gamma grad f(x_t))
         #   prox_sgd:      x_{t+1} = prox_{gamma_t g}(x_t - gamma_t grad f_i(x_t))
-        def step(t, X, idx):
-            X = X - (gamma[t] / scale) * oracle(X, idx)
+        def step(t, X, rows):
+            X = X - (gamma[t] / scale) * oracle(X, rows)
             return X if reg is None else prox(reg, gamma[t], X)
     # momentum: three formulations of one method, which produce the same
     # trajectory on the same sample stream (cfg.momentum_form picks one)
     elif form == "buffer":
         # m_t = beta_t m_{t-1} + grad f_i(x_t);  x_{t+1} = x_t - gamma_t m_t
-        def step(t, X, idx):
+        def step(t, X, rows):
             nonlocal m
-            m = sched.beta_at(t) * m + oracle(X, idx)
+            m = sched.beta_at(t) * m + oracle(X, rows)
             return X - gamma[t] * m
     elif form == "heavy_ball":
         # x_{t+1} = x_t - gamma_t grad f_i(x_t) + bhat_t (x_t - x_{t-1}),
         # bhat_t = gamma_t beta_t / gamma_{t-1}, x_{-1} = x_0, bhat_0 = 0
-        def step(t, X, idx):
+        def step(t, X, rows):
             nonlocal prev
             bhat = 0.0 if t == 0 else gamma[t] * sched.beta_at(t) / gamma[t - 1]
-            prev, X = X, X - gamma[t] * oracle(X, idx) + bhat * (X - prev)
+            prev, X = X, X - gamma[t] * oracle(X, rows) + bhat * (X - prev)
             return X
     else:
         # z_t = z_{t-1} - eta_t grad f_i(x_t);  x_{t+1} a moving average of x_t
         # and z_t, with lambda_t = t/2, eta_t = (1 + lambda_{t+1}) gamma_t, z_{-1} = x_0
-        def step(t, X, idx):
+        def step(t, X, rows):
             nonlocal z
             lam_next = (t + 1) / 2.0
-            z = z - (1.0 + lam_next) * gamma[t] * oracle(X, idx)
+            z = z - (1.0 + lam_next) * gamma[t] * oracle(X, rows)
             return (lam_next * X + z) / (lam_next + 1.0)
-    return name, batch, gap, step
+    sample = None if algorithm in FULL_GRADIENT else problem.sample_rows
+    return name, batch, sample, gap, step
 
 
 @dataclass
@@ -353,7 +367,7 @@ class Lockstep:
         ]
 
 
-_BLOCK = 512  # most steps whose sample indices are drawn, or gaps evaluated, at once
+_BLOCK = 512  # most steps whose samples are drawn, or gaps evaluated, at once
 _BLOCK_VALUES = 2 ** 16  # most values one draw window, or one gap block, allocates
 
 
@@ -364,13 +378,12 @@ def _block_steps(M: int, n: int, d: int) -> int:
     return max(1, min(_BLOCK, _BLOCK_VALUES // (M * max(n, d))))
 
 
-def _draw_steps(M: int, n: int, b: Optional[int]) -> int:
-    """Steps per draw window for M trials sampling batches of b of n terms (b
-    None: single indices): at most _BLOCK, and few enough that the (k, b, M)
-    index array and, for batches, each trial's (k, n) Fisher-Yates table hold
-    at most _BLOCK_VALUES values."""
-    k = _BLOCK_VALUES // (M * (b or 1))
-    return max(1, min(_BLOCK, k if b is None else min(k, _BLOCK_VALUES // n)))
+def _draw_steps(M: int, b: int, d: int) -> int:
+    """Steps per draw window for M trials sampling b terms per step in
+    dimension d: at most _BLOCK, and few enough that the (k, b, M) index array
+    and each trial's (k, b, d) share of the gathered (k, b, M, d) rows hold at
+    most _BLOCK_VALUES values."""
+    return max(1, min(_BLOCK, _BLOCK_VALUES // (b * max(M, d))))
 
 
 def run_lockstep(cfg: RunConfig, trials, at=None, averaging=None,
@@ -400,7 +413,7 @@ def run_lockstep(cfg: RunConfig, trials, at=None, averaging=None,
     M = len(trials)
     gamma = [cfg.schedule.gamma_at(t) for t in range(T + 1)]
     X = np.tile(cfg.start_point(), (M, 1))
-    name, batch, (objective, inf_val, x_ref), step = _method(cfg, gamma, X)
+    name, batch, sample, (objective, inf_val, x_ref), step = _method(cfg, gamma, X)
     recorded = np.arange(T + 1) if at is None else np.unique(np.asarray(at, dtype=np.int64))
     f_gap, dist_sq = np.empty((2, M, len(recorded)))
     averaged = None
@@ -410,10 +423,9 @@ def run_lockstep(cfg: RunConfig, trials, at=None, averaging=None,
         averaged = np.full((M, len(recorded)), np.nan)
         column = dict(zip(recorded.tolist(), range(len(recorded))))
         total = np.zeros((M, d))
-    sampled = cfg.algorithm not in FULL_GRADIENT
-    rngs = [np.random.default_rng(cfg.seed + int(m)) for m in trials] if sampled else []
-    block, window = _block_steps(M, n, d), _draw_steps(M, n, batch)
-    w0 = w1 = 0  # the draw window idx holds: steps w0 .. w1 - 1
+    rngs = [np.random.default_rng(cfg.seed + int(m)) for m in trials] if sample else []
+    block, window = _block_steps(M, n, d), _draw_steps(M, batch, d)
+    w0 = w1 = 0  # the draw window ``drawn`` holds: steps w0 .. w1 - 1
     xs = np.empty((block, M, d))  # the iterates of the block's steps
     first = np.full(M, -1)  # first diverged step of each trial
     with np.errstate(all="ignore"):  # diverging rows run on as inf/nan
@@ -427,12 +439,10 @@ def run_lockstep(cfg: RunConfig, trials, at=None, averaging=None,
                     break
                 if averaging is not None and t < len(weights):
                     total = total + weights[t] * X
-                if sampled and t == w1:
+                if sample and t == w1:
                     w0, w1 = t, min(t + window, T)
-                    idx = np.stack([_draw_indices(r, w1 - w0, n)[:, None] if batch is None
-                                    else _draw_batches(r, w1 - w0, n, batch) for r in rngs],
-                                   axis=2)
-                X = step(t, X, idx[t - w0] if sampled else None)
+                    drawn = sample(_draw_window(rngs, w1 - w0, n, batch))
+                X = step(t, X, [r[t - w0] for r in drawn] if sample else None)
             steps = xs[: t1 - t0]
             gaps = (objective(steps.reshape(-1, d)) - inf_val).reshape(-1, M)
             if t0 == 0:

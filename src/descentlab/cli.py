@@ -309,7 +309,7 @@ def _constants_from_json(path: str) -> dict:
     needed = ("n", "L", "L_max", "mu", "mu_pl", "sigma_star_f", "delta_star_f")
     for key in needed:
         if sm.get(key) is None:
-            raise ValueError(f"missing constant: {key}")
+            raise ValueError(f"missing constant: smooth.{key}")
     consts = problems.ProblemConstants(
         n=int(sm["n"]), L=float(sm["L"]), L_i=tuple(sm.get("L_i") or ()),
         L_max=float(sm["L_max"]),

@@ -103,17 +103,32 @@ class FiniteSumProblem:
     # Row-wise oracles over an (M, d) array of points.  Row m equals the single-point
     # oracle at X[m] bit for bit and does not depend on the other rows.
 
-    def grad_rows(self, idx: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """grad f_{idx[m]}(X[m]) for every row m."""
+    def sample_rows(self, idx: np.ndarray) -> tuple:
+        """The data of the terms ``idx``, an index array of any shape: the
+        matrix rows and targets (A[idx], y[idx]), or () for scalar_pl, whose one
+        term has none."""
+        if self.kind == "scalar_pl":
+            return ()
+        A = self.data["features" if self.kind == "least_squares" else "rows"]
+        return np.take(A, idx, axis=0), np.take(self.data["targets"], idx)
+
+    def grad_sampled(self, rows, X: np.ndarray) -> np.ndarray:
+        """grad f_{idx[m]}(X[m]) for every row m, given the terms' data
+        ``rows = sample_rows(idx)`` for an (M,) index array (or views of the
+        same shapes)."""
         if self.kind == "least_squares":
-            phi = self.data["features"][idx]
-            return (np.vecdot(phi, X) - self.data["targets"][idx])[:, None] * phi
+            phi, y = rows
+            return (np.vecdot(phi, X) - y)[:, None] * phi
         if self.kind == "abs_loss":
-            a = self.data["rows"][idx]
-            s = np.sign(np.vecdot(a, X) - self.data["targets"][idx])
+            a, y = rows
+            s = np.sign(np.vecdot(a, X) - y)
             return s[:, None] * a + self.data["strong_mu"] * X
         t = X[:, :1]  # scalar_pl
         return 2.0 * t + 3.0 * np.sin(2.0 * t)
+
+    def grad_rows(self, idx: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """grad f_{idx[m]}(X[m]) for every row m."""
+        return self.grad_sampled(self.sample_rows(idx), X)
 
     def term_grad_rows(self, X: np.ndarray) -> np.ndarray:
         """grad f_i(X[m]) for every row m and term i, shape (M, n, d)."""

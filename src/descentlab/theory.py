@@ -124,9 +124,16 @@ def _hyp(condition: bool, constraint: str):
         raise HypothesisError(f"hypothesis violated: {constraint}")
 
 
+class MissingConstant(ValueError):
+    """A formula reads a constant that was not given; args[0] names it."""
+
+    def __str__(self):
+        return f"missing constant: {self.args[0]}"
+
+
 def _need(value: float, name: str) -> float:
     if value is None or (isinstance(value, float) and math.isnan(value)):
-        raise ValueError(f"missing constant: {name}")
+        raise MissingConstant(name)
     return float(value)
 
 
@@ -325,12 +332,17 @@ def _ceil(value: float) -> int:
     return math.ceil(value - 1e-9 * max(1.0, abs(value)))
 
 
-def _contraction_steps(L: float, modulus: float, e: float):
+def _contraction_steps(L: float, modulus: float, e: float, name: str):
     """(gamma = 1/L, t, rate) for rho^t <= eps, rho = 1 - modulus/L: rate =
     log(1/eps) / (1 - rho), rounded up to t, or one step at rho = 0.  A target
-    eps >= 1 holds at t = 0."""
+    eps >= 1 holds at t = 0.  ``name`` names the modulus (mu or mu_pl), which
+    cannot exceed L: such constants are inconsistent, not a failed hypothesis."""
     if e >= 1:
         return 1.0 / L, 0, 0.0
+    _hyp(np.isfinite(L) and L > 0, "finite L > 0")
+    if modulus > L:
+        raise ValueError(f"inconsistent constants: {name}={modulus:.6g} > L={L:.6g} "
+                         f"({name} <= L for every L-smooth f)")
     rho = 1.0 - modulus / L
     if not 0.0 <= rho < 1.0:
         raise ValueError("contraction factor rho must be in [0, 1)")
@@ -360,12 +372,12 @@ def _gd_sublinear_steps(row, c, e, init, b, sF):
 
 def _gd_contraction_steps(row, c, e, init, b, sF):
     _hyp(c.mu > 0, "mu > 0")
-    return (*_contraction_steps(c.L, c.mu, e), "(L/mu)*log(1/eps)", True)
+    return (*_contraction_steps(c.L, c.mu, e, "mu"), "(L/mu)*log(1/eps)", True)
 
 
 def _gd_pl_steps(row, c, e, init, b, sF):
     _hyp(c.mu_pl > 0, "mu_pl > 0")
-    return (*_contraction_steps(c.L, c.mu_pl, e), "(L/mu_pl)*log(1/eps)", True)
+    return (*_contraction_steps(c.L, c.mu_pl, e, "mu_pl"), "(L/mu_pl)*log(1/eps)", True)
 
 
 def _avg_const_steps(row, c, e, init, b, sF):
@@ -590,7 +602,8 @@ def complexity_table(sources: dict, epsilon: float) -> dict:
 
     ``sources`` carries three sections: "smooth" (constants, D2, f0_gap),
     "lipschitz" (G, D2), "composite" (sigma_star_F, D2, F0_gap), plus
-    "batch_size".  Cells no setting gives are the string "not covered".
+    "batch_size".  Cells no setting gives are the string "not covered".  A
+    missing constant is named with its section, e.g. ``lipschitz.D2``.
     """
     e = _epsilon(epsilon)
     sm, lip, comp = (sources.get(k) or {} for k in ("smooth", "lipschitz", "composite"))
@@ -612,6 +625,8 @@ def complexity_table(sources: dict, epsilon: float) -> dict:
             answer = ComplexityAnswer(setting, e, *row.complexity(row, consts, e, init, b, sF))
         except HypothesisError:
             continue
+        except MissingConstant as exc:
+            raise MissingConstant(f"{source}.{exc.args[0]}") from None
         except ValueError as exc:
             # the sgd cells, evaluated first, have already needed every other
             # constant a minibatch family reads: this is the batch size's error

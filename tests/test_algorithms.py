@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from descentlab import algorithms, prox
 from descentlab import (
@@ -181,9 +183,7 @@ def test_minibatch_rejects_bad_b():
 def test_minibatch_batches_are_distinct_indices():
     fx, cfg = _cfg("ls_6x2", T=400, batch_size=3, seed=5,
                    schedule=StepSchedule.constant(0.05))
-    from descentlab.algorithms import _draw_batches
-    rng = np.random.default_rng(5)
-    batches = _draw_batches(rng, 400, 6, 3)
+    batches = algorithms._draw_window([np.random.default_rng(5)], 400, 6, 3)[:, :, 0]
     for row in batches:
         assert len(set(row.tolist())) == 3
         assert all(0 <= i < 6 for i in row)
@@ -191,9 +191,7 @@ def test_minibatch_batches_are_distinct_indices():
 
 def test_minibatch_batch_frequencies_uniform():
     # every size-2 subset of {0..3} should appear with frequency ~ 1/6
-    from descentlab.algorithms import _draw_batches
-    rng = np.random.default_rng(0)
-    batches = _draw_batches(rng, 30_000, 4, 2)
+    batches = algorithms._draw_window([np.random.default_rng(0)], 30_000, 4, 2)[:, :, 0]
     counts = {}
     for row in batches:
         counts[frozenset(row.tolist())] = counts.get(frozenset(row.tolist()), 0) + 1
@@ -633,8 +631,8 @@ def test_lockstep_averages_match_averaged_iterate(case):
 
 
 def _tiled_ls(copies=64):
-    """ls_4x2 with each of its rows repeated: n = 256 terms, so a minibatch
-    draw window is capped by the (k, n) Fisher-Yates table, not by M."""
+    """ls_4x2 with each of its rows repeated: n = 256 terms, so the gap block
+    is capped by the (k M, n) residual, while n does not cap the draw window."""
     data = fixture("ls_4x2").problem.data
     problem, ground_truth, _ = build_least_squares(np.tile(data["features"], (copies, 1)),
                                                    np.tile(data["targets"], copies))
@@ -648,11 +646,27 @@ def test_draw_window_and_gap_block_differ():
     # the trace_export 256 x 16 sgd run, one worker of M = 32: the gap block is
     # capped by the (k M, n) residual, the draw window only by _BLOCK
     assert algorithms._block_steps(32, 256, 16) == 8
-    assert algorithms._draw_steps(32, 256, None) == algorithms._BLOCK
-    # a minibatch window is capped by n, and the gap block by M n, apart
-    n = _TILED[0].n
-    assert algorithms._draw_steps(7, n, 2) == algorithms._BLOCK_VALUES // n < algorithms._BLOCK
-    assert algorithms._block_steps(7, n, 2) < algorithms._draw_steps(7, n, 2)
+    assert algorithms._draw_steps(32, 1, 16) == algorithms._BLOCK
+    # a b = 2 minibatch on the n = 256 tiling: the gap block is capped by M n;
+    # the draw window by _BLOCK at M = 7 (n no longer caps it at 2**16 // n =
+    # 256) and by the (k, b, M) index array at M = 1000, where the block is 1
+    n, d = _TILED[0].n, _TILED[0].d
+    assert algorithms._block_steps(7, n, d) == 36 < algorithms._draw_steps(7, 2, d) == 512
+    assert algorithms._block_steps(1000, n, d) == 1 < algorithms._draw_steps(1000, 2, d) == 32
+
+
+@pytest.mark.parametrize("M,b,d", [(1, 1, 1), (7, 2, 2), (50, 2, 2), (1000, 1, 2), (1000, 2, 2),
+                                   (32, 1, 16), (4, 3, 4000), (40_000, 2, 2), (2, 1, 10**5)])
+def test_draw_window_within_budget(M, b, d):
+    # a window of k steps allocates the (k, b, M) index array and the gathered
+    # (k, b, M, d) rows: each holds at most _BLOCK_VALUES values, the rows
+    # counted per trial, unless one step alone needs more; n plays no part
+    k = algorithms._draw_steps(M, b, d)
+    assert 1 <= k <= algorithms._BLOCK
+    if k > 1:
+        assert k * b * M <= algorithms._BLOCK_VALUES and k * b * d <= algorithms._BLOCK_VALUES
+    # the largest such window: one more step would pass the budget or _BLOCK
+    assert k == algorithms._BLOCK or (k + 1) * b * max(M, d) > algorithms._BLOCK_VALUES
 
 
 @pytest.mark.parametrize("alg,extra", [
@@ -668,12 +682,14 @@ def test_trial_independent_of_M(alg, extra):
     cfg = RunConfig(schedule=sched, iterations=600, seed=5, x0=np.array([2.0, -1.0]),
                     **dict(base, **extra))
     cfg = replace(cfg, algorithm=alg)
-    n, d, b = cfg.problem.n, cfg.problem.d, cfg.batch_size
+    n, d, b = cfg.problem.n, cfg.problem.d, cfg.batch_size or 1
     # M = 7 and M = 1000 step in gap blocks of different lengths and draw their
     # samples in windows of different lengths; at M = 1000 the window and the
-    # block differ too, and every block and window crosses an edge
+    # block differ too, and every block and window crosses an edge.  On the
+    # n = 256 tiling (minibatch_sgd-n256) the M = 1000 gap block is one step,
+    # capped by n, while the draw windows are as long as on lasso_4x2
     edges = {M: algorithms._block_steps(M, n, d) for M in (7, 1000)}
-    windows = {M: algorithms._draw_steps(M, n, b) for M in (7, 1000)}
+    windows = {M: algorithms._draw_steps(M, b, d) for M in (7, 1000)}
     assert edges[7] != edges[1000] and windows[7] != windows[1000] != edges[1000]
     assert max(*edges.values(), *windows.values()) < cfg.iterations
     at = sorted({e + s for e in (*edges.values(), *windows.values()) for s in (-1, 0, 1)
@@ -689,15 +705,35 @@ def test_trial_independent_of_M(alg, extra):
                 assert np.array_equal(getattr(at_run, key)[m], getattr(alone, key)[0][at])
 
 
+def _check_draw_window(n, b, T, M, seed):
+    """Every trial's batches of a batched draw are the sequential Fisher-Yates
+    batches of its own generator, whose windows concatenate to one stream."""
+    rngs = [np.random.default_rng(seed + m) for m in range(M)]
+    first = T // 2
+    drawn = np.concatenate([algorithms._draw_window(rngs, first, n, b),
+                            algorithms._draw_window(rngs, T - first, n, b)])
+    assert drawn.shape == (T, b, M) and drawn.dtype == np.int64
+    for m in range(M):
+        assert np.array_equal(drawn[:, :, m], _ref_batches(np.random.default_rng(seed + m), T, n, b))
+
+
 def test_draw_batches_matches_sequential_fisher_yates():
-    for n, b in ((4, 2), (6, 3), (9, 9), (5, 1)):
-        assert np.array_equal(algorithms._draw_batches(np.random.default_rng(n), 300, n, b),
-                              _ref_batches(np.random.default_rng(n), 300, n, b))
+    for n, b in ((4, 2), (6, 3), (9, 9), (5, 1), (256, 2), (10, 7), (1, 1)):
+        _check_draw_window(n, b, 300, 3, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 300).flatmap(lambda n: st.tuples(
+           st.just(n), st.sampled_from([1, n]) | st.integers(1, n))),
+       st.integers(1, 40), st.integers(1, 6), st.integers(0, 2**32))
+def test_draw_window_matches_sequential_fisher_yates_property(nb, T, M, seed):
+    n, b = nb
+    _check_draw_window(n, b, T, M, seed)
 
 
 def test_estimate_names_exactly_the_diverged_trials():
     # sgd: gamma * ||phi_i||^2 = 2.9 on two of the four terms of ls_4x2;
-    # minibatch_sgd (b = 2) on the n = 256 tiling of ls_4x2, whose draw window
+    # minibatch_sgd (b = 2) on the n = 256 tiling of ls_4x2, whose gap block
     # is capped by n.  In both, some sample streams blow up within T = 700
     # steps, in more than one gap block and more than one draw window, and
     # others do not
@@ -719,8 +755,8 @@ def test_estimate_names_exactly_the_diverged_trials():
                  for m, t in re.findall(r"trial (\d+) \(t=(\d+)\)", str(err.value))]
         assert named == want == err.value.failures
         assert err.value.t == min(t for _, t in want)
-        n, d, b = cfg.problem.n, cfg.problem.d, cfg.batch_size
-        for edge in (algorithms._block_steps(12, n, d), algorithms._draw_steps(12, n, b)):
+        n, d, b = cfg.problem.n, cfg.problem.d, cfg.batch_size or 1
+        for edge in (algorithms._block_steps(12, n, d), algorithms._draw_steps(12, b, d)):
             assert len({t // edge for _, t in want}) > 1
 
 

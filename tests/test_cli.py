@@ -511,6 +511,41 @@ def test_table_batch_size_out_of_range_names_the_field(tmp_path, capsys, source,
         f"table error: field 'batch_size': batch size b={b} out of range [1, 4]\n")
 
 
+_LIPSCHITZ = {"G": 1.0, "D2": 1.0}
+_COMPOSITE = {"sigma_star_F": 0.1, "D2": 1.0, "F0_gap": 1.0}
+
+
+@pytest.mark.parametrize("payload,name", [
+    ({"smooth": _SMOOTH}, "lipschitz.D2"),
+    ({"smooth": _SMOOTH, "lipschitz": {"D2": 1.0}}, "lipschitz.G"),
+    ({"smooth": _SMOOTH, "lipschitz": _LIPSCHITZ}, "composite.D2"),
+    ({"smooth": _SMOOTH, "lipschitz": _LIPSCHITZ,
+      "composite": {"D2": 1.0, "F0_gap": 1.0}}, "composite.sigma_star_F"),
+    ({"smooth": {k: v for k, v in _SMOOTH.items() if k != "D2"}, "lipschitz": _LIPSCHITZ,
+      "composite": _COMPOSITE}, "smooth.D2"),
+    ({"smooth": {k: v for k, v in _SMOOTH.items() if k != "mu"}}, "smooth.mu"),
+], ids=["no_lipschitz", "lipschitz_G", "no_composite", "composite_sigma_star_F", "smooth_D2",
+        "smooth_mu"])
+def test_table_missing_constant_names_its_section(tmp_path, capsys, payload, name):
+    path = _write(tmp_path, "c.json", payload)
+    assert main(["table", "--constants", path, "--epsilon", "1e-3"]) == 2
+    assert capsys.readouterr().err == f"table error: missing constant: {name}\n"
+
+
+def test_table_mu_above_L_exits_2(tmp_path, capsys):
+    payload = {"smooth": dict(_SMOOTH, mu=3.0), "lipschitz": _LIPSCHITZ, "composite": _COMPOSITE}
+    path = _write(tmp_path, "c.json", payload)
+    assert main(["table", "--constants", path, "--epsilon", "1e-3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("table error: inconsistent constants: mu=3 > L=1 "
+                   "(mu <= L for every L-smooth f)\n")
+    # the complete file, with mu <= L, prints its table
+    payload["smooth"]["mu"] = 0.5
+    assert main(["table", "--constants", _write(tmp_path, "c.json", payload),
+                 "--epsilon", "1e-3"]) == 0
+
+
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_x0_of_wrong_length_is_a_config_error(tmp_path, capsys, command):
     argv = [command, "--config", _write(tmp_path, "cfg.json", _verify_config(x0=[1.0, 2.0, 3.0]))]

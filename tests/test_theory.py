@@ -287,6 +287,29 @@ def test_complexity_missing_constant_named():
         complexity_iterations("sgd_strongly_convex", c, 0.1, InitState())
 
 
+@pytest.mark.parametrize("setting", ["gd_strongly_convex", "gd_pl", "pgd_strongly_convex"])
+def test_contraction_needs_finite_L(setting):
+    # abs_2x1_reg is nonsmooth (L = inf); mu_pl is set so that gd_pl reaches L
+    c = replace(_consts("abs_2x1_reg"), mu_pl=0.5)
+    with pytest.raises(HypothesisError) as err:
+        complexity_iterations(setting, c, 0.5, InitState(D2=1.0))
+    assert str(err.value) == "hypothesis violated: finite L > 0"
+    with pytest.raises(HypothesisError) as gd:
+        complexity_iterations("gd_convex", c, 0.5, InitState(D2=1.0))
+    assert str(gd.value) == str(err.value)
+
+
+@pytest.mark.parametrize("setting,modulus", [("gd_strongly_convex", "mu"), ("gd_pl", "mu_pl"),
+                                             ("pgd_strongly_convex", "mu")])
+def test_contraction_rejects_modulus_above_L(setting, modulus):
+    c = replace(_consts(), **{modulus: 3.0})  # L = 0.75
+    with pytest.raises(ValueError) as err:
+        complexity_iterations(setting, c, 0.1, InitState(D2=1.0))
+    assert not isinstance(err.value, HypothesisError)
+    assert str(err.value) == (f"inconsistent constants: {modulus}=3 > L=0.75 "
+                              f"({modulus} <= L for every L-smooth f)")
+
+
 def test_spgd_const_requires_small_epsilon():
     fx = fixture("lasso_4x2")
     big = fx.composite.sigma_star_F / fx.constants.L_max * 2
@@ -333,7 +356,7 @@ def test_table_epsilon_one_collapses_log_cells():
 def test_table_missing_constant_named():
     sources = table_sources_for_fixture("ls_4x2")
     sources["lipschitz"] = {"D2": 1.0}
-    with pytest.raises(ValueError, match="missing constant: G"):
+    with pytest.raises(ValueError, match="missing constant: lipschitz.G"):
         complexity_table(sources, 1e-3)
 
 
