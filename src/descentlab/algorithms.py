@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .nonsmooth import Regularizer, SpecError, prox, spec_value
+from .nonsmooth import REQUIRED, Regularizer, SpecError, prox, spec_kind
 from .problems import CompositeProblem, FiniteSumProblem, Fixture, GroundTruth
 
 __all__ = [
@@ -111,17 +111,17 @@ class StepSchedule:
         return t / (t + 2.0)
 
     @staticmethod
-    def from_config(cfg: dict) -> "StepSchedule":
-        """Parse a schedule spec; KeyError names a missing field, SpecError a
-        field that is not a JSON number."""
-        kind = cfg.get("kind")
-        if kind == "constant":
-            return StepSchedule.constant(spec_value(cfg, "gamma"))
-        if kind == "inv_sqrt":
-            return StepSchedule.inv_sqrt(spec_value(cfg, "gamma0"))
-        if kind == "momentum_pair":
-            return StepSchedule.momentum_pair(spec_value(cfg, "eta"))
-        raise ValueError(f"unknown schedule kind {kind!r}")
+    def from_config(cfg) -> "StepSchedule":
+        """Read a schedule spec; SpecError names a field that is unknown,
+        missing or not a JSON number."""
+        kind, fields = spec_kind(cfg, "schedule", _SCHEDULE_FIELDS)
+        return getattr(StepSchedule, kind)(**fields)
+
+
+# each schedule kind's fields, the arguments of its constructor
+_SCHEDULE_FIELDS = {"constant": {"gamma": (float, REQUIRED)},
+                    "inv_sqrt": {"gamma0": (float, REQUIRED)},
+                    "momentum_pair": {"eta": (float, REQUIRED)}}
 
 
 @dataclass

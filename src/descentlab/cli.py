@@ -24,7 +24,9 @@ import shutil
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import fields
+from functools import partial
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -40,99 +42,57 @@ from .algorithms import (
 )
 # kept as a module attribute, where perfbench/tracer.py wraps it
 from .algorithms import run_algorithm  # noqa: F401
-from .nonsmooth import Regularizer, SpecError
+from .nonsmooth import REQUIRED, Regularizer, SpecError, is_json, spec_fields, spec_section
 
 
-class ConfigError(SpecError):
-    """Invalid configuration; ``field`` names the offending field.  A SpecError
-    raised while the run is built (by ``RunConfig``) names a config field too."""
+# Every config input is read as a spec, so a config error is a SpecError that
+# names the config field; so is a SpecError of the run it builds (``RunConfig``).
+ConfigError = SpecError
 
-
-_NUMBER = (int, float)
-# the JSON type of each configuration field; a field whose default is None may be null
-_FIELD_TYPES = {
-    "problem": dict, "algorithm": str, "schedule": dict, "iterations": int, "trials": int,
-    "batch_size": int, "seed": int, "x0": list, "momentum_form": str, "regularizer": dict,
-    "projection_B": _NUMBER, "checkpoints": list, "verify": dict, "outputs": dict,
+# every configuration field: its JSON kind and its default (README "Config schema")
+_CONFIG_FIELDS = {
+    "problem": (dict, REQUIRED), "algorithm": (str, REQUIRED), "schedule": (dict, REQUIRED),
+    "iterations": (int, REQUIRED), "trials": (int, 1), "batch_size": (int, None), "seed": (int, 0),
+    "x0": (list, None), "momentum_form": (str, "buffer"), "regularizer": (dict, None),
+    "projection_B": (float, None), "checkpoints": (list, None), "verify": (dict, None),
+    "outputs": (dict, {}),
 }
-_JSON_NAMES = {dict: "a JSON object", str: "a string", int: "an integer", list: "a list",
-               _NUMBER: "a finite number"}
+_OUTPUT_FIELDS = {"trace": (str, "trace.csv"), "manifest": (str, "manifest.json")}
 
 
-def _is_json(value, kind) -> bool:
-    """Whether a parsed JSON value has the given type (true/false are not
-    numbers, and neither are NaN and Infinity, which Python's json accepts)."""
-    return (isinstance(value, kind) and not isinstance(value, bool)
-            and not (isinstance(value, float) and not math.isfinite(value)))
+def _read_verify(spec) -> dict:
+    """The verify section: a setting of ``theory.SETTINGS`` and, optionally, a
+    policy of ``harness.POLICIES``."""
+    verify = spec_fields(spec, {"setting": (str, REQUIRED), "policy": (str, None)})
+    if verify["setting"] not in theory.SETTINGS:
+        raise SpecError("setting", f"unknown setting {verify['setting']!r}")
+    if verify["policy"] not in (None, *harness.POLICIES):
+        raise SpecError("policy", f"must be one of {list(harness.POLICIES)}, "
+                                  f"got {verify['policy']!r:.40}")
+    return verify
 
 
-def _check_json(fieldname: str, value, kind, nullable: bool = False) -> None:
-    if not (_is_json(value, kind) or (nullable and value is None)):
-        raise ConfigError(fieldname, f"must be {_JSON_NAMES[kind]}, got {value!r:.40}")
-
-
-def _parse(section: str, parse, spec):
-    """``parse(spec)``; its errors as a ConfigError naming ``section``, or the
-    field within it that has the wrong type."""
-    try:
-        return parse(spec)
-    except SpecError as exc:
-        raise ConfigError(f"{section}.{exc.field}", exc.reason) from exc
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(section, str(exc)) from exc
-
-
-@dataclass
-class ExperimentConfig:
-    """Parsed experiment description (see README for the JSON schema)."""
-
-    problem: dict
-    algorithm: str
-    schedule: dict
-    iterations: int
-    trials: int = 1
-    batch_size: Optional[int] = None
-    seed: int = 0
-    x0: Optional[list] = None
-    momentum_form: str = "buffer"
-    regularizer: Optional[dict] = None
-    projection_B: Optional[float] = None
-    checkpoints: Optional[list] = None
-    verify: Optional[dict] = None
-    outputs: dict = field(default_factory=dict)
+class ExperimentConfig(SimpleNamespace):
+    """Parsed experiment description: one attribute per field of
+    ``_CONFIG_FIELDS``, with ``outputs`` and ``verify`` read (see README for
+    the JSON schema)."""
 
     @staticmethod
-    def from_dict(raw: dict) -> "ExperimentConfig":
-        _check_json("config", raw, dict)
-        names = [f.name for f in fields(ExperimentConfig)]
-        unknown = set(raw) - set(names)
-        if unknown:
-            raise ConfigError(sorted(unknown)[0], "unknown configuration field")
-        for req in ("problem", "algorithm", "schedule", "iterations"):
-            if req not in raw:
-                raise ConfigError(req, "required field missing")
-        for f in fields(ExperimentConfig):
-            if f.name in raw:
-                _check_json(f.name, raw[f.name], _FIELD_TYPES[f.name], nullable=f.default is None)
-        cfg = ExperimentConfig(**{k: raw[k] for k in names if k in raw})
-        if cfg.x0 is not None and not all(_is_json(v, _NUMBER) for v in cfg.x0):
+    def from_dict(raw) -> "ExperimentConfig":
+        cfg = ExperimentConfig(**spec_fields(raw, _CONFIG_FIELDS, "config"))
+        if cfg.x0 is not None and not all(is_json(v, float) for v in cfg.x0):
             raise ConfigError("x0", "must be a list of finite numbers")
         if cfg.checkpoints is not None and not (
-                cfg.checkpoints and all(_is_json(c, int) and c >= 0 for c in cfg.checkpoints)):
+                cfg.checkpoints and all(is_json(c, int) and c >= 0 for c in cfg.checkpoints)):
             raise ConfigError("checkpoints", "must be a nonempty list of nonnegative integers")
-        for key, name in cfg.outputs.items():
-            _check_json(f"outputs.{key}", name, str)
-        spec = cfg.verify or {}
-        unknown = sorted(set(spec) - {"setting", "policy"})
-        if unknown:
-            raise ConfigError(f"verify.{unknown[0]}", "unknown verify field")
-        if spec.get("policy") not in (None, *harness.POLICIES):
-            raise ConfigError("verify.policy", f"must be one of {list(harness.POLICIES)}, "
-                                               f"got {spec['policy']!r:.40}")
+        cfg.outputs = spec_section("outputs", partial(spec_fields, fields=_OUTPUT_FIELDS),
+                                   cfg.outputs)
+        if cfg.verify is not None:
+            cfg.verify = spec_section("verify", _read_verify, cfg.verify)
         return cfg
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -150,16 +110,17 @@ def _build_fixture(cfg: ExperimentConfig) -> problems.Fixture:
     """The config's problem, with the composite its method needs."""
     spec = cfg.problem
     if "fixture" in spec:
-        _check_json("problem.fixture", spec["fixture"], str)
+        name = spec_section("problem", partial(spec_fields, fields={"fixture": (str, REQUIRED)}),
+                            spec)["fixture"]
         try:
-            fx = problems.fixture(spec["fixture"])
+            fx = problems.fixture(name)
         except (KeyError, ValueError) as exc:  # unknown name, malformed fixture file
             raise ConfigError("problem.fixture", str(exc)) from exc
     else:
-        fx = problems.Fixture("inline", *_parse("problem", problems.build_problem, spec))
+        fx = spec_section("problem", partial(problems.fixture_from_spec, "inline"), spec)
 
-    reg = (_parse("regularizer", Regularizer.from_config, cfg.regularizer)
-           if cfg.regularizer else fx.regularizer)
+    reg = (fx.regularizer if cfg.regularizer is None
+           else spec_section("regularizer", Regularizer.from_config, cfg.regularizer))
     comp = fx.composite
     if cfg.algorithm in PROXIMAL:
         if reg is None:
@@ -174,7 +135,7 @@ def _run_config(cfg: ExperimentConfig, fx: problems.Fixture, seed: int) -> RunCo
     """The run the config describes; RunConfig checks it, and a SpecError
     names the config field that does not fit."""
     return RunConfig.for_fixture(
-        fx, cfg.algorithm, _parse("schedule", StepSchedule.from_config, cfg.schedule),
+        fx, cfg.algorithm, spec_section("schedule", StepSchedule.from_config, cfg.schedule),
         cfg.iterations, seed=seed, trials=cfg.trials, batch_size=cfg.batch_size,
         projection_B=cfg.projection_B, x0=cfg.x0, momentum_form=cfg.momentum_form)
 
@@ -203,8 +164,8 @@ def cmd_run(config_path: str, out_dir: str = ".", jobs: int = 1,
         return 2
 
     os.makedirs(out_dir, exist_ok=True)
-    manifest_path = os.path.join(out_dir, cfg.outputs.get("manifest", "manifest.json"))
-    trace_path = os.path.join(out_dir, cfg.outputs.get("trace", "trace.csv"))
+    manifest_path = os.path.join(out_dir, cfg.outputs["manifest"])
+    trace_path = os.path.join(out_dir, cfg.outputs["trace"])
     manifest = {
         "config": cfg.to_dict(),
         "seed": seed,
@@ -255,12 +216,9 @@ def _run_chunks(rc: RunConfig, jobs: int, out_dir: str, trace_path: str) -> None
 def cmd_verify(config_path: str, seed_override: Optional[int] = None) -> int:
     try:
         cfg = load_config(config_path)
-        if not cfg.verify or "setting" not in cfg.verify:
+        if cfg.verify is None:
             raise ConfigError("verify.setting", "verify needs a theorem setting")
-        _check_json("verify.setting", cfg.verify["setting"], str)
-        row = theory.SETTINGS.get(cfg.verify["setting"])
-        if row is None:
-            raise ConfigError("verify.setting", f"unknown setting {cfg.verify['setting']!r}")
+        row = theory.SETTINGS[cfg.verify["setting"]]
         # the setting fixes the method; a config field it would not use is an error
         if cfg.algorithm != row.algorithm:
             raise ConfigError("algorithm", f"setting {row.name} runs {row.algorithm!r}, "
@@ -273,13 +231,13 @@ def cmd_verify(config_path: str, seed_override: Optional[int] = None) -> int:
                                                f"{cfg.momentum_form!r}")
         _, _, verdict = harness.run_verification(
             row.name, _build_fixture(cfg),
-            _parse("schedule", StepSchedule.from_config, cfg.schedule), cfg.iterations,
+            spec_section("schedule", StepSchedule.from_config, cfg.schedule), cfg.iterations,
             checkpoints=cfg.checkpoints,
             trials=cfg.trials,
             seed=cfg.seed if seed_override is None else seed_override,
             b=cfg.batch_size,
             x0=cfg.x0,
-            policy=cfg.verify.get("policy"),
+            policy=cfg.verify["policy"],
         )
     except SpecError as exc:  # a ConfigError, or a field the run does not accept
         print(f"config error: {exc}", file=sys.stderr)
@@ -296,32 +254,37 @@ def cmd_verify(config_path: str, seed_override: Optional[int] = None) -> int:
     return 0 if verdict.passed else 4
 
 
+# the sections of a constants file: "smooth" holds the fields of ProblemConstants
+# (an integer n, a list L_i, numbers otherwise) and the initial state D2, f0_gap
+_CONSTANTS_FIELDS = {
+    "smooth": {**{f.name: ({"n": int, "L_i": list}.get(f.name, float), None)
+                  for f in fields(problems.ProblemConstants)},
+               "D2": (float, None), "f0_gap": (float, None)},
+    "lipschitz": {"G": (float, None), "D2": (float, None)},
+    "composite": {"sigma_star_F": (float, None), "D2": (float, None), "F0_gap": (float, None)},
+}
+
+
 def _constants_from_json(path: str) -> dict:
     with open(path) as fh:
-        raw = json.load(fh)
-    _check_json("constants", raw, dict)
-    for section in ("smooth", "lipschitz", "composite"):
-        _check_json(section, raw.get(section), dict, nullable=True)
-        for key, val in (raw.get(section) or {}).items():
-            _check_json(f"{section}.{key}", val, list if key == "L_i" else _NUMBER, nullable=True)
-    _check_json("batch_size", raw.get("batch_size", 2), int)
-    sm = raw.get("smooth") or {}
-    needed = ("n", "L", "L_max", "mu", "mu_pl", "sigma_star_f", "delta_star_f")
-    for key in needed:
-        if sm.get(key) is None:
-            raise ValueError(f"missing constant: smooth.{key}")
-    consts = problems.ProblemConstants(
-        n=int(sm["n"]), L=float(sm["L"]), L_i=tuple(sm.get("L_i") or ()),
-        L_max=float(sm["L_max"]),
-        L_avg=float(sm.get("L_avg", sm["L_max"])),
-        mu=float(sm["mu"]), mu_pl=float(sm["mu_pl"]),
-        sigma_star_f=float(sm["sigma_star_f"]), delta_star_f=float(sm["delta_star_f"]),
-    )
+        raw = spec_fields(json.load(fh), {**dict.fromkeys(_CONSTANTS_FIELDS, (dict, None)),
+                                          "batch_size": (int, 2)}, "constants")
+    sm, lip, comp = (spec_section(name, partial(spec_fields, fields=table), raw[name] or {})
+                     for name, table in _CONSTANTS_FIELDS.items())
+    # a constant left out is missing, but for these
+    optional = {"L_i": (), "L_avg": sm["L_max"], "G": 0.0, "B": 0.0}
+    consts = {}
+    for f in fields(problems.ProblemConstants):
+        value = optional.get(f.name) if sm[f.name] is None else sm[f.name]
+        if value is None:
+            raise theory.MissingConstant(f"smooth.{f.name}")
+        consts[f.name] = value if f.name == "n" else tuple(value) if f.name == "L_i" else float(value)
     return {
-        "smooth": {"constants": consts, "D2": sm.get("D2"), "f0_gap": sm.get("f0_gap")},
-        "lipschitz": raw.get("lipschitz"),
-        "composite": raw.get("composite"),
-        "batch_size": raw.get("batch_size", 2),
+        "smooth": {"constants": problems.ProblemConstants(**consts), "D2": sm["D2"],
+                   "f0_gap": sm["f0_gap"]},
+        "lipschitz": lip,
+        "composite": comp,
+        "batch_size": raw["batch_size"],
     }
 
 
@@ -367,7 +330,7 @@ def cmd_table(constants_source: str, epsilon: float, csv_path: Optional[str] = N
         if batch_size is not None:
             sources["batch_size"] = batch_size
         table = theory.complexity_table(sources, epsilon)
-    except (ConfigError, ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"table error: {exc}", file=sys.stderr)
         return 2
     print(theory.table_to_text(table))

@@ -5,8 +5,9 @@ Three regularizers are supported: the zero function, the scaled L1 norm, and the
 indicator of a centered euclidean ball (whose prox is the projection).  All
 operations are pure functions; the certificate verifies a candidate prox output
 through the optimality condition (x - p)/gamma in the subdifferential at p.
-``spec_value`` checks a field of the JSON specs parsed here, in ``algorithms``
-and in ``problems``; it lives in this module because the other two import it.
+The one reader of the package's JSON specs (configs, schedules, regularizers,
+problems, fixture and constants files) lives here too: ``spec_fields``,
+``spec_kind`` and ``spec_section``, behind one ``is_json`` test.
 """
 
 from __future__ import annotations
@@ -17,30 +18,77 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["Regularizer", "ProxCertificate", "prox", "subgradient", "prox_certificate",
-           "SpecError", "spec_value"]
+           "SpecError", "REQUIRED", "is_json", "spec_fields", "spec_kind", "spec_section"]
 
 
 class SpecError(ValueError):
-    """A field of a JSON spec (schedule, regularizer, problem) of the wrong type;
-    ``field`` names it within its spec."""
+    """A field of a JSON spec that is unknown, missing, of the wrong type or out
+    of range; ``field`` names it within its spec, and is empty for the spec as
+    a whole."""
 
     def __init__(self, field: str, reason: str):
-        super().__init__(f"field {field!r}: {reason}")
+        super().__init__(f"field {field!r}: {reason}" if field else reason)
         self.field, self.reason = field, reason
 
 
-def spec_value(spec: dict, key: str, kind=float, default=None):
-    """``spec[key]``, or ``default`` when it is absent and a default is given:
-    a finite JSON number, or an integer for ``kind=int`` (true/false are
-    neither).  KeyError if it is missing, SpecError naming ``key`` if it has
-    another type or is NaN or infinite (which Python's json module accepts)."""
-    value = spec[key] if default is None else spec.get(key, default)
-    types, name = (int, "an integer") if kind is int else ((int, float), "a number")
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise SpecError(key, f"must be {name}, got {value!r:.40}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise SpecError(key, f"must be finite, got {value!r}")
-    return value
+REQUIRED = object()  # the default of a field that must be given
+_KIND_NAMES = {dict: "a JSON object", list: "a list", str: "a string", int: "an integer",
+               float: "a number"}
+
+
+def is_json(value, kind) -> bool:
+    """Whether a parsed JSON value is of ``kind``, one of dict, list, str, int
+    and float (a number, integers included).  true and false are not numbers,
+    and neither are NaN and Infinity, which Python's json module accepts."""
+    return (isinstance(value, (int, float) if kind is float else kind)
+            and not isinstance(value, bool)
+            and not (isinstance(value, float) and not math.isfinite(value)))
+
+
+def spec_fields(spec, fields: dict, name: str = "") -> dict:
+    """The value of every field of the JSON object ``spec`` by the table
+    ``fields``, which maps each field name to its (JSON kind, default): the
+    default is REQUIRED for a field that must be given, and None makes a field
+    nullable.  SpecError names an unknown, missing or mistyped field, or
+    ``name`` (the spec itself) if ``spec`` is not a JSON object."""
+    if not is_json(spec, dict):
+        raise SpecError(name, f"must be a JSON object, got {spec!r:.40}")
+    unknown = sorted(set(spec) - set(fields))
+    if unknown:
+        raise SpecError(unknown[0], "unknown field")
+    values = {}
+    for key, (kind, default) in fields.items():
+        value = values[key] = spec.get(key, default)
+        if value is REQUIRED:
+            raise SpecError(key, "required field missing")
+        if not (is_json(value, kind) or (value is None and default is None)):
+            raise SpecError(key, f"must be {_KIND_NAMES[kind]}, got {value!r:.40}")
+    return values
+
+
+def spec_kind(spec, what: str, kinds: dict) -> tuple:
+    """``(kind, fields)`` of a spec whose string field ``kind`` selects its other
+    fields: ``kinds`` maps each kind to their ``spec_fields`` table.  An unknown
+    kind is a SpecError of the spec as a whole."""
+    is_object = is_json(spec, dict)
+    kind = spec.get("kind") if is_object else None
+    if is_object and not (is_json(kind, str) and kind in kinds):
+        raise SpecError("", f"unknown {what} kind {kind!r:.40}")
+    fields = spec_fields(spec, {"kind": (str, REQUIRED), **kinds.get(kind, {})})
+    del fields["kind"]
+    return kind, fields
+
+
+def spec_section(section: str, read, spec):
+    """``read(spec)`` for the nested spec ``section``, the one place a nested
+    field is named ``section.field``: a SpecError ``read`` raises is renamed so,
+    and any other ValueError (a value out of range) names ``section``."""
+    try:
+        return read(spec)
+    except SpecError as exc:
+        raise SpecError(f"{section}.{exc.field}" if exc.field else section, exc.reason) from exc
+    except ValueError as exc:
+        raise SpecError(section, str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -68,19 +116,11 @@ class Regularizer:
         return Regularizer("ball_indicator", B=float(B))
 
     @staticmethod
-    def from_config(cfg: dict) -> "Regularizer":
-        """Parse a regularizer spec; KeyError names a missing field, SpecError a
-        field that is not a JSON number."""
-        if not isinstance(cfg, dict):
-            raise ValueError(f"a regularizer spec is a JSON object, not {type(cfg).__name__}")
-        kind = cfg.get("kind")
-        if kind == "zero":
-            return Regularizer.zero()
-        if kind == "l1":
-            return Regularizer.l1(spec_value(cfg, "lambda"))
-        if kind == "ball_indicator":
-            return Regularizer.ball_indicator(spec_value(cfg, "B"))
-        raise ValueError(f"unknown regularizer kind {kind!r}")
+    def from_config(cfg) -> "Regularizer":
+        """Read a regularizer spec; SpecError names a field that is unknown,
+        missing or not a JSON number."""
+        kind, fields = spec_kind(cfg, "regularizer", _REGULARIZER_FIELDS)
+        return getattr(Regularizer, kind)(*fields.values())
 
     def value(self, x: np.ndarray) -> float:
         """g(x); +inf outside the domain of an indicator."""
@@ -98,6 +138,11 @@ class Regularizer:
         if self.kind == "l1":
             return self.lam * np.abs(X).sum(axis=1)
         return np.where(_norms(X) <= self.B * (1.0 + 1e-12), 0.0, math.inf)
+
+
+# each regularizer kind's fields, the arguments of its constructor
+_REGULARIZER_FIELDS = {"zero": {}, "l1": {"lambda": (float, REQUIRED)},
+                       "ball_indicator": {"B": (float, REQUIRED)}}
 
 
 @dataclass(frozen=True)

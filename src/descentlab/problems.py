@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .nonsmooth import Regularizer, SpecError, prox, spec_value
+from .nonsmooth import REQUIRED, Regularizer, SpecError, prox, spec_kind, spec_section
 
 __all__ = [
     "FiniteSumProblem",
@@ -33,11 +33,11 @@ __all__ = [
     "build_least_squares",
     "build_scalar_pl",
     "build_abs_loss",
-    "build_problem",
     "minibatch_constants",
     "make_composite",
     "gradient_variance",
     "fixture",
+    "fixture_from_spec",
     "fixture_names",
 ]
 
@@ -423,29 +423,6 @@ def build_abs_loss(rows, targets, strong_mu: float = 0.0, ball_B: float = 1.0):
     return problem, gt, consts
 
 
-def build_problem(spec: dict):
-    """(problem, ground truth, constants) for an inline problem description
-    (README schema); ValueError names an unknown kind or a missing field,
-    SpecError a constant that is not a JSON number."""
-    if not isinstance(spec, dict):
-        raise ValueError(f"a problem spec is a JSON object, not {type(spec).__name__}")
-    kind = spec.get("kind")
-    try:
-        if kind == "least_squares":
-            return build_least_squares(spec["features"], spec["targets"])
-        if kind == "abs_loss":
-            return build_abs_loss(
-                spec["rows"], spec["targets"],
-                strong_mu=spec_value(spec, "strong_mu", default=0.0),
-                ball_B=spec_value(spec, "ball_B", default=1.0),
-            )
-        if kind == "scalar_pl":
-            return build_scalar_pl()
-    except KeyError as exc:
-        raise ValueError(f"{kind} problem needs field {exc}") from exc
-    raise ValueError(f"unknown problem kind {kind!r}")
-
-
 def minibatch_constants(constants: ProblemConstants, b: int):
     """Expected-smoothness and gradient-noise constants for batch size b.
 
@@ -508,8 +485,8 @@ def make_composite(
 # Embedded fixture catalogue
 # ---------------------------------------------------------------------------
 
-# Problem specs in the inline-problem schema (README), plus an optional
-# regularizer; $DESCENTLAB_FIXTURES/<name>.json files hold the same.
+# Problem specs (README "Config schema"); $DESCENTLAB_FIXTURES/<name>.json
+# files hold the same, and all are read by ``fixture_from_spec``.
 _LS_4X2 = {"kind": "least_squares", "features": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]],
            "targets": [1.0, 1.0, 0.0, 0.0]}
 _ABS_2X1 = {"kind": "abs_loss", "rows": [[1.0], [1.0]], "targets": [1.0, -1.0], "ball_B": 2.0}
@@ -530,17 +507,29 @@ def fixture_names():
     return sorted(_CATALOGUE)
 
 
-def _fixture_from_spec(name: str, spec: dict) -> Fixture:
-    p, gt, c = build_problem(spec)
-    reg = comp = None
-    if "regularizer" in spec:
-        try:
-            reg = Regularizer.from_config(spec["regularizer"])
-        except KeyError as exc:
-            raise ValueError(f"regularizer needs field {exc}") from exc
-        except SpecError as exc:
-            raise SpecError(f"regularizer.{exc.field}", exc.reason) from exc
-        comp = make_composite(p, c, reg)
+# each problem kind's fields: an optional regularizer, and the keyword
+# arguments of its builder ``build_<kind>``
+_PROBLEM_FIELDS = {
+    "least_squares": {"features": (list, REQUIRED), "targets": (list, REQUIRED),
+                      "regularizer": (dict, None)},
+    "abs_loss": {"rows": (list, REQUIRED), "targets": (list, REQUIRED), "strong_mu": (float, 0.0),
+                 "ball_B": (float, 1.0), "regularizer": (dict, None)},
+    "scalar_pl": {"regularizer": (dict, None)},
+}
+
+
+def fixture_from_spec(name: str, spec) -> Fixture:
+    """The fixture a problem spec describes: an inline problem, a catalogue
+    entry or a fixture file, with the composite of its regularizer if it has
+    one.  SpecError names a field of ``spec`` that is unknown, missing or
+    mistyped; ValueError a problem the builder rejects."""
+    kind, args = spec_kind(spec, "problem", _PROBLEM_FIELDS)
+    reg = args.pop("regularizer")
+    if reg is not None:
+        reg = spec_section("regularizer", Regularizer.from_config, reg)
+    # looked up when called, so that a wrapped builder is the one called
+    p, gt, c = globals()[f"build_{kind}"](**args)
+    comp = None if reg is None else make_composite(p, c, reg)
     return Fixture(name, p, gt, c, regularizer=reg, composite=comp)
 
 
@@ -559,5 +548,5 @@ def fixture(name: str) -> Fixture:
             raise KeyError(f"unknown fixture {name!r}; available: {fixture_names()}")
         with open(path) as fh:
             spec = json.load(fh)
-    fx = _FIXTURE_CACHE[name] = _fixture_from_spec(name, spec)
+    fx = _FIXTURE_CACHE[name] = fixture_from_spec(name, spec)
     return fx

@@ -543,8 +543,9 @@ def complexity_iterations(
         raise ValueError(f"no iteration-complexity recommendation for setting {setting!r}")
     answer = ComplexityAnswer(setting, e, *row.complexity(row, constants, e, init, b, sigma_star_F))
     if answer.relative and e >= 1:
-        # not a HypothesisError: the target holds at t = 0, where the table reads 0
-        raise ValueError("hypothesis violated: epsilon in (0,1) for a relative contraction target")
+        # not a HypothesisError: no hypothesis fails, and the table reads 0 here
+        raise ValueError(f"a relative target needs epsilon < 1; at epsilon={e:g} it already "
+                         f"holds at t = 0")
     return answer
 
 

@@ -21,6 +21,8 @@ def _write(tmp_path, name, payload):
 
 
 _ABS_SPEC = {"kind": "abs_loss", "rows": [[1.0], [1.0]], "targets": [1.0, -1.0]}
+_SMOOTH_CONSTANTS = {"n": 4, "L": 1.0, "L_max": 2.0, "mu": 0.5, "mu_pl": 0.5,
+                     "sigma_star_f": 0.1, "delta_star_f": 0.1, "D2": 1.0, "f0_gap": 1.0}
 _LS_SPEC = {"kind": "least_squares", "features": [[1.0, 0.0], [0.0, 1.0]], "targets": [1.0, 0.0]}
 _L1_X = {"kind": "l1", "lambda": "x"}
 
@@ -342,12 +344,13 @@ def test_run_malformed_external_fixture_exits_2(tmp_path, monkeypatch, capsys):
     ('{"kind": "least_squares", "features": [[1.0]', "Expecting"),
     ("[1.0]", "JSON object"),
     (json.dumps({"kind": "least_squares", "features": [[1.0]], "targets": [1.0],
-                 "regularizer": {"kind": "l1"}}), "regularizer needs field 'lambda'"),
+                 "regularizer": {"kind": "l1"}}),
+     "field 'regularizer.lambda': required field missing"),
     (json.dumps(dict(_ABS_SPEC, strong_mu="x")), "field 'strong_mu': must be a number"),
     (json.dumps({"kind": "least_squares", "features": [[1.0]], "targets": [1.0],
                  "regularizer": _L1_X}), "field 'regularizer.lambda': must be a number"),
     (json.dumps({"kind": "least_squares", "features": [[1.0]], "targets": [1.0],
-                 "regularizer": "l1"}), "a regularizer spec is a JSON object"),
+                 "regularizer": "l1"}), "field 'regularizer': must be a JSON object"),
 ], ids=["missing_field", "invalid_json", "not_an_object", "regularizer_field", "strong_mu",
         "regularizer_lambda", "regularizer_not_an_object"])
 def test_suite_malformed_external_fixture_exits_2(tmp_path, monkeypatch, capsys, content, detail):
@@ -358,6 +361,93 @@ def test_suite_malformed_external_fixture_exits_2(tmp_path, monkeypatch, capsys,
     assert main(["suite", "--fixture", "bad"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: fixture 'bad'") and detail in err
+
+
+@pytest.mark.parametrize("payload,fieldname", [
+    (_gd_config(schedule={"kind": "constant", "gamma": 1.0, "gama": 1.0}), "schedule.gama"),
+    (_gd_config(schedule={"kind": "inv_sqrt", "gamma0": 0.1, "gamma": 5.0}), "schedule.gamma"),
+    (_gd_config(regularizer={"kind": "l1", "lambda": 0.1, "lamda": 0.2}), "regularizer.lamda"),
+    (_gd_config(problem=dict(_LS_SPEC, bogus=1)), "problem.bogus"),
+    (_gd_config(algorithm="ssd", problem=dict(_ABS_SPEC, strongmu=0.5)), "problem.strongmu"),
+    (_gd_config(problem=dict(_LS_SPEC, regularizer={"kind": "zero", "lambda": 0.1})),
+     "problem.regularizer.lambda"),
+    (_gd_config(problem={"fixture": "ls_4x2", "kind": "least_squares"}), "problem.kind"),
+    (_gd_config(outputs={"trace": "t.csv", "manifest": "m.json", "log": "l.txt"}),
+     "outputs.log"),
+], ids=["schedule", "schedule_other_kind", "regularizer", "inline_problem", "inline_abs_problem",
+        "inline_regularizer", "fixture_reference", "outputs"])
+def test_unknown_nested_field_exits_2_naming_it(tmp_path, capsys, payload, fieldname):
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write(tmp_path, "cfg.json", payload),
+                 "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: field {fieldname!r}: unknown field\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec,fieldname", [
+    (dict(_ABS_SPEC, strongmu=0.5), "strongmu"),
+    (dict(_LS_SPEC, regularizer={"kind": "l1", "lambda": 0.1, "B": 1.0}), "regularizer.B"),
+], ids=["problem", "regularizer"])
+def test_unknown_field_in_fixture_file_exits_2(tmp_path, monkeypatch, capsys, spec, fieldname):
+    from descentlab import problems
+    (tmp_path / "extra.json").write_text(json.dumps(spec))
+    monkeypatch.setenv("DESCENTLAB_FIXTURES", str(tmp_path))
+    monkeypatch.delitem(problems._FIXTURE_CACHE, "extra", raising=False)
+    detail = f"field {fieldname!r}: unknown field\n"
+    cfg = _write(tmp_path, "cfg.json", _gd_config(algorithm="ssd", problem={"fixture": "extra"}))
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "config error: field 'problem.fixture': " + detail
+    assert main(["suite", "--fixture", "extra"]) == 2
+    assert capsys.readouterr().err == "config error: fixture 'extra': " + detail
+
+
+@pytest.mark.parametrize("payload,fieldname", [
+    ({"smooth": dict(_SMOOTH_CONSTANTS, L_mx=2.0)}, "smooth.L_mx"),
+    ({"smooth": _SMOOTH_CONSTANTS, "lipschitz": {"G": 1.0, "D2": 1.0, "B": 1.0}}, "lipschitz.B"),
+    ({"smooth": _SMOOTH_CONSTANTS, "composite": {"sigma_star_f": 0.1}}, "composite.sigma_star_f"),
+    ({"smooth": _SMOOTH_CONSTANTS, "batchsize": 2}, "batchsize"),
+], ids=["smooth", "lipschitz", "composite", "top_level"])
+def test_table_unknown_constant_exits_2(tmp_path, capsys, payload, fieldname):
+    path = _write(tmp_path, "k.json", payload)
+    assert main(["table", "--constants", path, "--epsilon", "1e-3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"table error: field {fieldname!r}: unknown field\n"
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("changes,fieldname", [
+    ({"schedule": {"kind": "constant"}}, "schedule.gamma"),
+    ({"regularizer": {"kind": "l1"}}, "regularizer.lambda"),
+    ({"problem": {"kind": "least_squares", "features": [[1.0, 0.0]]}}, "problem.targets"),
+    ({"problem": dict(_LS_SPEC, regularizer={"kind": "ball_indicator"})},
+     "problem.regularizer.B"),
+], ids=["schedule", "regularizer", "problem", "problem_regularizer"])
+def test_missing_nested_field_exits_2_naming_it(tmp_path, capsys, command, changes, fieldname):
+    argv = [command, "--config", _write(tmp_path, "cfg.json", _verify_config(**changes))]
+    if command == "run":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: field {fieldname!r}: required field missing\n"
+
+
+def _prox_trace(tmp_path, name, problem, **changes):
+    out = tmp_path / name
+    payload = _gd_config(problem=problem, algorithm="prox_gd", iterations=100, **changes)
+    assert cmd_run(_write(tmp_path, f"{name}.json", payload), out_dir=str(out)) == 0
+    return (out / "trace.csv").read_bytes()
+
+
+def test_inline_problem_with_regularizer_runs_as_its_fixture(tmp_path):
+    from descentlab import problems
+    inline = problems._CATALOGUE["lasso_4x2"]
+    assert inline == dict(problems._CATALOGUE["ls_4x2"], regularizer={"kind": "l1", "lambda": 0.1})
+    lasso = _prox_trace(tmp_path, "fixture", {"fixture": "lasso_4x2"})
+    assert _prox_trace(tmp_path, "inline", dict(inline)) == lasso
+    # a top-level regularizer replaces the problem's own
+    stronger = {"kind": "l1", "lambda": 0.3}
+    replaced = _prox_trace(tmp_path, "replaced", dict(inline), regularizer=stronger)
+    assert replaced == _prox_trace(tmp_path, "ls", {"fixture": "ls_4x2"}, regularizer=stronger)
+    assert replaced != lasso
 
 
 def test_verify_divergence_exits_3_naming_trials(tmp_path, capsys):

@@ -1,7 +1,11 @@
+import math
+from functools import partial
+
 import numpy as np
 import pytest
 
 from descentlab import Regularizer, prox, prox_certificate, subgradient
+from descentlab.nonsmooth import REQUIRED, SpecError, is_json, spec_fields, spec_section
 
 RNG = np.random.default_rng(11)
 
@@ -134,3 +138,52 @@ def test_regularizer_config_roundtrip():
                       ({"kind": "ball_indicator", "B": 1.2}, Regularizer.ball_indicator(1.2)),
                       ({"kind": "zero"}, Regularizer.zero())):
         assert Regularizer.from_config(spec) == reg
+
+
+_TABLE = {"a": (float, REQUIRED), "b": (int, 3), "c": (str, None)}
+
+
+def test_spec_fields_fills_defaults_and_keeps_null_only_where_nullable():
+    assert spec_fields({"a": 1}, _TABLE) == {"a": 1, "b": 3, "c": None}
+    assert spec_fields({"a": 0.5, "b": 2, "c": None}, _TABLE) == {"a": 0.5, "b": 2, "c": None}
+
+
+@pytest.mark.parametrize("spec,field,reason", [
+    ({}, "a", "required field missing"),
+    ({"a": 1, "d": 0, "ab": 0}, "ab", "unknown field"),
+    ({"a": True}, "a", "must be a number, got True"),
+    ({"a": float("nan")}, "a", "must be a number, got nan"),
+    ({"a": float("-inf")}, "a", "must be a number, got -inf"),
+    ({"a": 1, "b": 2.0}, "b", "must be an integer, got 2.0"),
+    ({"a": 1, "b": None}, "b", "must be an integer, got None"),
+    ({"a": 1, "c": 5}, "c", "must be a string, got 5"),
+    ([1.0], "", "must be a JSON object, got [1.0]"),
+], ids=["missing", "unknown", "bool", "nan", "infinity", "float_for_int", "null_not_nullable",
+        "not_a_string", "not_an_object"])
+def test_spec_fields_names_the_faulty_field(spec, field, reason):
+    with pytest.raises(SpecError) as err:
+        spec_fields(spec, _TABLE)
+    assert (err.value.field, err.value.reason) == (field, reason)
+
+
+def test_spec_section_names_nested_fields_and_the_section():
+    table, reg = partial(spec_fields, fields=_TABLE), Regularizer.from_config
+    for read, spec, message in (
+            (table, {"a": "x"}, "field 'outer.a': must be a number, got 'x'"),
+            (table, 5, "field 'outer': must be a JSON object, got 5"),
+            (reg, {"kind": [1]}, "field 'outer': unknown regularizer kind [1]"),
+            (reg, {"kind": "l1", "lambda": -1}, "field 'outer': l1 weight must be >= 0")):
+        with pytest.raises(SpecError) as err:
+            spec_section("outer", read, spec)
+        assert str(err.value) == message
+    # outside a section, an error of the spec as a whole names no field
+    with pytest.raises(SpecError) as err:
+        reg({"kind": "l2"})
+    assert (err.value.field, str(err.value)) == ("", "unknown regularizer kind 'l2'")
+
+
+def test_is_json():
+    assert is_json(1, float) and is_json(1.5, float) and is_json(2, int)
+    assert not any(is_json(v, float) for v in (True, False, None, "1", math.nan, math.inf))
+    assert not is_json(True, int) and not is_json(1.0, int)
+    assert is_json({}, dict) and is_json([], list) and not is_json((), list)

@@ -277,8 +277,12 @@ def test_complexity_rejects_bad_epsilon():
     c = _consts()
     with pytest.raises(ValueError):
         complexity_iterations("gd_convex", c, 0.0, InitState(D2=1.0))
-    with pytest.raises(ValueError, match="relative"):
+    with pytest.raises(ValueError, match="relative") as err:
         complexity_iterations("gd_strongly_convex", c, 2.0, InitState(D2=1.0))
+    # the target already holds at t = 0: no hypothesis failed
+    assert not isinstance(err.value, HypothesisError)
+    assert str(err.value) == ("a relative target needs epsilon < 1; at epsilon=2 it already "
+                              "holds at t = 0")
 
 
 def test_complexity_missing_constant_named():
