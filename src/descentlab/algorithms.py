@@ -13,9 +13,10 @@ the trial's one stream; one Fisher-Yates pass turns the doubles of all trials
 into indices, and one gather (``sample_rows``) reads the sampled terms' data,
 of which each step takes views.  The gaps and distances are evaluated once
 per *gap block* (``_block_steps``), on the block's stacked iterates, with
-row-wise oracles.  The window is bounded by its index array and gathered rows
-and the block by the objective residual, so the two differ whenever n is
-large or M is.
+row-wise oracles, whose residual is written into one work buffer per call
+(the ``work`` argument of ``value_rows``).  The window is bounded by its index
+array and gathered rows and the block by the objective residual, so the two
+differ whenever n is large or M is.
 """
 
 from __future__ import annotations
@@ -170,6 +171,8 @@ class RunConfig:
             raise SpecError("iterations", "must be an integer >= 1")
         if self.trials < 1:
             raise SpecError("trials", "must be an integer >= 1")
+        if self.seed < 0:
+            raise SpecError("seed", f"must be an integer >= 0, got {self.seed}")
         if self.batch_size is not None and not 1 <= self.batch_size <= n:
             raise SpecError("batch_size", f"batch size {self.batch_size} out of range [1, {n}]")
         if self.x0 is not None:
@@ -427,6 +430,7 @@ def run_lockstep(cfg: RunConfig, trials, at=None, averaging=None,
     block, window = _block_steps(M, n, d), _draw_steps(M, batch, d)
     w0 = w1 = 0  # the draw window ``drawn`` holds: steps w0 .. w1 - 1
     xs = np.empty((block, M, d))  # the iterates of the block's steps
+    work = np.empty((block * M, 1, n))  # their objective residual, one buffer for the run
     first = np.full(M, -1)  # first diverged step of each trial
     with np.errstate(all="ignore"):  # diverging rows run on as inf/nan
         for t0 in range(0, T + 1, block):
@@ -434,7 +438,8 @@ def run_lockstep(cfg: RunConfig, trials, at=None, averaging=None,
             for t in range(t0, t1):
                 xs[t - t0] = X
                 if averaging is not None and t > 0 and t in column:
-                    averaged[:, column[t]] = objective(total / weights[:t].sum()) - inf_val
+                    xbar = total / weights[:t].sum()
+                    averaged[:, column[t]] = objective(xbar, work[:M]) - inf_val
                 if t == T:
                     break
                 if averaging is not None and t < len(weights):
@@ -444,7 +449,8 @@ def run_lockstep(cfg: RunConfig, trials, at=None, averaging=None,
                     drawn = sample(_draw_window(rngs, w1 - w0, n, batch))
                 X = step(t, X, [r[t - w0] for r in drawn] if sample else None)
             steps = xs[: t1 - t0]
-            gaps = (objective(steps.reshape(-1, d)) - inf_val).reshape(-1, M)
+            values = objective(steps.reshape(-1, d), work[: (t1 - t0) * M])
+            gaps = (values - inf_val).reshape(-1, M)
             if t0 == 0:
                 limit = _DIVERGENCE_FACTOR * (1.0 + np.abs(gaps[0]))
             lo, hi = np.searchsorted(recorded, [t0, t1])

@@ -106,6 +106,11 @@ def load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig.from_dict(raw)
 
 
+def _message(exc: Exception) -> str:
+    """The message of ``exc``: a KeyError's own, which its str() quotes."""
+    return exc.args[0] if isinstance(exc, KeyError) else str(exc)
+
+
 def _build_fixture(cfg: ExperimentConfig) -> problems.Fixture:
     """The config's problem, with the composite its method needs."""
     spec = cfg.problem
@@ -115,7 +120,7 @@ def _build_fixture(cfg: ExperimentConfig) -> problems.Fixture:
         try:
             fx = problems.fixture(name)
         except (KeyError, ValueError) as exc:  # unknown name, malformed fixture file
-            raise ConfigError("problem.fixture", str(exc)) from exc
+            raise ConfigError("problem.fixture", _message(exc)) from exc
     else:
         fx = spec_section("problem", partial(problems.fixture_from_spec, "inline"), spec)
 
@@ -331,7 +336,7 @@ def cmd_table(constants_source: str, epsilon: float, csv_path: Optional[str] = N
             sources["batch_size"] = batch_size
         table = theory.complexity_table(sources, epsilon)
     except (ValueError, KeyError, OSError) as exc:
-        print(f"table error: {exc}", file=sys.stderr)
+        print(f"table error: {_message(exc)}", file=sys.stderr)
         return 2
     print(theory.table_to_text(table))
     if csv_path:
@@ -350,7 +355,8 @@ def cmd_suite(fixture_names, samples: int = 10_000, out_path: Optional[str] = No
         try:
             fx = problems.fixture(name)
         except (KeyError, ValueError) as exc:  # unknown name, malformed fixture file
-            print(f"config error: fixture {name!r}: {exc}", file=sys.stderr)
+            named = "" if isinstance(exc, KeyError) else f"fixture {name!r}: "
+            print(f"config error: {named}{_message(exc)}", file=sys.stderr)
             return 2
         reports.append(harness.property_suite(fx, samples=samples))
     payload = json.dumps(reports, indent=2, sort_keys=True)

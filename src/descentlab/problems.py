@@ -148,24 +148,27 @@ class FiniteSumProblem:
             return np.matmul(A.T, s[:, :, None])[:, :, 0] / self.n + self.data["strong_mu"] * X
         return self.grad_rows(np.zeros(len(X), dtype=np.intp), X)  # scalar_pl
 
-    def value_rows(self, X: np.ndarray) -> np.ndarray:
-        """f(X[m]) for every row m."""
+    def value_rows(self, X: np.ndarray, work: Optional[np.ndarray] = None) -> np.ndarray:
+        """f(X[m]) for every row m.  ``work``, a C-contiguous float64 buffer of
+        shape (len(X), 1, n) that the call may overwrite, holds the residual
+        instead of fresh arrays; scalar_pl has none and ignores it."""
+        if self.kind == "scalar_pl":
+            t = X[:, 0]
+            # libm pow, as the float ``** 2`` in value_i (np.square rounds differently)
+            return t * t + 3.0 * np.float_power(np.sin(t), 2)
+        A = self.data["features" if self.kind == "least_squares" else "rows"]
+        r = _matvec_rows(A, X, work)
+        r -= self.data["targets"]  # in place, in ``work`` when given
         if self.kind == "least_squares":
-            r = _matvec_rows(self.data["features"], X) - self.data["targets"]
             return 0.5 * np.vecdot(r, r) / self.n
-        if self.kind == "abs_loss":
-            r = _matvec_rows(self.data["rows"], X) - self.data["targets"]
-            return np.abs(r).mean(axis=1) + 0.5 * self.data["strong_mu"] * np.vecdot(X, X)
-        t = X[:, 0]  # scalar_pl
-        # libm pow, as the float ``** 2`` in value_i (np.square rounds differently)
-        return t * t + 3.0 * np.float_power(np.sin(t), 2)
+        return np.abs(r, out=r).mean(axis=1) + 0.5 * self.data["strong_mu"] * np.vecdot(X, X)
 
 
-def _matvec_rows(A: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """A @ X[m] for every row m, as a stack of matrix-vector products so that
-    each row matches the unbatched ``A @ x`` (a single (M, d) @ (d, n) product
-    may round differently and depend on M)."""
-    return np.matmul(X[:, None, :], A.T)[:, 0]
+def _matvec_rows(A: np.ndarray, X: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """A @ X[m] for every row m, into ``out`` (M, 1, n) if given, as a stack of
+    matrix-vector products so that each row matches the unbatched ``A @ x`` (a
+    single (M, d) @ (d, n) product may round differently and depend on M)."""
+    return np.matmul(X[:, None, :], A.T, out=out)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -217,10 +220,10 @@ class CompositeProblem:
             return math.inf
         return self.smooth.value(x) + g
 
-    def value_rows(self, X: np.ndarray) -> np.ndarray:
-        """F(X[m]) for every row m of X (M, d)."""
+    def value_rows(self, X: np.ndarray, work: Optional[np.ndarray] = None) -> np.ndarray:
+        """F(X[m]) for every row m of X (M, d); ``work`` as in FiniteSumProblem."""
         g = self.reg.value_rows(X)
-        return np.where(np.isfinite(g), self.smooth.value_rows(X) + g, math.inf)
+        return np.where(np.isfinite(g), self.smooth.value_rows(X, work) + g, math.inf)
 
 
 @dataclass(frozen=True)

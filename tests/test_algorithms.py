@@ -655,6 +655,35 @@ def test_draw_window_and_gap_block_differ():
     assert algorithms._block_steps(1000, n, d) == 1 < algorithms._draw_steps(1000, 2, d) == 32
 
 
+@pytest.mark.parametrize("case", ["sgd-n256", "prox_sgd-lasso_4x2"])
+def test_lockstep_gaps_equal_value_with_a_short_last_block(case):
+    # every gap block of a run, and every averaged-iterate gap, evaluates its
+    # residual in one buffer; T + 1 is not a multiple of the block, so the last
+    # block passes a shorter slice of it than the others
+    M = 3
+    if case == "sgd-n256":
+        problem, ground_truth = _TILED
+        cfg = RunConfig(problem=problem, ground_truth=ground_truth, iterations=200, seed=2,
+                        schedule=StepSchedule.constant(0.05), algorithm="sgd")
+        objective, inf_val = problem.value, ground_truth.inf_f
+    else:
+        fx = fixture("lasso_4x2")
+        cfg = RunConfig(problem=fx.problem, ground_truth=fx.ground_truth, iterations=600,
+                        seed=2, composite=fx.composite, schedule=StepSchedule.constant(0.2),
+                        x0=np.array([2.0, -1.0]), algorithm="prox_sgd")
+        objective, inf_val = fx.composite.value, fx.composite.inf_F
+    T, block = cfg.iterations, algorithms._block_steps(M, cfg.problem.n, cfg.problem.d)
+    assert T + 1 > block and (T + 1) % block != 0
+    run = run_lockstep(cfg, range(M), averaging="uniform", keep_iterates=True)
+    for m, xs in enumerate(run.iterates):
+        want = np.array([objective(x) - inf_val for x in xs])
+        assert run.f_gap[m].tobytes() == want.tobytes()
+        # uniform weights are ones: xbar_t is the running sum of x_0 .. x_{t-1} over t
+        xbar = np.cumsum(xs[:-1], axis=0) / np.arange(1, T + 1)[:, None]
+        want = np.array([objective(x) - inf_val for x in xbar])
+        assert run.averaged[m, 1:].tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("M,b,d", [(1, 1, 1), (7, 2, 2), (50, 2, 2), (1000, 1, 2), (1000, 2, 2),
                                    (32, 1, 16), (4, 3, 4000), (40_000, 2, 2), (2, 1, 10**5)])
 def test_draw_window_within_budget(M, b, d):
@@ -773,13 +802,14 @@ def test_run_for_fixture_picks_composite_and_ball():
 @pytest.mark.parametrize("kw,fieldname", [
     ({"iterations": 0}, "iterations"),
     ({"trials": 0}, "trials"),
+    ({"seed": -1}, "seed"),
     ({"algorithm": "newton"}, "algorithm"),
     ({"algorithm": "sgd", "schedule": StepSchedule.momentum_pair(0.1)}, "schedule"),
     ({"algorithm": "minibatch_sgd"}, "batch_size"),
     ({"algorithm": "pssd", "projection_B": 0.0}, "projection_B"),
     ({"algorithm": "momentum", "schedule": StepSchedule.momentum_pair(0.1),
       "momentum_form": "nope"}, "momentum_form"),
-], ids=["iterations", "trials", "unknown_algorithm", "sgd_momentum_pair",
+], ids=["iterations", "trials", "negative_seed", "unknown_algorithm", "sgd_momentum_pair",
         "minibatch_without_batch_size", "projection_B_zero", "unknown_momentum_form"])
 def test_run_config_names_the_field_it_rejects(kw, fieldname):
     fx = fixture("ls_4x2")

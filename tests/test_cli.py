@@ -761,3 +761,43 @@ def test_table_constants_file_matches_its_fixture(tmp_path, capsys):
     assert b3 == _table(capsys, "--constants", "ls_4x2", "--batch-size", "3").splitlines()
     changed = [new.split()[0] for old, new in zip(b2, b3) if old != new]
     assert changed == ["mini_sgd"]
+
+
+@pytest.mark.parametrize("command,seed,override", [
+    ("run", -1, None), ("run", 0, -5), ("verify", 0, -3),
+], ids=["run_config_seed", "run_seed_override", "verify_seed_override"])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, command, seed, override):
+    payload = _gd_config(algorithm="sgd", trials=4, seed=seed, iterations=20,
+                         schedule={"kind": "constant", "gamma": 0.2}, checkpoints=[10, 20],
+                         verify={"setting": "sgd_strongly_convex"})
+    out = tmp_path / "out"
+    argv = [command, "--config", _write(tmp_path, "cfg.json", payload)]
+    argv += [] if override is None else ["--seed-override", str(override)]
+    argv += ["--out-dir", str(out)] if command == "run" else []
+    assert main(argv) == 2
+    bad = seed if override is None else override
+    assert capsys.readouterr().err == (f"config error: field 'seed': must be an integer >= 0, "
+                                       f"got {bad}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,prefix", [
+    ("suite", "config error: "),
+    ("table", "table error: "),
+    ("run", "config error: field 'problem.fixture': "),
+    ("verify", "config error: field 'problem.fixture': "),
+], ids=["suite", "table", "run", "verify"])
+def test_unknown_fixture_is_named_once_without_added_quotes(tmp_path, monkeypatch, capsys,
+                                                            command, prefix):
+    from descentlab.problems import fixture_names
+    monkeypatch.chdir(tmp_path)  # table reads a file named nope, if there is one
+    path = _write(tmp_path, "cfg.json", _gd_config(problem={"fixture": "nope"},
+                                                   verify={"setting": "gd_strongly_convex"}))
+    argv = {"suite": ["suite", "--fixture", "nope"],
+            "table": ["table", "--constants", "nope", "--epsilon", "0.1"],
+            "run": ["run", "--config", path, "--out-dir", str(tmp_path / "out")],
+            "verify": ["verify", "--config", path]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"{prefix}unknown fixture 'nope'; available: {fixture_names()}\n"
+    assert err.count("nope") == 1 and '"' not in err

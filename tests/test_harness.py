@@ -451,6 +451,22 @@ def test_row_oracles_equal_single_point_oracles_bit_for_bit(name):
             assert var == float(np.sum((means - means.mean(axis=0)) ** 2) / len(means))
 
 
+@pytest.mark.parametrize("name", CATALOGUE + ("lasso_4x2-composite",))
+def test_value_rows_in_a_work_buffer_bit_for_bit(name):
+    fx = fixture(name.split("-")[0])
+    p = fx.composite if name.endswith("-composite") else fx.problem
+    n, d = fx.problem.n, fx.problem.d
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(3000, d)) * rng.choice([1e-3, 1.0, 10.0, 1e3], size=(3000, 1))
+    want = np.array([p.value(x) for x in X]).tobytes()
+    # the buffer is overwritten, whatever it held; one buffer serves calls of
+    # any number of rows up to its length
+    work = np.full((len(X), 1, n), np.nan)
+    assert p.value_rows(X, work=work).tobytes() == want == p.value_rows(X).tobytes()
+    assert p.value_rows(X[:77], work=work[:77]).tobytes() == want[:77 * 8]
+    assert p.value_rows(X, work=work).tobytes() == want
+
+
 @pytest.mark.parametrize("name", CATALOGUE)
 def test_fixture_noise_constants_equal_per_point_reference(name):
     fx = fixture(name)
