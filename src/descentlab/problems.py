@@ -327,6 +327,55 @@ def build_scalar_pl():
     return problem, gt, consts
 
 
+def _null_space(M: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of null(M) from the SVD, with scipy.linalg.null_space's rank rule
+    (eps * max(m, n) relative) and memory layout, which sets how products with it round."""
+    _, s, vh = np.linalg.svd(M, full_matrices=True)
+    rank = int(np.sum(s > np.amax(s, initial=0.0) * np.finfo(float).eps * max(M.shape)))
+    return np.ascontiguousarray(vh.T)[:, rank:]
+
+
+def _box_qp(H: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Minimizer of q(v) = v^T H v / 2 + g^T v over |v_i| <= 1, H symmetric positive
+    semidefinite, by a primal active-set method (Nocedal & Wright, Numerical Optimization,
+    16.5) from the vertex -sign(g): each step goes to q's minimizer on the free variables'
+    face (a Newton step), or where it has none along H's null space there, and a bound met
+    on the way fixes its variable; at a face's minimizer the fixed variable the gradient
+    pulls inward the most is freed, until none is pulled."""
+    v = -np.sign(g)
+    free = v == 0.0
+    tol = 1e-15 * (np.abs(H).sum(axis=1) + np.abs(g)).max(initial=0.0)  # grad's rounding error
+    for _ in range(20 * len(g) + 20):
+        grad = H @ v + g
+        F = np.flatnonzero(free)
+        if F.size:
+            HF = H[np.ix_(F, F)]
+            w, V = np.linalg.eigh(HF)
+            z = V.T @ grad[F]
+            null = w <= np.finfo(float).eps * F.size * np.abs(w).max()  # lstsq's rank rule
+            # grad's part in null(HF), where q is linear, or else the Newton step
+            ray = np.abs(z[null]).max(initial=0.0) > 1e-10 * np.abs(z).max()
+            p = -V[:, null] @ z[null] if ray else -V[:, ~null] @ (z[~null] / w[~null])
+            curv = p @ HF @ p  # 0 on a true ray, > 0 where rounding passed for one
+            step = (-(grad[F] @ p) / curv if curv > 0.0 else np.inf) if ray else 1.0
+            with np.errstate(divide="ignore"):
+                room = (1.0 - np.sign(p) * v[F]) / np.abs(p)  # step to each one's bound
+            j = int(np.argmin(room))
+            if room[j] < step:
+                v[F] += room[j] * p
+                v[F[j]], free[F[j]] = np.sign(p[j]), False
+                continue
+            v[F] += step * p
+            if ray:
+                continue
+            grad = H @ v + g
+        pull = np.where(free, 0.0, v * grad)
+        if pull.max(initial=0.0) <= tol:
+            break
+        free[np.argmax(pull)] = True
+    return np.clip(v, -1.0, 1.0)
+
+
 def _abs_reference_solve(problem: FiniteSumProblem):
     """Exact minimizer of f(x) = (1/n)||Ax - b||_1 + (mu/2)||x||^2 and the KKT multipliers
     lam certifying it, to 1e-12 relative: lam_i = sign(r_i) where r = Ax - b is nonzero,
@@ -334,10 +383,6 @@ def _abs_reference_solve(problem: FiniteSumProblem):
     over the box |lam_i| <= 1 tells which r_i vanish; x is then a linear solve.  For mu = 0
     this runs at mu_eff = 1, 1/4, ... until x is certified for f itself, which makes it the
     minimum-norm minimizer (exact regularization; Friedlander & Tseng, SIAM J. Optim. 2007)."""
-    # imported here, not at module level: it costs most of the package's import time
-    from scipy.linalg import null_space
-    from scipy.optimize import Bounds, linprog, minimize
-
     A, b, n = problem.data["rows"], problem.data["targets"], problem.n
     strong_mu = problem.data["strong_mu"]
 
@@ -347,27 +392,28 @@ def _abs_reference_solve(problem: FiniteSumProblem):
     def kkt_point(mu, zero, s):
         # r_i = 0 on `zero`, lam_i = s_i elsewhere; projecting onto null(A_zero)
         # before dividing by mu keeps those zeros exact however small mu is
-        N = null_space(A[zero])
+        N = _null_space(A[zero])
         x = np.linalg.lstsq(A[zero], b[zero], rcond=None)[0]
         return x - N @ (N.T @ (A[~zero].T @ s[~zero])) / (n * mu)
 
     def solve(mu):
-        H = A @ A.T / (n * mu)
-        lam = np.zeros(n)
-        with np.errstate(divide="ignore"):  # L-BFGS-B's unused inverse-Hessian estimate
-            for method in ("L-BFGS-B", "SLSQP"):  # a fast start, then an active-set polish
-                lam = minimize(lambda v: (0.5 * v @ H @ v + v @ b, H @ v + b), lam, jac=True,
-                               method=method, bounds=Bounds(-1.0, 1.0), tol=1e-16).x
+        lam = _box_qp(A @ A.T / (n * mu), b)
         x = kkt_point(mu, np.abs(lam) < 1.0 - 1e-9, np.sign(lam))
         r = A @ x - b  # again on the zeros of its own residuals, weakly active ones included
         return kkt_point(mu, np.abs(r) <= 1e-9 * scale(x), np.sign(r))
 
     def certificate(x):
-        # multipliers of x (an LP: they need not be unique) and their relative KKT residual
+        # multipliers of x (they need not be unique): sign(r_i) off the zeros of r, and on
+        # them the box least-squares fit of A^T lam = -n mu x, its free part refined by an
+        # exact least-squares step (Az Az^T squares Az's condition); their KKT residual
         r = A @ x - b
-        box = np.where((np.abs(r) <= 1e-12 * scale(x))[:, None], [-1.0, 1.0], np.sign(r)[:, None])
-        lp = linprog(np.zeros(n), A_eq=A.T, b_eq=-n * strong_mu * x, bounds=box)
-        lam = np.clip(lp.x if lp.status == 0 else np.nan, box[:, 0], box[:, 1])  # nan: none
+        zero = np.abs(r) <= 1e-12 * scale(x)
+        lam = np.sign(r)
+        Az, c = A[zero], -n * strong_mu * x - A[~zero].T @ lam[~zero]
+        lz = _box_qp(Az @ Az.T, -Az @ c)
+        free = np.abs(lz) < 1.0
+        lz[free] += np.linalg.lstsq(Az[free].T, c - Az.T @ lz, rcond=None)[0]
+        lam[zero] = np.clip(lz, -1.0, 1.0)
         gap = np.abs(strong_mu * x + A.T @ lam / n).max()
         return lam, gap / (1.0 + strong_mu * np.abs(x).max() + np.abs(A).max())
 

@@ -653,18 +653,14 @@ def test_verify_empty_checkpoints_is_a_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["run", "verify", "suite"])
 def test_failed_abs_certificate_exits_2(tmp_path, monkeypatch, capsys, command):
-    import types
-
     import numpy as np
-    import scipy.optimize
 
     from descentlab import problems
     (tmp_path / "abs_copy.json").write_text(json.dumps(problems._CATALOGUE["abs_2x1_reg"]))
     monkeypatch.setenv("DESCENTLAB_FIXTURES", str(tmp_path))
     monkeypatch.delitem(problems._FIXTURE_CACHE, "abs_copy", raising=False)
-    # a broken dual solve: every multiplier at the corner +1, so x* comes out wrong
-    monkeypatch.setattr(scipy.optimize, "minimize",
-                        lambda fun, x0, **kw: types.SimpleNamespace(x=np.ones_like(x0)))
+    # a broken box solve: every multiplier at the corner +1, so x* comes out wrong
+    monkeypatch.setattr(problems, "_box_qp", lambda H, g: np.ones_like(g))
     if command == "suite":
         argv = ["suite", "--fixture", "abs_copy"]
     else:

@@ -190,6 +190,16 @@ def test_abs_2x1_against_scan_oracle():
     assert fx.constants.G == 1.0
 
 
+@pytest.mark.parametrize("name", ["abs_2x1", "abs_2x1_reg"])
+def test_catalogue_abs_ground_truth_to_the_bit(name):
+    # every abs trace and verdict reads these, so a solver change may not move a bit
+    gt = fixture(name).ground_truth
+    assert gt.x_star.dtype == gt.multipliers.dtype == np.float64
+    assert gt.x_star.tobytes() == np.array([0.0]).tobytes()  # +0.0, not -0.0
+    assert gt.multipliers.tobytes() == np.array([-1.0, 1.0]).tobytes()
+    assert type(gt.inf_f) is float and gt.inf_f == 1.0
+
+
 def test_abs_subgradient_bound_on_ball():
     p, gt, c = build_abs_loss(*[np.array([[1.0], [1.0]]), np.array([1.0, -1.0])],
                               strong_mu=0.5, ball_B=2.0)
@@ -270,9 +280,39 @@ def test_abs_minimizer_is_certified_and_optimal(instance):
                     assert y @ y >= x @ x - 1e-12 * (1.0 + x @ x)
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("mu", [0.0, 0.5])
+def test_abs_minimizer_is_certified_and_optimal_at_64x8(mu, seed):
+    # the property test's checks on a seeded Gaussian spec beyond its n <= 8
+    rng = np.random.default_rng(seed)
+    instance = (rng.standard_normal((64, 8)), rng.standard_normal(64), mu, seed)
+    test_abs_minimizer_is_certified_and_optimal.hypothesis.inner_test(instance)
+
+
 # ---------------------------------------------------------------------------
 # minibatch constants
 # ---------------------------------------------------------------------------
+
+@st.composite
+def _least_squares_instances(draw):
+    """(features, targets): n <= 8, d <= 4; Gaussian or integer features in {-2..2}."""
+    n, d = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        features = rng.standard_normal((n, d))
+    else:
+        features = rng.integers(-2, 3, size=(n, d)).astype(float)
+    return features, rng.standard_normal(n)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_least_squares_instances())
+def test_minibatch_constants_endpoints_are_exact(instance):
+    _, _, c = build_least_squares(*instance)
+    assert minibatch_constants(c, c.n) == (c.L, 0.0)
+    if c.n > 1:  # at n = 1 both endpoints are b = n
+        assert minibatch_constants(c, 1) == (c.L_max, c.sigma_star_f)
+
 
 def test_minibatch_constants_endpoints():
     c = fixture("ls_6x2").constants
@@ -396,17 +436,30 @@ def test_catalogue_spec_loaded_from_file_equals_catalogue_fixture(tmp_path, monk
 
 
 def test_import_and_least_squares_build_leave_scipy_out():
-    # scipy.optimize is only needed by the abs-loss reference solver
+    # the runtime needs numpy alone: building every catalogue fixture, the abs ones
+    # included, imports no scipy, and the CLI runs with scipy made unimportable
     import os
     import subprocess
     import sys
     import descentlab
     src = os.path.dirname(os.path.dirname(os.path.abspath(descentlab.__file__)))
-    code = ("import sys, descentlab; descentlab.fixture('ls_4x2'); "
-            "print('scipy.optimize' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
-    assert out.strip() == "False"
+    root = os.path.dirname(src)
+
+    def python(code, *args):
+        return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                              text=True, cwd=root, env=dict(os.environ, PYTHONPATH=src))
+
+    built = python("import sys, descentlab\n"
+                   "for name in descentlab.fixture_names(): descentlab.fixture(name)\n"
+                   "print(len(descentlab.fixture_names()), 'scipy' in sys.modules)")
+    assert built.returncode == 0, built.stderr
+    assert built.stdout.split() == ["6", "False"]
+    blocked = ("import sys; sys.modules['scipy'] = None\n"
+               "from descentlab.cli import main; sys.exit(main(sys.argv[1:]))")
+    for argv in (["suite", "--fixture", "abs_2x1", "--fixture", "abs_2x1_reg"],
+                 ["verify", "--config", "configs/verify_pssd.json"]):
+        run = python(blocked, *argv)
+        assert run.returncode == 0, (argv, run.stdout, run.stderr)
 
 
 def test_every_exported_name_resolves():
