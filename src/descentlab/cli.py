@@ -111,6 +111,19 @@ def _message(exc: Exception) -> str:
     return exc.args[0] if isinstance(exc, KeyError) else str(exc)
 
 
+def _output_error(path: str, made: str = "") -> str:
+    """Why no file can be written at ``path``, or "" if one can: it must not be a
+    directory, and its directory must be a writable one, or ``made``, which the
+    command creates, below a writable one."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if made and parent == os.path.abspath(made):
+        while not os.path.lexists(parent):
+            parent = os.path.dirname(parent)
+    if os.path.isdir(path) or not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        return f"cannot write {path}: not a file in a writable directory"
+    return ""
+
+
 def _build_fixture(cfg: ExperimentConfig) -> problems.Fixture:
     """The config's problem, with the composite its method needs."""
     spec = cfg.problem
@@ -161,16 +174,21 @@ def _trial_chunk(args):
 def cmd_run(config_path: str, out_dir: str = ".", jobs: int = 1,
             seed_override: Optional[int] = None) -> int:
     try:
+        if jobs < 1:
+            raise ConfigError("", f"--jobs must be >= 1, got {jobs}")
         cfg = load_config(config_path)
         seed = cfg.seed if seed_override is None else seed_override
         rc = _run_config(cfg, _build_fixture(cfg), seed)
+        manifest_path = os.path.join(out_dir, cfg.outputs["manifest"])
+        trace_path = os.path.join(out_dir, cfg.outputs["trace"])
+        for key, path in (("manifest", manifest_path), ("trace", trace_path)):
+            if error := _output_error(path, made=out_dir):
+                raise ConfigError(f"outputs.{key}", error)
     except SpecError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     os.makedirs(out_dir, exist_ok=True)
-    manifest_path = os.path.join(out_dir, cfg.outputs["manifest"])
-    trace_path = os.path.join(out_dir, cfg.outputs["trace"])
     manifest = {
         "config": cfg.to_dict(),
         "seed": seed,
@@ -328,6 +346,8 @@ def cmd_table(constants_source: str, epsilon: float, csv_path: Optional[str] = N
     """The table of a fixture or a constants file; ``batch_size``, when given,
     overrides the source's (2 for a fixture)."""
     try:
+        if csv_path and (error := _output_error(csv_path)):
+            raise ValueError(f"--csv: {error}")
         if os.path.exists(constants_source):
             sources = _constants_from_json(constants_source)
         else:
@@ -349,6 +369,9 @@ def cmd_table(constants_source: str, epsilon: float, csv_path: Optional[str] = N
 def cmd_suite(fixture_names, samples: int = 10_000, out_path: Optional[str] = None) -> int:
     if samples < 1:
         print(f"config error: --samples must be >= 1, got {samples}", file=sys.stderr)
+        return 2
+    if out_path and (error := _output_error(out_path)):
+        print(f"config error: --out: {error}", file=sys.stderr)
         return 2
     reports = []
     for name in fixture_names:

@@ -18,7 +18,8 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Optional
+from operator import itemgetter
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -46,129 +47,152 @@ __all__ = [
 _EIG_CUTOFF = 1e-10
 
 
+class _Linear:
+    """How x maps to the residuals r_i = <a_i, x> - y_i in the row-wise oracles, of a
+    problem ``p`` or of the sampled terms' data ``rows = (a, y)``, and how the
+    residuals' loss derivative ``dloss`` maps back through A^T.  Products with the
+    whole of A are stacks of matrix-vector products, so that each row matches the
+    single-point ``A @ x`` and ``A.T @ s`` (one (M, d) @ (d, n) product may round
+    differently and depend on M)."""
+
+    def rows(p, X, work=None):  # (M, n), in ``work`` (M, 1, n) if given
+        r = np.matmul(X[:, None, :], p.data["A"].T, out=work)[:, 0]
+        r -= p.data["y"]
+        return r
+
+    def grad_rows(p, X, dloss):
+        A = p.data["A"]
+        s = dloss(np.matmul(X[:, None, :], A.T)[:, 0] - p.data["y"])
+        return np.matmul(A.T, s[:, :, None])[:, :, 0] / p.n
+
+    def sample(p, idx):
+        return np.take(p.data["A"], idx, axis=0), np.take(p.data["y"], idx)
+
+    def grad_sampled(rows, X, dloss):
+        return dloss(np.vecdot(rows[0], X) - rows[1])[:, None] * rows[0]
+
+
+class _Identity:
+    """The residual of one term with a = 1 and y = 0 (n = d = 1), x itself: the
+    products with A = [[1]] are exact, and skipping them halves a step's numpy calls."""
+
+    rows = lambda p, X, work=None: X  # noqa: E731
+    grad_rows = grad_sampled = lambda _, X, dloss: dloss(X)  # noqa: E731
+    sample = lambda p, idx: ()  # noqa: E731
+
+
+class Loss(NamedTuple):
+    """A problem kind: the loss of one term's residual r_i = <a_i, x> - y_i in the
+    forms the oracles use, and the ``model`` mapping x to the residuals."""
+
+    of: Callable  # the loss of one residual, a float
+    grad: Callable  # its derivative, elementwise on numpy values
+    mean: Callable  # (1/n) sum_i loss(r_i) of a residual vector, a float
+    mean_rows: Callable  # the same of each row of an (M, n) array, which it may overwrite
+    model: type = _Linear
+
+
+def _pl(t: float) -> float:
+    return t * t + 3.0 * math.sin(t) ** 2
+
+
+# Every problem kind, stated once: adding one is a row here, a builder and a
+# _PROBLEM_FIELDS entry.  Each form keeps its own reduction, so the row-wise
+# oracles match the single-point ones bit for bit.
+_LOSSES = {
+    "least_squares": Loss(lambda r: 0.5 * r * r, lambda r: r,
+                          lambda r: 0.5 * float(r @ r) / len(r),
+                          lambda R: 0.5 * np.vecdot(R, R) / R.shape[1]),
+    "abs_loss": Loss(abs, np.sign, lambda r: float(np.abs(r).mean()),
+                     lambda R: np.abs(R, out=R).mean(axis=1)),
+    # the paper's nonconvex PL example t^2 + 3 sin^2 t, one term; float_power is
+    # libm pow, as the float ``** 2`` of _pl (np.square rounds differently)
+    "scalar_pl": Loss(_pl, lambda t: 2.0 * t + 3.0 * np.sin(2.0 * t), lambda r: _pl(float(r[0])),
+                      lambda R: R[:, 0] * R[:, 0] + 3.0 * np.float_power(np.sin(R[:, 0]), 2),
+                      _Identity),
+}
+_MODEL = itemgetter("A", "y", "mu")  # of a problem's data
+
+
 @dataclass(frozen=True)
 class FiniteSumProblem:
-    """Oracle bundle for f = (1/n) sum_i f_i.
+    """Oracle bundle for f = (1/n) sum_i f_i, a linear model with
+    f_i(x) = loss(<a_i, x> - y_i) + (mu/2) ||x||^2.
 
-    ``kind`` is one of ``least_squares``, ``abs_loss``, ``scalar_pl``.
-    For the nonsmooth ``abs_loss``, ``grad_i`` returns a fixed subgradient selection
-    (sign convention: 0 at kinks).
+    ``kind`` names the loss in ``_LOSSES``: ``least_squares``, ``abs_loss`` or
+    ``scalar_pl``.  ``data`` holds the matrix ``A`` (n, d), the targets ``y`` (n,)
+    and ``mu``.  For the nonsmooth ``abs_loss``, ``grad_i`` returns a fixed
+    subgradient selection (sign convention: 0 at kinks).  The ridge term is added
+    only when mu > 0.
     """
 
     kind: str
     n: int
     d: int
-    data: dict = field(default_factory=dict, repr=False)
+    data: dict = field(repr=False)
     default_x0: np.ndarray = field(default=None, repr=False)
 
+    @property
+    def loss(self) -> Loss:
+        return _LOSSES[self.kind]
+
+    # Single-point oracles, the reference of the row-wise ones.
+
     def value_i(self, i: int, x: np.ndarray) -> float:
-        if self.kind == "least_squares":
-            r = float(self.data["features"][i] @ x - self.data["targets"][i])
-            return 0.5 * r * r
-        if self.kind == "abs_loss":
-            r = float(self.data["rows"][i] @ x - self.data["targets"][i])
-            return abs(r) + 0.5 * self.data["strong_mu"] * float(x @ x)
-        t = float(x[0])  # scalar_pl
-        return t * t + 3.0 * math.sin(t) ** 2
+        A, y, mu = _MODEL(self.data)
+        v = self.loss.of(float(A[i] @ x - y[i]))
+        return v + 0.5 * mu * float(x @ x) if mu > 0 else v
 
     def grad_i(self, i: int, x: np.ndarray) -> np.ndarray:
-        if self.kind == "least_squares":
-            phi = self.data["features"][i]
-            return (phi @ x - self.data["targets"][i]) * phi
-        if self.kind == "abs_loss":
-            a = self.data["rows"][i]
-            s = np.sign(float(a @ x - self.data["targets"][i]))
-            return s * a + self.data["strong_mu"] * x
-        t = float(x[0])  # scalar_pl
-        return np.array([2.0 * t + 3.0 * math.sin(2.0 * t)])
+        A, y, mu = _MODEL(self.data)
+        g = self.loss.grad(A[i] @ x - y[i]) * A[i]
+        return g + mu * x if mu > 0 else g
 
     def value(self, x: np.ndarray) -> float:
-        if self.kind == "least_squares":
-            r = self.data["features"] @ x - self.data["targets"]
-            return 0.5 * float(r @ r) / self.n
-        if self.kind == "abs_loss":
-            r = self.data["rows"] @ x - self.data["targets"]
-            return float(np.abs(r).mean()) + 0.5 * self.data["strong_mu"] * float(x @ x)
-        return self.value_i(0, x)  # scalar_pl
+        A, y, mu = _MODEL(self.data)
+        v = self.loss.mean(A @ x - y)
+        return v + 0.5 * mu * float(x @ x) if mu > 0 else v
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == "least_squares":
-            r = self.data["features"] @ x - self.data["targets"]
-            return (self.data["features"].T @ r) / self.n
-        if self.kind == "abs_loss":
-            r = self.data["rows"] @ x - self.data["targets"]
-            return (self.data["rows"].T @ np.sign(r)) / self.n + self.data["strong_mu"] * x
-        return self.grad_i(0, x)  # scalar_pl
+        A, y, mu = _MODEL(self.data)
+        g = (A.T @ self.loss.grad(A @ x - y)) / self.n
+        return g + mu * x if mu > 0 else g
 
     # Row-wise oracles over an (M, d) array of points.  Row m equals the single-point
     # oracle at X[m] bit for bit and does not depend on the other rows.
 
     def sample_rows(self, idx: np.ndarray) -> tuple:
         """The data of the terms ``idx``, an index array of any shape: the
-        matrix rows and targets (A[idx], y[idx]), or () for scalar_pl, whose one
-        term has none."""
-        if self.kind == "scalar_pl":
-            return ()
-        A = self.data["features" if self.kind == "least_squares" else "rows"]
-        return np.take(A, idx, axis=0), np.take(self.data["targets"], idx)
+        matrix rows and targets (A[idx], y[idx]), or () for a kind whose residual
+        is x itself."""
+        return self.loss.model.sample(self, idx)
 
     def grad_sampled(self, rows, X: np.ndarray) -> np.ndarray:
         """grad f_{idx[m]}(X[m]) for every row m, given the terms' data
         ``rows = sample_rows(idx)`` for an (M,) index array (or views of the
         same shapes)."""
-        if self.kind == "least_squares":
-            phi, y = rows
-            return (np.vecdot(phi, X) - y)[:, None] * phi
-        if self.kind == "abs_loss":
-            a, y = rows
-            s = np.sign(np.vecdot(a, X) - y)
-            return s[:, None] * a + self.data["strong_mu"] * X
-        t = X[:, :1]  # scalar_pl
-        return 2.0 * t + 3.0 * np.sin(2.0 * t)
-
-    def grad_rows(self, idx: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """grad f_{idx[m]}(X[m]) for every row m."""
-        return self.grad_sampled(self.sample_rows(idx), X)
+        loss, mu = self.loss, self.data["mu"]
+        G = loss.model.grad_sampled(rows, X, loss.grad)
+        return G + mu * X if mu > 0 else G
 
     def term_grad_rows(self, X: np.ndarray) -> np.ndarray:
         """grad f_i(X[m]) for every row m and term i, shape (M, n, d)."""
-        idx = np.tile(np.arange(self.n), len(X))
-        return self.grad_rows(idx, np.repeat(X, self.n, axis=0)).reshape(len(X), self.n, self.d)
+        rows = self.sample_rows(np.tile(np.arange(self.n), len(X)))
+        return self.grad_sampled(rows, np.repeat(X, self.n, axis=0)).reshape(len(X), self.n, self.d)
 
     def full_grad_rows(self, X: np.ndarray) -> np.ndarray:
-        """grad f(X[m]) for every row m.  A.T @ r[m] is a stack of matrix-vector
-        products, as in grad(); one (M, n) @ (n, d) product rounds differently."""
-        if self.kind == "least_squares":
-            A = self.data["features"]
-            r = _matvec_rows(A, X) - self.data["targets"]
-            return np.matmul(A.T, r[:, :, None])[:, :, 0] / self.n
-        if self.kind == "abs_loss":
-            A = self.data["rows"]
-            s = np.sign(_matvec_rows(A, X) - self.data["targets"])
-            return np.matmul(A.T, s[:, :, None])[:, :, 0] / self.n + self.data["strong_mu"] * X
-        return self.grad_rows(np.zeros(len(X), dtype=np.intp), X)  # scalar_pl
+        """grad f(X[m]) for every row m."""
+        loss, mu = self.loss, self.data["mu"]
+        G = loss.model.grad_rows(self, X, loss.grad)
+        return G + mu * X if mu > 0 else G
 
     def value_rows(self, X: np.ndarray, work: Optional[np.ndarray] = None) -> np.ndarray:
         """f(X[m]) for every row m.  ``work``, a C-contiguous float64 buffer of
         shape (len(X), 1, n) that the call may overwrite, holds the residual
-        instead of fresh arrays; scalar_pl has none and ignores it."""
-        if self.kind == "scalar_pl":
-            t = X[:, 0]
-            # libm pow, as the float ``** 2`` in value_i (np.square rounds differently)
-            return t * t + 3.0 * np.float_power(np.sin(t), 2)
-        A = self.data["features" if self.kind == "least_squares" else "rows"]
-        r = _matvec_rows(A, X, work)
-        r -= self.data["targets"]  # in place, in ``work`` when given
-        if self.kind == "least_squares":
-            return 0.5 * np.vecdot(r, r) / self.n
-        return np.abs(r, out=r).mean(axis=1) + 0.5 * self.data["strong_mu"] * np.vecdot(X, X)
-
-
-def _matvec_rows(A: np.ndarray, X: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """A @ X[m] for every row m, into ``out`` (M, 1, n) if given, as a stack of
-    matrix-vector products so that each row matches the unbatched ``A @ x`` (a
-    single (M, d) @ (d, n) product may round differently and depend on M)."""
-    return np.matmul(X[:, None, :], A.T, out=out)[:, 0]
+        instead of fresh arrays; a kind whose residual is x itself ignores it."""
+        loss, mu = self.loss, self.data["mu"]
+        v = loss.mean_rows(loss.model.rows(self, X, work))
+        return v + 0.5 * mu * np.vecdot(X, X) if mu > 0 else v
 
 
 @dataclass(frozen=True)
@@ -268,9 +292,10 @@ def _check_matrix(features, targets, mat_name: str):
 def build_least_squares(features, targets):
     """Least squares f_i(x) = 0.5*(<phi_i, x> - y_i)^2, f = (1/n) sum f_i.
 
-    Constants come from the symmetric eigen-decomposition of (1/n) Phi^T Phi:
-    L is the largest eigenvalue, mu the smallest if positive, mu_pl the smallest
-    nonzero eigenvalue (cutoff 1e-10 * lambda_max).  The minimizer is the
+    Constants come from the symmetric eigen-decomposition of H = (1/n) Phi^T Phi:
+    L is the largest eigenvalue (at most L_max, and L_max itself for n = 1), mu
+    the smallest if positive, mu_pl the smallest nonzero eigenvalue (cutoff
+    1e-10 * L).  The minimizer is the
     minimum-norm solution of the normal equations; sigma*_f and Delta*_f are
     evaluated exactly from the residuals there.
     """
@@ -280,18 +305,19 @@ def build_least_squares(features, targets):
         kind="least_squares",
         n=n,
         d=d,
-        data={"features": features, "targets": targets},
+        data={"A": features, "y": targets, "mu": 0.0},
         default_x0=np.zeros(d),
     )
 
-    H = features.T @ features / n
-    eigs = np.linalg.eigvalsh(H)
-    lam_max = float(eigs[-1])
-    L = lam_max
     L_i = tuple(float(r @ r) for r in features)
     L_max = max(L_i)
     L_avg = sum(L_i) / n
-    cutoff = _EIG_CUTOFF * max(lam_max, 1e-300)
+    # lambda_max <= trace(H) <= L_max, equal for one row (H = a a^T); clipping
+    # eigvalsh's rounding keeps that, and mu <= L, bit for bit
+    eigs = np.linalg.eigvalsh(features.T @ features / n)
+    L = L_max if n == 1 else min(float(eigs[-1]), L_max)
+    eigs = np.minimum(eigs, L)
+    cutoff = _EIG_CUTOFF * max(L, 1e-300)
     lam_min = float(eigs[0])
     mu = lam_min if lam_min > cutoff else 0.0
     nonzero = eigs[eigs > cutoff]
@@ -317,7 +343,8 @@ def build_scalar_pl():
     gradient-dominance inequality with modulus 1/40 while not being convex.
     """
     problem = FiniteSumProblem(
-        kind="scalar_pl", n=1, d=1, data={}, default_x0=np.array([3.0]),
+        kind="scalar_pl", n=1, d=1, data={"A": np.ones((1, 1)), "y": np.zeros(1), "mu": 0.0},
+        default_x0=np.array([3.0]),
     )
     gt = GroundTruth(x_star=np.zeros(1), inf_f=0.0, inf_f_i=(0.0,))
     consts = ProblemConstants(
@@ -383,8 +410,8 @@ def _abs_reference_solve(problem: FiniteSumProblem):
     over the box |lam_i| <= 1 tells which r_i vanish; x is then a linear solve.  For mu = 0
     this runs at mu_eff = 1, 1/4, ... until x is certified for f itself, which makes it the
     minimum-norm minimizer (exact regularization; Friedlander & Tseng, SIAM J. Optim. 2007)."""
-    A, b, n = problem.data["rows"], problem.data["targets"], problem.n
-    strong_mu = problem.data["strong_mu"]
+    A, b, strong_mu = _MODEL(problem.data)
+    n = problem.n
 
     def scale(x):  # magnitude of the terms of each residual, for relative tolerances
         return 1.0 + np.abs(A) @ np.abs(x) + np.abs(b)
@@ -441,7 +468,7 @@ def build_abs_loss(rows, targets, strong_mu: float = 0.0, ball_B: float = 1.0):
     n, d = rows.shape
     problem = FiniteSumProblem(
         kind="abs_loss", n=n, d=d,
-        data={"rows": rows, "targets": targets, "strong_mu": float(strong_mu)},
+        data={"A": rows, "y": targets, "mu": float(strong_mu)},
         default_x0=np.zeros(d),
     )
 
@@ -491,36 +518,35 @@ def minibatch_constants(constants: ProblemConstants, b: int):
     return float(L_b), float(sigma_b)
 
 
-def make_composite(
-    problem: FiniteSumProblem,
-    constants: ProblemConstants,
-    reg: Regularizer,
-    x0: Optional[np.ndarray] = None,
-    max_iters: int = 10**6,
-    tol: float = 1e-12,
-) -> CompositeProblem:
+# the composite reference solve's stopping rule and iteration budget
+_COMPOSITE_TOL = 1e-12
+_COMPOSITE_MAX_ITERS = 10**6
+
+
+def make_composite(problem: FiniteSumProblem, constants: ProblemConstants,
+                   reg: Regularizer) -> CompositeProblem:
     """Build F = f + g with a reference minimizer of F.
 
-    The reference solve is forward-backward iteration at step 1/L, run until the
-    fixed-point residual ||x - prox_{g/L}(x - grad f(x)/L)|| falls below
-    tol * (1 + ||x||), with a hard iteration budget.
+    The reference solve is forward-backward iteration at step 1/L from the
+    problem's default_x0, run until the fixed-point residual
+    ||x - prox_{g/L}(x - grad f(x)/L)|| falls below _COMPOSITE_TOL * (1 + ||x||),
+    within _COMPOSITE_MAX_ITERS iterations.
     """
     if not np.isfinite(constants.L) or constants.L <= 0:
         raise ValueError("composite reference solve needs finite smoothness L > 0")
     gamma = 1.0 / constants.L
-    x = problem.default_x0.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
-    x = prox(reg, gamma, x)  # start feasible
+    x = prox(reg, gamma, problem.default_x0)  # start feasible
     residual = math.inf
-    for _ in range(max_iters):
+    for _ in range(_COMPOSITE_MAX_ITERS):
         x_next = prox(reg, gamma, x - gamma * problem.grad(x))
         residual = float(np.linalg.norm(x_next - x))
         x = x_next
-        if residual <= tol * (1.0 + float(np.linalg.norm(x))):
+        if residual <= _COMPOSITE_TOL * (1.0 + float(np.linalg.norm(x))):
             break
     else:
         raise RuntimeError(
             f"composite reference solver did not converge: fixed-point residual "
-            f"{residual:.3e} after {max_iters} iterations"
+            f"{residual:.3e} after {_COMPOSITE_MAX_ITERS} iterations"
         )
     g_val = reg.value(x)
     inf_F = problem.value(x) + g_val

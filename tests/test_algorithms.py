@@ -634,8 +634,8 @@ def _tiled_ls(copies=64):
     """ls_4x2 with each of its rows repeated: n = 256 terms, so the gap block
     is capped by the (k M, n) residual, while n does not cap the draw window."""
     data = fixture("ls_4x2").problem.data
-    problem, ground_truth, _ = build_least_squares(np.tile(data["features"], (copies, 1)),
-                                                   np.tile(data["targets"], copies))
+    problem, ground_truth, _ = build_least_squares(np.tile(data["A"], (copies, 1)),
+                                                   np.tile(data["y"], copies))
     return problem, ground_truth
 
 

@@ -797,3 +797,28 @@ def test_unknown_fixture_is_named_once_without_added_quotes(tmp_path, monkeypatc
     err = capsys.readouterr().err
     assert err == f"{prefix}unknown fixture 'nope'; available: {fixture_names()}\n"
     assert err.count("nope") == 1 and '"' not in err
+
+
+@pytest.mark.parametrize("case", ["out_dir_under_a_file", "trace_in_missing_dir", "jobs_0",
+                                  "jobs_-3", "suite_out", "table_csv"])
+def test_unwritable_output_or_bad_jobs_exits_2_before_writing(tmp_path, capsys, case):
+    blocked = tmp_path / "file" / "x"  # under a file, so no directory can be made there
+    (tmp_path / "file").write_text("")
+    cfg = _write(tmp_path, "cfg.json", _gd_config(
+        outputs={"trace": "nodir/t.csv"} if case == "trace_in_missing_dir" else {}))
+    run = ["run", "--config", cfg, "--out-dir", str(tmp_path / "out")]
+    argv, prefix = {
+        "out_dir_under_a_file": (run[:-1] + [str(blocked)],
+                                 "config error: field 'outputs.manifest': cannot write"),
+        "trace_in_missing_dir": (run, "config error: field 'outputs.trace': cannot write"),
+        "jobs_0": (run + ["--jobs", "0"], "config error: --jobs must be >= 1, got 0"),
+        "jobs_-3": (run + ["--jobs", "-3"], "config error: --jobs must be >= 1, got -3"),
+        "suite_out": (["suite", "--fixture", "ls_4x2", "--samples", "10", "--out", str(blocked)],
+                      "config error: --out: cannot write"),
+        "table_csv": (["table", "--constants", "ls_4x2", "--epsilon", "0.1", "--csv",
+                       str(blocked)], "table error: --csv: cannot write"),
+    }[case]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(prefix) and captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "file"]

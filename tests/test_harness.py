@@ -20,7 +20,7 @@ from descentlab import (
     verify_bound,
 )
 from descentlab.harness import default_checkpoints
-from descentlab.problems import gradient_variance
+from descentlab.problems import fixture_from_spec, gradient_variance
 from descentlab.theory import SETTINGS
 
 RNG = np.random.default_rng(3)
@@ -423,14 +423,33 @@ def test_property_suite_on_ball_indicator_fixture(tmp_path, monkeypatch):
     assert report["ok"], report["checks"]
 
 
+def _seeded_specs(seed=17):
+    """Inline specs of each kind beyond the catalogue, for the oracle tests."""
+    rng = np.random.default_rng(seed)
+    abs_rows, abs_targets = rng.standard_normal((5, 2)).tolist(), rng.standard_normal(5).tolist()
+    return {
+        "inline_ls_7x3": {"kind": "least_squares", "features": rng.standard_normal((7, 3)).tolist(),
+                          "targets": rng.standard_normal(7).tolist()},
+        **{f"inline_abs_5x2_mu{mu}": {"kind": "abs_loss", "rows": abs_rows, "targets": abs_targets,
+                                      "strong_mu": mu, "ball_B": 100.0} for mu in (0.0, 0.5)},
+    }
+
+
+INLINE = _seeded_specs()
+
+
+def _oracle_fixture(name):
+    return fixture_from_spec(name, INLINE[name]) if name in INLINE else fixture(name)
+
+
 def _ref_gradient_variance(p, x):
     grads = np.array([p.grad_i(i, x) for i in range(p.n)])
     return float(np.sum((grads - grads.mean(axis=0)) ** 2) / p.n)
 
 
-@pytest.mark.parametrize("name", CATALOGUE)
+@pytest.mark.parametrize("name", CATALOGUE + tuple(INLINE))
 def test_row_oracles_equal_single_point_oracles_bit_for_bit(name):
-    p = fixture(name).problem
+    p = _oracle_fixture(name).problem
     # enough points to meet the rare ones where a numpy kernel rounds differently
     # from the single-point one (1 in ~1000 for a vectorised square of sin t)
     X = RNG.normal(size=(20_000, p.d)) * RNG.choice([1e-3, 1.0, 10.0, 1e3], size=(20_000, 1))
@@ -451,9 +470,9 @@ def test_row_oracles_equal_single_point_oracles_bit_for_bit(name):
             assert var == float(np.sum((means - means.mean(axis=0)) ** 2) / len(means))
 
 
-@pytest.mark.parametrize("name", CATALOGUE + ("lasso_4x2-composite",))
+@pytest.mark.parametrize("name", CATALOGUE + tuple(INLINE) + ("lasso_4x2-composite",))
 def test_value_rows_in_a_work_buffer_bit_for_bit(name):
-    fx = fixture(name.split("-")[0])
+    fx = _oracle_fixture(name.split("-")[0])
     p = fx.composite if name.endswith("-composite") else fx.problem
     n, d = fx.problem.n, fx.problem.d
     rng = np.random.default_rng(11)

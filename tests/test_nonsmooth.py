@@ -3,6 +3,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from descentlab import Regularizer, prox, prox_certificate, subgradient
 from descentlab.nonsmooth import REQUIRED, SpecError, is_json, spec_fields, spec_section
@@ -187,3 +189,29 @@ def test_is_json():
     assert not any(is_json(v, float) for v in (True, False, None, "1", math.nan, math.inf))
     assert not is_json(True, int) and not is_json(1.0, int)
     assert is_json({}, dict) and is_json([], list) and not is_json((), list)
+
+
+# the prox of the conjugate g* scaled by 1/gamma, in closed form: {0}'s indicator for
+# zero, the lambda-box's indicator for l1 (a projection), (B/gamma)||.||_2 for the ball
+_CONJUGATE_PROX = {
+    "zero": lambda reg, gamma, v: np.zeros_like(v),
+    "l1": lambda reg, gamma, v: np.clip(v, -reg.lam, reg.lam),
+    "ball_indicator": lambda reg, gamma, v: v * max(
+        0.0, 1.0 - reg.B / gamma / max(float(np.linalg.norm(v)), 1e-300)),
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(sorted(_CONJUGATE_PROX)),
+       weight=st.floats(0.01, 10.0),
+       gamma=st.floats(1e-3, 1e3),
+       x=st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=5))
+def test_prox_is_certified_and_moreau_decomposes(kind, weight, gamma, x):
+    reg = {"zero": Regularizer.zero(), "l1": Regularizer.l1(weight),
+           "ball_indicator": Regularizer.ball_indicator(weight)}[kind]
+    x = np.array(x)
+    p = prox(reg, gamma, x)
+    assert prox_certificate(reg, gamma, x, p).verdict
+    # Moreau: x = prox_{gamma g}(x) + gamma prox_{g*/gamma}(x / gamma)
+    q = _CONJUGATE_PROX[kind](reg, gamma, x / gamma)
+    assert np.linalg.norm(x - (p + gamma * q)) <= 1e-12 * (1.0 + np.linalg.norm(x))

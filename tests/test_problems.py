@@ -295,23 +295,27 @@ def test_abs_minimizer_is_certified_and_optimal_at_64x8(mu, seed):
 
 @st.composite
 def _least_squares_instances(draw):
-    """(features, targets): n <= 8, d <= 4; Gaussian or integer features in {-2..2}."""
+    """(features, targets): n <= 8, d <= 4; Gaussian or integer features in {-2..2},
+    all rows distinct draws, or one row (1 x d), or one row repeated n times."""
     n, d = draw(st.integers(1, 8)), draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         features = rng.standard_normal((n, d))
     else:
         features = rng.integers(-2, 3, size=(n, d)).astype(float)
-    return features, rng.standard_normal(n)
+    copies = draw(st.sampled_from([None, 1, n]))
+    if copies is not None:
+        features = np.repeat(features[:1], copies, axis=0)
+    return features, rng.standard_normal(len(features))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(_least_squares_instances())
 def test_minibatch_constants_endpoints_are_exact(instance):
     _, _, c = build_least_squares(*instance)
+    assert c.mu <= c.L and c.mu_pl <= c.L <= c.L_max
     assert minibatch_constants(c, c.n) == (c.L, 0.0)
-    if c.n > 1:  # at n = 1 both endpoints are b = n
-        assert minibatch_constants(c, 1) == (c.L_max, c.sigma_star_f)
+    assert minibatch_constants(c, 1) == (c.L_max, c.sigma_star_f)
 
 
 def test_minibatch_constants_endpoints():
@@ -392,11 +396,13 @@ def test_composite_noise_upper_bound():
     assert comp.sigma_star_F <= bound + 1e-12
 
 
-def test_composite_solver_budget_error():
+def test_composite_solver_budget_error(monkeypatch):
     # ill-conditioned instance so the forward-backward solve cannot finish in 3 steps
+    from descentlab import problems
+    monkeypatch.setattr(problems, "_COMPOSITE_MAX_ITERS", 3)
     p, gt, c = build_least_squares(np.array([[1.0, 0.0], [0.0, 0.1]]), np.array([1.0, 1.0]))
-    with pytest.raises(RuntimeError, match="residual"):
-        make_composite(p, c, Regularizer.l1(0.01), x0=np.array([50.0, -30.0]), max_iters=3)
+    with pytest.raises(RuntimeError, match="residual .* after 3 iterations"):
+        make_composite(p, c, Regularizer.l1(0.01))
 
 
 def test_unknown_fixture_raises():
@@ -422,7 +428,7 @@ def test_catalogue_spec_loaded_from_file_equals_catalogue_fixture(tmp_path, monk
     monkeypatch.delitem(problems._FIXTURE_CACHE, "lasso_copy", raising=False)
     got, want = fixture("lasso_copy"), fixture("lasso_4x2")
     assert got.name == "lasso_copy"
-    for key in ("features", "targets"):
+    for key in ("A", "y", "mu"):
         assert _same_bits(got.problem.data[key], want.problem.data[key])
     assert _same_bits(got.problem.default_x0, want.problem.default_x0)
     assert _same_bits(got.ground_truth.x_star, want.ground_truth.x_star)

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from descentlab import (
     InitState,
@@ -548,3 +550,50 @@ def test_gamma_sums_match_rebuilt_array_bit_for_bit():
             sums = _gamma_sums(schedule, L_ref)
             for t in ts:
                 assert sums(t) == rebuilt(schedule, t, L_ref)
+
+
+# each setting's catalogue fixture, batch size, stepsize schedule and the cap on its
+# (first) stepsize from the setting's hypotheses, given the constants and L_ref; the
+# subgradient settings without a cap scale their stepsize by B / G
+_STEP_CAPS = {
+    "gd_convex": ("ls_4x2", None, "constant", lambda c, L_ref: 1.0 / c.L),
+    "gd_strongly_convex": ("ls_4x2", None, "constant", lambda c, L_ref: 1.0 / c.L),
+    "gd_pl": ("scalar_pl", None, "constant", lambda c, L_ref: 1.0 / c.L),
+    "sgd_convex_general": ("ls_4x2", None, "general", lambda c, L_ref: 0.5 / L_ref),
+    "sgd_convex_const": ("ls_4x2", None, "constant", lambda c, L_ref: 0.5 / L_ref),
+    "sgd_convex_invsqrt": ("ls_4x2", None, "inv_sqrt", lambda c, L_ref: 0.5 / L_ref),
+    "sgd_strongly_convex": ("ls_4x2", None, "constant", lambda c, L_ref: 0.5 / L_ref),
+    "sgd_pl": ("ls_4x2", None, "constant", lambda c, L_ref: c.mu_pl / (c.L * c.L_max)),
+    "mini_convex_general": ("ls_6x2", 2, "general", lambda c, L_ref: 0.5 / L_ref),
+    "mini_convex_const": ("ls_6x2", 2, "constant", lambda c, L_ref: 0.5 / L_ref),
+    "mini_strongly_convex": ("ls_6x2", 2, "constant", lambda c, L_ref: 0.5 / L_ref),
+    "momentum_convex": ("ls_4x2", None, "momentum_pair", lambda c, L_ref: 0.25 / c.L_max),
+    "ssd_convex_general": ("abs_2x1", None, "general", lambda c, L_ref: c.B / c.G),
+    "ssd_convex_invsqrt": ("abs_2x1", None, "inv_sqrt", lambda c, L_ref: c.B / c.G),
+    "pssd_convex": ("abs_2x1", None, "inv_sqrt", lambda c, L_ref: c.B / c.G),
+    "ssd_strongly_convex": ("abs_2x1_reg", None, "constant", lambda c, L_ref: 1.0 / c.mu),
+    "pgd_convex": ("lasso_4x2", None, "constant", lambda c, L_ref: 1.0 / c.L),
+    "pgd_strongly_convex": ("lasso_4x2", None, "constant", lambda c, L_ref: 1.0 / c.L),
+    "spgd_convex_general": ("lasso_4x2", None, "general", lambda c, L_ref: 0.25 / L_ref),
+    "spgd_convex_const": ("lasso_4x2", None, "constant", lambda c, L_ref: 0.25 / L_ref),
+    "spgd_convex_invsqrt": ("lasso_4x2", None, "inv_sqrt", lambda c, L_ref: 0.25 / L_ref),
+    "spgd_strongly_convex": ("lasso_4x2", None, "constant", lambda c, L_ref: 0.5 / L_ref),
+}
+
+
+@pytest.mark.parametrize("setting", sorted(SETTINGS))
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(fraction=st.floats(0.01, 0.99), inv_sqrt=st.booleans())
+def test_bound_curve_is_non_increasing(setting, fraction, inv_sqrt):
+    name, b, kind, cap = _STEP_CAPS[setting]
+    fx = fixture(name)
+    sF = fx.composite.sigma_star_F if fx.composite else None
+    gamma = fraction * cap(fx.constants, SETTINGS[setting].ref_constants(fx.constants, b, sF)[0])
+    if kind == "general":  # either schedule
+        kind = "inv_sqrt" if inv_sqrt else "constant"
+    schedule = {"constant": StepSchedule.constant, "inv_sqrt": StepSchedule.inv_sqrt,
+                "momentum_pair": StepSchedule.momentum_pair}[kind](gamma)
+    curve = bound_curve(setting, fx.constants, schedule,
+                        InitState(D2=4.0, f0_gap=2.0, F0_gap=2.0), b=b, sigma_star_F=sF)
+    values = np.array([curve.eval(t) for t in range(curve.min_t, 2001)])
+    assert np.all(np.isfinite(values)) and np.all(np.diff(values) <= 0.0)
