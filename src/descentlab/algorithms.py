@@ -17,6 +17,16 @@ row-wise oracles, whose residual is written into one work buffer per call
 (the ``work`` argument of ``value_rows``).  The window is bounded by its index
 array and gathered rows and the block by the objective residual, so the two
 differ whenever n is large or M is.
+
+A full-gradient run (``FULL_GRADIENT``) replays its floating-point limit cycle
+(``_replaying``): only there is the step a fixed map of the iterate array, as
+``RunConfig`` requires a constant stepsize, while a stochastic step reads its
+samples and momentum keeps state.  Brent's search compares each new state bit
+for bit with one saved state, so it needs O(1) memory, and once a state
+repeats the step hands back the cycle's states, bit for bit those stepping
+would give, without calling an oracle.  A deterministic run thus costs only
+the steps before its state repeats; the loop, and every state it records, is
+unchanged.
 """
 
 from __future__ import annotations
@@ -339,8 +349,50 @@ def _method(cfg: RunConfig, gamma, X0: np.ndarray):
             lam_next = (t + 1) / 2.0
             z = z - (1.0 + lam_next) * gamma[t] * oracle(X, rows)
             return (lam_next * X + z) / (lam_next + 1.0)
-    sample = None if algorithm in FULL_GRADIENT else problem.sample_rows
-    return name, batch, sample, gap, step
+    if algorithm in FULL_GRADIENT:
+        return name, batch, None, gap, _replaying(step, X0)
+    return name, batch, problem.sample_rows, gap, step
+
+
+def _replaying(step, X0):
+    """``step`` of a fixed map of X (a full-gradient method at its constant
+    stepsize) from the state X0 at t = 0, replaying the map's cycle once a
+    state repeats.
+
+    Brent's search keeps one saved state x_s, compares each new state with it
+    bit for bit (``tobytes``: -0.0 == 0.0, yet the two step differently through
+    sign and prox, and NaN equals itself only in its bits), and after ``span``
+    steps saves the newest state and doubles the span.  The first match
+    x_{t+1} = x_s gives the least period p = t + 1 - s.  The next p - 1 steps
+    still call ``step``, and their states are kept; from then on step t returns
+    x_{t+1} = cycle[(t + 1 - s) % p] and calls nothing.  Because the state
+    x_{t+1} is a function of the bits of x_t alone, that is bit for bit what
+    stepping gives.  Memory is one saved state, and the cycle if it holds at
+    most _BLOCK_VALUES values (a longer cycle is stepped through, not kept)."""
+    saved, s, span = X0.tobytes(), 0, 1
+    p = 0  # the period once found: 0 while searching, -1 for a cycle too long to keep
+    cycle = []  # x_s .. x_{s+p-1}
+
+    def replay(t, X, rows):
+        nonlocal saved, s, span, p
+        if p > 0 and len(cycle) == p:
+            return cycle[(t + 1 - s) % p]
+        X = step(t, X, rows)
+        if p > 0:
+            cycle.append(X)
+        elif p == 0:
+            key = X.tobytes()
+            if key == saved:
+                p = t + 1 - s
+                if p * X.size > _BLOCK_VALUES:
+                    p = -1
+                else:
+                    cycle.append(X)
+            elif t + 1 - s == span:
+                saved, s, span = key, t + 1, 2 * span
+        return X
+
+    return replay
 
 
 @dataclass

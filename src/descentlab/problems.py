@@ -48,12 +48,18 @@ _EIG_CUTOFF = 1e-10
 
 
 class _Linear:
-    """How x maps to the residuals r_i = <a_i, x> - y_i in the row-wise oracles, of a
-    problem ``p`` or of the sampled terms' data ``rows = (a, y)``, and how the
-    residuals' loss derivative ``dloss`` maps back through A^T.  Products with the
-    whole of A are stacks of matrix-vector products, so that each row matches the
-    single-point ``A @ x`` and ``A.T @ s`` (one (M, d) @ (d, n) product may round
-    differently and depend on M)."""
+    """How x maps to the residuals r_i = <a_i, x> - y_i, at one point and in the
+    row-wise oracles, of a problem ``p`` or of the sampled terms' data
+    ``rows = (a, y)``, and how the residuals' loss derivative maps back through
+    A^T.  Products with the whole of A are stacks of matrix-vector products, so
+    that each row matches the single-point ``A @ x`` and ``A.T @ s`` (one
+    (M, d) @ (d, n) product may round differently and depend on M)."""
+
+    def residual(p, x, i=slice(None)):  # of one point: r_i, or the (n,) residuals
+        return p.data["A"][i] @ x - p.data["y"][i]
+
+    def adjoint(p, s):  # A^T s of an (n,) vector
+        return p.data["A"].T @ s
 
     def rows(p, X, work=None):  # (M, n), in ``work`` (M, 1, n) if given
         r = np.matmul(X[:, None, :], p.data["A"].T, out=work)[:, 0]
@@ -74,8 +80,12 @@ class _Linear:
 
 class _Identity:
     """The residual of one term with a = 1 and y = 0 (n = d = 1), x itself: the
-    products with A = [[1]] are exact, and skipping them halves a step's numpy calls."""
+    products with A = [[1]] are exact but for the sign of a zero, which BLAS
+    accumulates onto +0.0.  Skipping them halves a step's numpy calls, and the
+    single-point oracles skip them too, so both keep the sign of x = -0.0."""
 
+    residual = lambda p, x, i=slice(None): x[i]  # noqa: E731
+    adjoint = lambda p, s: s  # noqa: E731
     rows = lambda p, X, work=None: X  # noqa: E731
     grad_rows = grad_sampled = lambda _, X, dloss: dloss(X)  # noqa: E731
     sample = lambda p, idx: ()  # noqa: E731
@@ -111,7 +121,6 @@ _LOSSES = {
                       lambda R: R[:, 0] * R[:, 0] + 3.0 * np.float_power(np.sin(R[:, 0]), 2),
                       _Identity),
 }
-_MODEL = itemgetter("A", "y", "mu")  # of a problem's data
 
 
 @dataclass(frozen=True)
@@ -139,23 +148,23 @@ class FiniteSumProblem:
     # Single-point oracles, the reference of the row-wise ones.
 
     def value_i(self, i: int, x: np.ndarray) -> float:
-        A, y, mu = _MODEL(self.data)
-        v = self.loss.of(float(A[i] @ x - y[i]))
+        mu = self.data["mu"]
+        v = self.loss.of(float(self.loss.model.residual(self, x, i)))
         return v + 0.5 * mu * float(x @ x) if mu > 0 else v
 
     def grad_i(self, i: int, x: np.ndarray) -> np.ndarray:
-        A, y, mu = _MODEL(self.data)
-        g = self.loss.grad(A[i] @ x - y[i]) * A[i]
+        A, mu = self.data["A"], self.data["mu"]
+        g = self.loss.grad(self.loss.model.residual(self, x, i)) * A[i]
         return g + mu * x if mu > 0 else g
 
     def value(self, x: np.ndarray) -> float:
-        A, y, mu = _MODEL(self.data)
-        v = self.loss.mean(A @ x - y)
+        mu = self.data["mu"]
+        v = self.loss.mean(self.loss.model.residual(self, x))
         return v + 0.5 * mu * float(x @ x) if mu > 0 else v
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        A, y, mu = _MODEL(self.data)
-        g = (A.T @ self.loss.grad(A @ x - y)) / self.n
+        model, mu = self.loss.model, self.data["mu"]
+        g = model.adjoint(self, self.loss.grad(model.residual(self, x))) / self.n
         return g + mu * x if mu > 0 else g
 
     # Row-wise oracles over an (M, d) array of points.  Row m equals the single-point
@@ -410,7 +419,7 @@ def _abs_reference_solve(problem: FiniteSumProblem):
     over the box |lam_i| <= 1 tells which r_i vanish; x is then a linear solve.  For mu = 0
     this runs at mu_eff = 1, 1/4, ... until x is certified for f itself, which makes it the
     minimum-norm minimizer (exact regularization; Friedlander & Tseng, SIAM J. Optim. 2007)."""
-    A, b, strong_mu = _MODEL(problem.data)
+    A, b, strong_mu = itemgetter("A", "y", "mu")(problem.data)
     n = problem.n
 
     def scale(x):  # magnitude of the terms of each residual, for relative tolerances

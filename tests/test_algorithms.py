@@ -20,7 +20,7 @@ from descentlab import (
     run_algorithm,
     write_traces_csv,
 )
-from descentlab.algorithms import PROXIMAL
+from descentlab.algorithms import FULL_GRADIENT, PROXIMAL
 from descentlab.nonsmooth import SpecError
 
 
@@ -585,11 +585,23 @@ _CASES = _catalogue_runs()
 
 
 def _long_runs():
-    """Catalogue runs long enough that a one-trial run crosses two block edges."""
+    """Catalogue runs long enough that a one-trial run crosses two block edges.
+    Most full-gradient runs replay their last-bit cycle across those edges (a
+    2-cycle at gamma = 1/L, a fixed point at 0.5/L); on the isotropic ls_4x2
+    (L = mu), gd at 2/L reflects, x_{t+1} - x* = -(x_t - x*), which from (2, 0)
+    closes into a 4-cycle of the last bit from t = 2."""
     T = 1100
     cases = [c for c in _CASES if c[0] in ("ls_4x2-sgd", "abs_2x1-pssd", "lasso_4x2-prox_sgd",
                                            "ls_4x2-momentum_buffer", "ls_4x2-momentum_heavy_ball",
                                            "ls_4x2-momentum_ima")]
+    for name, cfg, alg, form in _CASES:
+        if name.split("-")[0] in ("ls_4x2", "lasso_4x2", "scalar_pl") and alg in FULL_GRADIENT:
+            L = fixture(name.split("-")[0]).constants.L
+            cases += [(f"{name}-{g}L", replace(cfg, schedule=StepSchedule.constant(g / L)), alg,
+                       form) for g in (1.0, 0.5)]
+            if name == "ls_4x2-gd":
+                cases.append((f"{name}-2.0L", replace(cfg, schedule=StepSchedule.constant(2 / L),
+                                                      x0=np.array([2.0, 0.0])), alg, form))
     for _, cfg, _, _ in cases:
         assert T >= 2 * algorithms._block_steps(1, cfg.problem.n, cfg.problem.d)
     return [(f"{name}-T{T}", replace(cfg, iterations=T), alg, form)
@@ -610,6 +622,72 @@ def test_lockstep_replays_reference_loop(case):
         assert _close(tr.f_gap, f_gap) and _close(tr.dist_sq, dist_sq)
         assert np.array_equal(tr.gamma, [cfg.schedule.gamma_at(t)
                                          for t in range(cfg.iterations + 1)])
+
+
+def test_full_gradient_divergence_at_reference_t():
+    # at 3/L on the isotropic ls_4x2, x_t - x* = (-2)^t (x_0 - x*): no state repeats
+    # until it overflows, and the run diverges where the reference loop does
+    fx, cfg = _cfg(T=1100, schedule=StepSchedule.constant(3.0 / fixture("ls_4x2").constants.L))
+    want = _ref_run(cfg, "gd")[3]
+    with pytest.raises(DivergenceError) as err:
+        run_algorithm(cfg, "gd")
+    assert want is not None and err.value.failures == [(0, want)]
+
+
+def _toy_step(kind, k):
+    """A fixed map of a (1, k) state with a known period, and its start."""
+    if kind == "roll":  # k distinct values rotate: period k
+        return (lambda t, X, rows: np.roll(X, 1, axis=1)), np.arange(k, dtype=float)[None]
+    if kind == "negate":  # 0.0, -0.0, 0.0, ...: period 2 in bits, 1 in values
+        return (lambda t, X, rows: -X), np.zeros((1, k))
+    if kind == "nan":  # NaN + 1 keeps its bits: a fixed point that == never finds
+        return (lambda t, X, rows: X + 1.0), np.full((1, k), np.nan)
+    return (lambda t, X, rows: X + 1.0), np.zeros((1, k))  # counts up: never repeats
+
+
+@pytest.mark.parametrize("kind,k,period", [("roll", 1, 1), ("roll", 2, 2), ("roll", 3, 3),
+                                           ("roll", 5, 5), ("negate", 3, 2), ("nan", 2, 1),
+                                           ("count", 2, None)])
+def test_replay_equals_stepping(kind, k, period):
+    step, X0 = _toy_step(kind, k)
+    calls = []
+
+    def counted(t, X, rows):
+        calls.append(t)
+        return step(t, X, rows)
+
+    replay, X, Y = algorithms._replaying(counted, X0), X0, X0
+    for t in range(300):
+        X, Y = replay(t, X, None), step(t, Y, None)
+        assert X.tobytes() == Y.tobytes(), t
+    # from x_0 on the cycle, Brent's search saves x_s, s = 2^j - 1 < 2p, finds
+    # x_{s+p} = x_s and steps p - 1 more times to keep the cycle
+    assert len(calls) == (300 if period is None else 2 ** math.ceil(math.log2(period)) - 1
+                          + 2 * period - 1)
+
+
+def test_replay_steps_through_a_cycle_too_long_to_keep(monkeypatch):
+    monkeypatch.setattr(algorithms, "_BLOCK_VALUES", 24)
+    step, X0 = _toy_step("roll", 5)  # 5 states of 5 values: 25 > 24
+    calls = []
+    replay = algorithms._replaying(lambda t, X, rows: calls.append(t) or step(t, X, rows), X0)
+    X = X0
+    for t in range(40):
+        X = replay(t, X, None)
+        assert np.array_equal(X[0], np.roll(X0[0], t + 1))
+    assert len(calls) == 40
+
+
+def test_full_gradient_run_stops_calling_the_oracle(monkeypatch):
+    # gd_convex's run (ls_4x2 at 1/L) is in a 2-cycle of the last bit from t = 2
+    fx, cfg = _cfg(T=1000, x0=np.array([3.0, -1.0]),
+                   schedule=StepSchedule.constant(1 / fixture("ls_4x2").constants.L))
+    calls, full_grad_rows = [], fx.problem.full_grad_rows
+    monkeypatch.setattr(type(fx.problem), "full_grad_rows",
+                        lambda p, X: calls.append(1) or full_grad_rows(X))
+    tr = run_algorithm(cfg, "gd")
+    assert np.array_equal(tr.iterates, _ref_run(cfg, "gd")[0])
+    assert len(calls) < 10
 
 
 @pytest.mark.parametrize("case", _CASES, ids=[c[0] for c in _CASES])

@@ -1,7 +1,9 @@
 import json
+import os
 
 import pytest
 
+from descentlab import fixture
 from descentlab.cli import (
     ConfigError,
     ExperimentConfig,
@@ -187,6 +189,84 @@ def test_verify_sgd_strongly_convex(tmp_path, capsys):
     assert cmd_verify(path) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["worst_ratio"] <= 1.0
+
+
+def _deterministic_verifies():
+    """configs/verify_gd_convex.json, acceptance criterion 3 at each starting point
+    and criterion 12 at each stepsize, with the verdict each one gives: the gd and
+    prox_gd runs reach a cycle of the last bit long before T, which the measured
+    gaps show (criterion 12 at 1/L alternates between 0 and 2**-55 from t = 2)."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "configs",
+                           "verify_gd_convex.json")) as fh:
+        gd_convex = json.load(fh)
+    pl = {"problem": {"fixture": "scalar_pl"}, "algorithm": "gd",
+          "schedule": {"kind": "constant", "gamma": 1.0 / 8.0}, "iterations": 500,
+          "verify": {"setting": "gd_pl"}}
+    pgd = {"problem": {"fixture": "lasso_4x2"}, "algorithm": "prox_gd", "iterations": 2000,
+           "x0": [4.0, -3.0], "verify": {"setting": "pgd_convex"}}
+    L = fixture("lasso_4x2").constants.L
+    pl_checkpoints = [1, 3, 10, 31, 100, 316, 500]
+    pgd_checkpoints = [1, 3, 10, 31, 100, 316, 1000, 2000]
+    tiny = 2.7755575615628914e-17
+    return [
+        (gd_convex, {
+            "bound": [3.3333333333333335, 0.33333333333333337, 0.03333333333333334,
+                      0.0033333333333333335],
+            "checkpoints": [1, 10, 100, 1000], "measured": [0.0, 0.0, 0.0, 0.0],
+            "pass": True, "policy": "deterministic", "setting": "gd_convex",
+            "worst_ratio": -1.3000000000000003e-09}),
+        (dict(pl, x0=[3.0]), {
+            "bound": [9.031432868243124, 8.975074610403208, 8.780575888260982,
+                      8.222006205564849, 6.625008306021862, 3.3696023342061108,
+                      1.8943853304521725],
+            "checkpoints": pl_checkpoints,
+            "measured": [7.04923370119012, 6.385215117694635, 1.792212934778226e-34,
+                         0.0, 0.0, 0.0, 0.0],
+            "pass": True, "policy": "deterministic", "setting": "gd_pl",
+            "worst_ratio": 0.7805221822492457}),
+        (dict(pl, x0=[-7.0]), {
+            "bound": [50.1377226283986, 49.82485148816865, 48.74509779630049,
+                      45.64421533078102, 36.77853046177559, 18.706244032935498,
+                      10.516622072616329],
+            "checkpoints": pl_checkpoints,
+            "measured": [26.717937457008805, 7.276087050050435, 0.027902307698588816,
+                         0.0, 0.0, 0.0, 0.0],
+            "pass": True, "policy": "deterministic", "setting": "gd_pl",
+            "worst_ratio": 0.5328909253396709}),
+        (dict(pl, x0=[11.0]), {
+            "bound": [123.61244142321823, 122.84107081707138, 120.17898361026323,
+                      112.53388861920753, 90.6759163361603, 46.11945604126696,
+                      25.92828835797745],
+            "checkpoints": pl_checkpoints,
+            "measured": [70.66376315506763, 25.23189706947739, 3.0426433104235038,
+                         0.0, 0.0, 0.0, 0.0],
+            "pass": True, "policy": "deterministic", "setting": "gd_pl",
+            "worst_ratio": 0.5716557509653907}),
+        (dict(pgd, schedule={"kind": "constant", "gamma": 1.0 / L}), {
+            "bound": [9.255, 3.085, 0.9255000000000001, 0.2985483870967742,
+                      0.09255000000000001, 0.029287974683544306, 0.009255000000000001,
+                      0.0046275000000000005],
+            "checkpoints": pgd_checkpoints,
+            "measured": [-tiny, 0.0, tiny, 0.0, tiny, tiny, tiny, tiny],
+            "pass": True, "policy": "deterministic", "setting": "pgd_convex",
+            "worst_ratio": -1.108049705862299e-09}),
+        (dict(pgd, schedule={"kind": "constant", "gamma": 0.5 / L}), {
+            "bound": [18.51, 6.17, 1.8510000000000002, 0.5970967741935485,
+                      0.18510000000000001, 0.05857594936708861, 0.018510000000000002,
+                      0.009255000000000001],
+            "checkpoints": pgd_checkpoints,
+            "measured": [2.4137500000000003, 0.09960937500000003, 6.079673767062088e-06,
+                         tiny, 0.0, 0.0, 0.0, 0.0],
+            "pass": True, "policy": "deterministic", "setting": "pgd_convex",
+            "worst_ratio": 0.130402484089141}),
+    ]
+
+
+def test_deterministic_verdicts_are_pinned(tmp_path, capsys):
+    # == on the dicts compares every float exactly
+    for k, (payload, verdict) in enumerate(_deterministic_verifies()):
+        assert main(["verify", "--config", _write(tmp_path, f"cfg{k}.json", payload)]) == 0
+        assert json.loads(capsys.readouterr().out) == verdict, payload
 
 
 def test_verify_misconfigured_setting(tmp_path, capsys):

@@ -453,6 +453,9 @@ def test_row_oracles_equal_single_point_oracles_bit_for_bit(name):
     # enough points to meet the rare ones where a numpy kernel rounds differently
     # from the single-point one (1 in ~1000 for a vectorised square of sin t)
     X = RNG.normal(size=(20_000, p.d)) * RNG.choice([1e-3, 1.0, 10.0, 1e3], size=(20_000, 1))
+    # and signed zeros, which a product accumulated onto +0.0 turns positive
+    X[:4] = 0.0
+    X[1] = X[2, 1::2] = X[3, ::2] = -0.0
     same = lambda a, b: a.shape == b.shape and a.tobytes() == b.tobytes()  # noqa: E731
     assert same(p.value_rows(X), np.array([p.value(x) for x in X]))
     assert same(p.full_grad_rows(X), np.array([p.grad(x) for x in X]))
