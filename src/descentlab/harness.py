@@ -27,7 +27,7 @@ from .algorithms import (
 )
 # kept as module attributes, where perfbench/tracer.py wraps them
 from .algorithms import averaged_iterate, run_algorithm  # noqa: F401
-from .nonsmooth import SpecError
+from .nonsmooth import SpecError, axis_sum
 from .problems import Fixture, FiniteSumProblem
 from .theory import SETTINGS, BoundCurve, InitState, bound_curve
 
@@ -315,7 +315,7 @@ EXPECTED_FAIL = {"scalar_pl": {"convexity"}}
 def _sample_ball(rng: np.random.Generator, count: int, center: np.ndarray, radius: float):
     d = center.shape[0]
     z = rng.normal(size=(count, d))
-    z /= np.maximum(np.linalg.norm(z, axis=1, keepdims=True), 1e-300)
+    z /= np.maximum(np.sqrt(axis_sum(z * z, 1)), 1e-300)[:, None]
     r = radius * rng.random(count) ** (1.0 / d)
     return center + z * r[:, None]
 
@@ -365,21 +365,20 @@ def property_suite(fixture: Fixture, samples: int = 10_000, seed: int = 20_240_6
 
     scale_xy = _REL_FLOOR * (1.0 + np.abs(fx) + np.abs(fy))
     scale_x = _REL_FLOOR * (1.0 + np.abs(fx))
+    n = problem.n
     diff = Y - X
-    inner_gx = np.sum(gx * diff, axis=1)
-    dist2 = np.sum(diff * diff, axis=1)
-    gx_sq = np.sum(gx * gx, axis=1)
+    inner_gx = axis_sum(gx * diff, 1)
+    inner_gy = axis_sum(gy * (X - Y), 1)
+    dist2 = axis_sum(diff * diff, 1)
+    gx_sq = axis_sum(gx * gx, 1)
 
     # unbiasedness: averaging the per-term oracles reproduces the full gradient
-    mean_gi = Gx.mean(axis=1)
-    gnorm = np.linalg.norm(gx, axis=1)
-    add("unbiasedness",
-        np.linalg.norm(mean_gi - gx, axis=1),
-        1e-12 * (1.0 + gnorm))
+    bias = axis_sum(Gx, 1) / n - gx
+    add("unbiasedness", np.sqrt(axis_sum(bias * bias, 1)), 1e-12 * (1.0 + np.sqrt(gx_sq)))
 
     if convex or "convexity" in EXPECTED_FAIL.get(fixture.name, ()):
         # f(x) >= f(y) + <g(y), x - y>
-        add("convexity", fy + np.sum(gy * (X - Y), axis=1) - fx, scale_xy)
+        add("convexity", fy + inner_gy - fx, scale_xy)
 
     if smooth:
         add("smoothness_upper", fy - (fx + inner_gx + 0.5 * c.L * dist2), scale_xy)
@@ -388,25 +387,24 @@ def property_suite(fixture: Fixture, samples: int = 10_000, seed: int = 20_240_6
             add(f"descent_identity_lam_{lam:.6g}",
                 f_step - fx + lam * (1.0 - lam * c.L / 2.0) * gx_sq, scale_x)
         add("inverse_pl", gx_sq / (2.0 * c.L) - (fx - gt.inf_f), scale_x)
+        mean_gi_sq = axis_sum(axis_sum(Gx ** 2, 2), 1) / n
         add("variance_transfer_function",
-            np.sum(Gx ** 2, axis=2).mean(axis=1)
+            mean_gi_sq
             - (2.0 * c.L_max * (fx - gt.inf_f) + 2.0 * c.L_max * c.delta_star_f),
             scale_x)
 
     if smooth and convex:
         gdiff = gx - gy
         add("cocoercivity",
-            np.sum(gdiff * gdiff, axis=1) / c.L - np.sum(-gdiff * diff, axis=1), scale_xy)
-        gidiff = Gx - Gy
+            axis_sum(gdiff * gdiff, 1) / c.L - axis_sum(-gdiff * diff, 1), scale_xy)
         add("expected_smoothness",
-            np.sum(gidiff ** 2, axis=2).mean(axis=1) / (2.0 * c.L_max)
+            axis_sum(axis_sum((Gx - Gy) ** 2, 2), 1) / n / (2.0 * c.L_max)
             - (fy - fx - inner_gx), scale_xy)
         add("variance_transfer_gradient",
-            np.sum(Gx ** 2, axis=2).mean(axis=1)
-            - (4.0 * c.L_max * (fx - gt.inf_f) + 2.0 * c.sigma_star_f), scale_x)
-        var_x = np.sum((Gx - gx[:, None, :]) ** 2, axis=2).mean(axis=1)
-        var_y = np.sum((Gy - gy[:, None, :]) ** 2, axis=2).mean(axis=1)
-        bregman = fx - fy - np.sum(gy * (X - Y), axis=1)
+            mean_gi_sq - (4.0 * c.L_max * (fx - gt.inf_f) + 2.0 * c.sigma_star_f), scale_x)
+        var_x = axis_sum(axis_sum((Gx - gx[:, None, :]) ** 2, 2), 1) / n
+        var_y = axis_sum(axis_sum((Gy - gy[:, None, :]) ** 2, 2), 1) / n
+        bregman = fx - fy - inner_gy
         add("bregman_transfer",
             var_x - (4.0 * c.L_max * bregman + 2.0 * var_y), scale_xy)
 
@@ -419,7 +417,7 @@ def property_suite(fixture: Fixture, samples: int = 10_000, seed: int = 20_240_6
         # convex-plus-norm decomposition: h = f - mu/2 |.|^2 is midpoint convex
         mid = 0.5 * (X + Y)
         f_mid = problem.value_rows(mid)
-        h = lambda fv, P: fv - 0.5 * c.mu * np.sum(P * P, axis=1)
+        h = lambda fv, P: fv - 0.5 * c.mu * axis_sum(P * P, 1)
         add("convex_plus_norm",
             h(f_mid, mid) - 0.5 * (h(fx, X) + h(fy, Y)), scale_xy)
 
@@ -456,15 +454,13 @@ def _regularizer_checks(reg, rng, samples, d, add):
     scale = 5.0 if reg.kind != "ball_indicator" else reg.B * 2.0
     U = rng.normal(size=(samples, d)) * scale
     V = rng.normal(size=(samples, d)) * scale
+    UV = U - V
+    dn = np.sqrt(axis_sum(UV * UV, 1))
     for gamma in (1.0, 0.7):
-        PU = nonsmooth.prox(reg, gamma, U)
-        PV = nonsmooth.prox(reg, gamma, V)
-        dn = np.linalg.norm(U - V, axis=1)
-        pn = np.linalg.norm(PU - PV, axis=1)
+        PUV = nonsmooth.prox(reg, gamma, U) - nonsmooth.prox(reg, gamma, V)
+        pn = np.sqrt(axis_sum(PUV * PUV, 1))
         add(f"prox_nonexpansive_gamma_{gamma:g}", pn - dn, 1e-12)
-        add(f"prox_firm_gamma_{gamma:g}",
-            pn**2 - np.sum((U - V) * (PU - PV), axis=1),
-            1e-12 * (1.0 + dn**2))
+        add(f"prox_firm_gamma_{gamma:g}", pn**2 - axis_sum(UV * PUV, 1), 1e-12 * (1.0 + dn**2))
 
     # subgradient inequality on domain points
     if reg.kind == "ball_indicator":
@@ -477,7 +473,7 @@ def _regularizer_checks(reg, rng, samples, d, add):
     gvalB = reg.value_rows(Bpts)
     subA = nonsmooth.subgradient(reg, A)
     add("reg_subgradient_inequality",
-        gvalA + np.sum(subA * (Bpts - A), axis=1) - gvalB,
+        gvalA + axis_sum(subA * (Bpts - A), 1) - gvalB,
         _REL_FLOOR * (1.0 + np.abs(gvalA) + np.abs(gvalB)))
 
     # prox optimality of 64 points against 1000 random candidates each

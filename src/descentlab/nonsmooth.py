@@ -136,7 +136,7 @@ class Regularizer:
         if self.kind == "zero":
             return np.zeros(len(X))
         if self.kind == "l1":
-            return self.lam * np.abs(X).sum(axis=1)
+            return self.lam * axis_sum(np.abs(X), 1)
         return np.where(_norms(X) <= self.B * (1.0 + 1e-12), 0.0, math.inf)
 
 
@@ -160,6 +160,21 @@ def _norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norm of a vector, or of each row of an (M, d) array; the
     row-wise dot reproduces np.linalg.norm of each row bit for bit."""
     return np.sqrt(np.vecdot(x, x))
+
+
+def axis_sum(Z: np.ndarray, axis: int) -> np.ndarray:
+    """np.sum(Z, axis) bit for bit.  Below its 8-wide pairwise block numpy adds
+    the entries in order onto +0.0 (so -0.0 + -0.0 sums to +0.0); an axis that
+    short is added here slice by slice, about 10x faster on long arrays.  A mean
+    is this sum divided by the count, as np.mean computes it."""
+    n = Z.shape[axis]
+    if not 0 < n < 8:
+        return Z.sum(axis)
+    at = (slice(None),) * axis
+    total = Z[at + (0,)] + 0.0
+    for i in range(1, n):
+        total += Z[at + (i,)]
+    return total
 
 
 def prox(reg: Regularizer, gamma: float, x: np.ndarray) -> np.ndarray:

@@ -23,7 +23,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .nonsmooth import REQUIRED, Regularizer, SpecError, prox, spec_kind, spec_section
+from .nonsmooth import (REQUIRED, Regularizer, SpecError, axis_sum, prox, spec_kind,
+                        spec_section)
 
 __all__ = [
     "FiniteSumProblem",
@@ -114,7 +115,7 @@ _LOSSES = {
                           lambda r: 0.5 * float(r @ r) / len(r),
                           lambda R: 0.5 * np.vecdot(R, R) / R.shape[1]),
     "abs_loss": Loss(abs, np.sign, lambda r: float(np.abs(r).mean()),
-                     lambda R: np.abs(R, out=R).mean(axis=1)),
+                     lambda R: axis_sum(np.abs(R, out=R), 1) / R.shape[1]),
     # the paper's nonconvex PL example t^2 + 3 sin^2 t, one term; float_power is
     # libm pow, as the float ``** 2`` of _pl (np.square rounds differently)
     "scalar_pl": Loss(_pl, lambda t: 2.0 * t + 3.0 * np.sin(2.0 * t), lambda r: _pl(float(r[0])),

@@ -1,3 +1,4 @@
+import json
 from itertools import combinations
 
 import numpy as np
@@ -280,7 +281,6 @@ BALL_LS = {"kind": "least_squares",
 def _ball_fixture(tmp_path, monkeypatch):
     """A least-squares fixture constrained to a ball its minimizer lies outside,
     loaded from $DESCENTLAB_FIXTURES."""
-    import json
     from descentlab import problems
     (tmp_path / "ball_ls.json").write_text(json.dumps(BALL_LS))
     monkeypatch.setenv("DESCENTLAB_FIXTURES", str(tmp_path))
@@ -427,12 +427,20 @@ def _seeded_specs(seed=17):
     """Inline specs of each kind beyond the catalogue, for the oracle tests."""
     rng = np.random.default_rng(seed)
     abs_rows, abs_targets = rng.standard_normal((5, 2)).tolist(), rng.standard_normal(5).tolist()
-    return {
+    specs = {
         "inline_ls_7x3": {"kind": "least_squares", "features": rng.standard_normal((7, 3)).tolist(),
                           "targets": rng.standard_normal(7).tolist()},
         **{f"inline_abs_5x2_mu{mu}": {"kind": "abs_loss", "rows": abs_rows, "targets": abs_targets,
                                       "strong_mu": mu, "ball_B": 100.0} for mu in (0.0, 0.5)},
     }
+    # sums over 8 or more terms or coordinates, which numpy adds pairwise
+    specs["inline_abs_9x2"] = {"kind": "abs_loss", "rows": rng.standard_normal((9, 2)).tolist(),
+                               "targets": rng.standard_normal(9).tolist(), "ball_B": 100.0}
+    specs["inline_lasso_10x8"] = {"kind": "least_squares",
+                                  "features": rng.standard_normal((10, 8)).tolist(),
+                                  "targets": rng.standard_normal(10).tolist(),
+                                  "regularizer": {"kind": "l1", "lambda": 0.1}}
+    return specs
 
 
 INLINE = _seeded_specs()
@@ -473,7 +481,8 @@ def test_row_oracles_equal_single_point_oracles_bit_for_bit(name):
             assert var == float(np.sum((means - means.mean(axis=0)) ** 2) / len(means))
 
 
-@pytest.mark.parametrize("name", CATALOGUE + tuple(INLINE) + ("lasso_4x2-composite",))
+@pytest.mark.parametrize("name", CATALOGUE + tuple(INLINE)
+                         + ("lasso_4x2-composite", "inline_lasso_10x8-composite"))
 def test_value_rows_in_a_work_buffer_bit_for_bit(name):
     fx = _oracle_fixture(name.split("-")[0])
     p = fx.composite if name.endswith("-composite") else fx.problem
@@ -487,6 +496,18 @@ def test_value_rows_in_a_work_buffer_bit_for_bit(name):
     assert p.value_rows(X, work=work).tobytes() == want == p.value_rows(X).tobytes()
     assert p.value_rows(X[:77], work=work[:77]).tobytes() == want[:77 * 8]
     assert p.value_rows(X, work=work).tobytes() == want
+
+
+@pytest.mark.parametrize("name", CATALOGUE + tuple(INLINE))
+def test_property_suite_equals_plain_numpy_reductions(name, monkeypatch):
+    # axis_sum replaced by the np.sum it stands for: the plain formulas are the
+    # reference of the slice-by-slice sums of short axes
+    from descentlab import harness, nonsmooth, problems
+    fx = _oracle_fixture(name)
+    fast = json.dumps(property_suite(fx, samples=10_000), sort_keys=True)
+    for module in (harness, nonsmooth, problems):
+        monkeypatch.setattr(module, "axis_sum", np.sum)
+    assert json.dumps(property_suite(fx, samples=10_000), sort_keys=True) == fast
 
 
 @pytest.mark.parametrize("name", CATALOGUE)

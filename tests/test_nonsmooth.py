@@ -1,13 +1,16 @@
 import math
+import warnings
 from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from descentlab import Regularizer, prox, prox_certificate, subgradient
-from descentlab.nonsmooth import REQUIRED, SpecError, is_json, spec_fields, spec_section
+from descentlab.nonsmooth import (REQUIRED, SpecError, axis_sum, is_json, spec_fields,
+                                  spec_section)
 
 RNG = np.random.default_rng(11)
 
@@ -215,3 +218,27 @@ def test_prox_is_certified_and_moreau_decomposes(kind, weight, gamma, x):
     # Moreau: x = prox_{gamma g}(x) + gamma prox_{g*/gamma}(x / gamma)
     q = _CONJUGATE_PROX[kind](reg, gamma, x / gamma)
     assert np.linalg.norm(x - (p + gamma * q)) <= 1e-12 * (1.0 + np.linalg.norm(x))
+
+
+# values whose sum depends on the order numpy adds them in: signed zeros,
+# infinities, NaN, subnormals, and magnitudes that overflow or absorb a 1
+_SUM_EDGES = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                              2.2e-308, 1.7e308, -1.7e308, 1e16, 1.0, -1.0])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(Z=hnp.arrays(float, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=12),
+                    elements=st.one_of(_SUM_EDGES, st.floats())),
+       transpose=st.booleans())
+def test_axis_sum_equals_numpy_sum_and_mean_byte_for_byte(Z, transpose):
+    # the condition axis_sum rests on: numpy adds fewer than 8 entries in order
+    # onto +0.0, in any memory layout; a numpy release that changes its
+    # reduction order fails here
+    Z = Z.T if transpose else Z
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the mean of an empty axis
+        for axis in range(Z.ndim):
+            got = axis_sum(Z, axis)
+            assert got.shape == np.sum(Z, axis).shape
+            assert got.tobytes() == np.sum(Z, axis).tobytes()
+            assert (got / Z.shape[axis]).tobytes() == np.mean(Z, axis).tobytes()
