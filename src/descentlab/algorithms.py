@@ -10,11 +10,15 @@ distance to the reference minimizer, and the stepsize at each index.
 Two lengths split a run, and neither changes a value.  Each trial draws its
 samples once per *draw window* (``_draw_steps``), whose draws concatenate to
 the trial's one stream; one Fisher-Yates pass turns the doubles of all trials
-into indices, and one gather (``sample_rows``) reads the sampled terms' data,
-of which each step takes views.  The gaps and distances are evaluated once
-per *gap block* (``_block_steps``), on the block's stacked iterates, with
-row-wise oracles, whose residual is written into one work buffer per call
-(the ``work`` argument of ``value_rows``).  The window is bounded by its index
+into indices (b = 1: one uniform index per row), and one gather
+(``sample_rows``) reads the sampled terms' data, of which each step takes
+views.  The gaps and distances are evaluated once per *gap block*
+(``_block_steps``), on the block's stacked iterates, with row-wise oracles,
+whose residual is written into one work buffer per call (the ``work``
+argument of ``value_rows``).  Outside the recorded steps a gap only feeds the
+divergence guard, so there a screen of one matrix product per block clears
+the rows it can bound below the limit, and only the others get the exact
+objective (``_block_gaps``).  The window is bounded by its index
 array and gathered rows and the block by the objective residual, so the two
 differ whenever n is large or M is.
 
@@ -115,6 +119,16 @@ class StepSchedule:
         if self.kind == "inv_sqrt":
             return self.gamma0 / math.sqrt(t + 1.0)
         return 2.0 * self.eta / (t + 3.0)  # momentum_pair
+
+    def gammas(self, count: int) -> np.ndarray:
+        """gamma_t for t = 0 .. count - 1, each gamma_at(t) bit for bit (sqrt
+        and division are correctly rounded in numpy as in math)."""
+        if self.kind == "constant":
+            return np.full(count, self.gamma)
+        t = np.arange(count, dtype=float)
+        if self.kind == "inv_sqrt":
+            return self.gamma0 / np.sqrt(t + 1.0)
+        return 2.0 * self.eta / (t + 3.0)
 
     def beta_at(self, t: int) -> float:
         if self.kind != "momentum_pair":
@@ -260,6 +274,8 @@ def _draw_window(rngs, k: int, n: int, b: int) -> np.ndarray:
     u = np.empty((len(rngs), k, b))
     for r, drawn in zip(rngs, u):
         r.random(out=drawn)
+    if b == 1:  # swap 0 alone: one uniform index per row
+        return np.minimum((u * n).astype(np.int64), n - 1).transpose(1, 2, 0)
     u = u.reshape(-1, b)
     out = np.empty(u.shape, dtype=np.int64)
     pos = np.empty(u.shape, dtype=np.int64)  # position swap i wrote, -1 once overwritten
@@ -285,16 +301,18 @@ ALGORITHMS = ("gd", "sgd", "minibatch_sgd", "momentum", "ssd", "pssd") + PROXIMA
 def _method(cfg: RunConfig, gamma, X0: np.ndarray):
     """The step of ``cfg.algorithm`` (which ``cfg`` was checked against).
     Returns (trace name, batch size b, the oracle's ``sample_rows`` or None for
-    a full-gradient method, (row-wise objective, inf, x_ref) of the gap,
-    step), where ``step(t, X, rows)`` maps every row of X to its next iterate,
-    given the data ``rows`` of step t's (b, M) sampled terms (None for a
-    full-gradient method)."""
+    a full-gradient method, (row-wise objective, its ``screen_rows``, inf,
+    x_ref) of the gap, step), where ``step(t, X, rows)`` maps every row of X
+    to its next iterate, given the data ``rows`` of step t's (b, M) sampled
+    terms (None for a full-gradient method)."""
     sched, algorithm, form = cfg.schedule, cfg.algorithm, cfg.momentum_form
     problem, reg, batch, name = cfg.problem, None, 1, algorithm
-    gap = (problem.value_rows, cfg.ground_truth.inf_f, cfg.ground_truth.x_star)
+    gap = (problem.value_rows, problem.screen_rows, cfg.ground_truth.inf_f,
+           cfg.ground_truth.x_star)
     if algorithm in PROXIMAL:
         comp = cfg.composite
-        problem, reg, gap = comp.smooth, comp.reg, (comp.value_rows, comp.inf_F, comp.x_star_F)
+        problem, reg = comp.smooth, comp.reg
+        gap = (comp.value_rows, comp.screen_rows, comp.inf_F, comp.x_star_F)
     elif algorithm == "minibatch_sgd":
         batch = cfg.batch_size
     elif algorithm == "pssd":
@@ -441,6 +459,45 @@ def _draw_steps(M: int, b: int, d: int) -> int:
     return max(1, min(_BLOCK, _BLOCK_VALUES // (b * max(M, d))))
 
 
+def _clearing_cap(limit: float, inf_val: float) -> float:
+    """A float c <= 2^960 with fl(c - inf_val) <= limit (NaN for a NaN limit):
+    rounding is monotone, so a row whose value is at most c has a gap at most
+    limit, and up to 2^960 a screen's bounds hold (``screen_rows``)."""
+    cap = min(limit + inf_val, 2.0 ** 960)
+    while cap - inf_val > limit:
+        cap = math.nextafter(cap, -math.inf)
+    return cap
+
+
+def _block_gaps(gap, steps, rows, limit, cap, live, work):
+    """The gaps at the steps ``rows`` of a gap block's (k, M, d) iterates
+    ``steps``, exact, and the block's (k, M) divergence mask (gap non-finite
+    or above ``limit``), as exact gaps at every row would give.
+
+    The objective's screen (``screen_rows``) values all k M rows with one
+    matrix product and bounds each value's distance E to the exact one.  A row
+    whose screened value + E is at most ``cap`` (``_clearing_cap``) has a
+    finite exact gap at most ``limit``, so it is cleared unevaluated.  The
+    exact objective runs only on the recorded rows and on those the screen
+    cannot clear, but not on the rows of trials no longer ``live`` (diverged
+    in an earlier block), which the mask no longer reads.  Without a screen,
+    or with every step recorded, every row is exact, in one call."""
+    objective, screen, inf_val, _ = gap
+    k, M, d = steps.shape
+    flat = steps.reshape(-1, d)
+    screened = None if len(rows) == k else screen(flat, work[: k * M].reshape(k * M, -1))
+    if screened is None:
+        gaps = (objective(flat, work[: k * M]) - inf_val).reshape(k, M)
+        return gaps[rows], ~np.isfinite(gaps) | (gaps > limit)
+    values, bounds = screened
+    exact = ~(np.add(values, bounds, out=bounds) <= cap).reshape(k, M) & live
+    exact[rows] = True
+    gaps, bad = np.empty((k, M)), np.zeros((k, M), dtype=bool)
+    gaps[exact] = objective(steps[exact], work[: exact.sum()]) - inf_val
+    bad[exact] = ~np.isfinite(gaps[exact]) | (gaps[exact] > limit)
+    return gaps[rows], bad
+
+
 def run_lockstep(cfg: RunConfig, trials, at=None, averaging=None,
                  keep_iterates: bool = False) -> Lockstep:
     """Run the given trials of ``cfg.algorithm`` in lockstep on one (M, d)
@@ -449,26 +506,39 @@ def run_lockstep(cfg: RunConfig, trials, at=None, averaging=None,
     Row m is trial ``trials[m]`` exactly as if run alone: its samples come from
     its own ``default_rng(cfg.seed + trial)`` (drawn once per draw window, and
     the windows concatenate to the same stream) and the oracles act on rows
-    independently.  The steps of a gap block are taken first; one objective
-    call on the block's stacked (k M, d) iterates then gives their gaps, so
-    neither the window, the block length nor M changes a value.
+    independently.  The steps of a gap block are taken first and then
+    evaluated together (``_block_gaps``), so neither the window, the block
+    length nor M changes a value.  A full-gradient method draws nothing and
+    starts every trial at x0, so its trials are one row stepped and copied.
 
     Gaps and squared distances are kept at the steps ``at`` (every step when
     None), iterates on request.  An ``averaging`` weighting adds the gap at
     xbar_t at each recorded t >= 1, xbar_t the weighted average of x_0 ..
     x_{t-1} (see ``averaged_iterate``); the gap is the method's own, of F for a
-    proximal method and of f otherwise.  A trial
-    diverges at the first t where its gap is non-finite or above
+    proximal method and of f otherwise.  Each block adds its terms w_t x_t to
+    the running sum with one ``np.add.accumulate``, which adds in sequence as
+    ``total = total + w_t x_t`` does, and values its averages in one call.  A
+    trial diverges at the first t where its gap is non-finite or above
     1e12 (1 + |gap_0|); one DivergenceError names every diverged trial.
     """
     if cfg.algorithm is None:
         raise ValueError("the config names no algorithm")
-    T, n, d = cfg.iterations, cfg.problem.n, cfg.problem.d
     trials = np.array(list(trials), dtype=np.int64)
     M = len(trials)
-    gamma = [cfg.schedule.gamma_at(t) for t in range(T + 1)]
+    if cfg.algorithm in FULL_GRADIENT and M > 1:
+        try:
+            one = run_lockstep(cfg, trials[:1], at, averaging, keep_iterates)
+        except DivergenceError as exc:
+            raise DivergenceError((m, exc.t) for m in trials) from None
+        return replace(one, trials=trials, **{
+            key: np.repeat(value, M, axis=0)
+            for key in ("f_gap", "dist_sq", "averaged", "iterates")
+            if (value := getattr(one, key)) is not None})
+    T, n, d = cfg.iterations, cfg.problem.n, cfg.problem.d
+    gamma = cfg.schedule.gammas(T + 1)
     X = np.tile(cfg.start_point(), (M, 1))
-    name, batch, sample, (objective, inf_val, x_ref), step = _method(cfg, gamma, X)
+    name, batch, sample, gap, step = _method(cfg, gamma.tolist(), X)
+    objective, _, inf_val, x_ref = gap
     recorded = np.arange(T + 1) if at is None else np.unique(np.asarray(at, dtype=np.int64))
     f_gap, dist_sq = np.empty((2, M, len(recorded)))
     averaged = None
@@ -476,53 +546,62 @@ def run_lockstep(cfg: RunConfig, trials, at=None, averaging=None,
     if averaging is not None:
         weights = _weights(gamma, averaging, int(recorded[-1]))
         averaged = np.full((M, len(recorded)), np.nan)
-        column = dict(zip(recorded.tolist(), range(len(recorded))))
-        total = np.zeros((M, d))
+        total = np.zeros((M, d))  # the sum of w_t x_t over the steps before the block
     rngs = [np.random.default_rng(cfg.seed + int(m)) for m in trials] if sample else []
     block, window = _block_steps(M, n, d), _draw_steps(M, batch, d)
     w0 = w1 = 0  # the draw window ``drawn`` holds: steps w0 .. w1 - 1
     xs = np.empty((block, M, d))  # the iterates of the block's steps
     work = np.empty((block * M, 1, n))  # their objective residual, one buffer for the run
     first = np.full(M, -1)  # first diverged step of each trial
+    # every trial starts at x0, so one row gives the divergence limit
+    limit = _DIVERGENCE_FACTOR * (1.0 + abs(float(objective(X[:1], work[:1])[0] - inf_val)))
+    cap = _clearing_cap(limit, inf_val)
     with np.errstate(all="ignore"):  # diverging rows run on as inf/nan
         for t0 in range(0, T + 1, block):
             t1 = min(t0 + block, T + 1)
             for t in range(t0, t1):
                 xs[t - t0] = X
-                if averaging is not None and t > 0 and t in column:
-                    xbar = total / weights[:t].sum()
-                    averaged[:, column[t]] = objective(xbar, work[:M]) - inf_val
                 if t == T:
                     break
-                if averaging is not None and t < len(weights):
-                    total = total + weights[t] * X
                 if sample and t == w1:
                     w0, w1 = t, min(t + window, T)
                     drawn = sample(_draw_window(rngs, w1 - w0, n, batch))
                 X = step(t, X, [r[t - w0] for r in drawn] if sample else None)
             steps = xs[: t1 - t0]
-            values = objective(steps.reshape(-1, d), work[: (t1 - t0) * M])
-            gaps = (values - inf_val).reshape(-1, M)
-            if t0 == 0:
-                limit = _DIVERGENCE_FACTOR * (1.0 + np.abs(gaps[0]))
             lo, hi = np.searchsorted(recorded, [t0, t1])
             rows = recorded[lo:hi] - t0
-            f_gap[:, lo:hi] = gaps[rows].T
+            gaps, bad = _block_gaps(gap, steps, rows, limit, cap, first < 0, work)
+            f_gap[:, lo:hi] = gaps.T
             diff = steps[rows] - x_ref
             dist_sq[:, lo:hi] = np.vecdot(diff, diff).T
             if keep_iterates:
                 iterates[:, t0:t1] = steps.transpose(1, 0, 2)
-            bad = ~np.isfinite(gaps) | (gaps > limit)
             newly = bad.any(axis=0) & (first < 0)
             first[newly] = t0 + bad[:, newly].argmax(axis=0)
+            if averaging is not None:
+                # the block's iterates are read; their rows become the running
+                # sums: sums[j] = total + w_t0 x_t0 + ... + w_{t0+j} x_{t0+j}
+                k = max(0, min(t1, len(weights)) - t0)
+                sums = np.multiply(weights[t0:t0 + k, None, None], steps[:k], out=steps[:k])
+                if k:
+                    np.add(total, sums[0], out=sums[0])
+                    np.add.accumulate(sums, axis=0, out=sums)
+                cols = np.arange(lo, hi)[recorded[lo:hi] >= 1]
+                if len(cols):
+                    ts = recorded[cols]
+                    xbar = (np.stack([total if t == t0 else sums[t - t0 - 1] for t in ts])
+                            / np.array([weights[:t].sum() for t in ts])[:, None, None])
+                    values = objective(xbar.reshape(-1, d), work[: len(ts) * M])
+                    averaged[:, cols] = (values - inf_val).reshape(-1, M).T
+                if k:
+                    total = sums[k - 1].copy()
             if (first >= 0).all():
                 break
     failed = np.nonzero(first >= 0)[0]
     if failed.size:
         raise DivergenceError(zip(trials[failed], first[failed]))
-    return Lockstep(algorithm=name, trials=trials, t=recorded,
-                    gamma=np.array(gamma), f_gap=f_gap, dist_sq=dist_sq,
-                    averaged=averaged, iterates=iterates)
+    return Lockstep(algorithm=name, trials=trials, t=recorded, gamma=gamma, f_gap=f_gap,
+                    dist_sq=dist_sq, averaged=averaged, iterates=iterates)
 
 
 def run_algorithm(cfg: RunConfig, algorithm: str, trial: int = 0) -> Trace:

@@ -78,6 +78,11 @@ class _Linear:
     def grad_sampled(rows, X, dloss):
         return dloss(np.vecdot(rows[0], X) - rows[1])[:, None] * rows[0]
 
+    def screen(p, X, work=None):  # (M, n) by one (M, d) @ (d, n) product, in ``work`` if given
+        r = np.matmul(X, p.data["A"].T, out=work)
+        r -= p.data["y"]
+        return r
+
 
 class _Identity:
     """The residual of one term with a = 1 and y = 0 (n = d = 1), x itself: the
@@ -90,6 +95,7 @@ class _Identity:
     rows = lambda p, X, work=None: X  # noqa: E731
     grad_rows = grad_sampled = lambda _, X, dloss: dloss(X)  # noqa: E731
     sample = lambda p, idx: ()  # noqa: E731
+    screen = None  # rows is already elementwise
 
 
 class Loss(NamedTuple):
@@ -101,6 +107,7 @@ class Loss(NamedTuple):
     mean: Callable  # (1/n) sum_i loss(r_i) of a residual vector, a float
     mean_rows: Callable  # the same of each row of an (M, n) array, which it may overwrite
     model: type = _Linear
+    lip: Optional[Callable] = None  # rho -> its Lipschitz constant on |r| <= rho, for the screen
 
 
 def _pl(t: float) -> float:
@@ -113,9 +120,9 @@ def _pl(t: float) -> float:
 _LOSSES = {
     "least_squares": Loss(lambda r: 0.5 * r * r, lambda r: r,
                           lambda r: 0.5 * float(r @ r) / len(r),
-                          lambda R: 0.5 * np.vecdot(R, R) / R.shape[1]),
+                          lambda R: 0.5 * np.vecdot(R, R) / R.shape[1], lip=lambda rho: rho),
     "abs_loss": Loss(abs, np.sign, lambda r: float(np.abs(r).mean()),
-                     lambda R: axis_sum(np.abs(R, out=R), 1) / R.shape[1]),
+                     lambda R: axis_sum(np.abs(R, out=R), 1) / R.shape[1], lip=lambda rho: 1.0),
     # the paper's nonconvex PL example t^2 + 3 sin^2 t, one term; float_power is
     # libm pow, as the float ``** 2`` of _pl (np.square rounds differently)
     "scalar_pl": Loss(_pl, lambda t: 2.0 * t + 3.0 * np.sin(2.0 * t), lambda r: _pl(float(r[0])),
@@ -204,6 +211,65 @@ class FiniteSumProblem:
         v = loss.mean_rows(loss.model.rows(self, X, work))
         return v + 0.5 * mu * np.vecdot(X, X) if mu > 0 else v
 
+    def screen_rows(self, X: np.ndarray, work: Optional[np.ndarray] = None, g=None):
+        """(values, bounds): f(X[m]) + g[m] for every row m, from one (M, d) @
+        (d, n) product, and a bound E_m on its distance to the exact
+        ``value_rows(X)[m] + g[m]``; None for a kind whose ``value_rows`` is
+        already elementwise.  ``g`` holds values >= 0 (a regularizer's), and
+        ``work``, an (M, n) buffer the call may overwrite, holds the residual.
+        E holds wherever v + E <= 2^960, so that no sum of either evaluation
+        overflows.
+
+        The bound, with u = 2^-53, gamma_k = k u / (1 - k u), rho = max_i
+        ||a_i|| ||x|| + max_i |y_i| and v the screened value:
+
+            E = 2 lip(rho) delta + 4 gamma_{n+3} v + (n + d) 2^-1020,
+            delta = 2 gamma_{d+1} rho.
+
+        Each computed residual fl(fl(<a_i, x>) - y_i), summed in any order and
+        with or without fused multiply-adds, is within gamma_d sum_j |a_ij x_j|
+        + u |result| <= gamma_{d+1} rho of <a_i, x> - y_i (the textbook
+        dot-product bound, then Cauchy-Schwarz), so the screened and exact
+        residuals differ by at most delta and are at most rho (1 + gamma_{d+1})
+        in size.  There the loss is lip(rho)-Lipschitz up to that factor
+        (least squares: rho; abs_loss: 1), so the two residual vectors' exact
+        means differ by at most lip(rho) delta (1 + gamma_{d+1}).  Each computed
+        mean (``mean_rows``) sums n terms >= 0 and divides by n, within
+        gamma_{n+1} of its exact value; adding the same ridge term and the same
+        g costs one rounding each, to 2 gamma_{n+3} v (1 + O(gamma)) for the two
+        values together.  Doubling both terms covers the (1 + O(gamma))
+        factors, the rounding of ||x|| and of E, and that of v + E, which is
+        therefore at least the exact value; the last term covers products and
+        squares that underflow.  Any array in memory has n + d < 2^45, so the
+        O(gamma) are below 2^-7."""
+        loss, mu, n, d = self.loss, self.data["mu"], self.n, self.d
+        if loss.model.screen is None:
+            return None
+        A, y = self.data["A"], self.data["y"]
+        v = loss.mean_rows(loss.model.screen(self, X, work))
+        sq = np.vecdot(X, X)
+        if mu > 0:
+            v += 0.5 * mu * sq
+        if g is not None:
+            v += g
+        # in place, so that the screen holds no more rows than value_rows
+        rho = np.sqrt(sq, out=sq)
+        rho *= float(np.sqrt(np.vecdot(A, A).max()))
+        rho += float(np.abs(y).max())
+        rho *= loss.lip(rho)
+        rho *= 4.0 * _gamma(d + 1)
+        bound = np.multiply(v, 4.0 * _gamma(n + 3))
+        bound += rho
+        bound += (n + d) * 2.0 ** -1020
+        return v, bound
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), u = 2^-53 the unit roundoff of float64: the
+    relative error bound of k roundings (Higham, Accuracy and Stability of
+    Numerical Algorithms, 3.1)."""
+    return k * 2.0 ** -53 / (1.0 - k * 2.0 ** -53)
+
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -258,6 +324,11 @@ class CompositeProblem:
         """F(X[m]) for every row m of X (M, d); ``work`` as in FiniteSumProblem."""
         g = self.reg.value_rows(X)
         return np.where(np.isfinite(g), self.smooth.value_rows(X, work) + g, math.inf)
+
+    def screen_rows(self, X: np.ndarray, work: Optional[np.ndarray] = None):
+        """(values, bounds) of F at every row of X, as FiniteSumProblem.screen_rows:
+        the screened f plus the exact g."""
+        return self.smooth.screen_rows(X, work, self.reg.value_rows(X))
 
 
 @dataclass(frozen=True)

@@ -141,16 +141,16 @@ def _gamma_sums(schedule: StepSchedule, L_ref: float = 0.0):
     """t -> sums over k < t of the weights gamma_k (1 - 2 gamma_k L_ref) and of
     gamma_k^2; with L_ref = 0 the weights are the stepsizes themselves.
 
-    The stepsize array is built once and grown on demand; a contiguous slice
-    reduces exactly like a freshly built array, so the sums do not depend on
-    which t were asked for before."""
+    The stepsize array (``StepSchedule.gammas``, as a run's) is built once
+    and rebuilt longer on demand; a contiguous slice reduces exactly like a
+    freshly built array, so the sums do not depend on which t were asked for
+    before."""
     g = np.empty(0)
 
     def sums(t: int):
         nonlocal g
         if t > len(g):
-            more = range(len(g), max(t, 2 * len(g)))
-            g = np.concatenate([g, [schedule.gamma_at(k) for k in more]])
+            g = schedule.gammas(max(t, 2 * len(g)))
         head = g[:t]
         w = head * (1.0 - 2.0 * head * L_ref)
         return float(w.sum()), float((head * head).sum())

@@ -61,6 +61,14 @@ def test_momentum_pair_schedule():
         assert (1 + (t + 1) / 2) * s.gamma_at(t) == pytest.approx(0.25, abs=5e-16)
 
 
+@pytest.mark.parametrize("s", [StepSchedule.constant(0.3), StepSchedule.inv_sqrt(0.7),
+                               StepSchedule.momentum_pair(1 / 24)])
+def test_gammas_equal_gamma_at_bit_for_bit(s):
+    want = np.array([s.gamma_at(t) for t in range(5000)])
+    assert s.gammas(5000).tobytes() == want.tobytes()
+    assert s.gammas(0).shape == (0,)
+
+
 def test_schedule_without_beta_rejected():
     with pytest.raises(ValueError, match="beta"):
         StepSchedule.constant(0.1).beta_at(0)
@@ -462,9 +470,14 @@ def test_traces_need_every_step_recorded():
 # the lockstep core against the per-trial loops it replaced
 # ---------------------------------------------------------------------------
 
+from hypothesis.extra import numpy as hnp  # noqa: E402
+
 from descentlab import Regularizer, build_least_squares, make_composite  # noqa: E402
+from descentlab import fixture_names, minibatch_constants  # noqa: E402
 from descentlab.algorithms import run_lockstep  # noqa: E402
 from descentlab.harness import estimate  # noqa: E402
+from descentlab.problems import FiniteSumProblem  # noqa: E402
+from descentlab.theory import SETTINGS  # noqa: E402
 
 # room for a reordered reduction at unit scale, as in perfbench/checks.py
 REPLAY_TOL = 64 * np.finfo(np.float64).eps
@@ -691,9 +704,12 @@ def test_full_gradient_run_stops_calling_the_oracle(monkeypatch):
 
 
 @pytest.mark.parametrize("case", _CASES, ids=[c[0] for c in _CASES])
-def test_lockstep_averages_match_averaged_iterate(case):
+def test_lockstep_averages_match_averaged_iterate(case, monkeypatch):
+    # gap blocks of 16 steps: the running sum crosses block edges, and
+    # checkpoints sit on both sides of them
+    monkeypatch.setattr(algorithms, "_BLOCK", 16)
     _, cfg, alg, form = case
-    checkpoints = [1, 7, 60]
+    checkpoints = [1, 7, 15, 16, 17, 31, 33, 48, 60]
     # the averages are of the method's own objective: F for a proximal method
     objective, inf_val = ((cfg.composite.value, cfg.composite.inf_F) if alg in PROXIMAL
                           else (cfg.problem.value, cfg.ground_truth.inf_f))
@@ -865,6 +881,180 @@ def test_estimate_names_exactly_the_diverged_trials():
         n, d, b = cfg.problem.n, cfg.problem.d, cfg.batch_size or 1
         for edge in (algorithms._block_steps(12, n, d), algorithms._draw_steps(12, b, d)):
             assert len({t // edge for _, t in want}) > 1
+
+
+# ---------------------------------------------------------------------------
+# the divergence screen and the per-block running sum
+# ---------------------------------------------------------------------------
+
+def _large_target_ls():
+    """Least squares with targets near 1e13 and a start 1.4 from x*: the gap
+    limit is about 1.8e12, below the screen's bound E of about 5e12 there, so
+    every row the screen sees goes to the exact path."""
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
+    y = A @ np.array([2e13, -1e13]) + np.array([0.5, -0.25, 1.0, 0.0])
+    problem, ground_truth, _ = build_least_squares(A, y)
+    return problem, ground_truth
+
+
+_LARGE = _large_target_ls()
+
+
+def _screen_off(monkeypatch):
+    monkeypatch.setattr(FiniteSumProblem, "screen_rows", lambda p, X, work=None, g=None: None)
+
+
+def _rows_valued(monkeypatch):
+    """The number of rows of each exact objective call, from now on."""
+    counted, value_rows = [], FiniteSumProblem.value_rows
+    monkeypatch.setattr(FiniteSumProblem, "value_rows",
+                        lambda p, X, work=None: counted.append(len(X)) or value_rows(p, X, work))
+    return counted
+
+
+def _screen_runs():
+    """(id, setting or None, cfg, metric, checkpoints, weighting): the six
+    stochastic verifies of the benchmark (M = 200), two runs that diverge, and
+    runs on large targets, an abs_loss spec and a ball-indicator composite."""
+    ls4, ls6, ab, lasso = (fixture(n) for n in ("ls_4x2", "ls_6x2", "abs_2x1", "lasso_4x2"))
+    L_b, _ = minibatch_constants(ls6.constants, 2)
+    runs = [
+        ("sgd_strongly_convex", ls4, StepSchedule.constant(0.225), 500, [10, 100, 500], None,
+         [2.0, 0.0]),
+        ("pssd_convex", ab, StepSchedule.inv_sqrt(1.5), 400, [400], None, [0.5]),
+        ("mini_strongly_convex", ls6, StepSchedule.constant(0.9 / (2 * L_b)), 500,
+         [10, 100, 500], 2, [1.5, 1.0]),
+        ("momentum_convex", ls4, StepSchedule.momentum_pair(1 / (4 * ls4.constants.L_max)), 500,
+         [50, 500], None, [2.0, 0.0]),
+        ("ssd_convex_general", ab, StepSchedule.inv_sqrt(1.0), 400, [100, 400], None, [0.5]),
+        ("spgd_convex_const", lasso, StepSchedule.constant(0.9 / (4 * ls4.constants.L_max)), 500,
+         [10, 100, 500], None, [2.0, -1.0]),
+    ]
+    cases = []
+    for setting, fx, sched, T, cps, b, x0 in runs:
+        row = SETTINGS[setting]
+        cfg = RunConfig.for_fixture(fx, row.algorithm, sched, T, trials=200, batch_size=b,
+                                    x0=np.array(x0))
+        weighting = row.weighting
+        if weighting == "p_tk":
+            weighting = ("p_tk", row.ref_constants(fx.constants, b)[0])
+        cases.append((setting, cfg, row.metric, cps, weighting))
+    base = dict(problem=ls4.problem, ground_truth=ls4.ground_truth, iterations=700, trials=12,
+                x0=np.array([2.0, 0.0]))
+    cases += [
+        ("diverging-sgd", RunConfig(schedule=StepSchedule.constant(1.45), algorithm="sgd",
+                                    **base), "f_gap", [700], None),
+        ("diverging-minibatch_sgd", RunConfig(
+            **dict(base, problem=_TILED[0], ground_truth=_TILED[1]), batch_size=2,
+            schedule=StepSchedule.constant(2.2), algorithm="minibatch_sgd"), "f_gap", [700], None),
+    ]
+    large = RunConfig(problem=_LARGE[0], ground_truth=_LARGE[1], iterations=300, trials=20,
+                      x0=_LARGE[1].x_star + np.array([1.0, -1.0]),
+                      schedule=StepSchedule.constant(0.225), algorithm="sgd")
+    cases += [("large_targets", large, "f_gap", [10, 300], None),
+              ("large_targets-avg", large, "avg_f_gap", [10, 300], "uniform")]
+    rng = np.random.default_rng(7)
+    abs_problem, abs_truth, _ = build_abs_loss(rng.standard_normal((5, 2)), rng.standard_normal(5),
+                                               strong_mu=0.2, ball_B=10.0)
+    cases.append(("abs_5x2", RunConfig(problem=abs_problem, ground_truth=abs_truth,
+                                       iterations=400, trials=50, x0=np.array([1.0, -2.0]),
+                                       schedule=StepSchedule.inv_sqrt(0.5), algorithm="ssd"),
+                  "f_gap", [1, 100, 400], None))
+    ball = make_composite(ls4.problem, ls4.constants, Regularizer.ball_indicator(0.4))
+    cases.append(("ball_composite", RunConfig(
+        problem=ls4.problem, ground_truth=ls4.ground_truth, composite=ball, iterations=400,
+        trials=50, x0=np.array([0.2, 0.2]), schedule=StepSchedule.constant(0.2),
+        algorithm="prox_sgd"), "avg_F_gap", [1, 37, 400], "gamma_weighted"))
+    return cases
+
+
+_SCREEN_RUNS = _screen_runs()
+
+
+def _estimate_or_failures(cfg, metric, checkpoints, weighting):
+    try:
+        est = estimate(cfg, metric, checkpoints, weighting)
+    except DivergenceError as err:
+        return err.failures, str(err)
+    return est.mean.tobytes(), est.stderr.tobytes()
+
+
+@pytest.mark.parametrize("case", _SCREEN_RUNS, ids=[c[0] for c in _SCREEN_RUNS])
+def test_screen_leaves_estimates_and_divergences_unchanged(case, monkeypatch):
+    name, cfg, metric, checkpoints, weighting = case
+    counted = _rows_valued(monkeypatch)
+    screened = _estimate_or_failures(cfg, metric, checkpoints, weighting)
+    rows_screened = sum(counted)
+    _screen_off(monkeypatch)
+    counted.clear()
+    assert _estimate_or_failures(cfg, metric, checkpoints, weighting) == screened
+    rows_exact = sum(counted)
+    if name.startswith("large_targets"):
+        # E sends every row to the exact path
+        assert rows_screened == rows_exact
+    elif not name.startswith("diverging"):
+        assert rows_screened < rows_exact / 10
+
+
+def _screen_objectives():
+    """(name, objective with screen_rows and value_rows, its minimizer)."""
+    out = []
+    for name in fixture_names():
+        fx = fixture(name)
+        out.append((name, fx.problem, fx.ground_truth.x_star))
+        if fx.composite is not None:
+            out.append((f"{name}-composite", fx.composite, fx.composite.x_star_F))
+    ls4 = fixture("ls_4x2")
+    ball = make_composite(ls4.problem, ls4.constants, Regularizer.ball_indicator(0.4))
+    out.append(("ls_4x2-ball", ball, ball.x_star_F))
+    out.append(("large_targets", _LARGE[0], _LARGE[1].x_star))
+    return out
+
+
+_SCREEN_OBJECTIVES = _screen_objectives()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_screen_bound_covers_the_exact_value(data):
+    name, objective, x_star = data.draw(st.sampled_from(_SCREEN_OBJECTIVES))
+    d = len(x_star)
+    X = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(1, 12)), d),
+                             elements=st.floats(-1.0, 1.0)))
+    X = X * 10.0 ** data.draw(st.integers(-320, 300))
+    if data.draw(st.booleans()):
+        X = X + x_star  # residuals that cancel
+    with np.errstate(all="ignore"):
+        screened = objective.screen_rows(X)
+        if name == "scalar_pl":
+            assert screened is None
+            return
+        values, bounds = screened
+        exact = objective.value_rows(X)
+        held = values + bounds <= 2.0 ** 960
+        assert np.all(np.abs(values - exact)[held] <= bounds[held])
+        assert np.isfinite(exact[held]).all()
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                            2.2250738585072014e-308, 1.0, -1.0, 1e308, -1e308, 0.1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 5)),
+                  elements=st.floats(allow_nan=True, allow_infinity=True) | _SPECIAL))
+def test_add_accumulate_adds_in_sequence(terms):
+    # run_lockstep keeps the averaged iterate's running sum with one in-place
+    # np.add.accumulate per gap block, as the loop total = total + term did
+    total, want = terms[0], [terms[0]]
+    with np.errstate(all="ignore"):
+        for term in terms[1:]:
+            total = total + term
+            want.append(total)
+        got = terms.copy()
+        np.add.accumulate(got, axis=0, out=got)
+        assert np.add.accumulate(terms, axis=0).tobytes() == np.array(want).tobytes()
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_run_for_fixture_picks_composite_and_ball():

@@ -1,9 +1,12 @@
 import json
 import os
+import re
+from dataclasses import replace
 
 import pytest
 
-from descentlab import fixture
+from descentlab import RunConfig, StepSchedule, fixture, run_algorithm, write_traces_csv
+from descentlab.problems import FiniteSumProblem
 from descentlab.cli import (
     ConfigError,
     ExperimentConfig,
@@ -117,6 +120,37 @@ def test_run_divergence_names_every_trial_whatever_jobs(tmp_path, capsys):
         errs.append(capsys.readouterr().err)
     assert errs[0] == errs[1] == errs[2]
     assert errs[0].startswith("divergence: 8 trial(s) diverged: trial 0 (t=301), ")
+
+
+def test_gd_run_steps_one_row_for_every_trial(tmp_path, monkeypatch, capsys):
+    # every gd trial starts at x0 and draws nothing: one row is stepped, and
+    # the run's trials are its copies, whatever --jobs splits
+    rows, full_grad_rows = [], FiniteSumProblem.full_grad_rows
+    monkeypatch.setattr(FiniteSumProblem, "full_grad_rows",
+                        lambda p, X: rows.append(len(X)) or full_grad_rows(p, X))
+    path = _write(tmp_path, "cfg.json", _gd_config(trials=5, iterations=600))
+    traces = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        assert cmd_run(path, out_dir=str(out), jobs=jobs) == 0
+        traces.append((out / "trace.csv").read_bytes())
+    assert traces[0] == traces[1]
+    assert rows and set(rows) == {1}
+    cfg = RunConfig.for_fixture(fixture("ls_4x2"), "gd", StepSchedule.constant(1.0 / 0.75), 600,
+                                x0=[3.0, -1.0])
+    alone = run_algorithm(cfg, "gd", trial=0)
+    write_traces_csv([replace(alone, trial=m) for m in range(5)], tmp_path / "alone.csv")
+    assert (tmp_path / "alone.csv").read_bytes() == traces[0]
+    # a divergence names every trial, at the one row's t
+    path = _write(tmp_path, "div.json", _gd_config(trials=3, iterations=4000, x0=[50.0, 50.0],
+                                                   schedule={"kind": "constant", "gamma": 3.0}))
+    errs = []
+    for jobs in (1, 2):
+        assert cmd_run(path, out_dir=str(tmp_path / f"div{jobs}"), jobs=jobs) == 3
+        errs.append(capsys.readouterr().err)
+    t = re.search(r"trial 0 \(t=(\d+)\)", errs[0]).group(1)
+    assert errs[0] == errs[1] == (f"divergence: 3 trial(s) diverged: trial 0 (t={t}), "
+                                  f"trial 1 (t={t}), trial 2 (t={t})\n")
 
 
 def test_run_bad_batch_size_exits_2(tmp_path, capsys):
