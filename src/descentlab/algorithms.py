@@ -16,11 +16,11 @@ views.  The gaps and distances are evaluated once per *gap block*
 (``_block_steps``), on the block's stacked iterates, with row-wise oracles,
 whose residual is written into one work buffer per call (the ``work``
 argument of ``value_rows``).  Outside the recorded steps a gap only feeds the
-divergence guard, so there a screen of one matrix product per block clears
-the rows it can bound below the limit, and only the others get the exact
-objective (``_block_gaps``).  The window is bounded by its index
-array and gathered rows and the block by the objective residual, so the two
-differ whenever n is large or M is.
+divergence guard, so there a row whose squared norm is at most the problem's
+threshold (``clearing_norm_sq``) is cleared by one dot product, and only the
+others get the exact objective (``_block_gaps``).  The window is bounded by
+its index array and gathered rows and the block by the objective residual,
+so the two differ whenever n is large or M is.
 
 A full-gradient run (``FULL_GRADIENT``) replays its floating-point limit cycle
 (``_replaying``): only there is the step a fixed map of the iterate array, as
@@ -301,18 +301,18 @@ ALGORITHMS = ("gd", "sgd", "minibatch_sgd", "momentum", "ssd", "pssd") + PROXIMA
 def _method(cfg: RunConfig, gamma, X0: np.ndarray):
     """The step of ``cfg.algorithm`` (which ``cfg`` was checked against).
     Returns (trace name, batch size b, the oracle's ``sample_rows`` or None for
-    a full-gradient method, (row-wise objective, its ``screen_rows``, inf,
-    x_ref) of the gap, step), where ``step(t, X, rows)`` maps every row of X
-    to its next iterate, given the data ``rows`` of step t's (b, M) sampled
-    terms (None for a full-gradient method)."""
+    a full-gradient method, (row-wise objective, its ``clearing_norm_sq``,
+    inf, x_ref) of the gap, step), where ``step(t, X, rows)`` maps every row
+    of X to its next iterate, given the data ``rows`` of step t's (b, M)
+    sampled terms (None for a full-gradient method)."""
     sched, algorithm, form = cfg.schedule, cfg.algorithm, cfg.momentum_form
     problem, reg, batch, name = cfg.problem, None, 1, algorithm
-    gap = (problem.value_rows, problem.screen_rows, cfg.ground_truth.inf_f,
+    gap = (problem.value_rows, problem.clearing_norm_sq, cfg.ground_truth.inf_f,
            cfg.ground_truth.x_star)
     if algorithm in PROXIMAL:
         comp = cfg.composite
         problem, reg = comp.smooth, comp.reg
-        gap = (comp.value_rows, comp.screen_rows, comp.inf_F, comp.x_star_F)
+        gap = (comp.value_rows, comp.clearing_norm_sq, comp.inf_F, comp.x_star_F)
     elif algorithm == "minibatch_sgd":
         batch = cfg.batch_size
     elif algorithm == "pssd":
@@ -459,38 +459,23 @@ def _draw_steps(M: int, b: int, d: int) -> int:
     return max(1, min(_BLOCK, _BLOCK_VALUES // (b * max(M, d))))
 
 
-def _clearing_cap(limit: float, inf_val: float) -> float:
-    """A float c <= 2^960 with fl(c - inf_val) <= limit (NaN for a NaN limit):
-    rounding is monotone, so a row whose value is at most c has a gap at most
-    limit, and up to 2^960 a screen's bounds hold (``screen_rows``)."""
-    cap = min(limit + inf_val, 2.0 ** 960)
-    while cap - inf_val > limit:
-        cap = math.nextafter(cap, -math.inf)
-    return cap
-
-
-def _block_gaps(gap, steps, rows, limit, cap, live, work):
+def _block_gaps(gap, steps, rows, limit, clear, live, work):
     """The gaps at the steps ``rows`` of a gap block's (k, M, d) iterates
     ``steps``, exact, and the block's (k, M) divergence mask (gap non-finite
     or above ``limit``), as exact gaps at every row would give.
 
-    The objective's screen (``screen_rows``) values all k M rows with one
-    matrix product and bounds each value's distance E to the exact one.  A row
-    whose screened value + E is at most ``cap`` (``_clearing_cap``) has a
-    finite exact gap at most ``limit``, so it is cleared unevaluated.  The
-    exact objective runs only on the recorded rows and on those the screen
-    cannot clear, but not on the rows of trials no longer ``live`` (diverged
-    in an earlier block), which the mask no longer reads.  Without a screen,
-    or with every step recorded, every row is exact, in one call."""
-    objective, screen, inf_val, _ = gap
+    A row whose computed squared norm is at most ``clear``, the objective's
+    ``clearing_norm_sq`` for ``limit``, has a finite exact gap at most
+    ``limit``, so it is cleared unevaluated.  The exact objective runs only on
+    the recorded rows and on those not cleared, but not on the rows of trials
+    no longer ``live`` (diverged in an earlier block), which the mask no longer
+    reads.  With every step recorded, every row is exact, in one call."""
+    objective, _, inf_val, _ = gap
     k, M, d = steps.shape
-    flat = steps.reshape(-1, d)
-    screened = None if len(rows) == k else screen(flat, work[: k * M].reshape(k * M, -1))
-    if screened is None:
-        gaps = (objective(flat, work[: k * M]) - inf_val).reshape(k, M)
+    if len(rows) == k:
+        gaps = (objective(steps.reshape(-1, d), work[: k * M]) - inf_val).reshape(k, M)
         return gaps[rows], ~np.isfinite(gaps) | (gaps > limit)
-    values, bounds = screened
-    exact = ~(np.add(values, bounds, out=bounds) <= cap).reshape(k, M) & live
+    exact = ~(np.vecdot(steps, steps) <= clear) & live
     exact[rows] = True
     gaps, bad = np.empty((k, M)), np.zeros((k, M), dtype=bool)
     gaps[exact] = objective(steps[exact], work[: exact.sum()]) - inf_val
@@ -538,7 +523,7 @@ def run_lockstep(cfg: RunConfig, trials, at=None, averaging=None,
     gamma = cfg.schedule.gammas(T + 1)
     X = np.tile(cfg.start_point(), (M, 1))
     name, batch, sample, gap, step = _method(cfg, gamma.tolist(), X)
-    objective, _, inf_val, x_ref = gap
+    objective, clearing_norm_sq, inf_val, x_ref = gap
     recorded = np.arange(T + 1) if at is None else np.unique(np.asarray(at, dtype=np.int64))
     f_gap, dist_sq = np.empty((2, M, len(recorded)))
     averaged = None
@@ -555,7 +540,7 @@ def run_lockstep(cfg: RunConfig, trials, at=None, averaging=None,
     first = np.full(M, -1)  # first diverged step of each trial
     # every trial starts at x0, so one row gives the divergence limit
     limit = _DIVERGENCE_FACTOR * (1.0 + abs(float(objective(X[:1], work[:1])[0] - inf_val)))
-    cap = _clearing_cap(limit, inf_val)
+    clear = clearing_norm_sq(limit, inf_val)
     with np.errstate(all="ignore"):  # diverging rows run on as inf/nan
         for t0 in range(0, T + 1, block):
             t1 = min(t0 + block, T + 1)
@@ -570,7 +555,7 @@ def run_lockstep(cfg: RunConfig, trials, at=None, averaging=None,
             steps = xs[: t1 - t0]
             lo, hi = np.searchsorted(recorded, [t0, t1])
             rows = recorded[lo:hi] - t0
-            gaps, bad = _block_gaps(gap, steps, rows, limit, cap, first < 0, work)
+            gaps, bad = _block_gaps(gap, steps, rows, limit, clear, first < 0, work)
             f_gap[:, lo:hi] = gaps.T
             diff = steps[rows] - x_ref
             dist_sq[:, lo:hi] = np.vecdot(diff, diff).T

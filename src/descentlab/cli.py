@@ -25,7 +25,7 @@ import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
-from functools import partial
+from functools import cache, partial
 from types import SimpleNamespace
 from typing import Optional
 
@@ -390,7 +390,10 @@ def cmd_suite(fixture_names, samples: int = 10_000, out_path: Optional[str] = No
     return 0 if all(r["ok"] for r in reports) else 4
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parse_args leaves it
+    as it was."""
     parser = argparse.ArgumentParser(
         prog="descentlab",
         description="Run first-order methods and verify their convergence bounds.",
@@ -419,8 +422,11 @@ def main(argv=None) -> int:
     p_sui.add_argument("--fixture", action="append", required=True)
     p_sui.add_argument("--samples", type=int, default=10_000)
     p_sui.add_argument("--out", default=None)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "run":
         return cmd_run(args.config, args.out_dir, args.jobs, args.seed_override)
     if args.command == "verify":

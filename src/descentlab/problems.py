@@ -78,11 +78,6 @@ class _Linear:
     def grad_sampled(rows, X, dloss):
         return dloss(np.vecdot(rows[0], X) - rows[1])[:, None] * rows[0]
 
-    def screen(p, X, work=None):  # (M, n) by one (M, d) @ (d, n) product, in ``work`` if given
-        r = np.matmul(X, p.data["A"].T, out=work)
-        r -= p.data["y"]
-        return r
-
 
 class _Identity:
     """The residual of one term with a = 1 and y = 0 (n = d = 1), x itself: the
@@ -95,7 +90,6 @@ class _Identity:
     rows = lambda p, X, work=None: X  # noqa: E731
     grad_rows = grad_sampled = lambda _, X, dloss: dloss(X)  # noqa: E731
     sample = lambda p, idx: ()  # noqa: E731
-    screen = None  # rows is already elementwise
 
 
 class Loss(NamedTuple):
@@ -106,28 +100,30 @@ class Loss(NamedTuple):
     grad: Callable  # its derivative, elementwise on numpy values
     mean: Callable  # (1/n) sum_i loss(r_i) of a residual vector, a float
     mean_rows: Callable  # the same of each row of an (M, n) array, which it may overwrite
+    peak: Callable  # rho -> a bound on the loss on |r| <= rho, nondecreasing in rho >= 0
     model: type = _Linear
-    lip: Optional[Callable] = None  # rho -> its Lipschitz constant on |r| <= rho, for the screen
 
 
 def _pl(t: float) -> float:
     return t * t + 3.0 * math.sin(t) ** 2
 
 
-# Every problem kind, stated once: adding one is a row here, a builder and a
+# Every problem kind, stated once: adding one is a row here, with its ``peak``
+# (which the divergence guard's clearing threshold needs), a builder and a
 # _PROBLEM_FIELDS entry.  Each form keeps its own reduction, so the row-wise
 # oracles match the single-point ones bit for bit.
 _LOSSES = {
     "least_squares": Loss(lambda r: 0.5 * r * r, lambda r: r,
                           lambda r: 0.5 * float(r @ r) / len(r),
-                          lambda R: 0.5 * np.vecdot(R, R) / R.shape[1], lip=lambda rho: rho),
+                          lambda R: 0.5 * np.vecdot(R, R) / R.shape[1],
+                          lambda rho: 0.5 * rho * rho),
     "abs_loss": Loss(abs, np.sign, lambda r: float(np.abs(r).mean()),
-                     lambda R: axis_sum(np.abs(R, out=R), 1) / R.shape[1], lip=lambda rho: 1.0),
+                     lambda R: axis_sum(np.abs(R, out=R), 1) / R.shape[1], lambda rho: rho),
     # the paper's nonconvex PL example t^2 + 3 sin^2 t, one term; float_power is
     # libm pow, as the float ``** 2`` of _pl (np.square rounds differently)
     "scalar_pl": Loss(_pl, lambda t: 2.0 * t + 3.0 * np.sin(2.0 * t), lambda r: _pl(float(r[0])),
                       lambda R: R[:, 0] * R[:, 0] + 3.0 * np.float_power(np.sin(R[:, 0]), 2),
-                      _Identity),
+                      lambda rho: rho * rho + 3.0, _Identity),
 }
 
 
@@ -211,64 +207,52 @@ class FiniteSumProblem:
         v = loss.mean_rows(loss.model.rows(self, X, work))
         return v + 0.5 * mu * np.vecdot(X, X) if mu > 0 else v
 
-    def screen_rows(self, X: np.ndarray, work: Optional[np.ndarray] = None, g=None):
-        """(values, bounds): f(X[m]) + g[m] for every row m, from one (M, d) @
-        (d, n) product, and a bound E_m on its distance to the exact
-        ``value_rows(X)[m] + g[m]``; None for a kind whose ``value_rows`` is
-        already elementwise.  ``g`` holds values >= 0 (a regularizer's), and
-        ``work``, an (M, n) buffer the call may overwrite, holds the residual.
-        E holds wherever v + E <= 2^960, so that no sum of either evaluation
-        overflows.
+    def clearing_norm_sq(self, limit: float, inf: float, g_slope: float = 0.0) -> float:
+        """The divergence guard's threshold c: every row x whose computed
+        ``np.vecdot(x, x)`` is at most c has a finite gap ``value_rows`` - inf at
+        most ``limit`` (>= 1), plus g(x) for a regularizer g >= 0 with g(x) <=
+        g_slope ||x|| (a composite's); -inf, which clears nothing, if no R fits.
 
-        The bound, with u = 2^-53, gamma_k = k u / (1 - k u), rho = max_i
-        ||a_i|| ||x|| + max_i |y_i| and v the screened value:
+        c = R^2 (1 - 2^-40), R the largest of the radii 2^k (1 + j/16), 0 <= j <
+        16, from 2^-400 to 2^400 with (alpha = max_i ||a_i||, beta = max_i |y_i|)
 
-            E = 2 lip(rho) delta + 4 gamma_{n+3} v + (n + d) 2^-1020,
-            delta = 2 gamma_{d+1} rho.
+            4 (peak(2 (alpha R + beta)) + mu R^2 + g_slope R) + 2 |inf| <= min(limit, 2^960).
 
-        Each computed residual fl(fl(<a_i, x>) - y_i), summed in any order and
-        with or without fused multiply-adds, is within gamma_d sum_j |a_ij x_j|
-        + u |result| <= gamma_{d+1} rho of <a_i, x> - y_i (the textbook
-        dot-product bound, then Cauchy-Schwarz), so the screened and exact
-        residuals differ by at most delta and are at most rho (1 + gamma_{d+1})
-        in size.  There the loss is lip(rho)-Lipschitz up to that factor
-        (least squares: rho; abs_loss: 1), so the two residual vectors' exact
-        means differ by at most lip(rho) delta (1 + gamma_{d+1}).  Each computed
-        mean (``mean_rows``) sums n terms >= 0 and divides by n, within
-        gamma_{n+1} of its exact value; adding the same ridge term and the same
-        g costs one rounding each, to 2 gamma_{n+3} v (1 + O(gamma)) for the two
-        values together.  Doubling both terms covers the (1 + O(gamma))
-        factors, the rounding of ||x|| and of E, and that of v + E, which is
-        therefore at least the exact value; the last term covers products and
-        squares that underflow.  Any array in memory has n + d < 2^45, so the
-        O(gamma) are below 2^-7."""
-        loss, mu, n, d = self.loss, self.data["mu"], self.n, self.d
-        if loss.model.screen is None:
-            return None
-        A, y = self.data["A"], self.data["y"]
-        v = loss.mean_rows(loss.model.screen(self, X, work))
-        sq = np.vecdot(X, X)
-        if mu > 0:
-            v += 0.5 * mu * sq
-        if g is not None:
-            v += g
-        # in place, so that the screen holds no more rows than value_rows
-        rho = np.sqrt(sq, out=sq)
-        rho *= float(np.sqrt(np.vecdot(A, A).max()))
-        rho += float(np.abs(y).max())
-        rho *= loss.lip(rho)
-        rho *= 4.0 * _gamma(d + 1)
-        bound = np.multiply(v, 4.0 * _gamma(n + 3))
-        bound += rho
-        bound += (n + d) * 2.0 ** -1020
-        return v, bound
+        With u = 2^-53 and gamma_k = k u / (1 - k u) (Higham, Accuracy and
+        Stability of Numerical Algorithms, ch. 3), in any order of summation and
+        with or without fused multiply-adds:
+        - the computed vecdot s is within gamma_d ||x||^2 + d 2^-1074 of ||x||^2,
+          and R >= 2^-400 puts the second term below R^2 2^-40, so s <= c gives
+          ||x|| <= R / (1 - gamma_d);
+        - each residual <a_i, x> - y_i is then at most alpha ||x|| + beta in size,
+          and its computed value within gamma_{d+1} (alpha ||x|| + beta) of it,
+          so below 2 (alpha R + beta), where the loss is at most ``peak``;
+        - the factors 2 and 4 cover the rounding of the loss, the mean
+          (gamma_{n+2}), the ridge term (mu/2 ||x||^2 <= mu R^2 / 2), g, the
+          sums and the gap's subtraction, and of the test above and of alpha,
+          for n + d < 2^45 (each gamma below 2^-7): the computed gap is at most
+          (1 + 2^-5) (peak + mu R^2 + g_slope R + |inf|) + n 2^-1070, below
+          min(limit, 2^960);
+        - the 2^960 cap keeps every product and sum of a cleared row finite,
+          including when ``limit`` overflows to inf."""
+        A, y, mu, peak = self.data["A"], self.data["y"], self.data["mu"], self.loss.peak
+        alpha, beta = math.sqrt(max(np.vecdot(A, A).tolist())), max(np.abs(y).tolist())
 
+        def fits(R):
+            h = 4.0 * (peak(2.0 * (alpha * R + beta)) + mu * R * R + g_slope * R) + 2.0 * abs(inf)
+            return h <= limit and h <= 2.0 ** 960
 
-def _gamma(k: int) -> float:
-    """gamma_k = k u / (1 - k u), u = 2^-53 the unit roundoff of float64: the
-    relative error bound of k roundings (Higham, Accuracy and Stability of
-    Numerical Algorithms, 3.1)."""
-    return k * 2.0 ** -53 / (1.0 - k * 2.0 ** -53)
+        def radius(i):  # 2^k (1 + j/16) for i = 16 k + j, increasing in i
+            return math.ldexp(1.0 + (i % 16) / 16.0, i // 16)
+
+        lo, hi = -6400, 6401  # fits(radius(lo)), and hi = 6401 or not fits(radius(hi))
+        if not fits(radius(lo)):
+            return -math.inf
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if fits(radius(mid)) else (lo, mid)
+        R = radius(lo)
+        return R * R * (1.0 - 2.0 ** -40)
 
 
 @dataclass(frozen=True)
@@ -325,10 +309,18 @@ class CompositeProblem:
         g = self.reg.value_rows(X)
         return np.where(np.isfinite(g), self.smooth.value_rows(X, work) + g, math.inf)
 
-    def screen_rows(self, X: np.ndarray, work: Optional[np.ndarray] = None):
-        """(values, bounds) of F at every row of X, as FiniteSumProblem.screen_rows:
-        the screened f plus the exact g."""
-        return self.smooth.screen_rows(X, work, self.reg.value_rows(X))
+    def clearing_norm_sq(self, limit: float, inf: float) -> float:
+        """FiniteSumProblem.clearing_norm_sq of F: g = lam ||x||_1 <= lam sqrt(d)
+        ||x|| for l1 (lam is 0 for the other kinds).  The ball indicator's
+        ``value_rows`` holds norms up to B (1 + 1e-12), and a threshold of B^2
+        (1 + 5e-13 - d 2^-50) keeps every cleared row's computed norm below
+        that, the vecdot rounding of both sides (2 gamma_d <= d 2^-51)
+        included, so that projected iterates on the boundary are cleared too."""
+        reg, d = self.reg, self.smooth.d
+        c = self.smooth.clearing_norm_sq(limit, inf, reg.lam * math.sqrt(d))
+        if reg.kind == "ball_indicator":
+            c = min(c, reg.B * reg.B * (1.0 + 5e-13 - d * 2.0 ** -50))
+        return c
 
 
 @dataclass(frozen=True)

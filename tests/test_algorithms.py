@@ -476,7 +476,7 @@ from descentlab import Regularizer, build_least_squares, make_composite  # noqa:
 from descentlab import fixture_names, minibatch_constants  # noqa: E402
 from descentlab.algorithms import run_lockstep  # noqa: E402
 from descentlab.harness import estimate  # noqa: E402
-from descentlab.problems import FiniteSumProblem  # noqa: E402
+from descentlab.problems import CompositeProblem, FiniteSumProblem  # noqa: E402
 from descentlab.theory import SETTINGS  # noqa: E402
 
 # room for a reordered reduction at unit scale, as in perfbench/checks.py
@@ -884,13 +884,13 @@ def test_estimate_names_exactly_the_diverged_trials():
 
 
 # ---------------------------------------------------------------------------
-# the divergence screen and the per-block running sum
+# the divergence guard's clearing threshold and the per-block running sum
 # ---------------------------------------------------------------------------
 
 def _large_target_ls():
-    """Least squares with targets near 1e13 and a start 1.4 from x*: the gap
-    limit is about 1.8e12, below the screen's bound E of about 5e12 there, so
-    every row the screen sees goes to the exact path."""
+    """Least squares with targets near 1e13 and a start 1.4 from x*: at the gap
+    limit of about 1.8e12 no radius fits the threshold's test (peak(2 beta)
+    alone is about 2e27), so every row the guard sees goes to the exact path."""
     A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
     y = A @ np.array([2e13, -1e13]) + np.array([0.5, -0.25, 1.0, 0.0])
     problem, ground_truth, _ = build_least_squares(A, y)
@@ -900,8 +900,20 @@ def _large_target_ls():
 _LARGE = _large_target_ls()
 
 
-def _screen_off(monkeypatch):
-    monkeypatch.setattr(FiniteSumProblem, "screen_rows", lambda p, X, work=None, g=None: None)
+def _overflow_ls():
+    """Least squares with rows of size 1e100 and a start at (1e49, 0): the gap
+    at x0 is about 3.3e297, so the divergence limit overflows to inf, and sgd
+    at gamma = 10 / L_max blows up within a dozen steps."""
+    A = 1e100 * np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    problem, ground_truth, constants = build_least_squares(A, np.array([1.0, 1.0, 0.0]))
+    return RunConfig(problem=problem, ground_truth=ground_truth, iterations=200, trials=4,
+                     x0=np.array([1e49, 0.0]), algorithm="sgd",
+                     schedule=StepSchedule.constant(10.0 / constants.L_max))
+
+
+def _guard_off(monkeypatch):
+    for owner in (FiniteSumProblem, CompositeProblem):
+        monkeypatch.setattr(owner, "clearing_norm_sq", lambda *args: -math.inf)
 
 
 def _rows_valued(monkeypatch):
@@ -912,10 +924,11 @@ def _rows_valued(monkeypatch):
     return counted
 
 
-def _screen_runs():
-    """(id, setting or None, cfg, metric, checkpoints, weighting): the six
-    stochastic verifies of the benchmark (M = 200), two runs that diverge, and
-    runs on large targets, an abs_loss spec and a ball-indicator composite."""
+def _guard_runs():
+    """(id, cfg, metric, checkpoints, weighting): the six stochastic verifies
+    of the benchmark (M = 200), three runs that diverge, one of them with a
+    limit that overflows to inf, and runs on large targets, an abs_loss spec,
+    a ball-indicator composite and scalar_pl."""
     ls4, ls6, ab, lasso = (fixture(n) for n in ("ls_4x2", "ls_6x2", "abs_2x1", "lasso_4x2"))
     L_b, _ = minibatch_constants(ls6.constants, 2)
     runs = [
@@ -947,6 +960,7 @@ def _screen_runs():
         ("diverging-minibatch_sgd", RunConfig(
             **dict(base, problem=_TILED[0], ground_truth=_TILED[1]), batch_size=2,
             schedule=StepSchedule.constant(2.2), algorithm="minibatch_sgd"), "f_gap", [700], None),
+        ("diverging-overflowing_limit", _overflow_ls(), "f_gap", [200], None),
     ]
     large = RunConfig(problem=_LARGE[0], ground_truth=_LARGE[1], iterations=300, trials=20,
                       x0=_LARGE[1].x_star + np.array([1.0, -1.0]),
@@ -965,10 +979,14 @@ def _screen_runs():
         problem=ls4.problem, ground_truth=ls4.ground_truth, composite=ball, iterations=400,
         trials=50, x0=np.array([0.2, 0.2]), schedule=StepSchedule.constant(0.2),
         algorithm="prox_sgd"), "avg_F_gap", [1, 37, 400], "gamma_weighted"))
+    pl = fixture("scalar_pl")
+    cases.append(("scalar_pl", RunConfig.for_fixture(
+        pl, "sgd", StepSchedule.inv_sqrt(0.05), 400, trials=30, x0=np.array([2.5])),
+        "f_gap", [1, 50, 400], None))
     return cases
 
 
-_SCREEN_RUNS = _screen_runs()
+_GUARD_RUNS = _guard_runs()
 
 
 def _estimate_or_failures(cfg, metric, checkpoints, weighting):
@@ -979,61 +997,76 @@ def _estimate_or_failures(cfg, metric, checkpoints, weighting):
     return est.mean.tobytes(), est.stderr.tobytes()
 
 
-@pytest.mark.parametrize("case", _SCREEN_RUNS, ids=[c[0] for c in _SCREEN_RUNS])
+@pytest.mark.parametrize("case", _GUARD_RUNS, ids=[c[0] for c in _GUARD_RUNS])
 def test_screen_leaves_estimates_and_divergences_unchanged(case, monkeypatch):
+    # the norm threshold screens the rows the guard reads; forced off, every
+    # row takes the exact path
     name, cfg, metric, checkpoints, weighting = case
     counted = _rows_valued(monkeypatch)
-    screened = _estimate_or_failures(cfg, metric, checkpoints, weighting)
-    rows_screened = sum(counted)
-    _screen_off(monkeypatch)
+    guarded = _estimate_or_failures(cfg, metric, checkpoints, weighting)
+    rows_guarded = sum(counted)
+    _guard_off(monkeypatch)
     counted.clear()
-    assert _estimate_or_failures(cfg, metric, checkpoints, weighting) == screened
+    assert _estimate_or_failures(cfg, metric, checkpoints, weighting) == guarded
     rows_exact = sum(counted)
+    if name == "diverging-overflowing_limit":
+        # the 2^960 cap of the threshold keeps rows whose sums overflow exact
+        assert guarded[0] == [(0, 9), (1, 11), (2, 9), (3, 11)]
     if name.startswith("large_targets"):
-        # E sends every row to the exact path
-        assert rows_screened == rows_exact
+        # no radius fits, so every row takes the exact path
+        assert rows_guarded == rows_exact
     elif not name.startswith("diverging"):
-        assert rows_screened < rows_exact / 10
+        assert rows_guarded < rows_exact / 10
 
 
-def _screen_objectives():
-    """(name, objective with screen_rows and value_rows, its minimizer)."""
+def _guarded_objectives():
+    """(name, objective with clearing_norm_sq and value_rows, its inf, its
+    minimizer, the ball radius or None)."""
     out = []
     for name in fixture_names():
         fx = fixture(name)
-        out.append((name, fx.problem, fx.ground_truth.x_star))
+        out.append((name, fx.problem, fx.ground_truth.inf_f, fx.ground_truth.x_star, None))
         if fx.composite is not None:
-            out.append((f"{name}-composite", fx.composite, fx.composite.x_star_F))
+            comp = fx.composite
+            out.append((f"{name}-composite", comp, comp.inf_F, comp.x_star_F, None))
     ls4 = fixture("ls_4x2")
     ball = make_composite(ls4.problem, ls4.constants, Regularizer.ball_indicator(0.4))
-    out.append(("ls_4x2-ball", ball, ball.x_star_F))
-    out.append(("large_targets", _LARGE[0], _LARGE[1].x_star))
+    out.append(("ls_4x2-ball", ball, ball.inf_F, ball.x_star_F, 0.4))
+    out.append(("large_targets", _LARGE[0], _LARGE[1].inf_f, _LARGE[1].x_star, None))
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]]) * np.array([1e6, 1e-6])
+    scaled, truth, _ = build_least_squares(A, np.array([1.0, 1.0, 0.0, 0.0]))
+    out.append(("column_scaled", scaled, truth.inf_f, truth.x_star, None))
     return out
 
 
-_SCREEN_OBJECTIVES = _screen_objectives()
+_GUARDED_OBJECTIVES = _guarded_objectives()
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(st.data())
-def test_screen_bound_covers_the_exact_value(data):
-    name, objective, x_star = data.draw(st.sampled_from(_SCREEN_OBJECTIVES))
+def test_cleared_rows_have_a_finite_gap_within_the_limit(data):
+    name, objective, inf, x_star, ball_B = data.draw(st.sampled_from(_GUARDED_OBJECTIVES))
+    limit = float(f"{data.draw(st.floats(1.0, 9.99)):.3f}e{data.draw(st.integers(12, 320))}")
+    clear = objective.clearing_norm_sq(limit, inf)
     d = len(x_star)
     X = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(1, 12)), d),
                              elements=st.floats(-1.0, 1.0)))
-    X = X * 10.0 ** data.draw(st.integers(-320, 300))
-    if data.draw(st.booleans()):
-        X = X + x_star  # residuals that cancel
+    place = data.draw(st.sampled_from(["scaled", "sphere", "ball"]))
     with np.errstate(all="ignore"):
-        screened = objective.screen_rows(X)
-        if name == "scalar_pl":
-            assert screened is None
-            return
-        values, bounds = screened
-        exact = objective.value_rows(X)
-        held = values + bounds <= 2.0 ** 960
-        assert np.all(np.abs(values - exact)[held] <= bounds[held])
-        assert np.isfinite(exact[held]).all()
+        if place == "scaled":  # anywhere from subnormal to near overflow
+            X = X * 10.0 ** data.draw(st.integers(-320, 300))
+            if data.draw(st.booleans()):
+                X = X + x_star  # residuals that cancel
+        elif place == "sphere":  # on the threshold's sphere, a little inside or out
+            X[np.all(X == 0.0, axis=1), 0] = 1.0
+            scale = math.sqrt(max(clear, 0.0)) * data.draw(st.floats(0.999, 1.001))
+            X = X * (scale / np.sqrt(np.vecdot(X, X)))[:, None]
+        elif ball_B is not None:  # projected onto the ball, as prox_sgd leaves them
+            X = prox(Regularizer.ball_indicator(ball_B), 1.0, X * 10.0)
+        cleared = np.vecdot(X, X) <= clear
+        gaps = objective.value_rows(X) - inf
+    assert np.isfinite(gaps[cleared]).all()
+    assert np.all(gaps[cleared] <= limit)
 
 
 _SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,

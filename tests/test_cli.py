@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from descentlab import RunConfig, StepSchedule, fixture, run_algorithm, write_traces_csv
+from descentlab import cli
 from descentlab.problems import FiniteSumProblem
 from descentlab.cli import (
     ConfigError,
@@ -368,6 +369,35 @@ def test_suite_nonpositive_samples_exits_2(samples, capsys):
 def test_main_entrypoint(tmp_path):
     path = _write(tmp_path, "cfg.json", _gd_config())
     assert main(["run", "--config", path, "--out-dir", str(tmp_path)]) == 0
+
+
+def test_main_builds_its_parser_once_and_each_call_as_a_fresh_one(capsys):
+    # an argparse error, then commands whose append and default arguments a
+    # parser that kept state between calls would get wrong
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+    calls = [["verify"], ["table", "--constants", "ls_4x2", "--epsilon", "1e-3"],
+             ["verify", "--config", os.path.join(root, "configs", "verify_sgd_strongly_convex.json")],
+             ["suite", "--fixture", "ls_4x2", "--samples", "50"],
+             ["suite", "--fixture", "ls_4x2", "--samples", "50"], ["table", "--epsilon", "x"]]
+
+    def outcome(argv):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        out = capsys.readouterr()
+        return rc, out.out, out.err
+
+    cli._parser.cache_clear()
+    warm = [outcome(argv) for argv in calls]
+    assert cli._parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert warm == fresh
+    assert [rc for rc, _, _ in warm] == [2, 0, 0, 0, 0, 2]
+    assert len(json.loads(warm[4][1])) == 1  # the second suite's --fixture list is its own
 
 
 def test_inline_problem_config(tmp_path):
