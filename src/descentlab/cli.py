@@ -24,7 +24,7 @@ import shutil
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import cache, partial
 from types import SimpleNamespace
 from typing import Optional
@@ -288,7 +288,8 @@ _CONSTANTS_FIELDS = {
 }
 
 
-def _constants_from_json(path: str) -> dict:
+def _constants_from_json(path: str):
+    """A constants file's table sections (``theory.complexity_table``) and batch size."""
     with open(path) as fh:
         raw = spec_fields(json.load(fh), {**dict.fromkeys(_CONSTANTS_FIELDS, (dict, None)),
                                           "batch_size": (int, 2)}, "constants")
@@ -302,42 +303,33 @@ def _constants_from_json(path: str) -> dict:
         if value is None:
             raise theory.MissingConstant(f"smooth.{f.name}")
         consts[f.name] = value if f.name == "n" else tuple(value) if f.name == "L_i" else float(value)
+    c = problems.ProblemConstants(**consts)
     return {
-        "smooth": {"constants": problems.ProblemConstants(**consts), "D2": sm["D2"],
-                   "f0_gap": sm["f0_gap"]},
-        "lipschitz": lip,
-        "composite": comp,
-        "batch_size": raw["batch_size"],
-    }
+        "smooth": (c, theory.InitState(D2=sm["D2"], f0_gap=sm["f0_gap"]), None),
+        "lipschitz": (replace(c, G=lip["G"]), theory.InitState(D2=lip["D2"]), None),
+        "composite": (c, theory.InitState(D2=comp["D2"], F0_gap=comp["F0_gap"]),
+                      comp["sigma_star_F"]),
+    }, raw["batch_size"]
 
 
-def table_sources_for_fixture(name: str, batch_size: int = 2) -> dict:
-    """Assemble table inputs from a smooth fixture plus the nonsmooth companions."""
+def table_sources_for_fixture(name: str) -> dict:
+    """A smooth fixture's table sections (``theory.complexity_table``): its
+    ``harness.bound_inputs`` at its default x0, with its own composite or else
+    its f plus lasso_4x2's regularizer, and abs_2x1's constants for the
+    lipschitz section, with D2 the worst case ||x0 - x*||^2 <= (2B)^2."""
     fx = problems.fixture(name)
     if not math.isfinite(fx.constants.L):
         raise ValueError(f"fixture {name!r} is not smooth; pick a least-squares fixture")
+    if fx.composite is None:
+        reg = problems.fixture("lasso_4x2").regularizer
+        fx = replace(fx, regularizer=reg,
+                     composite=problems.make_composite(fx.problem, fx.constants, reg))
+    lip = problems.fixture("abs_2x1").constants
     x0 = fx.problem.default_x0
-    d = x0 - fx.ground_truth.x_star
-    lip = problems.fixture("abs_2x1")
-    # worst case over the solution ball: ||x0 - x*|| <= 2B
-    dl = np.array([2.0 * lip.constants.B])
-    # the fixture's own composite, or else its f with lasso_4x2's regularizer
-    comp = fx.composite or problems.make_composite(
-        fx.problem, fx.constants, problems.fixture("lasso_4x2").regularizer)
-    dc = comp.smooth.default_x0 - comp.x_star_F
     return {
-        "smooth": {
-            "constants": fx.constants,
-            "D2": float(d @ d),
-            "f0_gap": fx.problem.value(x0) - fx.ground_truth.inf_f,
-        },
-        "lipschitz": {"G": lip.constants.G, "D2": float(dl @ dl)},
-        "composite": {
-            "sigma_star_F": comp.sigma_star_F,
-            "D2": float(dc @ dc),
-            "F0_gap": comp.value(comp.smooth.default_x0) - comp.inf_F,
-        },
-        "batch_size": batch_size,
+        "smooth": harness.bound_inputs(fx, "gd_convex", x0),
+        "lipschitz": (lip, theory.InitState(D2=4.0 * lip.B * lip.B), None),
+        "composite": harness.bound_inputs(fx, "pgd_convex", x0),
     }
 
 
@@ -349,12 +341,10 @@ def cmd_table(constants_source: str, epsilon: float, csv_path: Optional[str] = N
         if csv_path and (error := _output_error(csv_path)):
             raise ValueError(f"--csv: {error}")
         if os.path.exists(constants_source):
-            sources = _constants_from_json(constants_source)
+            sections, b = _constants_from_json(constants_source)
         else:
-            sources = table_sources_for_fixture(constants_source)
-        if batch_size is not None:
-            sources["batch_size"] = batch_size
-        table = theory.complexity_table(sources, epsilon)
+            sections, b = table_sources_for_fixture(constants_source), 2
+        table = theory.complexity_table(sections, b if batch_size is None else batch_size, epsilon)
     except (ValueError, KeyError, OSError) as exc:
         print(f"table error: {_message(exc)}", file=sys.stderr)
         return 2

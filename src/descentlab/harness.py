@@ -183,20 +183,23 @@ def verify_bound(est: ExpectationEstimate, curve: BoundCurve, policy: str) -> Ve
 # ---------------------------------------------------------------------------
 
 
-def init_state_for(fixture: Fixture, setting: str, x0: np.ndarray) -> InitState:
-    """Initial gaps and distances for a setting, against the right minimizer."""
+def bound_inputs(fixture: Fixture, setting: str, x0: np.ndarray):
+    """The (constants, init, sigma_star_F) triple that ``setting``'s bound and
+    complexity families read for ``fixture`` from ``x0``: D2 and F0_gap against
+    the minimizer of F for a proximal setting, else D2 and f0_gap against that
+    of f, with sigma_star_F None."""
     x0 = np.asarray(x0, dtype=float)
     if SETTINGS[setting].composite:
         comp = fixture.composite
         if comp is None:
             raise ValueError(f"setting {setting} needs a composite fixture")
         d = x0 - comp.x_star_F
-        return InitState(D2=float(d @ d), F0_gap=comp.value(x0) - comp.inf_F)
+        init = InitState(D2=float(d @ d), F0_gap=comp.value(x0) - comp.inf_F)
+        return fixture.constants, init, comp.sigma_star_F
     d = x0 - fixture.ground_truth.x_star
-    return InitState(
-        D2=float(d @ d),
-        f0_gap=fixture.problem.value(x0) - fixture.ground_truth.inf_f,
-    )
+    gt = fixture.ground_truth
+    init = InitState(D2=float(d @ d), f0_gap=fixture.problem.value(x0) - gt.inf_f)
+    return fixture.constants, init, None
 
 
 def run_verification(
@@ -223,9 +226,7 @@ def run_verification(
         raise ValueError(f"unknown setting {setting!r}")
     cfg = RunConfig.for_fixture(fixture, row.algorithm, schedule, iterations, seed=seed,
                                 trials=trials, batch_size=b, x0=x0)
-    consts = fixture.constants
-    sigma_F = fixture.composite.sigma_star_F if fixture.composite else None
-    init = init_state_for(fixture, setting, cfg.start_point())
+    consts, init, sigma_F = bound_inputs(fixture, setting, cfg.start_point())
     curve = bound_curve(setting, consts, schedule, init, b=b, sigma_star_F=sigma_F)
 
     weighting = row.weighting
@@ -307,8 +308,8 @@ def lyapunov_check(trace: Trace, kind: str, gamma: float, ground_truth, L: float
 # Property suite
 # ---------------------------------------------------------------------------
 
-# checks that MUST fail on specific fixtures (and would flag a regression if
-# they ever started passing)
+# checks that MUST fail on every problem of a kind (and would flag a regression
+# if they ever started passing); the suite skips what convexity implies if it fails
 EXPECTED_FAIL = {"scalar_pl": {"convexity"}}
 
 
@@ -326,8 +327,8 @@ def property_suite(fixture: Fixture, samples: int = 10_000, seed: int = 20_240_6
     Points are sampled from the ball of radius 10 * (1 + ||x*||) around the
     minimizer; each inequality is checked with scale-aware slack
     1e-9 * (1 + |f(x)| + |f(y)|).  Failures expected by design (registered in
-    EXPECTED_FAIL) are reported as "expected-fail"; an expected failure that
-    passes is flagged as "unexpected-pass".
+    EXPECTED_FAIL under the problem's kind) are reported as "expected-fail"; an
+    expected failure that passes is flagged as "unexpected-pass".
     """
     problem = fixture.problem
     gt = fixture.ground_truth
@@ -337,8 +338,9 @@ def property_suite(fixture: Fixture, samples: int = 10_000, seed: int = 20_240_6
     X = _sample_ball(rng, samples, gt.x_star, radius)
     Y = _sample_ball(rng, samples, gt.x_star, radius)
 
+    expected_fail = EXPECTED_FAIL.get(problem.kind, ())
     smooth = np.isfinite(c.L)
-    convex = problem.kind != "scalar_pl"
+    convex = "convexity" not in expected_fail
     fx, gx, Gx = problem.value_rows(X), problem.full_grad_rows(X), problem.term_grad_rows(X)
     fy, gy = problem.value_rows(Y), problem.full_grad_rows(Y)
     Gy = problem.term_grad_rows(Y) if convex and smooth else None
@@ -351,7 +353,7 @@ def property_suite(fixture: Fixture, samples: int = 10_000, seed: int = 20_240_6
         margin = violation - tol
         i = int(np.argmax(margin))
         failed = margin[i] > 0
-        expected = name in EXPECTED_FAIL.get(fixture.name, ())
+        expected = name in expected_fail
         if failed:
             status = "expected-fail" if expected else "fail"
         else:
@@ -376,9 +378,8 @@ def property_suite(fixture: Fixture, samples: int = 10_000, seed: int = 20_240_6
     bias = axis_sum(Gx, 1) / n - gx
     add("unbiasedness", np.sqrt(axis_sum(bias * bias, 1)), 1e-12 * (1.0 + np.sqrt(gx_sq)))
 
-    if convex or "convexity" in EXPECTED_FAIL.get(fixture.name, ()):
-        # f(x) >= f(y) + <g(y), x - y>
-        add("convexity", fy + inner_gy - fx, scale_xy)
+    # f(x) >= f(y) + <g(y), x - y>
+    add("convexity", fy + inner_gy - fx, scale_xy)
 
     if smooth:
         add("smoothness_upper", fy - (fx + inner_gx + 0.5 * c.L * dist2), scale_xy)

@@ -24,7 +24,7 @@ Conventions adopted here (documented in the README):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -328,7 +328,9 @@ def _prox_sgd_general_curve(row, c, s, init, b, sF):
 
 
 def _ceil(value: float) -> int:
-    """Ceiling robust to float noise a hair above an integer."""
+    """Ceiling robust to float noise a hair above an integer; OverflowError at inf."""
+    if not math.isfinite(value):
+        raise OverflowError(f"count {value} is not finite")
     return math.ceil(value - 1e-9 * max(1.0, abs(value)))
 
 
@@ -541,11 +543,23 @@ def complexity_iterations(
     row = SETTINGS.get(setting)
     if row is None or row.complexity is None:
         raise ValueError(f"no iteration-complexity recommendation for setting {setting!r}")
-    answer = ComplexityAnswer(setting, e, *row.complexity(row, constants, e, init, b, sigma_star_F))
+    answer = _answer(row, constants, e, init, b, sigma_star_F)
     if answer.relative and e >= 1:
         # not a HypothesisError: no hypothesis fails, and the table reads 0 here
         raise ValueError(f"a relative target needs epsilon < 1; at epsilon={e:g} it already "
                          f"holds at t = 0")
+    return answer
+
+
+def _answer(row: Setting, c: ProblemConstants, e: float, init: InitState, b, sF):
+    """``row``'s complexity answer at eps; a count that is not finite (eps so
+    small that it under- or overflows) is a SpecError on epsilon."""
+    try:
+        answer = ComplexityAnswer(row.name, e, *row.complexity(row, c, e, init, b, sF))
+    except (ZeroDivisionError, OverflowError):
+        answer = None
+    if answer is None or not math.isfinite(answer.rate):
+        raise SpecError("epsilon", f"no finite iteration count for {row.name} at {e:g}")
     return answer
 
 
@@ -595,35 +609,27 @@ TABLE_CELLS = {
 }
 
 
-def complexity_table(sources: dict, epsilon: float) -> dict:
+def complexity_table(sections: dict, b: int, epsilon: float) -> dict:
     """Every cell of the complexity table, a view of the settings: a covered
     cell is the unrounded count (``ComplexityAnswer.rate``) of its setting's
     complexity family, and reads "not covered" where the setting's hypotheses
     fail at these constants and this eps.  A relative cell reads 0 at eps >= 1.
 
-    ``sources`` carries three sections: "smooth" (constants, D2, f0_gap),
-    "lipschitz" (G, D2), "composite" (sigma_star_F, D2, F0_gap), plus
-    "batch_size".  Cells no setting gives are the string "not covered".  A
-    missing constant is named with its section, e.g. ``lipschitz.D2``.
+    ``sections`` maps "smooth" (the cells of f), "lipschitz" (the
+    convex_lipschitz cells) and "composite" (the proximal rows) each to the
+    (constants, init, sigma_star_F) triple its families read; ``b`` is the
+    mini_sgd row's batch size.  Cells no setting gives are the string "not
+    covered".  A missing constant is named with its section, e.g. ``lipschitz.D2``.
     """
     e = _epsilon(epsilon)
-    sm, lip, comp = (sources.get(k) or {} for k in ("smooth", "lipschitz", "composite"))
-    c: ProblemConstants = sm["constants"]
-    inputs = {  # (constants, init, sigma_star_F) of each source section
-        "smooth": (c, InitState(D2=sm.get("D2"), f0_gap=sm.get("f0_gap")), None),
-        "lipschitz": (replace(c, G=lip.get("G")), InitState(D2=lip.get("D2")), None),
-        "composite": (c, InitState(D2=comp.get("D2"), F0_gap=comp.get("F0_gap")),
-                      comp.get("sigma_star_F")),
-    }
-    b = int(sources.get("batch_size", 2))
     table = {m: dict.fromkeys(TABLE_COLUMNS, NOT_COVERED) for m in TABLE_METHODS}
     for (method, column), setting in TABLE_CELLS.items():
         row = SETTINGS[setting]
         source = ("composite" if row.composite
                   else "lipschitz" if column == "convex_lipschitz" else "smooth")
-        consts, init, sF = inputs[source]
+        consts, init, sF = sections[source]
         try:
-            answer = ComplexityAnswer(setting, e, *row.complexity(row, consts, e, init, b, sF))
+            answer = _answer(row, consts, e, init, b, sF)
         except HypothesisError:
             continue
         except MissingConstant as exc:
@@ -631,7 +637,7 @@ def complexity_table(sources: dict, epsilon: float) -> dict:
         except ValueError as exc:
             # the sgd cells, evaluated first, have already needed every other
             # constant a minibatch family reads: this is the batch size's error
-            if row.algorithm != "minibatch_sgd":
+            if row.algorithm != "minibatch_sgd" or isinstance(exc, SpecError):
                 raise
             raise SpecError("batch_size", str(exc)) from exc
         table[method][column] = answer.rate

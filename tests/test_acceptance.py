@@ -30,7 +30,7 @@ from descentlab import (
     run_verification,
 )
 from descentlab.cli import cmd_run
-from descentlab.harness import init_state_for
+from descentlab.harness import bound_inputs
 from descentlab.problems import Fixture
 
 
@@ -282,11 +282,9 @@ def test_criterion_14_complexity_plugback_runs():
     for case_idx, (setting, name, b, x0) in enumerate(_COMPLEXITY_RUNS):
         fx = sharp if name is None else fixture(name)
         x0 = np.array(x0, dtype=float)
-        init = init_state_for(fx, setting, x0)
-        sigma_F = fx.composite.sigma_star_F if fx.composite else None
+        consts, init, sigma_F = bound_inputs(fx, setting, x0)
         for eps in (1e-1, 1e-2):
-            ans = complexity_iterations(setting, fx.constants, eps, init,
-                                        b=b, sigma_star_F=sigma_F)
+            ans = complexity_iterations(setting, consts, eps, init, b=b, sigma_star_F=sigma_F)
             schedule = answer_schedule(ans)
             T = max(ans.t_min, 1)
             est, curve, _ = run_verification(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -353,7 +354,7 @@ def test_suite_command(tmp_path, capsys):
 
 def test_suite_unexpected_pass_exits_4(monkeypatch, capsys):
     from descentlab import harness
-    monkeypatch.setitem(harness.EXPECTED_FAIL, "ls_4x2", {"convexity"})
+    monkeypatch.setitem(harness.EXPECTED_FAIL, "least_squares", {"convexity"})
     assert main(["suite", "--fixture", "ls_4x2", "--samples", "200"]) == 4
     statuses = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)[0]["checks"]}
     assert statuses["convexity"] == "unexpected-pass"
@@ -885,22 +886,97 @@ def _table(capsys, *argv):
     return capsys.readouterr().out
 
 
-def test_table_constants_file_matches_its_fixture(tmp_path, capsys):
+def _constants_file(tmp_path, name):
+    """The constants-file form of a fixture's table sections, with batch size 2."""
     from dataclasses import asdict
 
     from descentlab.cli import table_sources_for_fixture
-    src = table_sources_for_fixture("ls_4x2")
-    smooth = dict(asdict(src["smooth"]["constants"]), D2=src["smooth"]["D2"],
-                  f0_gap=src["smooth"]["f0_gap"])
-    path = _write(tmp_path, "k.json", {"smooth": smooth, "lipschitz": src["lipschitz"],
-                                       "composite": src["composite"], "batch_size": 2})
-    assert _table(capsys, "--constants", path) == _table(capsys, "--constants", "ls_4x2")
-    # --batch-size overrides the file's batch_size as it does the fixture's default
-    b2 = _table(capsys, "--constants", path).splitlines()
-    b3 = _table(capsys, "--constants", path, "--batch-size", "3").splitlines()
-    assert b3 == _table(capsys, "--constants", "ls_4x2", "--batch-size", "3").splitlines()
-    changed = [new.split()[0] for old, new in zip(b2, b3) if old != new]
-    assert changed == ["mini_sgd"]
+    sections = table_sources_for_fixture(name)
+    (c, init, _), (lip, lip_init, _), (_, comp_init, sF) = (
+        sections[k] for k in ("smooth", "lipschitz", "composite"))
+    return _write(tmp_path, f"{name}.json", {
+        "smooth": dict(asdict(c), D2=init.D2, f0_gap=init.f0_gap),
+        "lipschitz": {"G": lip.G, "D2": lip_init.D2},
+        "composite": {"sigma_star_F": sF, "D2": comp_init.D2, "F0_gap": comp_init.F0_gap},
+        "batch_size": 2})
+
+
+def test_table_constants_file_matches_its_fixture(tmp_path, capsys):
+    # lasso_4x2 has a composite of its own; the ls fixtures take lasso_4x2's regularizer
+    for name in ("ls_4x2", "ls_6x2", "lasso_4x2"):
+        path = _constants_file(tmp_path, name)
+        batches = [[]] + [["--batch-size", str(b)] for b in range(1, fixture(name).problem.n + 1)]
+        for eps in ("1e-3", "0.05", "0.5", "2"):
+            for b in batches:
+                argv = ["table", "--epsilon", eps, *b, "--csv", str(tmp_path / "t.csv")]
+                assert main([*argv, "--constants", path]) == 0
+                from_file = capsys.readouterr().out, (tmp_path / "t.csv").read_text()
+                assert main([*argv, "--constants", name]) == 0
+                assert (capsys.readouterr().out, (tmp_path / "t.csv").read_text()) == from_file
+        # --batch-size overrides the file's batch_size as it does the fixture's default
+        b2 = _table(capsys, "--constants", path).splitlines()
+        b3 = _table(capsys, "--constants", path, "--batch-size", "3").splitlines()
+        changed = [new.split()[0] for old, new in zip(b2, b3) if old != new]
+        assert changed == ["mini_sgd"], name
+
+
+# sha256 of the table's stdout at the default batch size and at b = n
+_TABLE_DIGESTS = {
+    ("ls_4x2", "1e-3", None): "3706c8fc9cf5678a1e8e986fdf62ddbea14c36e9dd8ee84892d3699b4e2ed711",
+    ("ls_4x2", "1e-3", 4): "1402edca33113c0c889a9da977f13827a0101982c7a123437e9722b2e3324df2",
+    ("ls_4x2", "0.05", None): "e4c1ddb7c321d9da933cb754c5ecc26c458aebe757c7b1331d2e3efebbdd67d2",
+    ("ls_4x2", "0.05", 4): "1e92aa93f4c41618372f861a381988343c5b66a7ae2194fdc08403bfa33d17df",
+    ("ls_4x2", "0.5", None): "b8e3907861c74845ba962c0f3569e1326005b8781de44cf480cd3e9820c9c58d",
+    ("ls_4x2", "0.5", 4): "a2c627c1c56913db5c530bb53176cdfc931827207ba77443e513b6023f27d437",
+    ("ls_4x2", "2", None): "5820b90a1729327c93b4628489960544bc2895a75016ad8210ef4d76758e4a5f",
+    ("ls_4x2", "2", 4): "40c8fe9822156ff29d40b619d458a1afece2873166801d1b8e245d3e6204ad62",
+    ("ls_6x2", "1e-3", None): "2b5fd62d0e0ce71d658caa57d38f89d2467428d72c7c7e89b7eba5f3aa456dc8",
+    ("ls_6x2", "1e-3", 6): "15033640c850509eadf37216df920c86c5e898978661b7bff2cb3ece756c0b60",
+    ("ls_6x2", "0.05", None): "9a2981b52692fb1b4f99d968255a3b860dd84e913b4ff29d6a965bacbe08c50a",
+    ("ls_6x2", "0.05", 6): "1d069fa52ebc269214258bec008fd3dc421340c8fea0da73d7ea3e833aaaa580",
+    ("ls_6x2", "0.5", None): "bd72490886481ca3ca6756bc3e12883b7a2ee7a155dad1c8274b773c4beb1a0b",
+    ("ls_6x2", "0.5", 6): "ed6a9f845bc599b5cb095456633ffe5b4fbb09b22d3ede9e0b75d0f102617b6b",
+    ("ls_6x2", "2", None): "28815971182b5c4b26d8eec6845f48ebc7c7c182ccfe5c01c109e25403668873",
+    ("ls_6x2", "2", 6): "9c8d8adc6bd4aff5ac8036702d75ce5898bc6a27bcb0f66a1bd633cf92031dca",
+    # lasso_4x2 is ls_4x2's f with its own l1 composite, the one ls_4x2's table borrows
+    ("lasso_4x2", "1e-3", None): "3706c8fc9cf5678a1e8e986fdf62ddbea14c36e9dd8ee84892d3699b4e2ed711",
+    ("lasso_4x2", "1e-3", 4): "1402edca33113c0c889a9da977f13827a0101982c7a123437e9722b2e3324df2",
+    ("lasso_4x2", "0.05", None): "e4c1ddb7c321d9da933cb754c5ecc26c458aebe757c7b1331d2e3efebbdd67d2",
+    ("lasso_4x2", "0.05", 4): "1e92aa93f4c41618372f861a381988343c5b66a7ae2194fdc08403bfa33d17df",
+    ("lasso_4x2", "0.5", None): "b8e3907861c74845ba962c0f3569e1326005b8781de44cf480cd3e9820c9c58d",
+    ("lasso_4x2", "0.5", 4): "a2c627c1c56913db5c530bb53176cdfc931827207ba77443e513b6023f27d437",
+    ("lasso_4x2", "2", None): "5820b90a1729327c93b4628489960544bc2895a75016ad8210ef4d76758e4a5f",
+    ("lasso_4x2", "2", 4): "40c8fe9822156ff29d40b619d458a1afece2873166801d1b8e245d3e6204ad62",
+}
+
+
+@pytest.mark.parametrize("name,eps,b", list(_TABLE_DIGESTS))
+def test_table_stdout_is_pinned(capsys, name, eps, b):
+    extra = [] if b is None else ["--batch-size", str(b)]
+    assert main(["table", "--constants", name, "--epsilon", eps, *extra]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _TABLE_DIGESTS[name, eps, b]
+
+
+# below about 1e-154 eps**2 underflows: sgd_convex_const's count ((...)/eps)^2 is
+# then infinite or a division by zero, and at 5e-324 gd_convex's L*D2/(2*eps) is
+@pytest.mark.parametrize("eps,setting", [
+    ("1e-150", None), ("1e-160", "sgd_convex_const"), ("1e-170", "sgd_convex_const"),
+    ("1e-300", "sgd_convex_const"), ("5e-324", "gd_convex"),
+])
+@pytest.mark.parametrize("source", ["fixture", "file"])
+def test_table_epsilon_without_a_finite_count_exits_2(tmp_path, capsys, eps, setting, source):
+    path = "ls_4x2" if source == "fixture" else _constants_file(tmp_path, "ls_4x2")
+    rc = main(["table", "--constants", path, "--epsilon", eps])
+    out, err = capsys.readouterr()
+    if setting is None:
+        assert rc == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "1cd48a7c96995cffa4925eb99c274a20931c26e2cef3e9351a5c8a1dd2e07cbe")
+        return
+    assert rc == 2 and out == ""
+    assert err == (f"table error: field 'epsilon': no finite iteration count for {setting} "
+                   f"at {float(eps):g}\n")
 
 
 @pytest.mark.parametrize("command,seed,override", [

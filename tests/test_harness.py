@@ -247,6 +247,19 @@ def test_property_suite_scalar_pl_expected_fail():
     assert report["ok"]
 
 
+def test_property_suite_expected_fail_follows_the_kind(tmp_path, monkeypatch):
+    # a scalar_pl problem under another name is as nonconvex as the catalogue's
+    from descentlab import problems
+    (tmp_path / "my_pl.json").write_text(json.dumps({"kind": "scalar_pl"}))
+    monkeypatch.setenv("DESCENTLAB_FIXTURES", str(tmp_path))
+    monkeypatch.delitem(problems._FIXTURE_CACHE, "my_pl", raising=False)
+    renamed = property_suite(fixture("my_pl"), samples=1500)
+    assert renamed["checks"] == property_suite(fixture("scalar_pl"), samples=1500)["checks"]
+    statuses = {c["name"]: c["status"] for c in renamed["checks"]}
+    assert statuses["convexity"] == "expected-fail"
+    assert renamed["ok"]
+
+
 def test_property_suite_lasso_bregman():
     report = property_suite(fixture("lasso_4x2"), samples=2000)
     statuses = {c["name"]: c["status"] for c in report["checks"]}
@@ -299,8 +312,8 @@ def _ref_property_suite(fixture, samples, seed=20_240_601):
     X = _sample_ball(rng, samples, gt.x_star, radius)
     Y = _sample_ball(rng, samples, gt.x_star, radius)
     smooth = np.isfinite(c.L)
-    convex = p.kind != "scalar_pl"
-    expected = EXPECTED_FAIL.get(fixture.name, ())
+    expected = EXPECTED_FAIL.get(p.kind, ())
+    convex = "convexity" not in expected
 
     def sampled(P, per_term):
         return (np.array([p.value(x) for x in P]), np.array([p.grad(x) for x in P]),
@@ -327,8 +340,7 @@ def _ref_property_suite(fixture, samples, seed=20_240_601):
     inner_gx, dist2, gx_sq = np.sum(gx * diff, axis=1), sq(diff), sq(gx)
     add("unbiasedness", np.linalg.norm(Gx.mean(axis=1) - gx, axis=1),
         1e-12 * (1.0 + np.linalg.norm(gx, axis=1)))
-    if convex or "convexity" in expected:
-        add("convexity", fy + np.sum(gy * (X - Y), axis=1) - fx_, s_xy)
+    add("convexity", fy + np.sum(gy * (X - Y), axis=1) - fx_, s_xy)
     if smooth:
         add("smoothness_upper", fy - (fx_ + inner_gx + 0.5 * c.L * dist2), s_xy)
         for lam in (1.0 / (2.0 * c.L), 1.0 / c.L):
@@ -581,7 +593,7 @@ def test_every_setting_verifies(setting):
 def test_expected_fail_registry_flags_unexpected_pass(monkeypatch):
     # a registered must-fail check that starts passing is a regression signal
     from descentlab import harness as hmod
-    monkeypatch.setitem(hmod.EXPECTED_FAIL, "ls_4x2", {"convexity"})
+    monkeypatch.setitem(hmod.EXPECTED_FAIL, "least_squares", {"convexity"})
     report = property_suite(fixture("ls_4x2"), samples=500)
     statuses = {c["name"]: c["status"] for c in report["checks"]}
     assert statuses["convexity"] == "unexpected-pass"

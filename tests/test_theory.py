@@ -17,6 +17,7 @@ from descentlab import (
     fixture,
     minibatch_constants,
 )
+from descentlab.nonsmooth import SpecError
 from descentlab.problems import ProblemConstants
 from descentlab.theory import (
     NOT_COVERED, SETTINGS, TABLE_CELLS, TABLE_COLUMNS, TABLE_METHODS, table_to_csv, table_to_text,
@@ -275,6 +276,28 @@ def test_complexity_rejects_non_finite_or_non_positive_epsilon(eps):
         complexity_iterations("gd_convex", _consts(), eps, InitState(D2=1.0))
 
 
+@pytest.mark.parametrize("eps", [1e-150, 1e-160, 1e-170, 1e-300, 5e-324])
+def test_complexity_count_that_is_not_finite_is_an_epsilon_error(eps):
+    # every family either gives a finite count or names epsilon: below about
+    # 1e-154 eps**2 underflows, and sgd_convex_const's ((...)/eps)^2 is no count
+    sections = table_sources_for_fixture("ls_4x2")
+    refused = set()
+    for setting in sorted(set(TABLE_CELLS.values())):
+        row = SETTINGS[setting]
+        consts, init, sF = sections["composite" if row.composite
+                                    else "lipschitz" if row.algorithm == "ssd" else "smooth"]
+        try:
+            ans = complexity_iterations(setting, consts, eps, init, b=2, sigma_star_F=sF)
+        except HypothesisError:
+            continue
+        except SpecError as exc:
+            assert str(exc) == f"field 'epsilon': no finite iteration count for {setting} at {eps:g}"
+            refused.add(setting)
+            continue
+        assert math.isfinite(ans.rate) and isinstance(ans.t_min, int), setting
+    assert ("sgd_convex_const" in refused) == (eps < 1e-150)
+
+
 def test_complexity_rejects_bad_epsilon():
     c = _consts()
     with pytest.raises(ValueError):
@@ -330,16 +353,15 @@ def test_spgd_const_requires_small_epsilon():
 # ---------------------------------------------------------------------------
 
 def test_table_gd_convex_cell():
-    sources = table_sources_for_fixture("ls_4x2")
+    sections = table_sources_for_fixture("ls_4x2")
     eps = 1e-3
-    table = complexity_table(sources, eps)
-    c = sources["smooth"]["constants"]
-    assert table["gd"]["convex_smooth"] == pytest.approx(
-        c.L / eps * sources["smooth"]["D2"] / 2)
+    table = complexity_table(sections, 2, eps)
+    c, init, _ = sections["smooth"]
+    assert table["gd"]["convex_smooth"] == pytest.approx(c.L / eps * init.D2 / 2)
 
 
 def test_table_not_covered_cells():
-    table = complexity_table(table_sources_for_fixture("ls_4x2"), 1e-2)
+    table = complexity_table(table_sources_for_fixture("ls_4x2"), 2, 1e-2)
     for method, col in [("mini_sgd", "convex_lipschitz"), ("mini_sgd", "pl"),
                         ("momentum", "convex_lipschitz"), ("momentum", "strongly_convex"),
                         ("momentum", "pl"), ("prox_gd", "convex_lipschitz"),
@@ -353,17 +375,17 @@ def test_table_not_covered_cells():
 
 
 def test_table_epsilon_one_collapses_log_cells():
-    table = complexity_table(table_sources_for_fixture("ls_4x2"), 1.0)
+    table = complexity_table(table_sources_for_fixture("ls_4x2"), 2, 1.0)
     assert table["gd"]["strongly_convex"] == 0.0
     assert table["gd"]["pl"] == 0.0
     assert table["prox_gd"]["strongly_convex"] == 0.0
 
 
 def test_table_missing_constant_named():
-    sources = table_sources_for_fixture("ls_4x2")
-    sources["lipschitz"] = {"D2": 1.0}
+    sections = table_sources_for_fixture("ls_4x2")
+    sections["lipschitz"] = (replace(sections["smooth"][0], G=None), InitState(D2=1.0), None)
     with pytest.raises(ValueError, match="missing constant: lipschitz.G"):
-        complexity_table(sources, 1e-3)
+        complexity_table(sections, 2, 1e-3)
 
 
 def test_table_prox_cells_use_the_fixtures_own_composite():
@@ -376,7 +398,7 @@ def test_table_prox_cells_use_the_fixtures_own_composite():
     F0, sF = comp.value(x0) - comp.inf_F, comp.sigma_star_F
     assert (sF, D2F, F0) == pytest.approx((0.908, 0.121, 0.0705), abs=1e-3)
     c, eps = fx.constants, 1e-3
-    table = complexity_table(table_sources_for_fixture("ls_6x2"), eps)
+    table = complexity_table(table_sources_for_fixture("ls_6x2"), 2, eps)
     assert table["prox_gd"]["convex_smooth"] == pytest.approx(c.L * D2F / (2 * eps))
     assert table["prox_sgd"]["convex_smooth"] == pytest.approx(
         16 * (D2F + F0 / (4 * c.L_max)) * sF / eps**2)
@@ -387,18 +409,12 @@ def test_table_prox_cells_use_the_fixtures_own_composite():
 @pytest.mark.parametrize("name", ["ls_4x2", "ls_6x2"])
 @pytest.mark.parametrize("eps", [1e-3, 0.1, 0.5, 2.0])
 def test_table_cells_are_the_settings_rates(name, eps):
-    sources = table_sources_for_fixture(name, batch_size=2)
-    sm, lip, comp = sources["smooth"], sources["lipschitz"], sources["composite"]
-    c = sm["constants"]
-    table = complexity_table(sources, eps)
+    sections = table_sources_for_fixture(name)
+    table = complexity_table(sections, 2, eps)
     for (method, column), setting in TABLE_CELLS.items():
-        if SETTINGS[setting].composite:
-            consts, init, sF = c, InitState(D2=comp["D2"], F0_gap=comp["F0_gap"]), \
-                comp["sigma_star_F"]
-        elif column == "convex_lipschitz":
-            consts, init, sF = replace(c, G=lip["G"]), InitState(D2=lip["D2"]), None
-        else:
-            consts, init, sF = c, InitState(D2=sm["D2"], f0_gap=sm["f0_gap"]), None
+        consts, init, sF = sections["composite" if SETTINGS[setting].composite
+                                    else "lipschitz" if column == "convex_lipschitz"
+                                    else "smooth"]
         cell = table[method][column]
         try:
             ans = complexity_iterations(setting, consts, eps, init, b=2, sigma_star_F=sF)
@@ -422,16 +438,14 @@ def test_table_cells_are_the_settings_rates(name, eps):
 
 def test_table_golden_against_independent_formulas():
     # recompute every covered cell from the closed-form expressions written out here
-    sources = table_sources_for_fixture("ls_4x2", batch_size=2)
+    sections = table_sources_for_fixture("ls_4x2")
     eps = 1e-3
-    table = complexity_table(sources, eps)
-    c = sources["smooth"]["constants"]
-    D2 = sources["smooth"]["D2"]
-    f0 = sources["smooth"]["f0_gap"]
-    G, D2l = sources["lipschitz"]["G"], sources["lipschitz"]["D2"]
-    sF = sources["composite"]["sigma_star_F"]
-    D2F = sources["composite"]["D2"]
-    F0 = sources["composite"]["F0_gap"]
+    table = complexity_table(sections, 2, eps)
+    (c, init, _), (lip, lip_init, _), (_, comp_init, sF) = (
+        sections[k] for k in ("smooth", "lipschitz", "composite"))
+    D2, f0 = init.D2, init.f0_gap
+    G, D2l = lip.G, lip_init.D2
+    D2F, F0 = comp_init.D2, comp_init.F0_gap
     Lb, sb = minibatch_constants(c, 2)
     ln = math.log
     want = {
