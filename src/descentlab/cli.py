@@ -315,8 +315,8 @@ def _constants_from_json(path: str):
 def table_sources_for_fixture(name: str) -> dict:
     """A smooth fixture's table sections (``theory.complexity_table``): its
     ``harness.bound_inputs`` at its default x0, with its own composite or else
-    its f plus lasso_4x2's regularizer, and abs_2x1's constants for the
-    lipschitz section, with D2 the worst case ||x0 - x*||^2 <= (2B)^2."""
+    its f plus lasso_4x2's regularizer; the lipschitz section is its constants
+    with abs_2x1's G, and D2 abs_2x1's worst case ||x0 - x*||^2 <= (2B)^2."""
     fx = problems.fixture(name)
     if not math.isfinite(fx.constants.L):
         raise ValueError(f"fixture {name!r} is not smooth; pick a least-squares fixture")
@@ -328,7 +328,8 @@ def table_sources_for_fixture(name: str) -> dict:
     x0 = fx.problem.default_x0
     return {
         "smooth": harness.bound_inputs(fx, "gd_convex", x0),
-        "lipschitz": (lip, theory.InitState(D2=4.0 * lip.B * lip.B), None),
+        "lipschitz": (replace(fx.constants, G=lip.G), theory.InitState(D2=4.0 * lip.B * lip.B),
+                      None),
         "composite": harness.bound_inputs(fx, "pgd_convex", x0),
     }
 

@@ -197,9 +197,8 @@ def bound_inputs(fixture: Fixture, setting: str, x0: np.ndarray):
         init = InitState(D2=float(d @ d), F0_gap=comp.value(x0) - comp.inf_F)
         return fixture.constants, init, comp.sigma_star_F
     d = x0 - fixture.ground_truth.x_star
-    gt = fixture.ground_truth
-    init = InitState(D2=float(d @ d), f0_gap=fixture.problem.value(x0) - gt.inf_f)
-    return fixture.constants, init, None
+    f0_gap = fixture.problem.value(x0) - fixture.ground_truth.inf_f
+    return fixture.constants, InitState(D2=float(d @ d), f0_gap=f0_gap), None
 
 
 def run_verification(
@@ -238,8 +237,7 @@ def run_verification(
     est = estimate(cfg, row.metric, checkpoints, weighting=weighting)
     if policy is None:
         policy = "deterministic" if row.deterministic else "three_sigma"
-    verdict = verify_bound(est, curve, policy)
-    return est, curve, verdict
+    return est, curve, verify_bound(est, curve, policy)
 
 
 # ---------------------------------------------------------------------------

@@ -552,15 +552,23 @@ def complexity_iterations(
 
 
 def _answer(row: Setting, c: ProblemConstants, e: float, init: InitState, b, sF):
-    """``row``'s complexity answer at eps; a count that is not finite (eps so
-    small that it under- or overflows) is a SpecError on epsilon."""
+    """``row``'s complexity answer at eps.  A count that is not finite is a
+    SpecError on epsilon if eps**2 underflows or eps = 1 gives a finite count,
+    else a ValueError on the constants (e.g. L_max = 0, or L*D2 overflowing)."""
+    def finite(eps):
+        try:
+            answer = ComplexityAnswer(row.name, eps, *row.complexity(row, c, eps, init, b, sF))
+        except (ZeroDivisionError, OverflowError):
+            return None
+        return answer if math.isfinite(answer.rate) else None
+    if (answer := finite(e)) is not None:
+        return answer
+    msg = f"no finite iteration count for {row.name} at {e:g}"
     try:
-        answer = ComplexityAnswer(row.name, e, *row.complexity(row, c, e, init, b, sF))
-    except (ZeroDivisionError, OverflowError):
-        answer = None
-    if answer is None or not math.isfinite(answer.rate):
-        raise SpecError("epsilon", f"no finite iteration count for {row.name} at {e:g}")
-    return answer
+        eps_at_fault = e * e < np.finfo(float).tiny or finite(1.0) is not None
+    except ValueError:  # a hypothesis on eps fails at 1: no larger eps is known to help
+        eps_at_fault = False
+    raise SpecError("epsilon", msg) if eps_at_fault else ValueError(f"{msg} from these constants")
 
 
 def _epsilon(epsilon) -> float:
@@ -618,9 +626,8 @@ def complexity_table(sections: dict, b: int, epsilon: float) -> dict:
     ``sections`` maps "smooth" (the cells of f), "lipschitz" (the
     convex_lipschitz cells) and "composite" (the proximal rows) each to the
     (constants, init, sigma_star_F) triple its families read; ``b`` is the
-    mini_sgd row's batch size.  Cells no setting gives are the string "not
-    covered".  A missing constant is named with its section, e.g. ``lipschitz.D2``.
-    """
+    mini_sgd row's batch size.  A missing constant is named with its section
+    (``lipschitz.D2``); a cell no setting gives reads "not covered"."""
     e = _epsilon(epsilon)
     table = {m: dict.fromkeys(TABLE_COLUMNS, NOT_COVERED) for m in TABLE_METHODS}
     for (method, column), setting in TABLE_CELLS.items():
@@ -644,23 +651,19 @@ def complexity_table(sections: dict, b: int, epsilon: float) -> dict:
     return table
 
 
-def _cell_str(v) -> str:
-    return v if isinstance(v, str) else f"{v:.6g}"
+def _table_rows(table: dict) -> list:
+    """The header and a row of cell strings per method."""
+    return [["method", *TABLE_COLUMNS]] + [
+        [m] + [v if isinstance(v, str) else f"{v:.6g}" for v in map(table[m].get, TABLE_COLUMNS)]
+        for m in TABLE_METHODS]
 
 
 def table_to_text(table: dict) -> str:
-    headers = ["method"] + list(TABLE_COLUMNS)
-    rows = [[m] + [_cell_str(table[m][col]) for col in TABLE_COLUMNS] for m in TABLE_METHODS]
-    widths = [max(len(r[i]) for r in [headers] + rows) for i in range(len(headers))]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
-    lines.append("  ".join("-" * w for w in widths))
-    for r in rows:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)))
-    return "\n".join(lines)
+    rows = _table_rows(table)
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    rows.insert(1, ["-" * w for w in widths])
+    return "\n".join("  ".join(v.ljust(w) for v, w in zip(r, widths)) for r in rows)
 
 
 def table_to_csv(table: dict) -> str:
-    lines = ["method," + ",".join(TABLE_COLUMNS)]
-    for m in TABLE_METHODS:
-        lines.append(m + "," + ",".join(_cell_str(table[m][col]) for col in TABLE_COLUMNS))
-    return "\n".join(lines) + "\n"
+    return "".join(",".join(r) + "\n" for r in _table_rows(table))

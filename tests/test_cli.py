@@ -938,15 +938,6 @@ _TABLE_DIGESTS = {
     ("ls_6x2", "0.5", 6): "ed6a9f845bc599b5cb095456633ffe5b4fbb09b22d3ede9e0b75d0f102617b6b",
     ("ls_6x2", "2", None): "28815971182b5c4b26d8eec6845f48ebc7c7c182ccfe5c01c109e25403668873",
     ("ls_6x2", "2", 6): "9c8d8adc6bd4aff5ac8036702d75ce5898bc6a27bcb0f66a1bd633cf92031dca",
-    # lasso_4x2 is ls_4x2's f with its own l1 composite, the one ls_4x2's table borrows
-    ("lasso_4x2", "1e-3", None): "3706c8fc9cf5678a1e8e986fdf62ddbea14c36e9dd8ee84892d3699b4e2ed711",
-    ("lasso_4x2", "1e-3", 4): "1402edca33113c0c889a9da977f13827a0101982c7a123437e9722b2e3324df2",
-    ("lasso_4x2", "0.05", None): "e4c1ddb7c321d9da933cb754c5ecc26c458aebe757c7b1331d2e3efebbdd67d2",
-    ("lasso_4x2", "0.05", 4): "1e92aa93f4c41618372f861a381988343c5b66a7ae2194fdc08403bfa33d17df",
-    ("lasso_4x2", "0.5", None): "b8e3907861c74845ba962c0f3569e1326005b8781de44cf480cd3e9820c9c58d",
-    ("lasso_4x2", "0.5", 4): "a2c627c1c56913db5c530bb53176cdfc931827207ba77443e513b6023f27d437",
-    ("lasso_4x2", "2", None): "5820b90a1729327c93b4628489960544bc2895a75016ad8210ef4d76758e4a5f",
-    ("lasso_4x2", "2", 4): "40c8fe9822156ff29d40b619d458a1afece2873166801d1b8e245d3e6204ad62",
 }
 
 
@@ -977,6 +968,41 @@ def test_table_epsilon_without_a_finite_count_exits_2(tmp_path, capsys, eps, set
     assert rc == 2 and out == ""
     assert err == (f"table error: field 'epsilon': no finite iteration count for {setting} "
                    f"at {float(eps):g}\n")
+
+
+# L_max = 0 (or subnormal) divides sgd_convex_const's sigma by zero, and L*D2 = inf
+# leaves gd_convex with no count at any eps: the constants are at fault, not eps
+@pytest.mark.parametrize("smooth,setting", [
+    ({"L_max": 0.0}, "sgd_convex_const"), ({"L_max": 1e-320}, "sgd_convex_const"),
+    ({"L": 1e300, "L_max": 1e300, "D2": 1e300}, "gd_convex"),
+], ids=["L_max_0", "L_max_subnormal", "L_D2_overflows"])
+def test_table_constants_without_a_finite_count_exit_2(tmp_path, capsys, smooth, setting):
+    payload = {"smooth": dict(_SMOOTH, **smooth), "lipschitz": _LIPSCHITZ, "composite": _COMPOSITE}
+    path = _write(tmp_path, "c.json", payload)
+    assert main(["table", "--constants", path, "--epsilon", "1e-3"]) == 2
+    assert capsys.readouterr() == ("", f"table error: no finite iteration count for {setting} "
+                                       f"at 0.001 from these constants\n")
+
+
+def test_table_prox_rows_read_the_fixtures_own_composite(tmp_path, monkeypatch, capsys):
+    # ls_4x2's f with l1(0.2), not the l1(0.1) a fixture without a composite borrows
+    from descentlab import problems
+    ext = tmp_path / "fixtures"
+    ext.mkdir()
+    spec = {"kind": "least_squares", "features": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]],
+            "targets": [1.0, 1.0, 0.0, 0.0], "regularizer": {"kind": "l1", "lambda": 0.2}}
+    (ext / "ls_4x2_l1.json").write_text(json.dumps(spec))
+    monkeypatch.setenv("DESCENTLAB_FIXTURES", str(ext))
+    monkeypatch.delitem(problems._FIXTURE_CACHE, "ls_4x2_l1", raising=False)
+    path = _constants_file(tmp_path, "ls_4x2_l1")
+    for eps in ("1e-3", "0.05"):  # prox_sgd's cells need eps <= sigma_star_F / L_max
+        rows = {}
+        for source in ("ls_4x2", "ls_4x2_l1", path):
+            assert main(["table", "--constants", source, "--epsilon", eps]) == 0
+            rows[source] = capsys.readouterr().out.splitlines()
+        assert rows[path] == rows["ls_4x2_l1"]
+        changed = [new.split()[0] for old, new in zip(rows["ls_4x2"], rows[path]) if old != new]
+        assert changed == ["prox_gd", "prox_sgd"], eps
 
 
 @pytest.mark.parametrize("command,seed,override", [
