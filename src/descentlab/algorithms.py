@@ -459,6 +459,13 @@ def _draw_steps(M: int, b: int, d: int) -> int:
     return max(1, min(_BLOCK, _BLOCK_VALUES // (b * max(M, d))))
 
 
+def _clearing_norms(steps):
+    """The squared norms of a gap block's (k, M, d) iterates that the guard
+    compares with ``clearing_norm_sq``, whose bound holds in any summation
+    order; ``einsum`` sums a short row faster than ``vecdot``."""
+    return np.einsum("kmd,kmd->km", steps, steps)
+
+
 def _block_gaps(gap, steps, rows, limit, clear, live, work):
     """The gaps at the steps ``rows`` of a gap block's (k, M, d) iterates
     ``steps``, exact, and the block's (k, M) divergence mask (gap non-finite
@@ -475,7 +482,7 @@ def _block_gaps(gap, steps, rows, limit, clear, live, work):
     if len(rows) == k:
         gaps = (objective(steps.reshape(-1, d), work[: k * M]) - inf_val).reshape(k, M)
         return gaps[rows], ~np.isfinite(gaps) | (gaps > limit)
-    exact = ~(np.vecdot(steps, steps) <= clear) & live
+    exact = ~(_clearing_norms(steps) <= clear) & live
     exact[rows] = True
     gaps, bad = np.empty((k, M)), np.zeros((k, M), dtype=bool)
     gaps[exact] = objective(steps[exact], work[: exact.sum()]) - inf_val
@@ -638,27 +645,175 @@ def averaged_iterate(trace: Trace, weighting, upto: Optional[int] = None) -> np.
     return (w[:, None] * trace.iterates[:t]).sum(axis=0) / w.sum()
 
 
+_G17_SLOTS = 28  # sign, "0." and up to three zeros, 17 digits and a point, "e-0X"
+_FORMAT_VALUES = 2 ** 14  # most floats one block of CSV rows formats at once
+_SLOT = np.arange(18, dtype=np.int8)[:, None]  # slot numbers, broadcast over values
+
+
+def _split(a):
+    """Dekker's split a = hi + lo, each part with at most 26 significant bits."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10 = np.array([float(10 ** s) for s in range(23)])  # exact doubles: 5^22 < 2^53
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _significands(x):
+    """(N, X, ok) for the 1-D float array x.  Where ``ok``, |x| rounded half
+    to even to 17 significant digits is N 10^(X - 16), with N in [1e16, 1e17)
+    (N = 0 and X = 0 for zero).
+
+    For |x| in [1e-6, 1e17) and X = floor(log10 |x|), s = 16 - X is at most
+    22, so 10^s is an exact double and Dekker's TwoProduct gives |x| 10^s =
+    p + e exactly (p the rounded product, e its error).  Where that exact
+    product is at least 1e16 and N = p + rint(e) is below 1e17, X is the
+    exponent (log10 may round across a power of ten), p >= 2^53 is an even
+    integer and so N is the product rounded half to even.  Every other value
+    is not ``ok``; among them would be a product that rounds up to 1e17,
+    which no double in the range has (the doubles next to a power of ten are
+    further from it than half a unit in the 17th digit)."""
+    a = np.abs(x)
+    zero = a == 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        X = np.floor(np.log10(a))
+    X[zero] = 0
+    ok = (X >= -6) & (X <= 16)
+    a[~ok], X[~ok] = 1.0, 0
+    s = (16 - X).astype(np.int64)
+    bh, bl = _POW10_HI.take(s), _POW10_LO.take(s)
+    p = a * _POW10.take(s)
+    ah, al = _split(a)
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    N = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    ok &= ((p > 1e16) | ((p == 1e16) & (e >= 0)) | zero) & (N < 10 ** 17)
+    return N, X.astype(np.int8), ok
+
+
+def _ascii_digits(N):
+    """The 17 decimal digits of each N in [0, 1e17), most significant first,
+    as ASCII: a (17, len(N)) uint8 array.  Divisions by 10^8 and 10^4 split
+    N into its leading digit and four groups of four digits, whose digits
+    come from uint16 division by 10, all groups at once."""
+    hi = N.view(np.uint64) // 10 ** 8
+    head = hi // 10 ** 8
+    halves = np.stack(((hi - head * 10 ** 8).astype(np.uint32),
+                       (N.view(np.uint64) - hi * 10 ** 8).astype(np.uint32)))
+    top = halves // 10 ** 4
+    groups = np.stack((top[0], halves[0] - top[0] * 10 ** 4,
+                       top[1], halves[1] - top[1] * 10 ** 4)).astype(np.uint16)
+    digits = np.empty((17, len(N)), np.uint8)
+    digits[0] = head
+    for k in range(4, 0, -1):
+        q = groups // 10
+        digits[k::4] = groups - q * 10
+        groups = q
+    digits += 48
+    return digits
+
+
+def _g17_slots(x):
+    """The text of ``"%.17g" % v`` for every value v of the 1-D float array
+    ``x``: a (_G17_SLOTS, len(x)) uint8 array whose column j holds x[j]'s
+    text in order, with NUL bytes in the slots it does not use.
+
+    The values ``_significands`` decides fill fixed slots: the sign, "0."
+    and the zeros after it (1e-4 <= |v| < 1), the 17 digits with the point
+    after the integer digits, and the exponent ("e-05" or "e-06"),
+    dropping trailing fractional zeros and a bare point as %g does.  The
+    others (subnormal, below 1e-6, at or above 1e17, inf, NaN, or an
+    exponent floor(log10) got wrong) are formatted by ``"%.17g" %`` one at
+    a time, the reference the slots reproduce."""
+    N, X, ok = _significands(x)
+    digits = _ascii_digits(N)
+    last = np.max(_SLOT[:17] * (digits != 48), axis=0)  # the last nonzero digit
+    expo = X < -4
+    small = (X < 0) & ~expo
+    pos = np.where(expo, 0, np.maximum(X, -1))  # the point follows digit pos
+    out = np.empty((_G17_SLOTS, len(x)), np.uint8)
+    out[0] = np.signbit(x) * np.uint8(45)
+    out[1] = small * np.uint8(48)
+    out[2] = small * np.uint8(46)
+    for i in range(3):
+        out[3 + i] = (small & (X < -1 - i)) * np.uint8(48)
+    region = out[6:24]  # digit j in slot j up to the point, in slot j + 1 after it
+    np.multiply(digits, _SLOT[:17] <= pos, out=region[:17])
+    region[17] = 0
+    region[1:] += digits * ((_SLOT[1:] >= pos + 2) & (_SLOT[1:] <= np.maximum(last, pos) + 1))
+    region += ((_SLOT == pos + 1) & (last > pos) & ~small) * np.uint8(46)
+    out[24] = expo * np.uint8(101)
+    out[25] = expo * np.uint8(45)
+    out[26] = expo * np.uint8(48)
+    out[27] = expo * (48 - X)
+    rest = np.flatnonzero(~ok)  # at most 24 bytes each: "-2.2250738585072014e-308"
+    texts = b"".join((b"%.17g" % v).ljust(_G17_SLOTS, b"\0") for v in x[rest].tolist())
+    out[:, rest] = np.frombuffer(texts, np.uint8).reshape(-1, _G17_SLOTS).T
+    return out
+
+
+def _csv_rows(pieces) -> bytes:
+    """The CSV rows lo .. hi-1 of each (trace, lo, hi) of ``pieces``, in order.
+
+    Every field goes into fixed NUL-padded slots of one (slot, row) array,
+    whose rows of text are then one ``translate`` away: the trial number,
+    the step, and each float in the slots of ``_g17_slots``."""
+    n = sum(hi - lo for _, lo, hi in pieces)
+    labels = [f"{tr.trial},".encode() for tr, _, _ in pieces]
+    t = np.concatenate([np.arange(lo, hi) for _, lo, hi in pieces])
+    lw, tw = max(map(len, labels)), len(str(int(t.max())))
+    out = np.zeros((lw + tw + 1 + 3 * (_G17_SLOTS + 1), n), np.uint8)
+    r = 0
+    for label, (_, lo, hi) in zip(labels, pieces):
+        out[lw - len(label): lw, r: r + hi - lo] = np.frombuffer(label, np.uint8)[:, None]
+        r += hi - lo
+    for i in range(tw - 1, -1, -1):  # the digits of t, without leading zeros
+        q = t // 10
+        out[lw + i] = (t - 10 * q + 48) * ((t > 0) | (i == tw - 1))
+        t = q
+    out[lw + tw] = ord(",")
+    values = np.concatenate([np.asarray(getattr(tr, key)[lo:hi], dtype=float)
+                             for key in ("gamma", "f_gap", "dist_sq") for tr, lo, hi in pieces])
+    fields = out[lw + tw + 1:].reshape(3, _G17_SLOTS + 1, n)
+    fields[:, :_G17_SLOTS] = _g17_slots(values).reshape(_G17_SLOTS, 3, n).transpose(1, 0, 2)
+    fields[:2, _G17_SLOTS] = ord(",")
+    fields[2, _G17_SLOTS] = ord("\n")
+    return out.T.tobytes().translate(None, b"\0")
+
+
 def write_traces_csv(traces, path, header: bool = True) -> None:
-    """Serialize traces as CSV: trial,t,gamma_t,f_gap,dist_sq (17 significant digits).
+    """Serialize traces as CSV: trial,t,gamma_t,f_gap,dist_sq, each float as
+    ``"%.17g" % value`` writes it (17 significant digits).
 
     With ``header=False`` only the rows are written, so the rows of
     consecutive trial ranges, each written by the process that ran it,
     concatenate behind one header into the file a single call would write;
-    traces never cross a process boundary.  The ``,t,gamma_t,`` fields are
-    formatted once for each distinct stepsize array (keyed by its contents),
-    so a trial costs one %-format of its f_gap and dist_sq columns and one
-    write."""
+    traces never cross a process boundary.
+
+    Every float goes through one array formatter (``_g17_slots``): exact
+    for 0 and |x| in [1e-6, 1e17) by Dekker's TwoProduct, and ``"%.17g" %``
+    one value at a time for the rest (subnormals, values outside that
+    range, inf and NaN).  The rows are formatted in blocks of at most
+    _FORMAT_VALUES (2^14) floats (``_csv_rows``), a block spanning traces
+    or a trace spanning blocks, so the writer's temporaries stay near 2 MB
+    and a ``--jobs`` worker's peak memory does not grow with its trace."""
     if isinstance(traces, Trace):
         traces = [traces]
-    templates = {}  # stepsize array bytes -> ["", row after the trial number, ...]
-    with open(path, "w", newline="\n") as fh:
+    rows = _FORMAT_VALUES // 3
+    with open(path, "wb") as fh:
         if header:
-            fh.write("trial,t,gamma_t,f_gap,dist_sq\n")
+            fh.write(b"trial,t,gamma_t,f_gap,dist_sq\n")
+        pieces, room = [], rows
         for tr in traces:
-            gamma = np.asarray(tr.gamma, dtype=float)
-            key = gamma.tobytes()
-            if key not in templates:
-                templates[key] = ["", *(f",{t},{g:.17g},%.17g,%.17g\n"
-                                        for t, g in enumerate(gamma.tolist()))]
-            values = np.stack((tr.f_gap, tr.dist_sq), axis=1).ravel().tolist()
-            fh.write(str(tr.trial).join(templates[key]) % tuple(values))
+            lo, n = 0, len(tr.f_gap)
+            while lo < n:
+                hi = min(n, lo + room)
+                pieces.append((tr, lo, hi))
+                room -= hi - lo
+                lo = hi
+                if not room:
+                    fh.write(_csv_rows(pieces))
+                    pieces, room = [], rows
+        if pieces:
+            fh.write(_csv_rows(pieces))

@@ -209,9 +209,10 @@ class FiniteSumProblem:
 
     def clearing_norm_sq(self, limit: float, inf: float, g_slope: float = 0.0) -> float:
         """The divergence guard's threshold c: every row x whose computed
-        ``np.vecdot(x, x)`` is at most c has a finite gap ``value_rows`` - inf at
-        most ``limit`` (>= 1), plus g(x) for a regularizer g >= 0 with g(x) <=
-        g_slope ||x|| (a composite's); -inf, which clears nothing, if no R fits.
+        squared norm, its squares summed in any order, is at most c has a
+        finite gap ``value_rows`` - inf at most ``limit`` (>= 1), plus g(x)
+        for a regularizer g >= 0 with g(x) <= g_slope ||x|| (a composite's);
+        -inf, which clears nothing, if no R fits.
 
         c = R^2 (1 - 2^-40), R the largest of the radii 2^k (1 + j/16), 0 <= j <
         16, from 2^-400 to 2^400 with (alpha = max_i ||a_i||, beta = max_i |y_i|)
@@ -221,7 +222,7 @@ class FiniteSumProblem:
         With u = 2^-53 and gamma_k = k u / (1 - k u) (Higham, Accuracy and
         Stability of Numerical Algorithms, ch. 3), in any order of summation and
         with or without fused multiply-adds:
-        - the computed vecdot s is within gamma_d ||x||^2 + d 2^-1074 of ||x||^2,
+        - the computed sum of squares s is within gamma_d ||x||^2 + d 2^-1074 of ||x||^2,
           and R >= 2^-400 puts the second term below R^2 2^-40, so s <= c gives
           ||x|| <= R / (1 - gamma_d);
         - each residual <a_i, x> - y_i is then at most alpha ||x|| + beta in size,
@@ -314,7 +315,7 @@ class CompositeProblem:
         ||x|| for l1 (lam is 0 for the other kinds).  The ball indicator's
         ``value_rows`` holds norms up to B (1 + 1e-12), and a threshold of B^2
         (1 + 5e-13 - d 2^-50) keeps every cleared row's computed norm below
-        that, the vecdot rounding of both sides (2 gamma_d <= d 2^-51)
+        that, the rounding of both squared norms (2 gamma_d <= d 2^-51)
         included, so that projected iterates on the boundary are cleared too."""
         reg, d = self.reg, self.smooth.d
         c = self.smooth.clearing_norm_sq(limit, inf, reg.lam * math.sqrt(d))

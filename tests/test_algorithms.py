@@ -431,6 +431,11 @@ def test_csv_matches_row_writer_inv_sqrt_many_trials(tmp_path):
     traces = _sgd_traces(StepSchedule.inv_sqrt(0.3), range(13))
     assert len(set(traces[0].gamma.tolist())) == len(traces[0].gamma)  # gamma varies with t
     _assert_csv_matches_rows(tmp_path, traces)
+    # more rows than one formatted block holds: a trace spans the two blocks,
+    # the second is partial, and trial numbers pass 9 and 99 within a block
+    traces = _sgd_traces(StepSchedule.inv_sqrt(0.3), range(140))
+    assert 1 < sum(len(tr.t) for tr in traces) / (algorithms._FORMAT_VALUES // 3) < 2
+    _assert_csv_matches_rows(tmp_path, traces)
 
 
 def test_csv_matches_row_writer_mixing_two_schedules(tmp_path):
@@ -457,6 +462,69 @@ def test_csv_matches_row_writer_on_special_values(tmp_path):
                           f_gap=np.array([-0.0, np.nan, np.inf, -np.inf]),
                           dist_sq=np.array([1e308, 5e-324, 0.1 + 0.2, 1.0]), iterates=None)
     _assert_csv_matches_rows(tmp_path, [tr])
+    # prox_gd on lasso_4x2 ends at gaps of +-2.8e-17 and 0; gd on ls_4x2 at
+    # gamma = 1/L reaches gap 0 after one step
+    lasso, ls = fixture("lasso_4x2"), fixture("ls_4x2")
+    prox_run = RunConfig.for_fixture(lasso, "prox_gd", StepSchedule.constant(1.0 / lasso.constants.L),
+                                     60, x0=[4.0, -3.0])
+    gd_run = RunConfig.for_fixture(ls, "gd", StepSchedule.constant(1.0 / ls.constants.L), 20)
+    prox_tr, gd_tr = run_algorithm(prox_run, "prox_gd"), run_algorithm(gd_run, "gd")
+    assert (prox_tr.f_gap < 0).any() and (gd_tr.f_gap[1:] == 0).all()
+    _assert_csv_matches_rows(tmp_path, [prox_tr, gd_tr, tr])
+
+
+def _g17_texts(x):
+    """The text the trace writer's formatter gives each value of x."""
+    return [bytes(col).translate(None, b"\0")
+            for col in algorithms._g17_slots(np.asarray(x, dtype=float)).T]
+
+
+# any 64-bit pattern (subnormals, +-0, +-inf and NaN included, but mostly
+# outside the exact path's range) or one whose exponent puts |x| in
+# [2^-20, 2^57), about the exact path's range
+_BITS = st.integers(0, 2 ** 64 - 1) | st.builds(
+    lambda sign, exponent, mantissa: sign << 63 | exponent << 52 | mantissa,
+    st.integers(0, 1), st.integers(1003, 1080), st.integers(0, 2 ** 52 - 1))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_BITS, min_size=1, max_size=40))
+def test_formatter_matches_percent_g17_on_any_bits(bits):
+    x = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert _g17_texts(x) == [b"%.17g" % v for v in x.tolist()]
+
+
+def _format_edges():
+    tens = [float(f"1e{k}") for k in range(-40, 19)]
+    out = [0.0, 5e-324, 2.2250738585072014e-308, math.inf, math.nan]
+    for p in tens + [9.99995e-5, 9.999995e-6, 1e17 - 16.0]:
+        out += [p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)]
+    # literals that round up to a power of ten at 17 digits; no double does,
+    # and these parse to doubles next to the power
+    out += [0.099999999999999999, 9.9999999999999998e16, 9.99999999999999999e-6]
+    out += [2.0 ** -n for n in range(1, 80)]
+    out += [2.0 ** 53 + k for k in (2, 4, 6, 10)] + [2.0 ** 60, 2.0 ** 63 + 2 ** 11]
+    # exact ties: for odd m, x = m 2^-(s+1) gives x 10^s = m 5^s / 2, a
+    # half-integer; m is taken where x 10^s has 17 integer digits
+    for s in range(1, 23):
+        m = math.ceil(10.0 ** (16 - s) * 2.0 ** (s + 1)) | 1
+        out += [math.ldexp(m + k, -(s + 1)) for k in (0, 2, 4, 6)]
+    return out + [-v for v in out]
+
+
+def test_formatter_matches_percent_g17_on_edges():
+    x = _format_edges()
+    assert _g17_texts(x) == [b"%.17g" % v for v in x]
+
+
+@pytest.mark.parametrize("off", [-1.0, 1.0])
+def test_formatter_falls_back_when_log10_is_off(off, monkeypatch):
+    # an exponent estimate off by one leaves the exact product outside
+    # [1e16, 1e17), so every value takes the per-value reference
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + off)
+    x = _format_edges()
+    assert _g17_texts(x) == [b"%.17g" % v for v in x]
 
 
 def test_traces_need_every_step_recorded():
@@ -1063,7 +1131,7 @@ def test_cleared_rows_have_a_finite_gap_within_the_limit(data):
             X = X * (scale / np.sqrt(np.vecdot(X, X)))[:, None]
         elif ball_B is not None:  # projected onto the ball, as prox_sgd leaves them
             X = prox(Regularizer.ball_indicator(ball_B), 1.0, X * 10.0)
-        cleared = np.vecdot(X, X) <= clear
+        cleared = algorithms._clearing_norms(X[None])[0] <= clear  # the guard's reduction
         gaps = objective.value_rows(X) - inf
     assert np.isfinite(gaps[cleared]).all()
     assert np.all(gaps[cleared] <= limit)
