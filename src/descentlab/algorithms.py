@@ -426,19 +426,6 @@ class Lockstep:
     averaged: Optional[np.ndarray] = None  # (M, len(t)) gap at the averaged iterate
     iterates: Optional[np.ndarray] = None  # (M, T+1, d)
 
-    def traces(self) -> list:
-        """One Trace per trial; a Trace has a row for every step, so the run
-        must have recorded every step."""
-        if len(self.t) != len(self.gamma):
-            raise ValueError(f"traces need every step recorded; this run recorded "
-                             f"{len(self.t)} of {len(self.gamma)}")
-        return [
-            Trace(algorithm=self.algorithm, trial=int(m), t=self.t, gamma=self.gamma,
-                  f_gap=self.f_gap[j], dist_sq=self.dist_sq[j],
-                  iterates=None if self.iterates is None else self.iterates[j])
-            for j, m in enumerate(self.trials)
-        ]
-
 
 _BLOCK = 512  # most steps whose samples are drawn, or gaps evaluated, at once
 _BLOCK_VALUES = 2 ** 16  # most values one draw window, or one gap block, allocates
@@ -598,7 +585,9 @@ def run_lockstep(cfg: RunConfig, trials, at=None, averaging=None,
 
 def run_algorithm(cfg: RunConfig, algorithm: str, trial: int = 0) -> Trace:
     """Trial ``trial`` of ``algorithm`` on ``cfg``, with its (T+1, d) iterates."""
-    return run_lockstep(replace(cfg, algorithm=algorithm), [trial], keep_iterates=True).traces()[0]
+    run = run_lockstep(replace(cfg, algorithm=algorithm), [trial], keep_iterates=True)
+    return Trace(algorithm=run.algorithm, trial=int(trial), t=run.t, gamma=run.gamma,
+                 f_gap=run.f_gap[0], dist_sq=run.dist_sq[0], iterates=run.iterates[0])
 
 
 def is_deterministic(cfg: RunConfig) -> bool:
@@ -753,67 +742,65 @@ def _g17_slots(x):
     return out
 
 
-def _csv_rows(pieces) -> bytes:
-    """The CSV rows lo .. hi-1 of each (trace, lo, hi) of ``pieces``, in order.
+def _int_slots(v):
+    """The decimal digits of each nonnegative integer of ``v``: a (width,
+    len(v)) uint8 array, right-aligned, with NUL bytes before the leading digit."""
+    width = len(str(int(v.max())))
+    out = np.empty((width, len(v)), np.uint8)
+    for i in range(width - 1, -1, -1):
+        q = v // 10
+        out[i] = (v - 10 * q + 48) * ((v > 0) | (i == width - 1))
+        v = q
+    return out
+
+
+def _csv_rows(run: Lockstep, lo: int, hi: int) -> bytes:
+    """The CSV rows of flat rows lo .. hi-1 of ``run``: flat row r is trial
+    ``run.trials[r // (T+1)]`` at step ``r % (T+1)``.
 
     Every field goes into fixed NUL-padded slots of one (slot, row) array,
-    whose rows of text are then one ``translate`` away: the trial number,
-    the step, and each float in the slots of ``_g17_slots``."""
-    n = sum(hi - lo for _, lo, hi in pieces)
-    labels = [f"{tr.trial},".encode() for tr, _, _ in pieces]
-    t = np.concatenate([np.arange(lo, hi) for _, lo, hi in pieces])
-    lw, tw = max(map(len, labels)), len(str(int(t.max())))
-    out = np.zeros((lw + tw + 1 + 3 * (_G17_SLOTS + 1), n), np.uint8)
-    r = 0
-    for label, (_, lo, hi) in zip(labels, pieces):
-        out[lw - len(label): lw, r: r + hi - lo] = np.frombuffer(label, np.uint8)[:, None]
-        r += hi - lo
-    for i in range(tw - 1, -1, -1):  # the digits of t, without leading zeros
-        q = t // 10
-        out[lw + i] = (t - 10 * q + 48) * ((t > 0) | (i == tw - 1))
-        t = q
-    out[lw + tw] = ord(",")
-    values = np.concatenate([np.asarray(getattr(tr, key)[lo:hi], dtype=float)
-                             for key in ("gamma", "f_gap", "dist_sq") for tr, lo, hi in pieces])
-    fields = out[lw + tw + 1:].reshape(3, _G17_SLOTS + 1, n)
+    whose rows of text are then one ``translate`` away: the trial number and
+    the step in the slots of ``_int_slots``, each float in those of
+    ``_g17_slots``."""
+    j, t = np.divmod(np.arange(lo, hi), len(run.gamma))
+    trial, step = _int_slots(run.trials[j]), _int_slots(t)
+    lw, tw, n = len(trial), len(step), hi - lo
+    out = np.empty((lw + tw + 2 + 3 * (_G17_SLOTS + 1), n), np.uint8)
+    out[:lw] = trial
+    out[lw + 1: lw + 1 + tw] = step
+    out[[lw, lw + 1 + tw]] = ord(",")
+    values = np.concatenate([run.gamma[t], run.f_gap.ravel()[lo:hi], run.dist_sq.ravel()[lo:hi]])
+    fields = out[lw + tw + 2:].reshape(3, _G17_SLOTS + 1, n)
     fields[:, :_G17_SLOTS] = _g17_slots(values).reshape(_G17_SLOTS, 3, n).transpose(1, 0, 2)
     fields[:2, _G17_SLOTS] = ord(",")
     fields[2, _G17_SLOTS] = ord("\n")
     return out.T.tobytes().translate(None, b"\0")
 
 
-def write_traces_csv(traces, path, header: bool = True) -> None:
-    """Serialize traces as CSV: trial,t,gamma_t,f_gap,dist_sq, each float as
+def write_traces_csv(run: Lockstep, path, header: bool = True) -> None:
+    """Serialize the trials of a run that recorded every step as CSV:
+    trial,t,gamma_t,f_gap,dist_sq, trial after trial, each float as
     ``"%.17g" % value`` writes it (17 significant digits).
 
-    With ``header=False`` only the rows are written, so the rows of
+    With ``header=False`` only the rows are written, so the runs of
     consecutive trial ranges, each written by the process that ran it,
     concatenate behind one header into the file a single call would write;
-    traces never cross a process boundary.
+    no run crosses a process boundary.
 
     Every float goes through one array formatter (``_g17_slots``): exact
     for 0 and |x| in [1e-6, 1e17) by Dekker's TwoProduct, and ``"%.17g" %``
     one value at a time for the rest (subnormals, values outside that
-    range, inf and NaN).  The rows are formatted in blocks of at most
-    _FORMAT_VALUES (2^14) floats (``_csv_rows``), a block spanning traces
-    or a trace spanning blocks, so the writer's temporaries stay near 2 MB
-    and a ``--jobs`` worker's peak memory does not grow with its trace."""
-    if isinstance(traces, Trace):
-        traces = [traces]
-    rows = _FORMAT_VALUES // 3
+    range, inf and NaN).  The rows are formatted straight from the run's
+    (M, T+1) arrays in blocks of at most _FORMAT_VALUES (2^14) floats
+    (``_csv_rows``), so the writer's temporaries stay near 2 MB and a
+    ``--jobs`` worker's peak memory does not grow with its trace."""
+    steps = len(run.gamma)
+    if len(run.t) != steps:
+        raise ValueError(f"traces need every step recorded; this run recorded "
+                         f"{len(run.t)} of {steps}")
+    rows, total = _FORMAT_VALUES // 3, len(run.trials) * steps
     with open(path, "wb") as fh:
         if header:
             fh.write(b"trial,t,gamma_t,f_gap,dist_sq\n")
-        pieces, room = [], rows
-        for tr in traces:
-            lo, n = 0, len(tr.f_gap)
-            while lo < n:
-                hi = min(n, lo + room)
-                pieces.append((tr, lo, hi))
-                room -= hi - lo
-                lo = hi
-                if not room:
-                    fh.write(_csv_rows(pieces))
-                    pieces, room = [], rows
-        if pieces:
-            fh.write(_csv_rows(pieces))
+        for lo in range(0, total, rows):
+            fh.write(_csv_rows(run, lo, min(lo + rows, total)))

@@ -42,7 +42,8 @@ from .algorithms import (
 )
 # kept as a module attribute, where perfbench/tracer.py wraps it
 from .algorithms import run_algorithm  # noqa: F401
-from .nonsmooth import REQUIRED, Regularizer, SpecError, is_json, spec_fields, spec_section
+from .nonsmooth import (REQUIRED, Regularizer, SpecError, is_json, read_json, spec_fields,
+                        spec_section)
 
 
 # Every config input is read as a spec, so a config error is a SpecError that
@@ -96,14 +97,7 @@ class ExperimentConfig(SimpleNamespace):
 
 
 def load_config(path: str) -> ExperimentConfig:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError("config", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config", f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return ExperimentConfig.from_dict(raw)
+    return ExperimentConfig.from_dict(read_json(path, "config"))
 
 
 def _message(exc: Exception) -> str:
@@ -160,14 +154,15 @@ def _run_config(cfg: ExperimentConfig, fx: problems.Fixture, seed: int) -> RunCo
 
 def _trial_chunk(args):
     """Worker: run trials lo .. hi-1 of the checked run and write their trace
-    rows, without the header, to ``path``.  Returns the (trial, t) of each
-    diverged trial, and writes nothing if there is one."""
+    rows to ``path``, behind the header only in the first chunk (``lo == 0``).
+    Returns the (trial, t) of each diverged trial, and writes nothing if
+    there is one."""
     rc, lo, hi, path = args
     try:
-        traces = run_lockstep(rc, range(lo, hi)).traces()
+        run = run_lockstep(rc, range(lo, hi))
     except DivergenceError as exc:
         return exc.failures
-    write_traces_csv(traces, path, header=False)
+    write_traces_csv(run, path, header=lo == 0)
     return []
 
 
@@ -206,7 +201,7 @@ def cmd_run(config_path: str, out_dir: str = ".", jobs: int = 1,
         if jobs > 1 and cfg.trials > 1:
             _run_chunks(rc, jobs, out_dir, trace_path)
         else:
-            write_traces_csv(run_lockstep(rc, range(cfg.trials)).traces(), trace_path)
+            write_traces_csv(run_lockstep(rc, range(cfg.trials)), trace_path)
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return 3
@@ -217,9 +212,10 @@ def cmd_run(config_path: str, out_dir: str = ".", jobs: int = 1,
 def _run_chunks(rc: RunConfig, jobs: int, out_dir: str, trace_path: str) -> None:
     """The trials of ``rc`` in ``jobs`` contiguous chunks, one per worker.
     Each worker writes its rows to a part file in a temporary directory under
-    ``out_dir``; the trace is the header and then the parts in chunk order, so
-    it is the file one process would write, and the rows never pass through
-    this process.  Raises one DivergenceError naming every diverged trial."""
+    ``out_dir``, the first part behind the header; the trace is the parts in
+    chunk order, so it is the file one process would write, and the rows never
+    pass through this process.  Raises one DivergenceError naming every
+    diverged trial."""
     chunks = np.array_split(np.arange(rc.trials), min(jobs, rc.trials))
     with tempfile.TemporaryDirectory(dir=out_dir) as tmp:
         args = [(rc, int(ch[0]), int(ch[-1]) + 1, os.path.join(tmp, f"part{i}.csv"))
@@ -229,8 +225,7 @@ def _run_chunks(rc: RunConfig, jobs: int, out_dir: str, trace_path: str) -> None
             failures = [f for part in pool.map(_trial_chunk, args) for f in part]
         if failures:
             raise DivergenceError(failures)
-        write_traces_csv((), trace_path)
-        with open(trace_path, "ab") as out:
+        with open(trace_path, "wb") as out:
             for _, _, _, part in args:
                 with open(part, "rb") as fh:
                     shutil.copyfileobj(fh, out)
@@ -290,9 +285,8 @@ _CONSTANTS_FIELDS = {
 
 def _constants_from_json(path: str):
     """A constants file's table sections (``theory.complexity_table``) and batch size."""
-    with open(path) as fh:
-        raw = spec_fields(json.load(fh), {**dict.fromkeys(_CONSTANTS_FIELDS, (dict, None)),
-                                          "batch_size": (int, 2)}, "constants")
+    raw = spec_fields(read_json(path), {**dict.fromkeys(_CONSTANTS_FIELDS, (dict, None)),
+                                        "batch_size": (int, 2)}, "constants")
     sm, lip, comp = (spec_section(name, partial(spec_fields, fields=table), raw[name] or {})
                      for name, table in _CONSTANTS_FIELDS.items())
     # a constant left out is missing, but for these
@@ -346,7 +340,7 @@ def cmd_table(constants_source: str, epsilon: float, csv_path: Optional[str] = N
         else:
             sections, b = table_sources_for_fixture(constants_source), 2
         table = theory.complexity_table(sections, b if batch_size is None else batch_size, epsilon)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"table error: {_message(exc)}", file=sys.stderr)
         return 2
     print(theory.table_to_text(table))

@@ -233,6 +233,9 @@ def run_verification(
         weighting = ("p_tk", row.ref_constants(consts, b)[0])
 
     if checkpoints is None:
+        if iterations < curve.min_t:  # default_checkpoints ends at T
+            raise ValueError(f"horizon T={iterations} ends before the validity window "
+                             f"t >= {curve.min_t} of setting {setting}")
         checkpoints = [cp for cp in default_checkpoints(iterations) if cp >= curve.min_t]
     est = estimate(cfg, row.metric, checkpoints, weighting=weighting)
     if policy is None:

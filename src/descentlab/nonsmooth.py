@@ -6,12 +6,14 @@ indicator of a centered euclidean ball (whose prox is the projection).  All
 operations are pure functions; the certificate verifies a candidate prox output
 through the optimality condition (x - p)/gamma in the subdifferential at p.
 The one reader of the package's JSON specs (configs, schedules, regularizers,
-problems, fixture and constants files) lives here too: ``spec_fields``,
-``spec_kind`` and ``spec_section``, behind one ``is_json`` test.
+problems, fixture and constants files) lives here too: ``read_json`` for a
+file, and ``spec_fields``, ``spec_kind`` and ``spec_section``, behind one
+``is_json`` test.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -43,6 +45,20 @@ def is_json(value, kind) -> bool:
     return (isinstance(value, (int, float) if kind is float else kind)
             and not isinstance(value, bool)
             and not (isinstance(value, float) and not math.isfinite(value)))
+
+
+def read_json(path: str, name: str = ""):
+    """The JSON value in the file at ``path``.  A file that cannot be read, or
+    is not JSON, is a SpecError of the spec ``name``: its reason names the
+    path, or for invalid JSON the line (and the path when ``name`` is empty)."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise SpecError(name, f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        where = "" if name else f" in {path}"
+        raise SpecError(name, f"invalid JSON{where} at line {exc.lineno}: {exc.msg}") from exc
 
 
 def spec_fields(spec, fields: dict, name: str = "") -> dict:

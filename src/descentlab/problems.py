@@ -14,7 +14,6 @@ of (i, x) and safe to share across concurrent workers.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -23,8 +22,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .nonsmooth import (REQUIRED, Regularizer, SpecError, axis_sum, prox, spec_kind,
-                        spec_section)
+from .nonsmooth import (REQUIRED, Regularizer, SpecError, axis_sum, prox, read_json,
+                        spec_kind, spec_section)
 
 __all__ = [
     "FiniteSumProblem",
@@ -695,7 +694,6 @@ def fixture(name: str) -> Fixture:
         path = os.path.join(ext_dir, f"{name}.json") if ext_dir else None
         if not (path and os.path.exists(path)):
             raise KeyError(f"unknown fixture {name!r}; available: {fixture_names()}")
-        with open(path) as fh:
-            spec = json.load(fh)
+        spec = read_json(path)
     fx = _FIXTURE_CACHE[name] = fixture_from_spec(name, spec)
     return fx

@@ -363,23 +363,23 @@ def _linear_plus_constant(mu: float, A: float, C: float, alpha0: float, e: float
 
 
 # complexity families: (row, constants, eps, init, b, sigma_star_F)
-# -> (gamma, t, rate, formula, relative): rate is the unrounded count, t the
+# -> (gamma, t, rate, relative): rate is the unrounded count, t the
 # count the family's rule rounds it to
 def _gd_sublinear_steps(row, c, e, init, b, sF):
     D2 = _need(init.D2, "D2")
     _hyp(np.isfinite(c.L) and c.L > 0, "finite L > 0")
     rate = c.L * D2 / (2.0 * e)
-    return 1.0 / c.L, max(1, _ceil(rate)), rate, "L*D2/(2*eps)", False
+    return 1.0 / c.L, max(1, _ceil(rate)), rate, False
 
 
 def _gd_contraction_steps(row, c, e, init, b, sF):
     _hyp(c.mu > 0, "mu > 0")
-    return (*_contraction_steps(c.L, c.mu, e, "mu"), "(L/mu)*log(1/eps)", True)
+    return (*_contraction_steps(c.L, c.mu, e, "mu"), True)
 
 
 def _gd_pl_steps(row, c, e, init, b, sF):
     _hyp(c.mu_pl > 0, "mu_pl > 0")
-    return (*_contraction_steps(c.L, c.mu_pl, e, "mu_pl"), "(L/mu_pl)*log(1/eps)", True)
+    return (*_contraction_steps(c.L, c.mu_pl, e, "mu_pl"), True)
 
 
 def _avg_const_steps(row, c, e, init, b, sF):
@@ -387,17 +387,14 @@ def _avg_const_steps(row, c, e, init, b, sF):
     D2 = _need(init.D2, "D2")
     rate = (2.0 * L_ref * D2 + sigma / L_ref) ** 2 / e**2
     t = max(4, _ceil(rate))
-    return (1.0 / (2.0 * L_ref * math.sqrt(t)), t, rate,
-            "((2*L_ref*D2 + sigma/L_ref)/eps)^2", False)
+    return 1.0 / (2.0 * L_ref * math.sqrt(t)), t, rate, False
 
 
 def _noisy_contraction_steps(row, c, e, init, b, sF):
     _hyp(c.mu > 0, "mu > 0")
     L_ref, sigma = row.ref_constants(c, b, sF)
     D2 = _need(init.D2, "D2")
-    names = ("sigma_F", "L_max") if row.composite else ("sigma", "L_ref")
-    return (*_linear_plus_constant(c.mu, 2.0 * sigma / c.mu, 2.0 * L_ref, D2, e),
-            "max(4*%s/(eps*mu^2), 2*%s/mu)*log(2*D2/eps)" % names, False)
+    return (*_linear_plus_constant(c.mu, 2.0 * sigma / c.mu, 2.0 * L_ref, D2, e), False)
 
 
 def _sgd_pl_steps(row, c, e, init, b, sF):
@@ -409,8 +406,7 @@ def _sgd_pl_steps(row, c, e, init, b, sF):
     gamma = base if delta == 0.0 else base * min(e / (2.0 * delta), 1.0)
     factor = (c.L * c.L_max / c.mu_pl**2) * max(2.0 * delta / e, 1.0)
     rate = factor * (math.log(2.0 * f0 / e) if 2.0 * f0 > e else 0.0)
-    return (gamma, max(0, _ceil(rate)), rate,
-            "(L*L_max/mu_pl^2)*max(2*Delta/eps,1)*log(2*f0/eps)", False)
+    return gamma, max(0, _ceil(rate)), rate, False
 
 
 def _momentum_steps(row, c, e, init, b, sF):
@@ -419,8 +415,7 @@ def _momentum_steps(row, c, e, init, b, sF):
     Lm = c.L_max
     rate = (8.0 * Lm * Lm * D2 + sigma) ** 2 / (4.0 * Lm * Lm * e * e)
     t = max(0, _ceil(rate - 1.0))  # the bound at horizon T has T + 1 >= rate
-    return (1.0 / (4.0 * Lm * math.sqrt(t + 1.0)), t, rate,
-            "((8*L_max^2*D2 + sigma)/(2*L_max*eps))^2 - 1", False)
+    return 1.0 / (4.0 * Lm * math.sqrt(t + 1.0)), t, rate, False
 
 
 def _ssd_general_steps(row, c, e, init, b, sF):
@@ -428,15 +423,14 @@ def _ssd_general_steps(row, c, e, init, b, sF):
     _hyp(_need(c.G, "G") > 0, "G > 0")
     rate = D2 * c.G * c.G / (e * e)
     t = max(1, _ceil(rate))
-    return math.sqrt(D2) / (c.G * math.sqrt(t)), t, rate, "D2*G^2/eps^2", False
+    return math.sqrt(D2) / (c.G * math.sqrt(t)), t, rate, False
 
 
 def _ssd_strongly_convex_steps(row, c, e, init, b, sF):
     _hyp(c.mu > 0, "mu > 0")
     _hyp(c.G > 0, "G > 0")
     _hyp(c.B > 0, "B > 0")
-    return (*_linear_plus_constant(c.mu, c.G**2 / c.mu, c.mu, 4.0 * c.B**2, e),
-            "max(2*G^2/(eps*mu^2), 1)*log(8*B^2/eps)", False)
+    return (*_linear_plus_constant(c.mu, c.G**2 / c.mu, c.mu, 4.0 * c.B**2, e), False)
 
 
 def _prox_sgd_const_steps(row, c, e, init, b, sF):
@@ -445,8 +439,7 @@ def _prox_sgd_const_steps(row, c, e, init, b, sF):
     F0 = _need(init.F0_gap, "F0_gap")
     _hyp(sF > 0 and e <= sF / Lm, "eps <= sigma_star_F / L_max")
     rate = 16.0 * (D2 + F0 / (4.0 * Lm)) * sF / (e * e)
-    return (e / (8.0 * sF), max(1, _ceil(rate)), rate,
-            "16*(D2 + F0/(4*L_max))*sigma_F/eps^2", False)
+    return e / (8.0 * sF), max(1, _ceil(rate)), rate, False
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +518,6 @@ class ComplexityAnswer:
     recommended_gamma: Optional[float]
     t_min: int
     rate: float
-    formula: str
     relative: bool  # target is eps * (initial scale) rather than eps
 
 

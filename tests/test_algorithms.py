@@ -386,91 +386,90 @@ def test_gamma_weighted_average():
 # trace serialization
 # ---------------------------------------------------------------------------
 
+def _sgd_run(trials=range(1), T=5, seed=0, schedule=None):
+    _, cfg = _cfg(T=T, seed=seed, schedule=schedule)
+    return algorithms.run_lockstep(replace(cfg, algorithm="sgd"), trials)
+
+
 def test_csv_format(tmp_path):
-    fx, cfg = _cfg(T=5)
-    tr = run_algorithm(cfg, "sgd")
+    run = _sgd_run()
     path = tmp_path / "trace.csv"
-    write_traces_csv([tr], path)
+    write_traces_csv(run, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "trial,t,gamma_t,f_gap,dist_sq"
     assert len(lines) == 1 + 6
     # 17 significant digits round-trip
     val = float(lines[1].split(",")[3])
-    assert val == tr.f_gap[0]
+    assert val == run.f_gap[0, 0]
 
 
 def test_csv_byte_identical_reruns(tmp_path):
-    fx, cfg = _cfg(T=50, seed=13)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_traces_csv([run_algorithm(cfg, "sgd")], a)
-    write_traces_csv([run_algorithm(cfg, "sgd")], b)
+    write_traces_csv(_sgd_run(T=50, seed=13), a)
+    write_traces_csv(_sgd_run(T=50, seed=13), b)
     assert a.read_bytes() == b.read_bytes()
 
 
-def _row_csv(traces) -> bytes:
+def _row_csv(run, header=True) -> bytes:
     """The plain per-row writer that write_traces_csv must match byte for byte."""
-    out = ["trial,t,gamma_t,f_gap,dist_sq\n"]
-    for tr in traces:
-        for t, (g, f, d) in enumerate(zip(tr.gamma, tr.f_gap, tr.dist_sq)):
-            out.append(f"{tr.trial},{t},{g:.17g},{f:.17g},{d:.17g}\n")
+    out = ["trial,t,gamma_t,f_gap,dist_sq\n"] if header else []
+    for m, f_gap, dist_sq in zip(run.trials, run.f_gap, run.dist_sq):
+        for t, (g, f, d) in enumerate(zip(run.gamma, f_gap, dist_sq)):
+            out.append(f"{m},{t},{g:.17g},{f:.17g},{d:.17g}\n")
     return "".join(out).encode()
 
 
-def _sgd_traces(schedule, trials, T=40):
-    _, cfg = _cfg(T=T, seed=3, schedule=schedule)
-    return algorithms.run_lockstep(replace(cfg, algorithm="sgd"), trials).traces()
+def _sgd_inv_sqrt_run(trials):
+    return _sgd_run(trials, T=40, seed=3, schedule=StepSchedule.inv_sqrt(0.3))
 
 
-def _assert_csv_matches_rows(tmp_path, traces):
+def _assert_csv_matches_rows(tmp_path, run, header=True):
     path = tmp_path / "trace.csv"
-    write_traces_csv(traces, path)
-    assert path.read_bytes() == _row_csv(traces)
+    write_traces_csv(run, path, header=header)
+    assert path.read_bytes() == _row_csv(run, header)
 
 
 def test_csv_matches_row_writer_inv_sqrt_many_trials(tmp_path):
-    traces = _sgd_traces(StepSchedule.inv_sqrt(0.3), range(13))
-    assert len(set(traces[0].gamma.tolist())) == len(traces[0].gamma)  # gamma varies with t
-    _assert_csv_matches_rows(tmp_path, traces)
-    # more rows than one formatted block holds: a trace spans the two blocks,
+    run = _sgd_inv_sqrt_run(range(13))
+    assert len(set(run.gamma.tolist())) == len(run.gamma)  # gamma varies with t
+    _assert_csv_matches_rows(tmp_path, run)
+    # more rows than one formatted block holds: a trial spans the two blocks,
     # the second is partial, and trial numbers pass 9 and 99 within a block
-    traces = _sgd_traces(StepSchedule.inv_sqrt(0.3), range(140))
-    assert 1 < sum(len(tr.t) for tr in traces) / (algorithms._FORMAT_VALUES // 3) < 2
-    _assert_csv_matches_rows(tmp_path, traces)
-
-
-def test_csv_matches_row_writer_mixing_two_schedules(tmp_path):
-    # same horizon, different stepsizes, interleaved: the format cache keys on
-    # the stepsize values, so neither run's rows may borrow the other's
-    a = _sgd_traces(StepSchedule.constant(0.3), range(3))
-    b = _sgd_traces(StepSchedule.inv_sqrt(0.3), range(3))
-    _assert_csv_matches_rows(tmp_path, [a[0], b[0], a[1], b[1], a[2], b[2]])
+    run = _sgd_inv_sqrt_run(range(140))
+    assert 1 < run.f_gap.size / (algorithms._FORMAT_VALUES // 3) < 2
+    _assert_csv_matches_rows(tmp_path, run)
 
 
 def test_csv_matches_row_writer_on_unpickled_chunks(tmp_path):
     import pickle
 
-    # as the process pool returns them: each chunk carries its own gamma copy
-    chunks = [pickle.loads(pickle.dumps(_sgd_traces(StepSchedule.inv_sqrt(0.3), range(lo, hi))))
+    # as two --jobs workers write them: each chunk its own run, the first
+    # behind the header, the parts concatenated in chunk order
+    chunks = [pickle.loads(pickle.dumps(_sgd_inv_sqrt_run(range(lo, hi))))
               for lo, hi in ((0, 7), (7, 12))]
-    assert chunks[0][0].gamma is not chunks[1][0].gamma
-    _assert_csv_matches_rows(tmp_path, chunks[0] + chunks[1])
+    parts = [tmp_path / "part0.csv", tmp_path / "part1.csv"]
+    for i, (chunk, part) in enumerate(zip(chunks, parts)):
+        write_traces_csv(chunk, part, header=i == 0)
+    assert b"".join(p.read_bytes() for p in parts) == _row_csv(_sgd_inv_sqrt_run(range(12)))
+    assert parts[1].read_bytes() == _row_csv(chunks[1], header=False)
 
 
 def test_csv_matches_row_writer_on_special_values(tmp_path):
-    t = np.arange(4)
-    tr = algorithms.Trace(algorithm="sgd", trial=10, t=t, gamma=np.array([0.1, 1e-300, 2.0, 3.0]),
-                          f_gap=np.array([-0.0, np.nan, np.inf, -np.inf]),
-                          dist_sq=np.array([1e308, 5e-324, 0.1 + 0.2, 1.0]), iterates=None)
-    _assert_csv_matches_rows(tmp_path, [tr])
+    special = algorithms.Lockstep(
+        algorithm="sgd", trials=np.array([10]), t=np.arange(4),
+        gamma=np.array([0.1, 1e-300, 2.0, 3.0]), f_gap=np.array([[-0.0, np.nan, np.inf, -np.inf]]),
+        dist_sq=np.array([[1e308, 5e-324, 0.1 + 0.2, 1.0]]))
+    _assert_csv_matches_rows(tmp_path, special)
     # prox_gd on lasso_4x2 ends at gaps of +-2.8e-17 and 0; gd on ls_4x2 at
     # gamma = 1/L reaches gap 0 after one step
     lasso, ls = fixture("lasso_4x2"), fixture("ls_4x2")
-    prox_run = RunConfig.for_fixture(lasso, "prox_gd", StepSchedule.constant(1.0 / lasso.constants.L),
-                                     60, x0=[4.0, -3.0])
-    gd_run = RunConfig.for_fixture(ls, "gd", StepSchedule.constant(1.0 / ls.constants.L), 20)
-    prox_tr, gd_tr = run_algorithm(prox_run, "prox_gd"), run_algorithm(gd_run, "gd")
-    assert (prox_tr.f_gap < 0).any() and (gd_tr.f_gap[1:] == 0).all()
-    _assert_csv_matches_rows(tmp_path, [prox_tr, gd_tr, tr])
+    prox_run = algorithms.run_lockstep(RunConfig.for_fixture(
+        lasso, "prox_gd", StepSchedule.constant(1.0 / lasso.constants.L), 60, x0=[4.0, -3.0]), [0])
+    gd_run = algorithms.run_lockstep(RunConfig.for_fixture(
+        ls, "gd", StepSchedule.constant(1.0 / ls.constants.L), 20), range(3))
+    assert (prox_run.f_gap < 0).any() and (gd_run.f_gap[:, 1:] == 0).all()
+    _assert_csv_matches_rows(tmp_path, prox_run)
+    _assert_csv_matches_rows(tmp_path, gd_run, header=False)
 
 
 def _g17_texts(x):
@@ -527,11 +526,12 @@ def test_formatter_falls_back_when_log10_is_off(off, monkeypatch):
     assert _g17_texts(x) == [b"%.17g" % v for v in x]
 
 
-def test_traces_need_every_step_recorded():
+def test_traces_need_every_step_recorded(tmp_path):
     _, cfg = _cfg(T=10)
     run = algorithms.run_lockstep(replace(cfg, algorithm="sgd"), range(2), at=[5, 10])
     with pytest.raises(ValueError, match="recorded 2 of 11"):
-        run.traces()
+        write_traces_csv(run, tmp_path / "trace.csv")
+    assert not (tmp_path / "trace.csv").exists()
 
 
 # ---------------------------------------------------------------------------

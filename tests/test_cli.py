@@ -4,9 +4,10 @@ import os
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from descentlab import RunConfig, StepSchedule, fixture, run_algorithm, write_traces_csv
+from descentlab import RunConfig, StepSchedule, fixture, run_lockstep, write_traces_csv
 from descentlab import cli
 from descentlab.problems import FiniteSumProblem
 from descentlab.cli import (
@@ -140,8 +141,9 @@ def test_gd_run_steps_one_row_for_every_trial(tmp_path, monkeypatch, capsys):
     assert rows and set(rows) == {1}
     cfg = RunConfig.for_fixture(fixture("ls_4x2"), "gd", StepSchedule.constant(1.0 / 0.75), 600,
                                 x0=[3.0, -1.0])
-    alone = run_algorithm(cfg, "gd", trial=0)
-    write_traces_csv([replace(alone, trial=m) for m in range(5)], tmp_path / "alone.csv")
+    alone = run_lockstep(cfg, [0])
+    write_traces_csv(replace(alone, trials=np.arange(5), f_gap=np.tile(alone.f_gap, (5, 1)),
+                             dist_sq=np.tile(alone.dist_sq, (5, 1))), tmp_path / "alone.csv")
     assert (tmp_path / "alone.csv").read_bytes() == traces[0]
     # a divergence names every trial, at the one row's t
     path = _write(tmp_path, "div.json", _gd_config(trials=3, iterations=4000, x0=[50.0, 50.0],
@@ -794,6 +796,50 @@ def test_verify_empty_checkpoints_is_a_config_error(tmp_path, capsys):
     assert main(["verify", "--config", _write(tmp_path, "cfg.json",
                                               _verify_config(checkpoints=[]))]) == 2
     assert capsys.readouterr().err.startswith("config error: field 'checkpoints':")
+
+
+@pytest.mark.parametrize("fixture_name,algorithm,gamma0,T,setting,min_t", [
+    ("ls_4x2", "sgd", 0.1, 10, "sgd_convex_invsqrt", 49),
+    ("abs_2x1", "ssd", 1.0, 1, "ssd_convex_invsqrt", 2),
+])
+def test_verify_horizon_before_the_validity_window_exits_2(tmp_path, capsys, fixture_name,
+                                                           algorithm, gamma0, T, setting, min_t):
+    # no checkpoints: the default ones all lie before min_t
+    cfg = {"problem": {"fixture": fixture_name}, "algorithm": algorithm, "iterations": T,
+           "schedule": {"kind": "inv_sqrt", "gamma0": gamma0}, "trials": 5,
+           "verify": {"setting": setting}}
+    assert main(["verify", "--config", _write(tmp_path, "cfg.json", cfg)]) == 2
+    assert capsys.readouterr() == ("", f"hypothesis error: horizon T={T} ends before the "
+                                       f"validity window t >= {min_t} of setting {setting}\n")
+
+
+@pytest.mark.parametrize("kind", ["directory", "invalid_json"])
+@pytest.mark.parametrize("command", ["run", "verify", "suite", "table"])
+def test_unreadable_fixture_file_exits_2_naming_its_path(tmp_path, monkeypatch, capsys,
+                                                         command, kind):
+    from descentlab import problems
+    ext = tmp_path / "fixtures"
+    ext.mkdir()
+    path = ext / "unread.json"
+    if kind == "directory":  # unreadable even by root, which ignores file modes
+        path.mkdir()
+        detail = f"cannot read {path}: [Errno 21] Is a directory: {str(path)!r}\n"
+    else:
+        path.write_text('{"kind": "least_squares",\n')
+        detail = f"invalid JSON in {path} at line 2: Expecting property name enclosed in double quotes\n"
+    monkeypatch.setenv("DESCENTLAB_FIXTURES", str(ext))
+    monkeypatch.delitem(problems._FIXTURE_CACHE, "unread", raising=False)
+    cfg = _write(tmp_path, "cfg.json", _gd_config(problem={"fixture": "unread"},
+                                                  verify={"setting": "gd_convex"}))
+    argv, prefix = {
+        "run": (["run", "--config", cfg, "--out-dir", str(tmp_path / "out")],
+                "config error: field 'problem.fixture': "),
+        "verify": (["verify", "--config", cfg], "config error: field 'problem.fixture': "),
+        "suite": (["suite", "--fixture", "unread"], "config error: fixture 'unread': "),
+        "table": (["table", "--constants", "unread", "--epsilon", "1e-3"], "table error: "),
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", prefix + detail)
 
 
 @pytest.mark.parametrize("command", ["run", "verify", "suite"])
