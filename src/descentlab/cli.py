@@ -335,7 +335,7 @@ def cmd_table(constants_source: str, epsilon: float, csv_path: Optional[str] = N
     try:
         if csv_path and (error := _output_error(csv_path)):
             raise ValueError(f"--csv: {error}")
-        if os.path.exists(constants_source):
+        if os.path.isfile(constants_source):
             sections, b = _constants_from_json(constants_source)
         else:
             sections, b = table_sources_for_fixture(constants_source), 2

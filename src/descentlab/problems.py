@@ -46,61 +46,19 @@ __all__ = [
 # spectrum of (1/n) Phi^T Phi.
 _EIG_CUTOFF = 1e-10
 
-
-class _Linear:
-    """How x maps to the residuals r_i = <a_i, x> - y_i, at one point and in the
-    row-wise oracles, of a problem ``p`` or of the sampled terms' data
-    ``rows = (a, y)``, and how the residuals' loss derivative maps back through
-    A^T.  Products with the whole of A are stacks of matrix-vector products, so
-    that each row matches the single-point ``A @ x`` and ``A.T @ s`` (one
-    (M, d) @ (d, n) product may round differently and depend on M)."""
-
-    def residual(p, x, i=slice(None)):  # of one point: r_i, or the (n,) residuals
-        return p.data["A"][i] @ x - p.data["y"][i]
-
-    def adjoint(p, s):  # A^T s of an (n,) vector
-        return p.data["A"].T @ s
-
-    def rows(p, X, work=None):  # (M, n), in ``work`` (M, 1, n) if given
-        r = np.matmul(X[:, None, :], p.data["A"].T, out=work)[:, 0]
-        r -= p.data["y"]
-        return r
-
-    def grad_rows(p, X, dloss):
-        A = p.data["A"]
-        s = dloss(np.matmul(X[:, None, :], A.T)[:, 0] - p.data["y"])
-        return np.matmul(A.T, s[:, :, None])[:, :, 0] / p.n
-
-    def sample(p, idx):
-        return np.take(p.data["A"], idx, axis=0), np.take(p.data["y"], idx)
-
-    def grad_sampled(rows, X, dloss):
-        return dloss(np.vecdot(rows[0], X) - rows[1])[:, None] * rows[0]
-
-
-class _Identity:
-    """The residual of one term with a = 1 and y = 0 (n = d = 1), x itself: the
-    products with A = [[1]] are exact but for the sign of a zero, which BLAS
-    accumulates onto +0.0.  Skipping them halves a step's numpy calls, and the
-    single-point oracles skip them too, so both keep the sign of x = -0.0."""
-
-    residual = lambda p, x, i=slice(None): x[i]  # noqa: E731
-    adjoint = lambda p, s: s  # noqa: E731
-    rows = lambda p, X, work=None: X  # noqa: E731
-    grad_rows = grad_sampled = lambda _, X, dloss: dloss(X)  # noqa: E731
-    sample = lambda p, idx: ()  # noqa: E731
+# a problem's matrix, targets and ridge modulus
+_A_Y_MU = itemgetter("A", "y", "mu")
 
 
 class Loss(NamedTuple):
     """A problem kind: the loss of one term's residual r_i = <a_i, x> - y_i in the
-    forms the oracles use, and the ``model`` mapping x to the residuals."""
+    forms the oracles use."""
 
     of: Callable  # the loss of one residual, a float
     grad: Callable  # its derivative, elementwise on numpy values
     mean: Callable  # (1/n) sum_i loss(r_i) of a residual vector, a float
     mean_rows: Callable  # the same of each row of an (M, n) array, which it may overwrite
     peak: Callable  # rho -> a bound on the loss on |r| <= rho, nondecreasing in rho >= 0
-    model: type = _Linear
 
 
 def _pl(t: float) -> float:
@@ -122,7 +80,7 @@ _LOSSES = {
     # libm pow, as the float ``** 2`` of _pl (np.square rounds differently)
     "scalar_pl": Loss(_pl, lambda t: 2.0 * t + 3.0 * np.sin(2.0 * t), lambda r: _pl(float(r[0])),
                       lambda R: R[:, 0] * R[:, 0] + 3.0 * np.float_power(np.sin(R[:, 0]), 2),
-                      lambda rho: rho * rho + 3.0, _Identity),
+                      lambda rho: rho * rho + 3.0),
 }
 
 
@@ -151,40 +109,42 @@ class FiniteSumProblem:
     # Single-point oracles, the reference of the row-wise ones.
 
     def value_i(self, i: int, x: np.ndarray) -> float:
-        mu = self.data["mu"]
-        v = self.loss.of(float(self.loss.model.residual(self, x, i)))
+        A, y, mu = _A_Y_MU(self.data)
+        v = self.loss.of(float(A[i] @ x - y[i]))
         return v + 0.5 * mu * float(x @ x) if mu > 0 else v
 
     def grad_i(self, i: int, x: np.ndarray) -> np.ndarray:
-        A, mu = self.data["A"], self.data["mu"]
-        g = self.loss.grad(self.loss.model.residual(self, x, i)) * A[i]
+        A, y, mu = _A_Y_MU(self.data)
+        g = self.loss.grad(A[i] @ x - y[i]) * A[i]
         return g + mu * x if mu > 0 else g
 
     def value(self, x: np.ndarray) -> float:
-        mu = self.data["mu"]
-        v = self.loss.mean(self.loss.model.residual(self, x))
+        A, y, mu = _A_Y_MU(self.data)
+        v = self.loss.mean(A @ x - y)
         return v + 0.5 * mu * float(x @ x) if mu > 0 else v
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        model, mu = self.loss.model, self.data["mu"]
-        g = model.adjoint(self, self.loss.grad(model.residual(self, x))) / self.n
+        A, y, mu = _A_Y_MU(self.data)
+        g = A.T @ self.loss.grad(A @ x - y) / self.n
         return g + mu * x if mu > 0 else g
 
     # Row-wise oracles over an (M, d) array of points.  Row m equals the single-point
-    # oracle at X[m] bit for bit and does not depend on the other rows.
+    # oracle at X[m] bit for bit and does not depend on the other rows: products
+    # with the whole of A are stacks of matrix-vector products, so that each row
+    # matches the single-point ``A @ x`` and ``A.T @ s`` (one (M, d) @ (d, n)
+    # product may round differently and depend on M).
 
     def sample_rows(self, idx: np.ndarray) -> tuple:
         """The data of the terms ``idx``, an index array of any shape: the
-        matrix rows and targets (A[idx], y[idx]), or () for a kind whose residual
-        is x itself."""
-        return self.loss.model.sample(self, idx)
+        matrix rows and targets (A[idx], y[idx])."""
+        return np.take(self.data["A"], idx, axis=0), np.take(self.data["y"], idx)
 
     def grad_sampled(self, rows, X: np.ndarray) -> np.ndarray:
         """grad f_{idx[m]}(X[m]) for every row m, given the terms' data
         ``rows = sample_rows(idx)`` for an (M,) index array (or views of the
         same shapes)."""
-        loss, mu = self.loss, self.data["mu"]
-        G = loss.model.grad_sampled(rows, X, loss.grad)
+        (a, y), mu = rows, self.data["mu"]
+        G = self.loss.grad(np.vecdot(a, X) - y)[:, None] * a
         return G + mu * X if mu > 0 else G
 
     def term_grad_rows(self, X: np.ndarray) -> np.ndarray:
@@ -194,16 +154,19 @@ class FiniteSumProblem:
 
     def full_grad_rows(self, X: np.ndarray) -> np.ndarray:
         """grad f(X[m]) for every row m."""
-        loss, mu = self.loss, self.data["mu"]
-        G = loss.model.grad_rows(self, X, loss.grad)
+        A, y, mu = _A_Y_MU(self.data)
+        s = self.loss.grad(np.matmul(X[:, None, :], A.T)[:, 0] - y)
+        G = np.matmul(A.T, s[:, :, None])[:, :, 0] / self.n
         return G + mu * X if mu > 0 else G
 
     def value_rows(self, X: np.ndarray, work: Optional[np.ndarray] = None) -> np.ndarray:
         """f(X[m]) for every row m.  ``work``, a C-contiguous float64 buffer of
         shape (len(X), 1, n) that the call may overwrite, holds the residual
-        instead of fresh arrays; a kind whose residual is x itself ignores it."""
-        loss, mu = self.loss, self.data["mu"]
-        v = loss.mean_rows(loss.model.rows(self, X, work))
+        instead of fresh arrays."""
+        A, y, mu = _A_Y_MU(self.data)
+        r = np.matmul(X[:, None, :], A.T, out=work)[:, 0]
+        r -= y
+        v = self.loss.mean_rows(r)
         return v + 0.5 * mu * np.vecdot(X, X) if mu > 0 else v
 
     def clearing_norm_sq(self, limit: float, inf: float, g_slope: float = 0.0) -> float:
@@ -235,7 +198,7 @@ class FiniteSumProblem:
           min(limit, 2^960);
         - the 2^960 cap keeps every product and sum of a cleared row finite,
           including when ``limit`` overflows to inf."""
-        A, y, mu, peak = self.data["A"], self.data["y"], self.data["mu"], self.loss.peak
+        (A, y, mu), peak = _A_Y_MU(self.data), self.loss.peak
         alpha, beta = math.sqrt(max(np.vecdot(A, A).tolist())), max(np.abs(y).tolist())
 
         def fits(R):
@@ -483,7 +446,7 @@ def _abs_reference_solve(problem: FiniteSumProblem):
     over the box |lam_i| <= 1 tells which r_i vanish; x is then a linear solve.  For mu = 0
     this runs at mu_eff = 1, 1/4, ... until x is certified for f itself, which makes it the
     minimum-norm minimizer (exact regularization; Friedlander & Tseng, SIAM J. Optim. 2007)."""
-    A, b, strong_mu = itemgetter("A", "y", "mu")(problem.data)
+    A, b, strong_mu = _A_Y_MU(problem.data)
     n = problem.n
 
     def scale(x):  # magnitude of the terms of each residual, for relative tolerances
@@ -684,16 +647,23 @@ def fixture_from_spec(name: str, spec) -> Fixture:
 def fixture(name: str) -> Fixture:
     """Look up a problem bundle by name, building and caching on first use.
 
-    Searches the embedded catalogue first, then `$DESCENTLAB_FIXTURES/<name>.json`.
+    Searches the embedded catalogue first, then `$DESCENTLAB_FIXTURES/<name>.json`,
+    whose spec, if wrong or rejected by its builder, raises a SpecError naming
+    the file's path.
     """
     if name in _FIXTURE_CACHE:
         return _FIXTURE_CACHE[name]
-    spec = _CATALOGUE.get(name)
+    spec, path = _CATALOGUE.get(name), None
     if spec is None:
         ext_dir = os.environ.get("DESCENTLAB_FIXTURES")
         path = os.path.join(ext_dir, f"{name}.json") if ext_dir else None
         if not (path and os.path.exists(path)):
             raise KeyError(f"unknown fixture {name!r}; available: {fixture_names()}")
         spec = read_json(path)
-    fx = _FIXTURE_CACHE[name] = fixture_from_spec(name, spec)
+    try:
+        fx = _FIXTURE_CACHE[name] = fixture_from_spec(name, spec)
+    except ValueError as exc:  # a wrong field, or a problem the builder rejects
+        if path is None:
+            raise
+        raise SpecError("", f"{path}: {exc}") from exc
     return fx

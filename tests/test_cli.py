@@ -537,15 +537,23 @@ def test_unknown_nested_field_exits_2_naming_it(tmp_path, capsys, payload, field
 ], ids=["problem", "regularizer"])
 def test_unknown_field_in_fixture_file_exits_2(tmp_path, monkeypatch, capsys, spec, fieldname):
     from descentlab import problems
-    (tmp_path / "extra.json").write_text(json.dumps(spec))
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(spec))
     monkeypatch.setenv("DESCENTLAB_FIXTURES", str(tmp_path))
     monkeypatch.delitem(problems._FIXTURE_CACHE, "extra", raising=False)
-    detail = f"field {fieldname!r}: unknown field\n"
-    cfg = _write(tmp_path, "cfg.json", _gd_config(algorithm="ssd", problem={"fixture": "extra"}))
-    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == "config error: field 'problem.fixture': " + detail
-    assert main(["suite", "--fixture", "extra"]) == 2
-    assert capsys.readouterr().err == "config error: fixture 'extra': " + detail
+    detail = f"{path}: field {fieldname!r}: unknown field\n"
+    cfg = _write(tmp_path, "cfg.json", _gd_config(
+        algorithm="ssd", problem={"fixture": "extra"}, schedule={"kind": "inv_sqrt", "gamma0": 0.1},
+        verify={"setting": "ssd_convex_general"}))
+    for argv, prefix in [
+        (["run", "--config", cfg, "--out-dir", str(tmp_path / "out")],
+         "config error: field 'problem.fixture': "),
+        (["verify", "--config", cfg], "config error: field 'problem.fixture': "),
+        (["suite", "--fixture", "extra"], "config error: fixture 'extra': "),
+        (["table", "--constants", "extra", "--epsilon", "1e-3"], "table error: "),
+    ]:
+        assert main(argv) == 2, argv[0]
+        assert capsys.readouterr() == ("", prefix + detail)
 
 
 @pytest.mark.parametrize("payload,fieldname", [
@@ -993,6 +1001,46 @@ def test_table_stdout_is_pinned(capsys, name, eps, b):
     assert main(["table", "--constants", name, "--epsilon", eps, *extra]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == _TABLE_DIGESTS[name, eps, b]
+
+
+def test_table_fixture_is_not_shadowed_by_a_directory(tmp_path, monkeypatch, capsys):
+    # a run's out dir named like the fixture, as ``run --out-dir ls_4x2`` leaves
+    monkeypatch.chdir(tmp_path)
+    argv = ["table", "--constants", "ls_4x2", "--epsilon", "1e-3"]
+    assert main(argv) == 0
+    clean = capsys.readouterr()
+    (tmp_path / "ls_4x2").mkdir()
+    assert main(argv) == 0
+    assert capsys.readouterr() == clean
+
+
+# sha256 of scalar_pl's outputs: the property suite's report at 2000 samples
+# (no config), and the trace of each run config
+_SCALAR_PL_GD = {"problem": {"fixture": "scalar_pl"}, "algorithm": "gd", "iterations": 500,
+                 "schedule": {"kind": "constant", "gamma": 0.125}, "trials": 1, "seed": 0}
+_SCALAR_PL_DIGESTS = {
+    "suite": (None, "b57a640b7b51e2290c55ba34dacb49efdabac4fbc381d237ffb4aa1705a70f47"),
+    "gd_x0_3": (dict(_SCALAR_PL_GD, x0=[3.0]),
+                "85394972d52c582e4b4e41b6ad6620e1f22e31a10566d6d1308298de5c5c2635"),
+    "gd_x0_-0": (dict(_SCALAR_PL_GD, x0=[-0.0]),
+                 "f8bfeef7b8d6d35def5f03e2a49eceef4f1e1dd2588c07d4667c7def0f650c4a"),
+    "sgd": (dict(_SCALAR_PL_GD, algorithm="sgd", schedule={"kind": "constant", "gamma": 3e-4},
+                 trials=5, x0=[3.0]),
+            "4072022864d308f089797035073fc7a662c56053e7f3cd2b75568280e25dfaa7"),
+}
+
+
+@pytest.mark.parametrize("name", list(_SCALAR_PL_DIGESTS))
+def test_scalar_pl_outputs_are_pinned(tmp_path, capsys, name):
+    cfg, digest = _SCALAR_PL_DIGESTS[name]
+    if cfg is None:
+        assert main(["suite", "--fixture", "scalar_pl", "--samples", "2000"]) == 0
+        out = capsys.readouterr().out.encode()
+    else:
+        assert main(["run", "--config", _write(tmp_path, "cfg.json", cfg),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        out = (tmp_path / "out" / "trace.csv").read_bytes()
+    assert hashlib.sha256(out).hexdigest() == digest
 
 
 # below about 1e-154 eps**2 underflows: sgd_convex_const's count ((...)/eps)^2 is
