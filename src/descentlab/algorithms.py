@@ -153,7 +153,6 @@ _SCHEDULE_FIELDS = {"constant": {"gamma": (float, REQUIRED)},
 class Trace:
     """Per-iteration record of one trajectory (rows t = 0..T)."""
 
-    algorithm: str
     trial: int
     t: np.ndarray
     gamma: np.ndarray
@@ -300,13 +299,13 @@ ALGORITHMS = ("gd", "sgd", "minibatch_sgd", "momentum", "ssd", "pssd") + PROXIMA
 
 def _method(cfg: RunConfig, gamma, X0: np.ndarray):
     """The step of ``cfg.algorithm`` (which ``cfg`` was checked against).
-    Returns (trace name, batch size b, the oracle's ``sample_rows`` or None for
+    Returns (batch size b, the oracle's ``sample_rows`` or None for
     a full-gradient method, (row-wise objective, its ``clearing_norm_sq``,
     inf, x_ref) of the gap, step), where ``step(t, X, rows)`` maps every row
     of X to its next iterate, given the data ``rows`` of step t's (b, M)
     sampled terms (None for a full-gradient method)."""
     sched, algorithm, form = cfg.schedule, cfg.algorithm, cfg.momentum_form
-    problem, reg, batch, name = cfg.problem, None, 1, algorithm
+    problem, reg, batch = cfg.problem, None, 1
     gap = (problem.value_rows, problem.clearing_norm_sq, cfg.ground_truth.inf_f,
            cfg.ground_truth.x_star)
     if algorithm in PROXIMAL:
@@ -317,8 +316,6 @@ def _method(cfg: RunConfig, gamma, X0: np.ndarray):
         batch = cfg.batch_size
     elif algorithm == "pssd":
         reg = Regularizer.ball_indicator(cfg.projection_B)  # its prox is the projection
-    elif algorithm == "momentum":
-        name = f"momentum_{form}"
 
     def oracle(X, rows):
         """Full gradient, or the sum of the b sampled gradients, of every row."""
@@ -368,8 +365,8 @@ def _method(cfg: RunConfig, gamma, X0: np.ndarray):
             z = z - (1.0 + lam_next) * gamma[t] * oracle(X, rows)
             return (lam_next * X + z) / (lam_next + 1.0)
     if algorithm in FULL_GRADIENT:
-        return name, batch, None, gap, _replaying(step, X0)
-    return name, batch, problem.sample_rows, gap, step
+        return batch, None, gap, _replaying(step, X0)
+    return batch, problem.sample_rows, gap, step
 
 
 def _replaying(step, X0):
@@ -417,7 +414,6 @@ def _replaying(step, X0):
 class Lockstep:
     """Trials of one method run side by side: their metrics at the steps ``t``."""
 
-    algorithm: str
     trials: np.ndarray  # (M,) trial numbers
     t: np.ndarray  # recorded steps, ascending
     gamma: np.ndarray  # (T+1,) stepsizes
@@ -516,7 +512,7 @@ def run_lockstep(cfg: RunConfig, trials, at=None, averaging=None,
     T, n, d = cfg.iterations, cfg.problem.n, cfg.problem.d
     gamma = cfg.schedule.gammas(T + 1)
     X = np.tile(cfg.start_point(), (M, 1))
-    name, batch, sample, gap, step = _method(cfg, gamma.tolist(), X)
+    batch, sample, gap, step = _method(cfg, gamma.tolist(), X)
     objective, clearing_norm_sq, inf_val, x_ref = gap
     recorded = np.arange(T + 1) if at is None else np.unique(np.asarray(at, dtype=np.int64))
     f_gap, dist_sq = np.empty((2, M, len(recorded)))
@@ -579,14 +575,14 @@ def run_lockstep(cfg: RunConfig, trials, at=None, averaging=None,
     failed = np.nonzero(first >= 0)[0]
     if failed.size:
         raise DivergenceError(zip(trials[failed], first[failed]))
-    return Lockstep(algorithm=name, trials=trials, t=recorded, gamma=gamma, f_gap=f_gap,
+    return Lockstep(trials=trials, t=recorded, gamma=gamma, f_gap=f_gap,
                     dist_sq=dist_sq, averaged=averaged, iterates=iterates)
 
 
 def run_algorithm(cfg: RunConfig, algorithm: str, trial: int = 0) -> Trace:
     """Trial ``trial`` of ``algorithm`` on ``cfg``, with its (T+1, d) iterates."""
     run = run_lockstep(replace(cfg, algorithm=algorithm), [trial], keep_iterates=True)
-    return Trace(algorithm=run.algorithm, trial=int(trial), t=run.t, gamma=run.gamma,
+    return Trace(trial=int(trial), t=run.t, gamma=run.gamma,
                  f_gap=run.f_gap[0], dist_sq=run.dist_sq[0], iterates=run.iterates[0])
 
 

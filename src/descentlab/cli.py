@@ -100,9 +100,16 @@ def load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig.from_dict(read_json(path, "config"))
 
 
-def _message(exc: Exception) -> str:
-    """The message of ``exc``: a KeyError's own, which its str() quotes."""
-    return exc.args[0] if isinstance(exc, KeyError) else str(exc)
+def _fixture(name: str, named: str = "") -> problems.Fixture:
+    """``problems.fixture(name)``, failing with a SpecError: the lookup's
+    message for an unknown name, or ``named`` and the error of a fixture file
+    it rejects."""
+    try:
+        return problems.fixture(name)
+    except KeyError as exc:  # str() would quote the message
+        raise SpecError("", exc.args[0]) from None
+    except ValueError as exc:
+        raise SpecError("", f"{named}{exc}") from exc
 
 
 def _output_error(path: str, made: str = "") -> str:
@@ -124,10 +131,7 @@ def _build_fixture(cfg: ExperimentConfig) -> problems.Fixture:
     if "fixture" in spec:
         name = spec_section("problem", partial(spec_fields, fields={"fixture": (str, REQUIRED)}),
                             spec)["fixture"]
-        try:
-            fx = problems.fixture(name)
-        except (KeyError, ValueError) as exc:  # unknown name, malformed fixture file
-            raise ConfigError("problem.fixture", _message(exc)) from exc
+        fx = spec_section("problem.fixture", _fixture, name)
     else:
         fx = spec_section("problem", partial(problems.fixture_from_spec, "inline"), spec)
 
@@ -138,7 +142,8 @@ def _build_fixture(cfg: ExperimentConfig) -> problems.Fixture:
         if reg is None:
             raise ConfigError("regularizer", "proximal runs need a regularizer")
         if comp is None or fx.regularizer != reg:
-            comp = problems.make_composite(fx.problem, fx.constants, reg)
+            comp = spec_section("regularizer",
+                                partial(problems.make_composite, fx.problem, fx.constants), reg)
     return problems.Fixture(fx.name, fx.problem, fx.ground_truth, fx.constants,
                             regularizer=reg, composite=comp)
 
@@ -168,20 +173,16 @@ def _trial_chunk(args):
 
 def cmd_run(config_path: str, out_dir: str = ".", jobs: int = 1,
             seed_override: Optional[int] = None) -> int:
-    try:
-        if jobs < 1:
-            raise ConfigError("", f"--jobs must be >= 1, got {jobs}")
-        cfg = load_config(config_path)
-        seed = cfg.seed if seed_override is None else seed_override
-        rc = _run_config(cfg, _build_fixture(cfg), seed)
-        manifest_path = os.path.join(out_dir, cfg.outputs["manifest"])
-        trace_path = os.path.join(out_dir, cfg.outputs["trace"])
-        for key, path in (("manifest", manifest_path), ("trace", trace_path)):
-            if error := _output_error(path, made=out_dir):
-                raise ConfigError(f"outputs.{key}", error)
-    except SpecError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    if jobs < 1:
+        raise ConfigError("", f"--jobs must be >= 1, got {jobs}")
+    cfg = load_config(config_path)
+    seed = cfg.seed if seed_override is None else seed_override
+    rc = _run_config(cfg, _build_fixture(cfg), seed)
+    manifest_path = os.path.join(out_dir, cfg.outputs["manifest"])
+    trace_path = os.path.join(out_dir, cfg.outputs["trace"])
+    for key, path in (("manifest", manifest_path), ("trace", trace_path)):
+        if error := _output_error(path, made=out_dir):
+            raise ConfigError(f"outputs.{key}", error)
 
     os.makedirs(out_dir, exist_ok=True)
     manifest = {
@@ -197,14 +198,10 @@ def cmd_run(config_path: str, out_dir: str = ".", jobs: int = 1,
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    try:
-        if jobs > 1 and cfg.trials > 1:
-            _run_chunks(rc, jobs, out_dir, trace_path)
-        else:
-            write_traces_csv(run_lockstep(rc, range(cfg.trials)), trace_path)
-    except DivergenceError as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
-        return 3
+    if jobs > 1 and cfg.trials > 1:
+        _run_chunks(rc, jobs, out_dir, trace_path)
+    else:
+        write_traces_csv(run_lockstep(rc, range(cfg.trials)), trace_path)
     print(f"wrote {manifest_path} and {trace_path}")
     return 0
 
@@ -220,7 +217,7 @@ def _run_chunks(rc: RunConfig, jobs: int, out_dir: str, trace_path: str) -> None
     with tempfile.TemporaryDirectory(dir=out_dir) as tmp:
         args = [(rc, int(ch[0]), int(ch[-1]) + 1, os.path.join(tmp, f"part{i}.csv"))
                 for i, ch in enumerate(chunks)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             # map keeps the chunks, and so the trials, in order
             failures = [f for part in pool.map(_trial_chunk, args) for f in part]
         if failures:
@@ -232,42 +229,30 @@ def _run_chunks(rc: RunConfig, jobs: int, out_dir: str, trace_path: str) -> None
 
 
 def cmd_verify(config_path: str, seed_override: Optional[int] = None) -> int:
-    try:
-        cfg = load_config(config_path)
-        if cfg.verify is None:
-            raise ConfigError("verify.setting", "verify needs a theorem setting")
-        row = theory.SETTINGS[cfg.verify["setting"]]
-        # the setting fixes the method; a config field it would not use is an error
-        if cfg.algorithm != row.algorithm:
-            raise ConfigError("algorithm", f"setting {row.name} runs {row.algorithm!r}, "
-                                           f"not {cfg.algorithm!r}")
-        if cfg.projection_B is not None:
-            raise ConfigError("projection_B", "verify projects with the fixture's B, which "
-                                              "the bound uses; leave it unset")
-        if cfg.momentum_form != "buffer":
-            raise ConfigError("momentum_form", f"verify runs the buffer form, not "
-                                               f"{cfg.momentum_form!r}")
-        _, _, verdict = harness.run_verification(
-            row.name, _build_fixture(cfg),
-            spec_section("schedule", StepSchedule.from_config, cfg.schedule), cfg.iterations,
-            checkpoints=cfg.checkpoints,
-            trials=cfg.trials,
-            seed=cfg.seed if seed_override is None else seed_override,
-            b=cfg.batch_size,
-            x0=cfg.x0,
-            policy=cfg.verify["policy"],
-        )
-    except SpecError as exc:  # a ConfigError, or a field the run does not accept
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # hypothesis violations and validity-window errors
-        print(f"hypothesis error: {exc}", file=sys.stderr)
-        return 2
-    except DivergenceError as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
-        return 3
-
+    cfg = load_config(config_path)
+    if cfg.verify is None:
+        raise ConfigError("verify.setting", "verify needs a theorem setting")
+    row = theory.SETTINGS[cfg.verify["setting"]]
+    # the setting fixes the method; a config field it would not use is an error
+    if cfg.algorithm != row.algorithm:
+        raise ConfigError("algorithm", f"setting {row.name} runs {row.algorithm!r}, "
+                                       f"not {cfg.algorithm!r}")
+    if cfg.projection_B is not None:
+        raise ConfigError("projection_B", "verify projects with the fixture's B, which "
+                                          "the bound uses; leave it unset")
+    if cfg.momentum_form != "buffer":
+        raise ConfigError("momentum_form", f"verify runs the buffer form, not "
+                                           f"{cfg.momentum_form!r}")
+    _, _, verdict = harness.run_verification(
+        row.name, _build_fixture(cfg),
+        spec_section("schedule", StepSchedule.from_config, cfg.schedule), cfg.iterations,
+        checkpoints=cfg.checkpoints,
+        trials=cfg.trials,
+        seed=cfg.seed if seed_override is None else seed_override,
+        b=cfg.batch_size,
+        x0=cfg.x0,
+        policy=cfg.verify["policy"],
+    )
     print(json.dumps(verdict.to_dict(), indent=2, sort_keys=True))
     return 0 if verdict.passed else 4
 
@@ -311,7 +296,7 @@ def table_sources_for_fixture(name: str) -> dict:
     ``harness.bound_inputs`` at its default x0, with its own composite or else
     its f plus lasso_4x2's regularizer; the lipschitz section is its constants
     with abs_2x1's G, and D2 abs_2x1's worst case ||x0 - x*||^2 <= (2B)^2."""
-    fx = problems.fixture(name)
+    fx = _fixture(name)
     if not math.isfinite(fx.constants.L):
         raise ValueError(f"fixture {name!r} is not smooth; pick a least-squares fixture")
     if fx.composite is None:
@@ -332,17 +317,13 @@ def cmd_table(constants_source: str, epsilon: float, csv_path: Optional[str] = N
               batch_size: Optional[int] = None) -> int:
     """The table of a fixture or a constants file; ``batch_size``, when given,
     overrides the source's (2 for a fixture)."""
-    try:
-        if csv_path and (error := _output_error(csv_path)):
-            raise ValueError(f"--csv: {error}")
-        if os.path.isfile(constants_source):
-            sections, b = _constants_from_json(constants_source)
-        else:
-            sections, b = table_sources_for_fixture(constants_source), 2
-        table = theory.complexity_table(sections, b if batch_size is None else batch_size, epsilon)
-    except (ValueError, KeyError) as exc:
-        print(f"table error: {_message(exc)}", file=sys.stderr)
-        return 2
+    if csv_path and (error := _output_error(csv_path)):
+        raise ValueError(f"--csv: {error}")
+    if os.path.isfile(constants_source):
+        sections, b = _constants_from_json(constants_source)
+    else:
+        sections, b = table_sources_for_fixture(constants_source), 2
+    table = theory.complexity_table(sections, b if batch_size is None else batch_size, epsilon)
     print(theory.table_to_text(table))
     if csv_path:
         with open(csv_path, "w", newline="\n") as fh:
@@ -353,20 +334,13 @@ def cmd_table(constants_source: str, epsilon: float, csv_path: Optional[str] = N
 
 def cmd_suite(fixture_names, samples: int = 10_000, out_path: Optional[str] = None) -> int:
     if samples < 1:
-        print(f"config error: --samples must be >= 1, got {samples}", file=sys.stderr)
-        return 2
+        raise ConfigError("", f"--samples must be >= 1, got {samples}")
     if out_path and (error := _output_error(out_path)):
-        print(f"config error: --out: {error}", file=sys.stderr)
-        return 2
+        raise ConfigError("", f"--out: {error}")
     reports = []
     for name in fixture_names:
-        try:
-            fx = problems.fixture(name)
-        except (KeyError, ValueError) as exc:  # unknown name, malformed fixture file
-            named = "" if isinstance(exc, KeyError) else f"fixture {name!r}: "
-            print(f"config error: {named}{_message(exc)}", file=sys.stderr)
-            return 2
-        reports.append(harness.property_suite(fx, samples=samples))
+        reports.append(harness.property_suite(_fixture(name, f"fixture {name!r}: "),
+                                              samples=samples))
     payload = json.dumps(reports, indent=2, sort_keys=True)
     print(payload)
     if out_path:
@@ -411,14 +385,27 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  The commands raise their failures, and this is the one
+    place that reports them: a divergence exits 3; a ValueError exits 2, as a
+    table error from ``table`` and elsewhere as a config error (a SpecError)
+    or a hypothesis error (any other)."""
     args = _parser().parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args.config, args.out_dir, args.jobs, args.seed_override)
-    if args.command == "verify":
-        return cmd_verify(args.config, args.seed_override)
-    if args.command == "table":
-        return cmd_table(args.constants, args.epsilon, args.csv, args.batch_size)
-    return cmd_suite(args.fixture, args.samples, args.out)
+    try:
+        if args.command == "run":
+            return cmd_run(args.config, args.out_dir, args.jobs, args.seed_override)
+        if args.command == "verify":
+            return cmd_verify(args.config, args.seed_override)
+        if args.command == "table":
+            return cmd_table(args.constants, args.epsilon, args.csv, args.batch_size)
+        return cmd_suite(args.fixture, args.samples, args.out)
+    except DivergenceError as exc:
+        print(f"divergence: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:
+        kind = ("table" if args.command == "table"
+                else "config" if isinstance(exc, SpecError) else "hypothesis")
+        print(f"{kind} error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

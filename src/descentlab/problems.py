@@ -580,7 +580,7 @@ def make_composite(problem: FiniteSumProblem, constants: ProblemConstants,
         if residual <= _COMPOSITE_TOL * (1.0 + float(np.linalg.norm(x))):
             break
     else:
-        raise RuntimeError(
+        raise ValueError(
             f"composite reference solver did not converge: fixed-point residual "
             f"{residual:.3e} after {_COMPOSITE_MAX_ITERS} iterations"
         )

@@ -456,7 +456,7 @@ def test_csv_matches_row_writer_on_unpickled_chunks(tmp_path):
 
 def test_csv_matches_row_writer_on_special_values(tmp_path):
     special = algorithms.Lockstep(
-        algorithm="sgd", trials=np.array([10]), t=np.arange(4),
+        trials=np.array([10]), t=np.arange(4),
         gamma=np.array([0.1, 1e-300, 2.0, 3.0]), f_gap=np.array([[-0.0, np.nan, np.inf, -np.inf]]),
         dist_sq=np.array([[1e308, 5e-324, 0.1 + 0.2, 1.0]]))
     _assert_csv_matches_rows(tmp_path, special)

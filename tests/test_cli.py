@@ -118,7 +118,7 @@ def test_run_divergence_names_every_trial_whatever_jobs(tmp_path, capsys):
     errs = []
     for jobs in (1, 2, 3):
         out = tmp_path / f"jobs{jobs}"
-        assert cmd_run(path, out_dir=str(out), jobs=jobs) == 3
+        assert main(["run", "--config", path, "--out-dir", str(out), "--jobs", str(jobs)]) == 3
         assert [p.name for p in out.iterdir()] == ["manifest.json"]
         errs.append(capsys.readouterr().err)
     assert errs[0] == errs[1] == errs[2]
@@ -150,7 +150,8 @@ def test_gd_run_steps_one_row_for_every_trial(tmp_path, monkeypatch, capsys):
                                                    schedule={"kind": "constant", "gamma": 3.0}))
     errs = []
     for jobs in (1, 2):
-        assert cmd_run(path, out_dir=str(tmp_path / f"div{jobs}"), jobs=jobs) == 3
+        assert main(["run", "--config", path, "--out-dir", str(tmp_path / f"div{jobs}"),
+                     "--jobs", str(jobs)]) == 3
         errs.append(capsys.readouterr().err)
     t = re.search(r"trial 0 \(t=(\d+)\)", errs[0]).group(1)
     assert errs[0] == errs[1] == (f"divergence: 3 trial(s) diverged: trial 0 (t={t}), "
@@ -161,7 +162,7 @@ def test_run_bad_batch_size_exits_2(tmp_path, capsys):
     path = _write(tmp_path, "cfg.json",
                   _gd_config(algorithm="minibatch_sgd", batch_size=9,
                              schedule={"kind": "constant", "gamma": 0.01}))
-    assert cmd_run(path, out_dir=str(tmp_path)) == 2
+    assert main(["run", "--config", path, "--out-dir", str(tmp_path)]) == 2
     assert "'batch_size'" in capsys.readouterr().err
 
 
@@ -169,7 +170,7 @@ def test_run_bad_batch_size_exits_2(tmp_path, capsys):
 def test_run_method_rejecting_schedule_exits_2(tmp_path, capsys, jobs):
     path = _write(tmp_path, "cfg.json", _gd_config(
         trials=2, schedule={"kind": "inv_sqrt", "gamma0": 0.1}))
-    assert cmd_run(path, out_dir=str(tmp_path), jobs=jobs) == 2
+    assert main(["run", "--config", path, "--out-dir", str(tmp_path), "--jobs", str(jobs)]) == 2
     assert "gd requires a constant stepsize schedule" in capsys.readouterr().err
 
 
@@ -178,7 +179,7 @@ def test_run_divergence_exits_3(tmp_path):
     path = _write(tmp_path, "cfg.json",
                   _gd_config(schedule={"kind": "constant", "gamma": 3.0},
                              iterations=4000, x0=[50.0, 50.0]))
-    rc = cmd_run(path, out_dir=str(tmp_path))
+    rc = main(["run", "--config", path, "--out-dir", str(tmp_path)])
     assert rc == 3
 
 
@@ -207,7 +208,7 @@ def test_verify_step_too_large_exits_2(tmp_path, capsys):
     payload = _gd_config(schedule={"kind": "constant", "gamma": 2 / 0.75})
     payload["verify"] = {"setting": "gd_strongly_convex"}
     path = _write(tmp_path, "cfg.json", payload)
-    assert cmd_verify(path) == 2
+    assert main(["verify", "--config", path]) == 2
     assert "gamma <= 1/L" in capsys.readouterr().err
 
 
@@ -311,7 +312,7 @@ def test_verify_misconfigured_setting(tmp_path, capsys):
     payload = _gd_config()
     payload["verify"] = {"setting": "nope"}
     path = _write(tmp_path, "cfg.json", payload)
-    assert cmd_verify(path) == 2
+    assert main(["verify", "--config", path]) == 2
     assert "verify.setting" in capsys.readouterr().err
 
 
@@ -343,7 +344,7 @@ def test_table_missing_constant_exits_2(tmp_path, capsys):
     payload = {"smooth": {"n": 4, "L": 1.0, "L_max": 2.0, "mu": 0.5, "mu_pl": 0.5,
                           "delta_star_f": 0.1}}  # sigma_star_f missing
     path = _write(tmp_path, "c.json", payload)
-    assert cmd_table(path, 1e-3) == 2
+    assert main(["table", "--constants", path, "--epsilon", "1e-3"]) == 2
     assert "sigma_star_f" in capsys.readouterr().err
 
 
@@ -481,7 +482,7 @@ def test_run_malformed_external_fixture_exits_2(tmp_path, monkeypatch, capsys):
     for name, detail in (("huber_bad", "huber"), ("ls_no_targets", "targets"),
                          ("abs_mu_x", "field 'strong_mu': must be a number")):
         path = _write(tmp_path, "cfg.json", _gd_config(problem={"fixture": name}))
-        assert cmd_run(path, out_dir=str(tmp_path / name)) == 2
+        assert main(["run", "--config", path, "--out-dir", str(tmp_path / name)]) == 2
         err = capsys.readouterr().err
         assert "problem.fixture" in err and detail in err
 
@@ -614,7 +615,7 @@ def test_verify_divergence_exits_3_naming_trials(tmp_path, capsys):
         "trials": 20,
         "verify": {"setting": "ssd_convex_general"},
     }
-    assert cmd_verify(_write(tmp_path, "cfg.json", payload)) == 3
+    assert main(["verify", "--config", _write(tmp_path, "cfg.json", payload)]) == 3
     err = capsys.readouterr().err
     assert "20 trial(s) diverged" in err
     assert "trial 0 (t=1)" in err
@@ -626,7 +627,7 @@ def test_run_divergence_exits_3_parallel(tmp_path):
                   _gd_config(algorithm="sgd", trials=4, iterations=6000,
                              schedule={"kind": "constant", "gamma": 3.0},
                              x0=[50.0, 50.0]))
-    assert cmd_run(path, out_dir=str(tmp_path), jobs=2) == 3
+    assert main(["run", "--config", path, "--out-dir", str(tmp_path), "--jobs", "2"]) == 3
 
 
 def test_shipped_configs_parse_and_run(tmp_path):
@@ -1162,3 +1163,86 @@ def test_unwritable_output_or_bad_jobs_exits_2_before_writing(tmp_path, capsys, 
     captured = capsys.readouterr()
     assert captured.err.startswith(prefix) and captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "file"]
+
+
+def test_run_jobs_starts_one_worker_per_chunk(tmp_path, monkeypatch):
+    # --jobs 8 splits 3 trials into 3 chunks; a pool of 8 would start 5 idle workers
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    path = _write(tmp_path, "cfg.json", _gd_config(algorithm="sgd", trials=3,
+                                                   schedule={"kind": "constant", "gamma": 0.2}))
+    assert cmd_run(path, out_dir=str(tmp_path / "one")) == 0
+    assert cmd_run(path, out_dir=str(tmp_path / "eight"), jobs=8) == 0
+    assert started == [3]
+    assert ((tmp_path / "eight" / "trace.csv").read_bytes()
+            == (tmp_path / "one" / "trace.csv").read_bytes())
+
+
+def test_composite_solve_that_does_not_converge_exits_2(tmp_path, monkeypatch, capsys):
+    # at step 1/L the second coordinate moves by 1e-8 of its distance a step,
+    # so the reference solve is far from done after 50 steps
+    from descentlab import problems
+    spec = {"kind": "least_squares", "features": [[1.0, 0.0], [0.0, 1e-4]],
+            "targets": [1.0, 1.0], "regularizer": {"kind": "l1", "lambda": 1e-12}}
+    monkeypatch.setattr(problems, "_COMPOSITE_MAX_ITERS", 50)
+    path = tmp_path / "ill.json"
+    path.write_text(json.dumps(spec))
+    monkeypatch.setenv("DESCENTLAB_FIXTURES", str(tmp_path))
+    monkeypatch.delitem(problems._FIXTURE_CACHE, "ill", raising=False)
+    detail = ("composite reference solver did not converge: fixed-point residual 1.000e-04 "
+              "after 50 iterations\n")
+    cfg = _write(tmp_path, "cfg.json", _gd_config(problem=spec))
+    for argv, prefix in [
+        (["run", "--config", cfg, "--out-dir", str(tmp_path / "out")],
+         "config error: field 'problem': "),
+        (["suite", "--fixture", "ill"], f"config error: fixture 'ill': {path}: "),
+        (["table", "--constants", "ill", "--epsilon", "1e-3"], f"table error: {path}: "),
+    ]:
+        assert main(argv) == 2, argv[0]
+        assert capsys.readouterr() == ("", prefix + detail)
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_proximal_run_on_nonsmooth_fixture_names_regularizer(tmp_path, capsys, command):
+    # abs_2x1 has no finite L, so its composite has no reference solve
+    cfg = _write(tmp_path, "cfg.json", {
+        "problem": {"fixture": "abs_2x1"}, "algorithm": "prox_gd", "iterations": 10,
+        "schedule": {"kind": "constant", "gamma": 0.1},
+        "regularizer": {"kind": "l1", "lambda": 0.1}, "verify": {"setting": "pgd_convex"}})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg] + (["--out-dir", str(out)] if command == "run" else [])) == 2
+    assert capsys.readouterr() == ("", "config error: field 'regularizer': composite reference "
+                                       "solve needs finite smoothness L > 0\n")
+    assert not out.exists()
+
+
+def test_commands_raise_and_only_main_reports(tmp_path, capsys):
+    from descentlab import DivergenceError
+    diverging = _write(tmp_path, "cfg.json", _gd_config(
+        schedule={"kind": "constant", "gamma": 3.0}, iterations=4000, x0=[50.0, 50.0],
+        verify={"setting": "gd_convex"}))
+    with pytest.raises(ConfigError, match="--jobs must be >= 1"):
+        cmd_run(diverging, out_dir=str(tmp_path), jobs=0)
+    with pytest.raises(DivergenceError):
+        cmd_run(diverging, out_dir=str(tmp_path))
+    with pytest.raises(ValueError, match="gamma <= 1/L"):
+        cmd_verify(diverging)
+    with pytest.raises(ConfigError, match="unknown fixture 'nope'"):
+        cmd_table("nope", 0.1)
+    with pytest.raises(ConfigError, match="--samples must be >= 1"):
+        cmd_suite(["ls_4x2"], samples=0)
+    assert capsys.readouterr().err == ""

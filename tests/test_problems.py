@@ -401,7 +401,7 @@ def test_composite_solver_budget_error(monkeypatch):
     from descentlab import problems
     monkeypatch.setattr(problems, "_COMPOSITE_MAX_ITERS", 3)
     p, gt, c = build_least_squares(np.array([[1.0, 0.0], [0.0, 0.1]]), np.array([1.0, 1.0]))
-    with pytest.raises(RuntimeError, match="residual .* after 3 iterations"):
+    with pytest.raises(ValueError, match="residual .* after 3 iterations"):
         make_composite(p, c, Regularizer.l1(0.01))
 
 
