@@ -22,12 +22,20 @@ others get the exact objective (``_block_gaps``).  The window is bounded by
 its index array and gathered rows and the block by the objective residual,
 so the two differ whenever n is large or M is.
 
+Step t writes x_{t+1} straight into its row of the gap block's iterate
+buffer (an extra row carries the block's last iterate to the next block) by
+a fixed sequence of in-place ufunc calls into buffers made once per run: the
+b sampled gradients (``grad_sampled``'s ``out``), added in order into the
+first; ``prox`` in place; the momentum state, in its own buffers; and one
+0-d array holding each scalar (gamma_t / b, beta_t, ...) in turn.  The
+floating-point operations are those of the formulas, in their order.
+
 A full-gradient run (``FULL_GRADIENT``) replays its floating-point limit cycle
 (``_replaying``): only there is the step a fixed map of the iterate array, as
 ``RunConfig`` requires a constant stepsize, while a stochastic step reads its
 samples and momentum keeps state.  Brent's search compares each new state bit
 for bit with one saved state, so it needs O(1) memory, and once a state
-repeats the step hands back the cycle's states, bit for bit those stepping
+repeats the step copies out the cycle's states, bit for bit those stepping
 would give, without calling an oracle.  A deterministic run thus costs only
 the steps before its state repeats; the loop, and every state it records, is
 unchanged.
@@ -298,12 +306,14 @@ ALGORITHMS = ("gd", "sgd", "minibatch_sgd", "momentum", "ssd", "pssd") + PROXIMA
 
 
 def _method(cfg: RunConfig, gamma, X0: np.ndarray):
-    """The step of ``cfg.algorithm`` (which ``cfg`` was checked against).
-    Returns (batch size b, the oracle's ``sample_rows`` or None for
-    a full-gradient method, (row-wise objective, its ``clearing_norm_sq``,
-    inf, x_ref) of the gap, step), where ``step(t, X, rows)`` maps every row
-    of X to its next iterate, given the data ``rows`` of step t's (b, M)
-    sampled terms (None for a full-gradient method)."""
+    """The step of ``cfg.algorithm`` (which ``cfg`` was checked against) from
+    the (M, d) start X0.  Returns (batch size b, the oracle's ``sample_rows``
+    or None for a full-gradient method, (row-wise objective, its
+    ``clearing_norm_sq``, inf, x_ref) of the gap, step), where ``step(t, X,
+    out, rows)`` writes the next iterate of every row of X into ``out``,
+    given step t's sampled (b, M, d) rows and (b, M) targets (None for a
+    full-gradient method), by in-place ufunc calls into buffers made here
+    once per run (the b gradients, the momentum state, a 0-d scalar)."""
     sched, algorithm, form = cfg.schedule, cfg.algorithm, cfg.momentum_form
     problem, reg, batch = cfg.problem, None, 1
     gap = (problem.value_rows, problem.clearing_norm_sq, cfg.ground_truth.inf_f,
@@ -316,18 +326,22 @@ def _method(cfg: RunConfig, gamma, X0: np.ndarray):
         batch = cfg.batch_size
     elif algorithm == "pssd":
         reg = Regularizer.ball_indicator(cfg.projection_B)  # its prox is the projection
+    terms, coef = np.empty((batch,) + X0.shape), np.empty(())
+    first, rest = terms[0], list(terms[1:])  # the b gradients, added in order into the first
 
     def oracle(X, rows):
-        """Full gradient, or the sum of the b sampled gradients, of every row."""
+        """Full gradient, or the sum of the b sampled gradients, of every row,
+        in an array the step may overwrite."""
         if rows is None:
             return problem.full_grad_rows(X)
-        G = problem.grad_sampled([r[0] for r in rows], X)
-        for j in range(1, batch):
-            G = G + problem.grad_sampled([r[j] for r in rows], X)
-        return G
+        problem.grad_sampled(rows, X, out=terms)
+        for term in rest:
+            np.add(first, term, out=first)
+        return first
 
     scale = float(batch)
-    m, prev, z = np.zeros_like(X0), X0, X0  # momentum state: m_{t-1}, x_{t-1}, z_{t-1}
+    # momentum state m_{t-1}, x_{t-1}, z_{t-1}: not views, as block rows are overwritten
+    m, prev, z = np.zeros_like(X0), X0.copy(), X0.copy()
     if algorithm != "momentum":
         # x_{t+1} = prox_{gamma_t g}(x_t - (gamma_t / b) * sum of b gradients), that is
         #   gd:            x_{t+1} = x_t - gamma grad f(x_t)
@@ -337,33 +351,44 @@ def _method(cfg: RunConfig, gamma, X0: np.ndarray):
         #   pssd:          x_{t+1} = Proj_{B(0, B)}(x_t - gamma_t grad f_i(x_t))
         #   prox_gd:       x_{t+1} = prox_{gamma g}(x_t - gamma grad f(x_t))
         #   prox_sgd:      x_{t+1} = prox_{gamma_t g}(x_t - gamma_t grad f_i(x_t))
-        def step(t, X, rows):
-            X = X - (gamma[t] / scale) * oracle(X, rows)
-            return X if reg is None else prox(reg, gamma[t], X)
+        def step(t, X, out, rows):
+            G = oracle(X, rows)
+            coef.fill(gamma[t] / scale)
+            np.subtract(X, np.multiply(G, coef, out=G), out=out)
+            if reg is not None:
+                prox(reg, gamma[t], out, out=out)
     # momentum: three formulations of one method, which produce the same
     # trajectory on the same sample stream (cfg.momentum_form picks one)
     elif form == "buffer":
         # m_t = beta_t m_{t-1} + grad f_i(x_t);  x_{t+1} = x_t - gamma_t m_t
-        def step(t, X, rows):
-            nonlocal m
-            m = sched.beta_at(t) * m + oracle(X, rows)
-            return X - gamma[t] * m
+        def step(t, X, out, rows):
+            G = oracle(X, rows)
+            coef.fill(sched.beta_at(t))
+            np.add(np.multiply(m, coef, out=m), G, out=m)
+            coef.fill(gamma[t])
+            np.subtract(X, np.multiply(m, coef, out=out), out=out)
     elif form == "heavy_ball":
         # x_{t+1} = x_t - gamma_t grad f_i(x_t) + bhat_t (x_t - x_{t-1}),
         # bhat_t = gamma_t beta_t / gamma_{t-1}, x_{-1} = x_0, bhat_0 = 0
-        def step(t, X, rows):
-            nonlocal prev
-            bhat = 0.0 if t == 0 else gamma[t] * sched.beta_at(t) / gamma[t - 1]
-            prev, X = X, X - gamma[t] * oracle(X, rows) + bhat * (X - prev)
-            return X
+        def step(t, X, out, rows):
+            G = oracle(X, rows)
+            coef.fill(gamma[t])
+            np.subtract(X, np.multiply(G, coef, out=G), out=out)
+            coef.fill(0.0 if t == 0 else gamma[t] * sched.beta_at(t) / gamma[t - 1])
+            np.add(out, np.multiply(np.subtract(X, prev, out=G), coef, out=G), out=out)
+            prev[...] = X
     else:
         # z_t = z_{t-1} - eta_t grad f_i(x_t);  x_{t+1} a moving average of x_t
         # and z_t, with lambda_t = t/2, eta_t = (1 + lambda_{t+1}) gamma_t, z_{-1} = x_0
-        def step(t, X, rows):
-            nonlocal z
+        def step(t, X, out, rows):
+            G = oracle(X, rows)
             lam_next = (t + 1) / 2.0
-            z = z - (1.0 + lam_next) * gamma[t] * oracle(X, rows)
-            return (lam_next * X + z) / (lam_next + 1.0)
+            coef.fill((1.0 + lam_next) * gamma[t])
+            np.subtract(z, np.multiply(G, coef, out=G), out=z)
+            coef.fill(lam_next)
+            np.add(np.multiply(X, coef, out=out), z, out=out)
+            coef.fill(lam_next + 1.0)
+            np.divide(out, coef, out=out)
     if algorithm in FULL_GRADIENT:
         return batch, None, gap, _replaying(step, X0)
     return batch, problem.sample_rows, gap, step
@@ -372,40 +397,41 @@ def _method(cfg: RunConfig, gamma, X0: np.ndarray):
 def _replaying(step, X0):
     """``step`` of a fixed map of X (a full-gradient method at its constant
     stepsize) from the state X0 at t = 0, replaying the map's cycle once a
-    state repeats.
+    state repeats; both write the next state into ``out``.
 
     Brent's search keeps one saved state x_s, compares each new state with it
     bit for bit (``tobytes``: -0.0 == 0.0, yet the two step differently through
     sign and prox, and NaN equals itself only in its bits), and after ``span``
     steps saves the newest state and doubles the span.  The first match
     x_{t+1} = x_s gives the least period p = t + 1 - s.  The next p - 1 steps
-    still call ``step``, and their states are kept; from then on step t returns
-    x_{t+1} = cycle[(t + 1 - s) % p] and calls nothing.  Because the state
-    x_{t+1} is a function of the bits of x_t alone, that is bit for bit what
-    stepping gives.  Memory is one saved state, and the cycle if it holds at
-    most _BLOCK_VALUES values (a longer cycle is stepped through, not kept)."""
+    still call ``step``, and copies of their states are kept; from then on
+    step t copies x_{t+1} = cycle[(t + 1 - s) % p] into ``out`` and calls
+    nothing.  Because the state x_{t+1} is a function of the bits of x_t
+    alone, that is bit for bit what stepping gives.  Memory is one saved
+    state, and the cycle if it holds at most _BLOCK_VALUES values (a longer
+    cycle is stepped through, not kept)."""
     saved, s, span = X0.tobytes(), 0, 1
     p = 0  # the period once found: 0 while searching, -1 for a cycle too long to keep
     cycle = []  # x_s .. x_{s+p-1}
 
-    def replay(t, X, rows):
+    def replay(t, X, out, rows):
         nonlocal saved, s, span, p
         if p > 0 and len(cycle) == p:
-            return cycle[(t + 1 - s) % p]
-        X = step(t, X, rows)
+            out[...] = cycle[(t + 1 - s) % p]
+            return
+        step(t, X, out, rows)
         if p > 0:
-            cycle.append(X)
+            cycle.append(out.copy())
         elif p == 0:
-            key = X.tobytes()
+            key = out.tobytes()
             if key == saved:
                 p = t + 1 - s
-                if p * X.size > _BLOCK_VALUES:
+                if p * out.size > _BLOCK_VALUES:
                     p = -1
                 else:
-                    cycle.append(X)
+                    cycle.append(out.copy())
             elif t + 1 - s == span:
                 saved, s, span = key, t + 1, 2 * span
-        return X
 
     return replay
 
@@ -511,8 +537,11 @@ def run_lockstep(cfg: RunConfig, trials, at=None, averaging=None,
             if (value := getattr(one, key)) is not None})
     T, n, d = cfg.iterations, cfg.problem.n, cfg.problem.d
     gamma = cfg.schedule.gammas(T + 1)
-    X = np.tile(cfg.start_point(), (M, 1))
-    batch, sample, gap, step = _method(cfg, gamma.tolist(), X)
+    block = _block_steps(M, n, d)
+    # a gap block's iterates x_t0 .. x_t1 (step t writes x_{t+1} into row t + 1 - t0)
+    xs = np.empty((block + 1, M, d))
+    xs[0] = cfg.start_point()
+    batch, sample, gap, step = _method(cfg, gamma.tolist(), xs[0])
     objective, clearing_norm_sq, inf_val, x_ref = gap
     recorded = np.arange(T + 1) if at is None else np.unique(np.asarray(at, dtype=np.int64))
     f_gap, dist_sq = np.empty((2, M, len(recorded)))
@@ -523,25 +552,21 @@ def run_lockstep(cfg: RunConfig, trials, at=None, averaging=None,
         averaged = np.full((M, len(recorded)), np.nan)
         total = np.zeros((M, d))  # the sum of w_t x_t over the steps before the block
     rngs = [np.random.default_rng(cfg.seed + int(m)) for m in trials] if sample else []
-    block, window = _block_steps(M, n, d), _draw_steps(M, batch, d)
-    w0 = w1 = 0  # the draw window ``drawn`` holds: steps w0 .. w1 - 1
-    xs = np.empty((block, M, d))  # the iterates of the block's steps
-    work = np.empty((block * M, 1, n))  # their objective residual, one buffer for the run
+    window = _draw_steps(M, batch, d)
+    w1 = 0  # the draw window ``drawn`` yields the rows of the steps before w1
+    work = np.empty((block * M, 1, n))  # the block's objective residual, one buffer for the run
     first = np.full(M, -1)  # first diverged step of each trial
     # every trial starts at x0, so one row gives the divergence limit
-    limit = _DIVERGENCE_FACTOR * (1.0 + abs(float(objective(X[:1], work[:1])[0] - inf_val)))
+    limit = _DIVERGENCE_FACTOR * (1.0 + abs(float(objective(xs[0, :1], work[:1])[0] - inf_val)))
     clear = clearing_norm_sq(limit, inf_val)
     with np.errstate(all="ignore"):  # diverging rows run on as inf/nan
         for t0 in range(0, T + 1, block):
             t1 = min(t0 + block, T + 1)
-            for t in range(t0, t1):
-                xs[t - t0] = X
-                if t == T:
-                    break
+            for t, X, out in zip(range(t0, min(t1, T)), xs, xs[1:]):
                 if sample and t == w1:
-                    w0, w1 = t, min(t + window, T)
-                    drawn = sample(_draw_window(rngs, w1 - w0, n, batch))
-                X = step(t, X, [r[t - w0] for r in drawn] if sample else None)
+                    w1 = min(t + window, T)
+                    drawn = zip(*sample(_draw_window(rngs, w1 - t, n, batch)))
+                step(t, X, out, next(drawn) if sample else None)
             steps = xs[: t1 - t0]
             lo, hi = np.searchsorted(recorded, [t0, t1])
             rows = recorded[lo:hi] - t0
@@ -572,6 +597,7 @@ def run_lockstep(cfg: RunConfig, trials, at=None, averaging=None,
                     total = sums[k - 1].copy()
             if (first >= 0).all():
                 break
+            xs[0] = xs[t1 - t0]
     failed = np.nonzero(first >= 0)[0]
     if failed.size:
         raise DivergenceError(zip(trials[failed], first[failed]))

@@ -137,12 +137,13 @@ def _build_fixture(cfg: ExperimentConfig) -> problems.Fixture:
 
     reg = (fx.regularizer if cfg.regularizer is None
            else spec_section("regularizer", Regularizer.from_config, cfg.regularizer))
+    field = "problem.regularizer" if cfg.regularizer is None else "regularizer"
     comp = fx.composite
     if cfg.algorithm in PROXIMAL:
         if reg is None:
             raise ConfigError("regularizer", "proximal runs need a regularizer")
         if comp is None or fx.regularizer != reg:
-            comp = spec_section("regularizer",
+            comp = spec_section(field,
                                 partial(problems.make_composite, fx.problem, fx.constants), reg)
     return problems.Fixture(fx.name, fx.problem, fx.ground_truth, fx.constants,
                             regularizer=reg, composite=comp)

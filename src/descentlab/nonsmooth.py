@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -193,8 +194,10 @@ def axis_sum(Z: np.ndarray, axis: int) -> np.ndarray:
     return total
 
 
-def prox(reg: Regularizer, gamma: float, x: np.ndarray) -> np.ndarray:
-    """prox_{gamma g}(x), the unique minimizer of g(u) + ||u - x||^2 / (2 gamma).
+def prox(reg: Regularizer, gamma: float, x: np.ndarray,
+         out: Optional[np.ndarray] = None) -> np.ndarray:
+    """prox_{gamma g}(x), the unique minimizer of g(u) + ||u - x||^2 / (2 gamma),
+    written into ``out`` if given (which may be x itself).
 
     zero -> identity; l1 -> componentwise soft threshold at gamma*lam;
     ball indicator -> euclidean projection onto the ball (independent of gamma).
@@ -204,12 +207,15 @@ def prox(reg: Regularizer, gamma: float, x: np.ndarray) -> np.ndarray:
         raise ValueError("prox step gamma must be > 0")
     x = np.asarray(x, dtype=float)
     if reg.kind == "zero":
-        return x.copy()
+        return np.positive(x, out=out)  # a copy, bit for bit
     if reg.kind == "l1":
-        thr = gamma * reg.lam
-        return np.sign(x) * np.maximum(np.abs(x) - thr, 0.0)
+        sign = np.sign(x)  # read before ``out`` overwrites x
+        v = np.abs(x, out=out)
+        v -= gamma * reg.lam
+        return np.multiply(sign, np.maximum(v, 0.0, out=v), out=v)
     # the factor is exactly 1 inside the ball and B / ||x|| outside it
-    return x * (reg.B / np.maximum(_norms(x)[..., None], reg.B))
+    factor = np.maximum(_norms(x)[..., None], reg.B)
+    return np.multiply(x, np.divide(reg.B, factor, out=factor), out=out)
 
 
 def subgradient(reg: Regularizer, x: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
@@ -139,13 +139,17 @@ class FiniteSumProblem:
         matrix rows and targets (A[idx], y[idx])."""
         return np.take(self.data["A"], idx, axis=0), np.take(self.data["y"], idx)
 
-    def grad_sampled(self, rows, X: np.ndarray) -> np.ndarray:
-        """grad f_{idx[m]}(X[m]) for every row m, given the terms' data
-        ``rows = sample_rows(idx)`` for an (M,) index array (or views of the
-        same shapes)."""
+    def grad_sampled(self, rows, X: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """grad f_{idx[j, m]}(X[m]) for every row m, given the terms' data
+        ``rows = sample_rows(idx)`` for an (M,) or (b, M) index array (or
+        views of the same shapes), written into ``out`` if given."""
         (a, y), mu = rows, self.data["mu"]
-        G = self.loss.grad(np.vecdot(a, X) - y)[:, None] * a
-        return G + mu * X if mu > 0 else G
+        r = np.vecdot(a, X)
+        r -= y
+        G = np.multiply(a, self.loss.grad(r)[..., None], out=out)
+        if mu > 0:
+            G += mu * X
+        return G
 
     def term_grad_rows(self, X: np.ndarray) -> np.ndarray:
         """grad f_i(X[m]) for every row m and term i, shape (M, n, d)."""
@@ -631,8 +635,8 @@ _PROBLEM_FIELDS = {
 
 def fixture_from_spec(name: str, spec) -> Fixture:
     """The fixture a problem spec describes: an inline problem, a catalogue
-    entry or a fixture file, with the composite of its regularizer if it has
-    one.  SpecError names a field of ``spec`` that is unknown, missing or
+    entry or a fixture file, with no composite (``fixture`` adds one).
+    SpecError names a field of ``spec`` that is unknown, missing or
     mistyped; ValueError a problem the builder rejects."""
     kind, args = spec_kind(spec, "problem", _PROBLEM_FIELDS)
     reg = args.pop("regularizer")
@@ -640,17 +644,16 @@ def fixture_from_spec(name: str, spec) -> Fixture:
         reg = spec_section("regularizer", Regularizer.from_config, reg)
     # looked up when called, so that a wrapped builder is the one called
     p, gt, c = globals()[f"build_{kind}"](**args)
-    comp = None if reg is None else make_composite(p, c, reg)
-    return Fixture(name, p, gt, c, regularizer=reg, composite=comp)
+    return Fixture(name, p, gt, c, regularizer=reg)
 
 
 def fixture(name: str) -> Fixture:
-    """Look up a problem bundle by name, building and caching on first use.
+    """Look up a problem bundle by name, building and caching on first use,
+    with the composite of its regularizer if it has one.
 
     Searches the embedded catalogue first, then `$DESCENTLAB_FIXTURES/<name>.json`,
-    whose spec, if wrong or rejected by its builder, raises a SpecError naming
-    the file's path.
-    """
+    whose spec, if wrong or rejected by its builder or the composite's
+    reference solve, raises a SpecError naming the file's path."""
     if name in _FIXTURE_CACHE:
         return _FIXTURE_CACHE[name]
     spec, path = _CATALOGUE.get(name), None
@@ -661,7 +664,10 @@ def fixture(name: str) -> Fixture:
             raise KeyError(f"unknown fixture {name!r}; available: {fixture_names()}")
         spec = read_json(path)
     try:
-        fx = _FIXTURE_CACHE[name] = fixture_from_spec(name, spec)
+        fx = fixture_from_spec(name, spec)
+        if fx.regularizer is not None:
+            fx = replace(fx, composite=make_composite(fx.problem, fx.constants, fx.regularizer))
+        _FIXTURE_CACHE[name] = fx
     except ValueError as exc:  # a wrong field, or a problem the builder rejects
         if path is None:
             raise

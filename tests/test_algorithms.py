@@ -695,14 +695,23 @@ _LONG_CASES = _long_runs()
 @pytest.mark.parametrize("case", _CASES + _LONG_CASES, ids=[c[0] for c in _CASES + _LONG_CASES])
 def test_lockstep_replays_reference_loop(case):
     _, cfg, alg, form = case
+    trials = (0, 3, 7)
+    refs = {trial: _ref_run(cfg, alg, trial, form) for trial in trials}
     for trial in (0, 3):
-        xs, f_gap, dist_sq, _ = _ref_run(cfg, alg, trial, form)
+        xs, f_gap, dist_sq, _ = refs[trial]
         tr = (run_algorithm(replace(cfg, momentum_form=form), "momentum", trial=trial) if form
               else run_algorithm(cfg, alg, trial=trial))
         assert np.array_equal(tr.iterates, xs)
         assert _close(tr.f_gap, f_gap) and _close(tr.dist_sq, dist_sq)
         assert np.array_equal(tr.gamma, [cfg.schedule.gamma_at(t)
                                          for t in range(cfg.iterations + 1)])
+    # three rows step together, so each step's in-place kernels write several
+    # rows of the block buffer, and the long cases carry the block's last
+    # iterate, the momentum state and a replayed cycle across two block edges
+    run = run_lockstep(replace(cfg, algorithm=alg, momentum_form=form or cfg.momentum_form),
+                       trials, keep_iterates=True)
+    for iterates, trial in zip(run.iterates, trials):
+        assert np.array_equal(iterates, refs[trial][0]), trial
 
 
 def test_full_gradient_divergence_at_reference_t():
@@ -716,14 +725,16 @@ def test_full_gradient_divergence_at_reference_t():
 
 
 def _toy_step(kind, k):
-    """A fixed map of a (1, k) state with a known period, and its start."""
+    """A fixed map of a (1, k) state with a known period, which writes the
+    next state into ``out``, and its start."""
     if kind == "roll":  # k distinct values rotate: period k
-        return (lambda t, X, rows: np.roll(X, 1, axis=1)), np.arange(k, dtype=float)[None]
+        return ((lambda t, X, out, rows: np.copyto(out, np.roll(X, 1, axis=1))),
+                np.arange(k, dtype=float)[None])
     if kind == "negate":  # 0.0, -0.0, 0.0, ...: period 2 in bits, 1 in values
-        return (lambda t, X, rows: -X), np.zeros((1, k))
+        return (lambda t, X, out, rows: np.negative(X, out=out)), np.zeros((1, k))
     if kind == "nan":  # NaN + 1 keeps its bits: a fixed point that == never finds
-        return (lambda t, X, rows: X + 1.0), np.full((1, k), np.nan)
-    return (lambda t, X, rows: X + 1.0), np.zeros((1, k))  # counts up: never repeats
+        return (lambda t, X, out, rows: np.add(X, 1.0, out=out)), np.full((1, k), np.nan)
+    return (lambda t, X, out, rows: np.add(X, 1.0, out=out)), np.zeros((1, k))  # never repeats
 
 
 @pytest.mark.parametrize("kind,k,period", [("roll", 1, 1), ("roll", 2, 2), ("roll", 3, 3),
@@ -733,14 +744,19 @@ def test_replay_equals_stepping(kind, k, period):
     step, X0 = _toy_step(kind, k)
     calls = []
 
-    def counted(t, X, rows):
+    def counted(t, X, out, rows):
         calls.append(t)
-        return step(t, X, rows)
+        step(t, X, out, rows)
 
-    replay, X, Y = algorithms._replaying(counted, X0), X0, X0
+    # the states go round a 3-row buffer, as they go through run_lockstep's
+    # block buffer, so a kept cycle state must not be a view into it
+    replay, xs, Y = algorithms._replaying(counted, X0), np.empty((3,) + X0.shape), X0
+    xs[0] = X0
     for t in range(300):
-        X, Y = replay(t, X, None), step(t, Y, None)
-        assert X.tobytes() == Y.tobytes(), t
+        replay(t, xs[t % 3], xs[(t + 1) % 3], None)
+        Y = Y.copy()  # stepping, each state in a fresh array
+        step(t, Y, Y, None)
+        assert xs[(t + 1) % 3].tobytes() == Y.tobytes(), t
     # from x_0 on the cycle, Brent's search saves x_s, s = 2^j - 1 < 2p, finds
     # x_{s+p} = x_s and steps p - 1 more times to keep the cycle
     assert len(calls) == (300 if period is None else 2 ** math.ceil(math.log2(period)) - 1
@@ -751,11 +767,13 @@ def test_replay_steps_through_a_cycle_too_long_to_keep(monkeypatch):
     monkeypatch.setattr(algorithms, "_BLOCK_VALUES", 24)
     step, X0 = _toy_step("roll", 5)  # 5 states of 5 values: 25 > 24
     calls = []
-    replay = algorithms._replaying(lambda t, X, rows: calls.append(t) or step(t, X, rows), X0)
-    X = X0
+    replay = algorithms._replaying(
+        lambda t, X, out, rows: calls.append(t) or step(t, X, out, rows), X0)
+    xs = np.empty((2,) + X0.shape)
+    xs[0] = X0
     for t in range(40):
-        X = replay(t, X, None)
-        assert np.array_equal(X[0], np.roll(X0[0], t + 1))
+        replay(t, xs[t % 2], xs[(t + 1) % 2], None)
+        assert np.array_equal(xs[(t + 1) % 2][0], np.roll(X0[0], t + 1))
     assert len(calls) == 40
 
 

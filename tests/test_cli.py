@@ -1192,12 +1192,15 @@ def test_run_jobs_starts_one_worker_per_chunk(tmp_path, monkeypatch):
             == (tmp_path / "one" / "trace.csv").read_bytes())
 
 
+# at step 1/L the second coordinate moves by 1e-8 of its distance a step, so
+# the composite's reference solve is far from done after 50 steps
+_ILL_SPEC = {"kind": "least_squares", "features": [[1.0, 0.0], [0.0, 1e-4]],
+             "targets": [1.0, 1.0], "regularizer": {"kind": "l1", "lambda": 1e-12}}
+
+
 def test_composite_solve_that_does_not_converge_exits_2(tmp_path, monkeypatch, capsys):
-    # at step 1/L the second coordinate moves by 1e-8 of its distance a step,
-    # so the reference solve is far from done after 50 steps
     from descentlab import problems
-    spec = {"kind": "least_squares", "features": [[1.0, 0.0], [0.0, 1e-4]],
-            "targets": [1.0, 1.0], "regularizer": {"kind": "l1", "lambda": 1e-12}}
+    spec = _ILL_SPEC
     monkeypatch.setattr(problems, "_COMPOSITE_MAX_ITERS", 50)
     path = tmp_path / "ill.json"
     path.write_text(json.dumps(spec))
@@ -1205,15 +1208,30 @@ def test_composite_solve_that_does_not_converge_exits_2(tmp_path, monkeypatch, c
     monkeypatch.delitem(problems._FIXTURE_CACHE, "ill", raising=False)
     detail = ("composite reference solver did not converge: fixed-point residual 1.000e-04 "
               "after 50 iterations\n")
-    cfg = _write(tmp_path, "cfg.json", _gd_config(problem=spec))
+    # only a proximal method reads the composite of an inline problem
+    cfg = _write(tmp_path, "cfg.json", _gd_config(problem=spec, algorithm="prox_gd"))
     for argv, prefix in [
         (["run", "--config", cfg, "--out-dir", str(tmp_path / "out")],
-         "config error: field 'problem': "),
+         "config error: field 'problem.regularizer': "),
         (["suite", "--fixture", "ill"], f"config error: fixture 'ill': {path}: "),
         (["table", "--constants", "ill", "--epsilon", "1e-3"], f"table error: {path}: "),
     ]:
         assert main(argv) == 2, argv[0]
         assert capsys.readouterr() == ("", prefix + detail)
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_smooth_method_on_inline_composite_skips_the_solve(tmp_path, monkeypatch, command):
+    from descentlab import problems
+
+    def no_solve(*args):
+        raise AssertionError("make_composite called")
+
+    monkeypatch.setattr(problems, "make_composite", no_solve)
+    cfg = _write(tmp_path, "cfg.json", _gd_config(problem=_ILL_SPEC, schedule={
+        "kind": "constant", "gamma": 1.0}, verify={"setting": "gd_convex"}))
+    out = ["--out-dir", str(tmp_path / "out")] if command == "run" else []
+    assert main([command, "--config", cfg] + out) == 0
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])

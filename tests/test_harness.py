@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -21,7 +22,7 @@ from descentlab import (
     verify_bound,
 )
 from descentlab.harness import default_checkpoints
-from descentlab.problems import fixture_from_spec, gradient_variance
+from descentlab.problems import fixture_from_spec, gradient_variance, make_composite
 from descentlab.theory import SETTINGS
 
 RNG = np.random.default_rng(3)
@@ -459,7 +460,14 @@ INLINE = _seeded_specs()
 
 
 def _oracle_fixture(name):
-    return fixture_from_spec(name, INLINE[name]) if name in INLINE else fixture(name)
+    """A catalogue fixture, or an inline one with the composite ``fixture``
+    would add to it."""
+    if name not in INLINE:
+        return fixture(name)
+    fx = fixture_from_spec(name, INLINE[name])
+    if fx.regularizer is None:
+        return fx
+    return replace(fx, composite=make_composite(fx.problem, fx.constants, fx.regularizer))
 
 
 def _ref_gradient_variance(p, x):
