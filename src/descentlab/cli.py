@@ -159,10 +159,11 @@ def _run_config(cfg: ExperimentConfig, fx: problems.Fixture, seed: int) -> RunCo
 
 
 def _trial_chunk(args):
-    """Worker: run trials lo .. hi-1 of the checked run and write their trace
-    rows to ``path``, behind the header only in the first chunk (``lo == 0``).
-    Returns the (trial, t) of each diverged trial, and writes nothing if
-    there is one."""
+    """One chunk of a ``--jobs`` run, in a pool worker or, for the first
+    chunk, in the calling process: run trials lo .. hi-1 of the checked run
+    and write their trace rows to ``path``, behind the header only in the
+    first chunk (``lo == 0``).  Returns the (trial, t) of each diverged
+    trial, and writes nothing if there is one."""
     rc, lo, hi, path = args
     try:
         run = run_lockstep(rc, range(lo, hi))
@@ -200,31 +201,37 @@ def cmd_run(config_path: str, out_dir: str = ".", jobs: int = 1,
         fh.write("\n")
 
     if jobs > 1 and cfg.trials > 1:
-        _run_chunks(rc, jobs, out_dir, trace_path)
+        _run_chunks(rc, jobs, trace_path)
     else:
         write_traces_csv(run_lockstep(rc, range(cfg.trials)), trace_path)
     print(f"wrote {manifest_path} and {trace_path}")
     return 0
 
 
-def _run_chunks(rc: RunConfig, jobs: int, out_dir: str, trace_path: str) -> None:
-    """The trials of ``rc`` in ``jobs`` contiguous chunks, one per worker.
-    Each worker writes its rows to a part file in a temporary directory under
-    ``out_dir``, the first part behind the header; the trace is the parts in
-    chunk order, so it is the file one process would write, and the rows never
-    pass through this process.  Raises one DivergenceError naming every
-    diverged trial."""
+def _run_chunks(rc: RunConfig, jobs: int, trace_path: str) -> None:
+    """The trials of ``rc`` in ``jobs`` contiguous chunks: this process runs
+    the first while a pool of one worker per other chunk runs the rest.  Each
+    chunk's rows go to a part file in a temporary directory beside the trace,
+    the first part behind the header; on success the first part is renamed
+    onto the trace and the others are appended in chunk order, so the trace
+    is the file one process would write, and no worker sends its rows back
+    to this process.  Raises one DivergenceError naming every diverged trial,
+    leaving the trace path as it was."""
     chunks = np.array_split(np.arange(rc.trials), min(jobs, rc.trials))
-    with tempfile.TemporaryDirectory(dir=out_dir) as tmp:
+    with tempfile.TemporaryDirectory(dir=os.path.dirname(trace_path)) as tmp:
         args = [(rc, int(ch[0]), int(ch[-1]) + 1, os.path.join(tmp, f"part{i}.csv"))
                 for i, ch in enumerate(chunks)]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        with ProcessPoolExecutor(max_workers=len(chunks) - 1) as pool:
+            rest = pool.map(_trial_chunk, args[1:])  # submits every chunk now
+            failures = _trial_chunk(args[0])
             # map keeps the chunks, and so the trials, in order
-            failures = [f for part in pool.map(_trial_chunk, args) for f in part]
+            failures += [f for part in rest for f in part]
         if failures:
             raise DivergenceError(failures)
-        with open(trace_path, "wb") as out:
-            for _, _, _, part in args:
+        # same directory, so the rename is one filesystem's
+        os.replace(args[0][3], trace_path)
+        with open(trace_path, "ab") as out:
+            for _, _, _, part in args[1:]:
                 with open(part, "rb") as fh:
                     shutil.copyfileobj(fh, out)
 

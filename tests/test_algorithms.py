@@ -443,7 +443,7 @@ def test_csv_matches_row_writer_inv_sqrt_many_trials(tmp_path):
 def test_csv_matches_row_writer_on_unpickled_chunks(tmp_path):
     import pickle
 
-    # as two --jobs workers write them: each chunk its own run, the first
+    # as two --jobs processes write them: each chunk its own run, the first
     # behind the header, the parts concatenated in chunk order
     chunks = [pickle.loads(pickle.dumps(_sgd_inv_sqrt_run(range(lo, hi))))
               for lo, hi in ((0, 7), (7, 12))]

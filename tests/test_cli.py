@@ -1165,31 +1165,73 @@ def test_unwritable_output_or_bad_jobs_exits_2_before_writing(tmp_path, capsys, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "file"]
 
 
-def test_run_jobs_starts_one_worker_per_chunk(tmp_path, monkeypatch):
-    # --jobs 8 splits 3 trials into 3 chunks; a pool of 8 would start 5 idle workers
-    started = []
+_CHUNKS_RUN = []  # (lo, pid) of each _trial_chunk call this process made
 
-    class InProcessPool:
+
+def _recording_trial_chunk(args, trial_chunk=cli._trial_chunk):
+    _CHUNKS_RUN.append((args[1], os.getpid()))
+    return trial_chunk(args)
+
+
+def test_run_jobs_starts_one_worker_per_chunk(tmp_path, monkeypatch):
+    # --jobs 8 splits 3 trials into 3 chunks: the calling process runs the
+    # first, and a pool of 2 the others; a pool of 8 would start 6 idle workers
+    started, mapped = [], []
+
+    class CountingPool(cli.ProcessPoolExecutor):
         def __init__(self, max_workers):
             started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+            super().__init__(max_workers)
 
         def map(self, fn, args):
-            return map(fn, args)
+            args = list(args)
+            mapped.append([(lo, hi) for _, lo, hi, _ in args])
+            return super().map(fn, args)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+    # a worker's calls land in the worker's copy of _CHUNKS_RUN, not in this one
+    monkeypatch.setattr(cli, "_trial_chunk", _recording_trial_chunk)
+    _CHUNKS_RUN.clear()
     path = _write(tmp_path, "cfg.json", _gd_config(algorithm="sgd", trials=3,
                                                    schedule={"kind": "constant", "gamma": 0.2}))
     assert cmd_run(path, out_dir=str(tmp_path / "one")) == 0
     assert cmd_run(path, out_dir=str(tmp_path / "eight"), jobs=8) == 0
-    assert started == [3]
+    assert started == [2]
+    assert mapped == [[(1, 2), (2, 3)]]
+    assert _CHUNKS_RUN == [(0, os.getpid())]
+    assert sorted(p.name for p in (tmp_path / "eight").iterdir()) == ["manifest.json", "trace.csv"]
     assert ((tmp_path / "eight" / "trace.csv").read_bytes()
             == (tmp_path / "one" / "trace.csv").read_bytes())
+
+
+# sgd at gamma 1.45 from (2, 0) for 200 steps blows up sample streams 62 and
+# 64, and 116 and 118, and no other stream in 62..73 or 108..119: at seed 62
+# trials 0 and 2 diverge, in the calling process's chunk at --jobs 2 (trials
+# 0-5) and 3 (0-3); at seed 108 trials 8 and 10, in the last worker's chunk
+# (6-11 and 8-11)
+@pytest.mark.parametrize("seed,diverged", [(62, ["0", "2"]), (108, ["8", "10"])],
+                         ids=["caller_chunk", "worker_chunk"])
+def test_run_divergence_in_one_chunk_leaves_the_out_dir_as_it_was(tmp_path, capsys, seed,
+                                                                   diverged):
+    path = _write(tmp_path, "cfg.json", _gd_config(
+        algorithm="sgd", trials=12, iterations=200, x0=[2.0, 0.0], seed=seed,
+        schedule={"kind": "constant", "gamma": 1.45}))
+    errs = []
+    for jobs in (1, 2, 3):
+        fresh, kept = tmp_path / f"fresh{jobs}", tmp_path / f"kept{jobs}"
+        kept.mkdir()
+        (kept / "trace.csv").write_bytes(b"an earlier run's trace\n")
+        inode = (kept / "trace.csv").stat().st_ino
+        for out in (fresh, kept):
+            assert main(["run", "--config", path, "--out-dir", str(out),
+                         "--jobs", str(jobs)]) == 3
+            errs.append(capsys.readouterr().err)
+        assert [p.name for p in fresh.iterdir()] == ["manifest.json"]
+        assert sorted(p.name for p in kept.iterdir()) == ["manifest.json", "trace.csv"]
+        assert (kept / "trace.csv").read_bytes() == b"an earlier run's trace\n"
+        assert (kept / "trace.csv").stat().st_ino == inode
+    assert len(set(errs)) == 1
+    assert re.findall(r"trial (\d+) \(t=", errs[0]) == diverged
 
 
 # at step 1/L the second coordinate moves by 1e-8 of its distance a step, so
