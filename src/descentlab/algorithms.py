@@ -7,6 +7,12 @@ trial's own generator, so a batch size of 1 replays the single-sample stream
 exactly.  Traces record t = 0..T inclusive with the objective gap, squared
 distance to the reference minimizer, and the stepsize at each index.
 
+Trial m's generator is ``default_rng(cfg.seed + m)`` bit for bit, built
+without calling it (``_trial_rngs``): one vectorized pass of numpy's
+SeedSequence hash over all M seeds gives each trial its four PCG64 state
+words, from which PCG64 seeds itself.  A seed at or above 2^128 has more
+entropy words than SeedSequence's pool holds, and gets ``default_rng`` itself.
+
 Two lengths split a run, and neither changes a value.  Each trial draws its
 samples once per *draw window* (``_draw_steps``), whose draws concatenate to
 the trial's one stream; one Fisher-Yates pass turns the doubles of all trials
@@ -25,9 +31,10 @@ so the two differ whenever n is large or M is.
 Step t writes x_{t+1} straight into its row of the gap block's iterate
 buffer (an extra row carries the block's last iterate to the next block) by
 a fixed sequence of in-place ufunc calls into buffers made once per run: the
-b sampled gradients (``grad_sampled``'s ``out``), added in order into the
-first; ``prox`` in place; the momentum state, in its own buffers; and one
-0-d array holding each scalar (gamma_t / b, beta_t, ...) in turn.  The
+b sampled gradients (``sampled_grad_kernel``, bound with its residual buffer
+once per run), added in order into the first; ``prox`` in place; the
+momentum state, in its own buffers; and one 0-d array holding each scalar
+(gamma_t / b, beta_t, ...) in turn, filled once at a constant stepsize.  The
 floating-point operations are those of the formulas, in their order.
 
 A full-gradient run (``FULL_GRADIENT``) replays its floating-point limit cycle
@@ -45,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -298,6 +306,82 @@ def _draw_window(rngs, k: int, n: int, b: int) -> np.ndarray:
     return out.reshape(len(rngs), k, b).transpose(1, 2, 0)
 
 
+# numpy's SeedSequence (NEP 19) over a pool of 4 uint32 words.  Its hash
+# constants evolve by one multiplication per hash, so in a fixed sequence of
+# hashes each one's constants are fixed: _HASH_A[j], _HASH_A[j + 1] those of
+# the pool's j-th hash, _HASH_B[k], _HASH_B[k + 1] those of output word k.
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    h = [init]
+    for _ in range(count):
+        h.append(h[-1] * mult & _MASK32)
+    return np.array(h, dtype=np.uint32)[:, None]
+
+
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)  # 4 entropy words, then 12 mixes
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)  # generate_state(4, uint64): 8 words
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)  # mix(x, y): L x - R y, xor-shifted
+# the mixing pass: pool word src, hashed, mixed into each other word dst in turn
+_MIXES = [(src, [dst for dst in range(4) if dst != src], 4 + 3 * src) for src in range(4)]
+
+
+def _hashmix(value, xor, mult):
+    value = (value ^ xor) * mult
+    value ^= value >> 16
+    return value
+
+
+def _pcg64_states(seed: int, trials: np.ndarray) -> np.ndarray:
+    """The (M, 4) uint64 ``SeedSequence(seed + m).generate_state(4, np.uint64)``
+    of each trial m, for seeds 0 <= seed + m < 2^128 (at most 4 entropy words,
+    zero-padded to the pool), computed for all M seeds at once as (4, M) and
+    (8, M) uint32 arrays in the sequence of hashes SeedSequence runs on one."""
+    low = seed & 0xFFFFFFFFFFFFFFFF
+    lo = trials.astype(np.uint64) + low  # the low 64 bits, wrapping
+    hi = (lo < low).astype(np.uint64) + (seed >> 64)  # and the carry into the high ones
+    words = np.stack((lo & _MASK32, lo >> 32, hi & _MASK32, hi >> 32)).astype(np.uint32)
+    pool = _hashmix(words, _HASH_A[0:4], _HASH_A[1:5])
+    for src, dst, j in _MIXES:
+        hashed = _hashmix(pool[src], _HASH_A[j:j + 3], _HASH_A[j + 1:j + 4])
+        mixed = pool[dst] * _MIX_L - hashed * _MIX_R
+        mixed ^= mixed >> 16
+        pool[dst] = mixed
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_B[0:8], _HASH_B[1:9])
+    # little-endian word pairs, as SeedSequence makes its uint64 words
+    return np.ascontiguousarray(state.T).astype("<u4", copy=False).view("<u8").astype(
+        np.uint64, copy=False)
+
+
+@cache
+def _given_state():
+    """An ISeedSequence whose generate_state returns the words it holds.
+    Made at first use: ``numpy.random``, which defines ISeedSequence, takes
+    longer to import than most runs take to set up."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class GivenState(ISeedSequence):
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return GivenState
+
+
+def _trial_rngs(seed: int, trials: np.ndarray) -> list:
+    """``np.random.default_rng(seed + m)`` of each trial m, bit for bit: one
+    vectorized SeedSequence pass (``_pcg64_states``) gives each PCG64 its
+    state words.  A seed outside [0, 2^128) has other than 1 to 4 entropy
+    words and goes through ``default_rng`` itself."""
+    if trials.min() < 0 or seed + int(trials.max()) >= 2 ** 128:
+        return [np.random.default_rng(seed + int(m)) for m in trials]
+    given, Generator, PCG64 = _given_state(), np.random.Generator, np.random.PCG64
+    return [Generator(PCG64(given(state))) for state in _pcg64_states(seed, trials)]
+
+
 # methods that step on the full gradient, so their trajectory is deterministic
 FULL_GRADIENT = ("gd", "prox_gd")
 # methods that step on F = f + g through the prox of g, so they need a composite
@@ -329,15 +413,19 @@ def _method(cfg: RunConfig, gamma, X0: np.ndarray):
     terms, coef = np.empty((batch,) + X0.shape), np.empty(())
     first, rest = terms[0], list(terms[1:])  # the b gradients, added in order into the first
 
-    def oracle(X, rows):
-        """Full gradient, or the sum of the b sampled gradients, of every row,
-        in an array the step may overwrite."""
-        if rows is None:
+    # the full gradient, or the sum of the b sampled gradients, of every row,
+    # in an array the step may overwrite
+    if algorithm in FULL_GRADIENT:
+        def oracle(X, rows):
             return problem.full_grad_rows(X)
-        problem.grad_sampled(rows, X, out=terms)
-        for term in rest:
-            np.add(first, term, out=first)
-        return first
+    else:
+        sampled = problem.sampled_grad_kernel(terms)
+
+        def oracle(X, rows):
+            sampled(rows, X)
+            for term in rest:
+                np.add(first, term, out=first)
+            return first
 
     scale = float(batch)
     # momentum state m_{t-1}, x_{t-1}, z_{t-1}: not views, as block rows are overwritten
@@ -351,9 +439,13 @@ def _method(cfg: RunConfig, gamma, X0: np.ndarray):
         #   pssd:          x_{t+1} = Proj_{B(0, B)}(x_t - gamma_t grad f_i(x_t))
         #   prox_gd:       x_{t+1} = prox_{gamma g}(x_t - gamma grad f(x_t))
         #   prox_sgd:      x_{t+1} = prox_{gamma_t g}(x_t - gamma_t grad f_i(x_t))
+        varying = not sched.is_constant
+        coef.fill(gamma[0] / scale)  # once for all steps at a constant stepsize
+
         def step(t, X, out, rows):
             G = oracle(X, rows)
-            coef.fill(gamma[t] / scale)
+            if varying:
+                coef.fill(gamma[t] / scale)
             np.subtract(X, np.multiply(G, coef, out=G), out=out)
             if reg is not None:
                 prox(reg, gamma[t], out, out=out)
@@ -506,7 +598,9 @@ def run_lockstep(cfg: RunConfig, trials, at=None, averaging=None,
 
     Row m is trial ``trials[m]`` exactly as if run alone: its samples come from
     its own ``default_rng(cfg.seed + trial)`` (drawn once per draw window, and
-    the windows concatenate to the same stream) and the oracles act on rows
+    the windows concatenate to the same stream), which one vectorized
+    SeedSequence pass builds for all M trials bit for bit (``_trial_rngs``;
+    a seed at or above 2^128 calls ``default_rng``), and the oracles act on rows
     independently.  The steps of a gap block are taken first and then
     evaluated together (``_block_gaps``), so neither the window, the block
     length nor M changes a value.  A full-gradient method draws nothing and
@@ -551,7 +645,7 @@ def run_lockstep(cfg: RunConfig, trials, at=None, averaging=None,
         weights = _weights(gamma, averaging, int(recorded[-1]))
         averaged = np.full((M, len(recorded)), np.nan)
         total = np.zeros((M, d))  # the sum of w_t x_t over the steps before the block
-    rngs = [np.random.default_rng(cfg.seed + int(m)) for m in trials] if sample else []
+    rngs = _trial_rngs(cfg.seed, trials) if sample else []
     window = _draw_steps(M, batch, d)
     w1 = 0  # the draw window ``drawn`` yields the rows of the steps before w1
     work = np.empty((block * M, 1, n))  # the block's objective residual, one buffer for the run

@@ -186,7 +186,8 @@ def cmd_run(config_path: str, out_dir: str = ".", jobs: int = 1,
         if error := _output_error(path, made=out_dir):
             raise ConfigError(f"outputs.{key}", error)
 
-    os.makedirs(out_dir, exist_ok=True)
+    if out_dir:  # "" is the working directory, as the joined paths above read it
+        os.makedirs(out_dir, exist_ok=True)
     manifest = {
         "config": cfg.to_dict(),
         "seed": seed,
@@ -197,8 +198,7 @@ def cmd_run(config_path: str, out_dir: str = ".", jobs: int = 1,
         },
     }
     with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     if jobs > 1 and cfg.trials > 1:
         _run_chunks(rc, jobs, trace_path)

@@ -143,13 +143,26 @@ class FiniteSumProblem:
         """grad f_{idx[j, m]}(X[m]) for every row m, given the terms' data
         ``rows = sample_rows(idx)`` for an (M,) or (b, M) index array (or
         views of the same shapes), written into ``out`` if given."""
-        (a, y), mu = rows, self.data["mu"]
-        r = np.vecdot(a, X)
-        r -= y
-        G = np.multiply(a, self.loss.grad(r)[..., None], out=out)
-        if mu > 0:
-            G += mu * X
-        return G
+        return self.sampled_grad_kernel(np.empty(rows[0].shape) if out is None else out)(rows, X)
+
+    def sampled_grad_kernel(self, out: np.ndarray):
+        """``grad_sampled`` into ``out``, of shape (M, d) or (b, M, d), bound
+        once: a function of (rows, X) whose residual and ridge term go into
+        buffers made here, with mu and the loss derivative looked up here, so
+        that each call makes only the ufunc calls of the gradient."""
+        grad, mu = self.loss.grad, self.data["mu"]
+        r = np.empty(out.shape[:-1])
+        ridge = np.empty(out.shape[-2:]) if mu > 0 else None
+
+        def kernel(rows, X):
+            a, y = rows
+            np.subtract(np.vecdot(a, X, out=r), y, out=r)
+            G = np.multiply(a, grad(r)[..., None], out=out)
+            if mu > 0:
+                np.add(G, np.multiply(mu, X, out=ridge), out=G)
+            return G
+
+        return kernel
 
     def term_grad_rows(self, X: np.ndarray) -> np.ndarray:
         """grad f_i(X[m]) for every row m and term i, shape (M, n, d)."""

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from descentlab import algorithms, prox
@@ -929,6 +929,27 @@ def _check_draw_window(n, b, T, M, seed):
 def test_draw_batches_matches_sequential_fisher_yates():
     for n, b in ((4, 2), (6, 3), (9, 9), (5, 1), (256, 2), (10, 7), (1, 1)):
         _check_draw_window(n, b, 300, 3, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([0, 2 ** 32, 2 ** 64, 2 ** 96, 2 ** 128]).flatmap(
+           lambda edge: st.integers(max(0, edge - 300), edge + 300)),
+       st.integers(1, 300))
+@example(2 ** 64 - 2, 5)  # the trials' low 64 bits carry into the high ones
+@example(2 ** 128 - 2, 4)  # seeds on both sides of 2^128: default_rng for all
+@example(2 ** 128 + 7, 1)
+def test_trial_rngs_are_default_rng(seed, M):
+    # a tripwire on numpy's SeedSequence and PCG64 seeding, which the vectorized
+    # pass reproduces: each generator is default_rng(seed + m) bit for bit
+    rngs = algorithms._trial_rngs(seed, np.arange(M))
+    assert len(rngs) == M
+    fallback = seed + M - 1 >= 2 ** 128
+    for m, rng in enumerate(rngs):
+        ref = np.random.default_rng(seed + m)
+        assert isinstance(rng.bit_generator.seed_seq, np.random.SeedSequence) == fallback
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.random(3).tobytes() == ref.random(3).tobytes()
+        assert rng.integers(0, 2 ** 62, 2).tobytes() == ref.integers(0, 2 ** 62, 2).tobytes()
 
 
 @settings(max_examples=150, deadline=None)

@@ -109,6 +109,21 @@ def test_run_jobs_matches_sequential(tmp_path):
         assert traces[0].count(b"\n") == 1 + 4 * 601
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_empty_out_dir_is_the_working_directory(tmp_path, monkeypatch, jobs):
+    # --out-dir "" writes where os.path.join("", name) points: the working directory
+    path = _write(tmp_path, "cfg.json", _gd_config(algorithm="sgd", trials=3,
+                                                   schedule={"kind": "constant", "gamma": 0.2}))
+    ref, work = tmp_path / "ref", tmp_path / "work"
+    assert cmd_run(path, out_dir=str(ref)) == 0
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(["run", "--config", path, "--out-dir", "", "--jobs", str(jobs)]) == 0
+    assert sorted(p.name for p in work.iterdir()) == ["manifest.json", "trace.csv"]
+    for name in ("manifest.json", "trace.csv"):
+        assert (work / name).read_bytes() == (ref / name).read_bytes()
+
+
 def test_run_divergence_names_every_trial_whatever_jobs(tmp_path, capsys):
     # gamma * ||phi_i||^2 = 2.9 on two of the four terms: 8 of the 12 sample
     # streams blow up within T = 700 steps, in both halves and all thirds

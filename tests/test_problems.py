@@ -441,6 +441,21 @@ def test_catalogue_spec_loaded_from_file_equals_catalogue_fixture(tmp_path, monk
     assert (gc.reg, gc.inf_F, gc.sigma_star_F) == (wc.reg, wc.inf_F, wc.sigma_star_F)
 
 
+def test_import_leaves_numpy_random_out():
+    # numpy.random takes longer to import than a run takes to set up, so it is
+    # imported at first use, by the first run that samples
+    import os
+    import subprocess
+    import sys
+    import descentlab
+    src = os.path.dirname(os.path.dirname(os.path.abspath(descentlab.__file__)))
+    code = "import sys, descentlab, descentlab.cli\nprint('numpy.random' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False"]
+
+
 def test_import_and_least_squares_build_leave_scipy_out():
     # the runtime needs numpy alone: building every catalogue fixture, the abs ones
     # included, imports no scipy, and the CLI runs with scipy made unimportable
