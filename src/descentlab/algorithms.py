@@ -42,10 +42,10 @@ A full-gradient run (``FULL_GRADIENT``) replays its floating-point limit cycle
 ``RunConfig`` requires a constant stepsize, while a stochastic step reads its
 samples and momentum keeps state.  Brent's search compares each new state bit
 for bit with one saved state, so it needs O(1) memory, and once a state
-repeats the step copies out the cycle's states, bit for bit those stepping
-would give, without calling an oracle.  A deterministic run thus costs only
-the steps before its state repeats; the loop, and every state it records, is
-unchanged.
+repeats each block's remaining states are gathered from the kept cycle in one
+``np.take``, bit for bit those stepping would give, without calling an
+oracle.  A deterministic run thus costs only the steps before its state
+repeats; every state it records is unchanged.
 """
 
 from __future__ import annotations
@@ -489,42 +489,52 @@ def _method(cfg: RunConfig, gamma, X0: np.ndarray):
 def _replaying(step, X0):
     """``step`` of a fixed map of X (a full-gradient method at its constant
     stepsize) from the state X0 at t = 0, replaying the map's cycle once a
-    state repeats; both write the next state into ``out``.
+    state repeats; both write the next state into ``out``.  Its ``block(t0, t1,
+    xs)`` takes steps t0 .. t1 - 1 from x_t0 in xs[0], x_{t+1} into xs[t + 1 - t0].
 
     Brent's search keeps one saved state x_s, compares each new state with it
     bit for bit (``tobytes``: -0.0 == 0.0, yet the two step differently through
     sign and prox, and NaN equals itself only in its bits), and after ``span``
     steps saves the newest state and doubles the span.  The first match
     x_{t+1} = x_s gives the least period p = t + 1 - s.  The next p - 1 steps
-    still call ``step``, and copies of their states are kept; from then on
-    step t copies x_{t+1} = cycle[(t + 1 - s) % p] into ``out`` and calls
-    nothing.  Because the state x_{t+1} is a function of the bits of x_t
-    alone, that is bit for bit what stepping gives.  Memory is one saved
-    state, and the cycle if it holds at most _BLOCK_VALUES values (a longer
-    cycle is stepped through, not kept)."""
+    still call ``step``, and their states are stacked, (p, M, d); from then on
+    x_{t+1} = cycle[(t + 1 - s) % p], which a block writes for all its remaining
+    steps with one ``np.take``, calling nothing.  Because the state x_{t+1} is
+    a function of the bits of x_t alone, that is bit for bit what stepping
+    gives.  Memory is one saved state, and the cycle if it holds at most
+    _BLOCK_VALUES values (a longer cycle is stepped through, not kept)."""
     saved, s, span = X0.tobytes(), 0, 1
     p = 0  # the period once found: 0 while searching, -1 for a cycle too long to keep
-    cycle = []  # x_s .. x_{s+p-1}
+    kept, cycle = [], None  # x_s .. x_{s+p-1}, then their stack once all are kept
 
     def replay(t, X, out, rows):
-        nonlocal saved, s, span, p
-        if p > 0 and len(cycle) == p:
+        nonlocal saved, s, span, p, cycle
+        if cycle is not None:
             out[...] = cycle[(t + 1 - s) % p]
             return
         step(t, X, out, rows)
-        if p > 0:
-            cycle.append(out.copy())
-        elif p == 0:
+        if p == 0:
             key = out.tobytes()
             if key == saved:
-                p = t + 1 - s
-                if p * out.size > _BLOCK_VALUES:
-                    p = -1
-                else:
-                    cycle.append(out.copy())
+                p = t + 1 - s if (t + 1 - s) * out.size <= _BLOCK_VALUES else -1
             elif t + 1 - s == span:
                 saved, s, span = key, t + 1, 2 * span
+        if p > 0:
+            kept.append(out.copy())
+            if len(kept) == p:
+                cycle = np.stack(kept)
+                kept.clear()
 
+    def block(t0, t1, xs):
+        t = t0
+        while t < t1 and cycle is None:
+            replay(t, xs[t - t0], xs[t + 1 - t0], None)
+            t += 1
+        if t < t1:  # reduced here, as mode="wrap" subtracts p from each index until in range
+            idx = np.arange(t + 1 - s, t1 + 1 - s) % p
+            np.take(cycle, idx, axis=0, out=xs[t + 1 - t0:t1 + 1 - t0])
+
+    replay.block = block
     return replay
 
 
@@ -656,11 +666,14 @@ def run_lockstep(cfg: RunConfig, trials, at=None, averaging=None,
     with np.errstate(all="ignore"):  # diverging rows run on as inf/nan
         for t0 in range(0, T + 1, block):
             t1 = min(t0 + block, T + 1)
-            for t, X, out in zip(range(t0, min(t1, T)), xs, xs[1:]):
-                if sample and t == w1:
-                    w1 = min(t + window, T)
-                    drawn = zip(*sample(_draw_window(rngs, w1 - t, n, batch)))
-                step(t, X, out, next(drawn) if sample else None)
+            if sample is None:  # a full-gradient run, stepped or replayed a block at once
+                step.block(t0, min(t1, T), xs)
+            else:
+                for t, X, out in zip(range(t0, min(t1, T)), xs, xs[1:]):
+                    if t == w1:
+                        w1 = min(t + window, T)
+                        drawn = zip(*sample(_draw_window(rngs, w1 - t, n, batch)))
+                    step(t, X, out, next(drawn))
             steps = xs[: t1 - t0]
             lo, hi = np.searchsorted(recorded, [t0, t1])
             rows = recorded[lo:hi] - t0

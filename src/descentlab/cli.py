@@ -8,9 +8,9 @@ verify  build the bound curve named by the config, estimate the matching metric,
 table   evaluate the iteration-complexity table for a constants source
 suite   run the functional-inequality suite on a fixture
 
-Exit codes: 0 success / verdict pass; 2 configuration or hypothesis error
-(diagnostics name the offending field or constraint); 3 divergence during a run;
-4 verdict or suite failure.
+Exit codes: 0 success / verdict pass; 1 stdout closed by its reader; 2
+configuration or hypothesis error (diagnostics name the offending field or
+constraint); 3 divergence during a run; 4 verdict or suite failure.
 """
 
 from __future__ import annotations
@@ -396,16 +396,26 @@ def main(argv=None) -> int:
     """Run one command.  The commands raise their failures, and this is the one
     place that reports them: a divergence exits 3; a ValueError exits 2, as a
     table error from ``table`` and elsewhere as a config error (a SpecError)
-    or a hypothesis error (any other)."""
+    or a hypothesis error (any other).  A reader that closed stdout exits 1, as
+    Python's own EPIPE handling does, with stdout pointed at os.devnull so that
+    the exit flush stays silent."""
     args = _parser().parse_args(argv)
     try:
         if args.command == "run":
-            return cmd_run(args.config, args.out_dir, args.jobs, args.seed_override)
-        if args.command == "verify":
-            return cmd_verify(args.config, args.seed_override)
-        if args.command == "table":
-            return cmd_table(args.constants, args.epsilon, args.csv, args.batch_size)
-        return cmd_suite(args.fixture, args.samples, args.out)
+            code = cmd_run(args.config, args.out_dir, args.jobs, args.seed_override)
+        elif args.command == "verify":
+            code = cmd_verify(args.config, args.seed_override)
+        elif args.command == "table":
+            code = cmd_table(args.constants, args.epsilon, args.csv, args.batch_size)
+        else:
+            code = cmd_suite(args.fixture, args.samples, args.out)
+        sys.stdout.flush()  # a closed stdout shows here, not in the exit flush
+        return code
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return 3

@@ -342,8 +342,8 @@ def property_suite(fixture: Fixture, samples: int = 10_000, seed: int = 20_240_6
     expected_fail = EXPECTED_FAIL.get(problem.kind, ())
     smooth = np.isfinite(c.L)
     convex = "convexity" not in expected_fail
-    fx, gx, Gx = problem.value_rows(X), problem.full_grad_rows(X), problem.term_grad_rows(X)
-    fy, gy = problem.value_rows(Y), problem.full_grad_rows(Y)
+    (fx, gx), Gx = problem.value_grad_rows(X), problem.term_grad_rows(X)
+    fy, gy = problem.value_grad_rows(Y)
     Gy = problem.term_grad_rows(Y) if convex and smooth else None
 
     checks = []
@@ -435,7 +435,7 @@ def property_suite(fixture: Fixture, samples: int = 10_000, seed: int = 20_240_6
         f_star = problem.value(comp.x_star_F)
         dxs = X - comp.x_star_F
         bregman = fx - f_star - dxs @ g_star
-        F_gap = comp.value_rows(X) - comp.inf_F
+        F_gap = comp.plus_reg_rows(fx, X) - comp.inf_F
         finite = np.isfinite(F_gap)
         add("bregman_nonnegative", -bregman, scale_x)
         add("bregman_bound",

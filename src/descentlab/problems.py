@@ -139,17 +139,13 @@ class FiniteSumProblem:
         matrix rows and targets (A[idx], y[idx])."""
         return np.take(self.data["A"], idx, axis=0), np.take(self.data["y"], idx)
 
-    def grad_sampled(self, rows, X: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """grad f_{idx[j, m]}(X[m]) for every row m, given the terms' data
-        ``rows = sample_rows(idx)`` for an (M,) or (b, M) index array (or
-        views of the same shapes), written into ``out`` if given."""
-        return self.sampled_grad_kernel(np.empty(rows[0].shape) if out is None else out)(rows, X)
-
     def sampled_grad_kernel(self, out: np.ndarray):
-        """``grad_sampled`` into ``out``, of shape (M, d) or (b, M, d), bound
-        once: a function of (rows, X) whose residual and ridge term go into
-        buffers made here, with mu and the loss derivative looked up here, so
-        that each call makes only the ufunc calls of the gradient."""
+        """grad f_{idx[j, m]}(X[m]) for every row m into ``out``, of shape (M, d)
+        or (b, M, d), given the terms' data ``rows = sample_rows(idx)`` for an
+        (M,) or (b, M) index array (or views of the same shapes), bound once: a
+        function of (rows, X) whose residual and ridge term go into buffers made
+        here, with mu and the loss derivative looked up here, so that each call
+        makes only the ufunc calls of the gradient."""
         grad, mu = self.loss.grad, self.data["mu"]
         r = np.empty(out.shape[:-1])
         ridge = np.empty(out.shape[-2:]) if mu > 0 else None
@@ -165,25 +161,42 @@ class FiniteSumProblem:
         return kernel
 
     def term_grad_rows(self, X: np.ndarray) -> np.ndarray:
-        """grad f_i(X[m]) for every row m and term i, shape (M, n, d)."""
-        rows = self.sample_rows(np.tile(np.arange(self.n), len(X)))
-        return self.grad_sampled(rows, np.repeat(X, self.n, axis=0)).reshape(len(X), self.n, self.d)
+        """grad f_i(X[m]) for every row m and term i, shape (M, n, d): the
+        products of ``sampled_grad_kernel`` at every pair (m, i), with A and X
+        broadcast against each other rather than copied to (M n, d) rows."""
+        A, y, mu = _A_Y_MU(self.data)
+        G = A * self.loss.grad(np.vecdot(A, X[:, None, :]) - y)[..., None]
+        return G + mu * X[:, None, :] if mu > 0 else G
 
     def full_grad_rows(self, X: np.ndarray) -> np.ndarray:
         """grad f(X[m]) for every row m."""
-        A, y, mu = _A_Y_MU(self.data)
-        s = self.loss.grad(np.matmul(X[:, None, :], A.T)[:, 0] - y)
-        G = np.matmul(A.T, s[:, :, None])[:, :, 0] / self.n
-        return G + mu * X if mu > 0 else G
+        return self._grad_of(X, self._residual_rows(X))
 
     def value_rows(self, X: np.ndarray, work: Optional[np.ndarray] = None) -> np.ndarray:
         """f(X[m]) for every row m.  ``work``, a C-contiguous float64 buffer of
         shape (len(X), 1, n) that the call may overwrite, holds the residual
         instead of fresh arrays."""
-        A, y, mu = _A_Y_MU(self.data)
-        r = np.matmul(X[:, None, :], A.T, out=work)[:, 0]
-        r -= y
-        v = self.loss.mean_rows(r)
+        return self._value_of(X, self._residual_rows(X, work))
+
+    def value_grad_rows(self, X: np.ndarray) -> tuple:
+        """(value_rows(X), full_grad_rows(X)) from one residual, which the
+        gradient reads before ``mean_rows`` may overwrite it."""
+        r = self._residual_rows(X)
+        G = self._grad_of(X, r)
+        return self._value_of(X, r), G
+
+    def _residual_rows(self, X, work=None):  # <a_i, X[m]> - y_i, (M, n), in work if given
+        r = np.matmul(X[:, None, :], self.data["A"].T, out=work)[:, 0]
+        r -= self.data["y"]
+        return r
+
+    def _grad_of(self, X, r):
+        A, mu = self.data["A"], self.data["mu"]
+        G = np.matmul(A.T, self.loss.grad(r)[:, :, None])[:, :, 0] / self.n
+        return G + mu * X if mu > 0 else G
+
+    def _value_of(self, X, r):
+        v, mu = self.loss.mean_rows(r), self.data["mu"]
         return v + 0.5 * mu * np.vecdot(X, X) if mu > 0 else v
 
     def clearing_norm_sq(self, limit: float, inf: float, g_slope: float = 0.0) -> float:
@@ -286,8 +299,12 @@ class CompositeProblem:
 
     def value_rows(self, X: np.ndarray, work: Optional[np.ndarray] = None) -> np.ndarray:
         """F(X[m]) for every row m of X (M, d); ``work`` as in FiniteSumProblem."""
+        return self.plus_reg_rows(self.smooth.value_rows(X, work), X)
+
+    def plus_reg_rows(self, f: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """F(X[m]) from f = smooth.value_rows(X): f + g, inf where g is not finite."""
         g = self.reg.value_rows(X)
-        return np.where(np.isfinite(g), self.smooth.value_rows(X, work) + g, math.inf)
+        return np.where(np.isfinite(g), f + g, math.inf)
 
     def clearing_norm_sq(self, limit: float, inf: float) -> float:
         """FiniteSumProblem.clearing_norm_sq of F: g = lam ||x||_1 <= lam sqrt(d)

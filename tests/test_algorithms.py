@@ -775,6 +775,87 @@ def test_replay_steps_through_a_cycle_too_long_to_keep(monkeypatch):
         replay(t, xs[t % 2], xs[(t + 1) % 2], None)
         assert np.array_equal(xs[(t + 1) % 2][0], np.roll(X0[0], t + 1))
     assert len(calls) == 40
+    replay = algorithms._replaying(
+        lambda t, X, out, rows: calls.append(t) or step(t, X, out, rows), X0)
+    xs = np.empty((41,) + X0.shape)
+    xs[0] = X0
+    replay.block(0, 40, xs)  # one block, stepped through
+    for t in range(41):
+        assert np.array_equal(xs[t][0], np.roll(X0[0], t))
+    assert len(calls) == 80
+
+
+@pytest.mark.parametrize("kind,k,period", [("roll", 1, 1), ("roll", 3, 3), ("roll", 5, 5),
+                                           ("negate", 3, 2), ("nan", 2, 1), ("count", 2, None)])
+def test_block_replay_equals_stepping_across_blocks(kind, k, period):
+    # blocks of 7 steps, as run_lockstep's gap blocks: the block that keeps the
+    # cycle gathers the rest of its steps, and later blocks gather all of theirs
+    step, X0 = _toy_step(kind, k)
+    calls = []
+    replay = algorithms._replaying(
+        lambda t, X, out, rows: calls.append(t) or step(t, X, out, rows), X0)
+    xs, Y = np.empty((8,) + X0.shape), X0
+    xs[0] = X0
+    for t0 in range(0, 300, 7):
+        t1 = min(t0 + 7, 300)
+        replay.block(t0, t1, xs)
+        for t in range(t0, t1):
+            Y = Y.copy()
+            step(t, Y, Y, None)
+            assert xs[t + 1 - t0].tobytes() == Y.tobytes(), t
+        xs[0] = xs[t1 - t0]
+    assert len(calls) == (300 if period is None else 2 ** math.ceil(math.log2(period)) - 1
+                          + 2 * period - 1)
+
+
+def _stepping(step, X0):
+    """A replayer that replays nothing: its block calls ``step`` at every t."""
+    def replay(t, X, out, rows):
+        step(t, X, out, rows)
+
+    def block(t0, t1, xs):
+        for t in range(t0, t1):
+            replay(t, xs[t - t0], xs[t + 1 - t0], None)
+
+    replay.block = block
+    return replay
+
+
+def _brent(states):
+    """(s, p) where Brent's search over the states' bytes first matches: the
+    saved state's index s and the period p."""
+    saved, s, span = states[0], 0, 1
+    for t in range(len(states) - 1):
+        if states[t + 1] == saved:
+            return s, t + 1 - s
+        if t + 1 - s == span:
+            saved, s, span = states[t + 1], t + 1, 2 * span
+    return None
+
+
+# cycles of periods 2, 1, 4 and 2, kept before the first block edge (t = 512)
+@pytest.mark.parametrize("M", [1, 3])
+@pytest.mark.parametrize("alg,name,scale,x0,period", [
+    ("gd", "ls_4x2", 1.0, [4.0, -3.0], 2), ("gd", "ls_4x2", 0.5, [4.0, -3.0], 1),
+    ("gd", "ls_4x2", 2.0, [-3.0, 1.0], 4), ("prox_gd", "lasso_4x2", 1.0, [4.0, -3.0], 2)],
+    ids=["gd-1/L", "gd-0.5/L", "gd-2/L", "prox_gd-1/L"])
+def test_block_replay_equals_stepping(monkeypatch, alg, name, scale, x0, period, M):
+    fx = fixture(name)
+    cfg = RunConfig.for_fixture(fx, alg, StepSchedule.constant(scale / fx.constants.L), 2000,
+                                trials=M, x0=x0)
+    assert 2 * algorithms._block_steps(1, fx.problem.n, fx.problem.d) < 2000  # two block edges
+    replaying, calls = algorithms._replaying, []
+    monkeypatch.setattr(algorithms, "_replaying", lambda step, X0: replaying(
+        lambda t, X, out, rows: calls.append(t) or step(t, X, out, rows), X0))
+    run = run_lockstep(cfg, range(M), keep_iterates=True)
+    monkeypatch.setattr(algorithms, "_replaying", _stepping)
+    want = run_lockstep(cfg, range(M), keep_iterates=True)
+    for key in ("iterates", "f_gap", "dist_sq"):
+        assert getattr(run, key).tobytes() == getattr(want, key).tobytes(), key
+    s, p = _brent([x.tobytes() for x in want.iterates[0]])
+    assert p == period
+    # the search's s + p steps and p - 1 more to keep the cycle; none after it
+    assert len(calls) <= s + 2 * p
 
 
 def test_full_gradient_run_stops_calling_the_oracle(monkeypatch):

@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -316,11 +318,25 @@ def _deterministic_verifies():
     ]
 
 
+# sha256 of each deterministic verify's stdout, in _deterministic_verifies' order
+_VERDICT_DIGESTS = {
+    "gd_convex": "4fc97c5fc60424246d101fd1337d6e904a821469a818885370f76445c4c2b569",
+    "gd_pl_x0_3": "9072d42ab0a12cb5eb922a077907208d51c198babf09df9fe0289d9afe92a0ce",
+    "gd_pl_x0_-7": "98ec2f204ce703808f8977cf83b7512602cd6e602caefca0a985c5bac4641825",
+    "gd_pl_x0_11": "ba6f2924bb6117780522500b3d4f0f830957c7a156e5f5565c3be3bb6d6d9dea",
+    "pgd_convex_1/L": "b29d30fb51704e0ef0ee83d3533857b95776be06255136e3f18e70aef38bb12f",
+    "pgd_convex_0.5/L": "f5b3d9632f7cf7fff25d779d075164397f9eb58770989f4c8705a19ff13f6593",
+}
+
+
 def test_deterministic_verdicts_are_pinned(tmp_path, capsys):
-    # == on the dicts compares every float exactly
-    for k, (payload, verdict) in enumerate(_deterministic_verifies()):
+    # == on the dicts compares every float exactly, and the digest every byte
+    for k, ((payload, verdict), (name, digest)) in enumerate(
+            zip(_deterministic_verifies(), _VERDICT_DIGESTS.items(), strict=True)):
         assert main(["verify", "--config", _write(tmp_path, f"cfg{k}.json", payload)]) == 0
-        assert json.loads(capsys.readouterr().out) == verdict, payload
+        out = capsys.readouterr().out
+        assert json.loads(out) == verdict, name
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, name
 
 
 def test_verify_misconfigured_setting(tmp_path, capsys):
@@ -1057,6 +1073,41 @@ def test_scalar_pl_outputs_are_pinned(tmp_path, capsys, name):
                      "--out-dir", str(tmp_path / "out")]) == 0
         out = (tmp_path / "out" / "trace.csv").read_bytes()
     assert hashlib.sha256(out).hexdigest() == digest
+
+
+# sha256 of the property suite's report at 2000 samples on every catalogue
+# fixture (scalar_pl's is in _SCALAR_PL_DIGESTS)
+_SUITE_DIGESTS = {
+    "ls_4x2": "685ebcc0a5cc391f6c53afddbfa6ca3a1f401d60fc8dc008a820a6f38bf83dda",
+    "ls_6x2": "025a129a1ed4d1ff8c53e9c1490fc9312f196fe33591f3b2d6f72f084f259ff9",
+    "abs_2x1": "deb2a0905f78f77f9a3789b3991751730b266dfa3731de648df640e5fed9e9a1",
+    "abs_2x1_reg": "30796d509f860250d3fbcfed1e7d1a02c04ee0749aafb3ec85b71445092eff3e",
+    "lasso_4x2": "4868f05a85ae712f4b121b23f56c299f4abc3cc66b53748fe46e39b2e2718b32",
+}
+
+
+@pytest.mark.parametrize("name", list(_SUITE_DIGESTS))
+def test_suite_stdout_is_pinned(capsys, name):
+    assert main(["suite", "--fixture", name, "--samples", "2000"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == _SUITE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--config", os.path.join(os.path.dirname(__file__), "..", "configs",
+                                        "verify_gd_convex.json")],
+    ["table", "--constants", "ls_4x2", "--epsilon", "1e-3"],
+    ["suite", "--fixture", "ls_4x2", "--samples", "50"]], ids=["verify", "table", "suite"])
+def test_closed_stdout_exits_1_without_a_traceback(argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command writes
+    try:
+        run = subprocess.run([sys.executable, "-m", "descentlab.cli", *argv], stdout=write_end,
+                             stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+                             timeout=120)
+    finally:
+        os.close(write_end)
+    assert (run.returncode, run.stderr) == (1, b""), run.stderr.decode()
 
 
 # below about 1e-154 eps**2 underflows: sgd_convex_const's count ((...)/eps)^2 is

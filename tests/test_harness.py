@@ -519,6 +519,26 @@ def test_value_rows_in_a_work_buffer_bit_for_bit(name):
 
 
 @pytest.mark.parametrize("name", CATALOGUE + tuple(INLINE))
+def test_value_grad_rows_equal_the_separate_oracles_bit_for_bit(name):
+    fx = _oracle_fixture(name)
+    p = fx.problem
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(3000, p.d)) * rng.choice([1e-3, 1.0, 10.0, 1e3], size=(3000, 1))
+    # signed zeros, infinities and NaNs, whose residuals the loss derivative
+    # must read before abs_loss's mean takes their absolute values in place
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan]
+    X[:25] = np.array([[special[(i + j) % 5] if (i // 5 + j) % 2 else special[i % 5]
+                        for j in range(p.d)] for i in range(25)])
+    with np.errstate(all="ignore"):
+        values, grads = p.value_grad_rows(X)
+        assert values.tobytes() == p.value_rows(X).tobytes()
+        assert grads.tobytes() == p.full_grad_rows(X).tobytes()
+        if fx.composite is not None:
+            comp = fx.composite
+            assert comp.plus_reg_rows(values, X).tobytes() == comp.value_rows(X).tobytes()
+
+
+@pytest.mark.parametrize("name", CATALOGUE + tuple(INLINE))
 def test_property_suite_equals_plain_numpy_reductions(name, monkeypatch):
     # axis_sum replaced by the np.sum it stands for: the plain formulas are the
     # reference of the slice-by-slice sums of short axes
