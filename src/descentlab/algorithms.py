@@ -765,6 +765,7 @@ def averaged_iterate(trace: Trace, weighting, upto: Optional[int] = None) -> np.
 
 _G17_SLOTS = 28  # sign, "0." and up to three zeros, 17 digits and a point, "e-0X"
 _FORMAT_VALUES = 2 ** 14  # most floats one block of CSV rows formats at once
+_CSV_BLOCK_ROWS = _FORMAT_VALUES // 2  # a block's rows: f_gap and dist_sq each
 _SLOT = np.arange(18, dtype=np.int8)[:, None]  # slot numbers, broadcast over values
 
 
@@ -883,26 +884,44 @@ def _int_slots(v):
     return out
 
 
-def _csv_rows(run: Lockstep, lo: int, hi: int) -> bytes:
+def _head_slots(ints, floats=None):
+    """The leading fields of a row, for each row: a (slot, row) uint8 array
+    whose column j holds the digits of the integer ints[j] (``_int_slots``)
+    and a comma, then, with ``floats``, the ``_g17_slots`` of floats[j] and
+    another comma.  Formatted in blocks of _FORMAT_VALUES values, so the
+    temporaries are those of one block."""
+    width = len(str(int(ints.max(initial=0))))
+    out = np.zeros((width + 1 + (0 if floats is None else _G17_SLOTS + 1), len(ints)), np.uint8)
+    out[width] = out[-1] = ord(",")
+    for lo in range(0, len(ints), _FORMAT_VALUES):
+        hi = lo + _FORMAT_VALUES
+        digits = _int_slots(ints[lo:hi])  # right-aligned, as its own width may be less
+        out[width - len(digits):width, lo:hi] = digits
+        if floats is not None:
+            out[width + 1:-1, lo:hi] = _g17_slots(floats[lo:hi])
+    return out
+
+
+def _csv_rows(run: Lockstep, trial_head, step_head, lo: int, hi: int) -> bytes:
     """The CSV rows of flat rows lo .. hi-1 of ``run``: flat row r is trial
     ``run.trials[r // (T+1)]`` at step ``r % (T+1)``.
 
     Every field goes into fixed NUL-padded slots of one (slot, row) array,
-    whose rows of text are then one ``translate`` away: the trial number and
-    the step in the slots of ``_int_slots``, each float in those of
-    ``_g17_slots``."""
+    whose rows of text are then one ``translate`` away: "trial," and
+    "t,gamma_t," are the columns of the ``_head_slots`` tables ``trial_head``
+    and ``step_head`` the row reads, and f_gap and dist_sq are formatted here
+    in the slots of ``_g17_slots``."""
     j, t = np.divmod(np.arange(lo, hi), len(run.gamma))
-    trial, step = _int_slots(run.trials[j]), _int_slots(t)
-    lw, tw, n = len(trial), len(step), hi - lo
-    out = np.empty((lw + tw + 2 + 3 * (_G17_SLOTS + 1), n), np.uint8)
-    out[:lw] = trial
-    out[lw + 1: lw + 1 + tw] = step
-    out[[lw, lw + 1 + tw]] = ord(",")
-    values = np.concatenate([run.gamma[t], run.f_gap.ravel()[lo:hi], run.dist_sq.ravel()[lo:hi]])
-    fields = out[lw + tw + 2:].reshape(3, _G17_SLOTS + 1, n)
-    fields[:, :_G17_SLOTS] = _g17_slots(values).reshape(_G17_SLOTS, 3, n).transpose(1, 0, 2)
-    fields[:2, _G17_SLOTS] = ord(",")
-    fields[2, _G17_SLOTS] = ord("\n")
+    lw, n = len(trial_head), hi - lo
+    head = lw + len(step_head)
+    out = np.empty((head + 2 * (_G17_SLOTS + 1), n), np.uint8)
+    np.take(trial_head, j, axis=1, out=out[:lw])
+    np.take(step_head, t, axis=1, out=out[lw:head])
+    values = np.concatenate([run.f_gap.ravel()[lo:hi], run.dist_sq.ravel()[lo:hi]])
+    fields = out[head:].reshape(2, _G17_SLOTS + 1, n)
+    fields[:, :_G17_SLOTS] = _g17_slots(values).reshape(_G17_SLOTS, 2, n).transpose(1, 0, 2)
+    fields[0, _G17_SLOTS] = ord(",")
+    fields[1, _G17_SLOTS] = ord("\n")
     return out.T.tobytes().translate(None, b"\0")
 
 
@@ -919,17 +938,22 @@ def write_traces_csv(run: Lockstep, path, header: bool = True) -> None:
     Every float goes through one array formatter (``_g17_slots``): exact
     for 0 and |x| in [1e-6, 1e17) by Dekker's TwoProduct, and ``"%.17g" %``
     one value at a time for the rest (subnormals, values outside that
-    range, inf and NaN).  The rows are formatted straight from the run's
-    (M, T+1) arrays in blocks of at most _FORMAT_VALUES (2^14) floats
-    (``_csv_rows``), so the writer's temporaries stay near 2 MB and a
-    ``--jobs`` worker's peak memory does not grow with its trace."""
+    range, inf and NaN).  Each trial's "m," and each step's "t,gamma_t," are
+    formatted once, into the slot tables of ``_head_slots``; the rows are
+    formatted straight from the run's (M, T+1) arrays in blocks of
+    _CSV_BLOCK_ROWS rows (``_csv_rows``), which gather their leading fields
+    from those tables, so a ``--jobs`` worker's peak memory grows with its
+    trials and steps, not with its rows."""
     steps = len(run.gamma)
     if len(run.t) != steps:
         raise ValueError(f"traces need every step recorded; this run recorded "
                          f"{len(run.t)} of {steps}")
-    rows, total = _FORMAT_VALUES // 3, len(run.trials) * steps
+    trial_head = _head_slots(np.asarray(run.trials))
+    step_head = _head_slots(np.arange(steps), run.gamma)
+    total = len(run.trials) * steps
     with open(path, "wb") as fh:
         if header:
             fh.write(b"trial,t,gamma_t,f_gap,dist_sq\n")
-        for lo in range(0, total, rows):
-            fh.write(_csv_rows(run, lo, min(lo + rows, total)))
+        for lo in range(0, total, _CSV_BLOCK_ROWS):
+            fh.write(_csv_rows(run, trial_head, step_head, lo,
+                               min(lo + _CSV_BLOCK_ROWS, total)))

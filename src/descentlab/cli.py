@@ -18,12 +18,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import multiprocessing
 import os
 import platform
 import shutil
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
+# kept as a module attribute, where perfbench/tracer.py wraps it
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import fields, replace
 from functools import cache, partial
 from types import SimpleNamespace
@@ -159,7 +161,7 @@ def _run_config(cfg: ExperimentConfig, fx: problems.Fixture, seed: int) -> RunCo
 
 
 def _trial_chunk(args):
-    """One chunk of a ``--jobs`` run, in a pool worker or, for the first
+    """One chunk of a ``--jobs`` run, in a forked worker or, for the first
     chunk, in the calling process: run trials lo .. hi-1 of the checked run
     and write their trace rows to ``path``, behind the header only in the
     first chunk (``lo == 0``).  Returns the (trial, t) of each diverged
@@ -171,6 +173,30 @@ def _trial_chunk(args):
         return exc.failures
     write_traces_csv(run, path, header=lo == 0)
     return []
+
+
+def _chunk_worker(conn, args) -> None:
+    """A ``--jobs`` worker: sends ``(True, _trial_chunk(args))``, or
+    ``(False, exception)`` if the chunk raised, over its end of a pipe."""
+    try:
+        result = (True, _trial_chunk(args))
+    except Exception as exc:
+        result = (False, exc)
+    conn.send(result)
+    conn.close()
+
+
+def _chunk_result(proc, conn) -> list:
+    """The failures a worker sent, raising the exception it sent instead."""
+    try:
+        ok, result = conn.recv()
+    except EOFError:
+        proc.join()
+        raise RuntimeError(f"--jobs worker {proc.pid} exited with code {proc.exitcode} "
+                           f"before sending its chunk's result") from None
+    if not ok:
+        raise result
+    return result
 
 
 def cmd_run(config_path: str, out_dir: str = ".", jobs: int = 1,
@@ -197,35 +223,65 @@ def cmd_run(config_path: str, out_dir: str = ".", jobs: int = 1,
             "python": platform.python_version(),
         },
     }
-    with open(manifest_path, "w") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+    def write_manifest():
+        with open(manifest_path, "w") as fh:
+            fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     if jobs > 1 and cfg.trials > 1:
-        _run_chunks(rc, jobs, trace_path)
+        _run_chunks(rc, jobs, trace_path, write_manifest)
     else:
+        write_manifest()
         write_traces_csv(run_lockstep(rc, range(cfg.trials)), trace_path)
     print(f"wrote {manifest_path} and {trace_path}")
     return 0
 
 
-def _run_chunks(rc: RunConfig, jobs: int, trace_path: str) -> None:
-    """The trials of ``rc`` in ``jobs`` contiguous chunks: this process runs
-    the first while a pool of one worker per other chunk runs the rest.  Each
-    chunk's rows go to a part file in a temporary directory beside the trace,
-    the first part behind the header; on success the first part is renamed
-    onto the trace and the others are appended in chunk order, so the trace
-    is the file one process would write, and no worker sends its rows back
-    to this process.  Raises one DivergenceError naming every diverged trial,
-    leaving the trace path as it was."""
+# fork, where the platform has it: a forked worker inherits the checked run
+# and the imported program, where a spawned or forkserver one would re-import
+_CONTEXT = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
+
+
+def _run_chunks(rc: RunConfig, jobs: int, trace_path: str, write_manifest) -> None:
+    """The trials of ``rc`` in ``jobs`` contiguous chunks: this process forks
+    one worker per chunk after the first, calls ``write_manifest`` while they
+    run, then runs the first chunk itself, and receives each worker's result
+    over a pipe in chunk order.  Each chunk's rows go to a part file in a
+    temporary directory beside the trace, the first part behind the header;
+    on success the first part is renamed onto the trace and the others are
+    appended in chunk order, so the trace is the file one process would
+    write, and no worker sends its rows back to this process.  Raises one
+    DivergenceError naming every diverged trial, leaving the trace path as it
+    was, and re-raises a worker's exception.  Every worker has exited when
+    this returns or raises: on a raise, the ones still running are
+    terminated."""
     chunks = np.array_split(np.arange(rc.trials), min(jobs, rc.trials))
     with tempfile.TemporaryDirectory(dir=os.path.dirname(trace_path)) as tmp:
         args = [(rc, int(ch[0]), int(ch[-1]) + 1, os.path.join(tmp, f"part{i}.csv"))
                 for i, ch in enumerate(chunks)]
-        with ProcessPoolExecutor(max_workers=len(chunks) - 1) as pool:
-            rest = pool.map(_trial_chunk, args[1:])  # submits every chunk now
+        workers = []
+        try:
+            for chunk in args[1:]:
+                conn, child_conn = _CONTEXT.Pipe(duplex=False)
+                proc = _CONTEXT.Process(target=_chunk_worker, args=(child_conn, chunk))
+                proc.start()
+                # closed here before the next fork, so a worker that dies is
+                # seen as the end of its pipe
+                child_conn.close()
+                workers.append((proc, conn))
+            write_manifest()
             failures = _trial_chunk(args[0])
-            # map keeps the chunks, and so the trials, in order
-            failures += [f for part in rest for f in part]
+            for proc, conn in workers:  # in chunk order, and so in trial order
+                failures += _chunk_result(proc, conn)
+        except BaseException:
+            for proc, _ in workers:
+                proc.terminate()
+            raise
+        finally:
+            for proc, conn in workers:
+                proc.join()
+                conn.close()
         if failures:
             raise DivergenceError(failures)
         # same directory, so the rename is one filesystem's

@@ -433,10 +433,11 @@ def test_csv_matches_row_writer_inv_sqrt_many_trials(tmp_path):
     run = _sgd_inv_sqrt_run(range(13))
     assert len(set(run.gamma.tolist())) == len(run.gamma)  # gamma varies with t
     _assert_csv_matches_rows(tmp_path, run)
-    # more rows than one formatted block holds: a trial spans the two blocks,
-    # the second is partial, and trial numbers pass 9 and 99 within a block
-    run = _sgd_inv_sqrt_run(range(140))
-    assert 1 < run.f_gap.size / (algorithms._FORMAT_VALUES // 3) < 2
+    # about 1.5 blocks of rows: a trial spans the two blocks, the second is
+    # partial, and trial numbers pass 9 and 99 within a block
+    block, steps = algorithms._CSV_BLOCK_ROWS, len(run.gamma)
+    run = _sgd_inv_sqrt_run(range(3 * block // (2 * steps)))
+    assert 1 < run.f_gap.size / block < 2 and block % steps
     _assert_csv_matches_rows(tmp_path, run)
 
 

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -1231,43 +1233,98 @@ def test_unwritable_output_or_bad_jobs_exits_2_before_writing(tmp_path, capsys, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "file"]
 
 
-_CHUNKS_RUN = []  # (lo, pid) of each _trial_chunk call this process made
-
-
-def _recording_trial_chunk(args, trial_chunk=cli._trial_chunk):
-    _CHUNKS_RUN.append((args[1], os.getpid()))
+def _recording_trial_chunk(args, log, trial_chunk=cli._trial_chunk):
+    # a forked worker inherits this patch and appends to the same file
+    with open(log, "a") as fh:
+        fh.write(f"{args[1]} {args[2]} {os.getpid()}\n")
     return trial_chunk(args)
+
+
+def _counting_starts(monkeypatch) -> list:
+    """The pids of the processes started from here on, in start order."""
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counting_start(self):
+        start(self)
+        started.append(self.pid)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+    return started
 
 
 def test_run_jobs_starts_one_worker_per_chunk(tmp_path, monkeypatch):
     # --jobs 8 splits 3 trials into 3 chunks: the calling process runs the
-    # first, and a pool of 2 the others; a pool of 8 would start 6 idle workers
-    started, mapped = [], []
-
-    class CountingPool(cli.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            started.append(max_workers)
-            super().__init__(max_workers)
-
-        def map(self, fn, args):
-            args = list(args)
-            mapped.append([(lo, hi) for _, lo, hi, _ in args])
-            return super().map(fn, args)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
-    # a worker's calls land in the worker's copy of _CHUNKS_RUN, not in this one
-    monkeypatch.setattr(cli, "_trial_chunk", _recording_trial_chunk)
-    _CHUNKS_RUN.clear()
+    # first, and 2 forked workers the others; 8 workers would idle 6
+    started = _counting_starts(monkeypatch)
+    log = tmp_path / "chunks.txt"
+    monkeypatch.setattr(cli, "_trial_chunk", partial(_recording_trial_chunk, log=log))
     path = _write(tmp_path, "cfg.json", _gd_config(algorithm="sgd", trials=3,
                                                    schedule={"kind": "constant", "gamma": 0.2}))
     assert cmd_run(path, out_dir=str(tmp_path / "one")) == 0
+    assert started == [] and not log.exists()
     assert cmd_run(path, out_dir=str(tmp_path / "eight"), jobs=8) == 0
-    assert started == [2]
-    assert mapped == [[(1, 2), (2, 3)]]
-    assert _CHUNKS_RUN == [(0, os.getpid())]
+    assert len(started) == 2
+    chunks = sorted(tuple(map(int, line.split())) for line in log.read_text().splitlines())
+    assert chunks == [(0, 1, os.getpid()), (1, 2, started[0]), (2, 3, started[1])]
     assert sorted(p.name for p in (tmp_path / "eight").iterdir()) == ["manifest.json", "trace.csv"]
     assert ((tmp_path / "eight" / "trace.csv").read_bytes()
             == (tmp_path / "one" / "trace.csv").read_bytes())
+
+
+class _ChunkFailure(Exception):
+    pass
+
+
+def _failing_trial_chunk(args, fail_lo, exit_code=None, trial_chunk=cli._trial_chunk):
+    # fails the chunk that starts at trial fail_lo: raises, or exits without a result
+    if args[1] == fail_lo:
+        if exit_code is not None:
+            os._exit(exit_code)
+        raise _ChunkFailure(f"chunk at {fail_lo}")
+    return trial_chunk(args)
+
+
+def _twelve_trials(tmp_path, seed, gamma=1.45):
+    # the diverging run described below; no step expands at gamma 0.2. At
+    # --jobs 3 the chunks are trials 0-3, 4-7 and 8-11
+    return _write(tmp_path, "cfg.json", _gd_config(
+        algorithm="sgd", trials=12, iterations=200, x0=[2.0, 0.0], seed=seed,
+        schedule={"kind": "constant", "gamma": gamma}))
+
+
+@pytest.mark.parametrize("case", ["passes", "caller_chunk_diverges", "worker_chunk_diverges",
+                                  "caller_chunk_raises"])
+def test_run_jobs_leaves_no_child_process(tmp_path, monkeypatch, case):
+    seed, gamma, code = {"passes": (0, 0.2, 0), "caller_chunk_diverges": (62, 1.45, 3),
+                         "worker_chunk_diverges": (108, 1.45, 3),
+                         "caller_chunk_raises": (0, 0.2, None)}[case]
+    path = _twelve_trials(tmp_path, seed, gamma)
+    argv = ["run", "--config", path, "--out-dir", str(tmp_path / "out"), "--jobs", "3"]
+    if code is None:
+        monkeypatch.setattr(cli, "_trial_chunk", partial(_failing_trial_chunk, fail_lo=0))
+        with pytest.raises(_ChunkFailure, match="chunk at 0"):
+            main(argv)
+    else:
+        assert main(argv) == code
+    assert multiprocessing.active_children() == []
+    listed = sorted(p.name for p in (tmp_path / "out").iterdir())
+    assert listed == (["manifest.json", "trace.csv"] if code == 0 else ["manifest.json"])
+
+
+def test_run_jobs_worker_exception_reaches_the_caller(tmp_path, monkeypatch):
+    # the forked workers inherit the patch; the second worker's chunk fails
+    path = _twelve_trials(tmp_path, 0, gamma=0.2)
+    out = tmp_path / "out"
+    monkeypatch.setattr(cli, "_trial_chunk", partial(_failing_trial_chunk, fail_lo=8))
+    with pytest.raises(_ChunkFailure, match="chunk at 8"):
+        cmd_run(path, out_dir=str(out), jobs=3)
+    monkeypatch.setattr(cli, "_trial_chunk",
+                        partial(_failing_trial_chunk, fail_lo=4, exit_code=7))
+    with pytest.raises(RuntimeError, match="exited with code 7 before sending"):
+        cmd_run(path, out_dir=str(out), jobs=3)
+    assert multiprocessing.active_children() == []
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
 
 # sgd at gamma 1.45 from (2, 0) for 200 steps blows up sample streams 62 and
@@ -1279,9 +1336,7 @@ def test_run_jobs_starts_one_worker_per_chunk(tmp_path, monkeypatch):
                          ids=["caller_chunk", "worker_chunk"])
 def test_run_divergence_in_one_chunk_leaves_the_out_dir_as_it_was(tmp_path, capsys, seed,
                                                                    diverged):
-    path = _write(tmp_path, "cfg.json", _gd_config(
-        algorithm="sgd", trials=12, iterations=200, x0=[2.0, 0.0], seed=seed,
-        schedule={"kind": "constant", "gamma": 1.45}))
+    path = _twelve_trials(tmp_path, seed)
     errs = []
     for jobs in (1, 2, 3):
         fresh, kept = tmp_path / f"fresh{jobs}", tmp_path / f"kept{jobs}"

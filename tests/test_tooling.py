@@ -30,7 +30,8 @@ def test_tracer_installs_counts_and_uninstalls(tmp_path, monkeypatch, capsys):
     tracer.install()  # a KeyError here names a patched name the program lost
     try:
         patched = list(tracer._patches)
-        assert all(getattr(owner, attr) is not original for owner, attr, original in patched)
+        for owner, attr, original in patched:  # every patched name is installed
+            assert owner.__dict__[attr] is not original, attr
         round_span = tracer.open("bench", "round")
         assert cli.main(["verify", "--config", str(verify)]) == 0
         assert cli.main(["run", "--config", str(run), "--out-dir", str(tmp_path / "out"),
@@ -47,4 +48,8 @@ def test_tracer_installs_counts_and_uninstalls(tmp_path, monkeypatch, capsys):
             calls[key] = calls.get(key, 0) + count
     # one row-wise prox per step, called by name from algorithms
     assert calls["nonsmooth.prox"] == T
-    assert calls["cli.pool_wait"] > 0
+    # the traced run --jobs 2 ran every step of its 4 trials, as one process would
+    trace = (tmp_path / "out" / "trace.csv").read_bytes()
+    assert trace.count(b"\n") == 1 + 4 * (T + 1)
+    assert cli.main(["run", "--config", str(run), "--out-dir", str(tmp_path / "one")]) == 0
+    assert (tmp_path / "one" / "trace.csv").read_bytes() == trace
